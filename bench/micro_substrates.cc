@@ -13,6 +13,7 @@
 #include "partition/overlay.h"
 #include "spatial/rtree.h"
 #include "sparse/coo_builder.h"
+#include "sparse/prepared_reference.h"
 #include "sparse/sparse_ops.h"
 #include "core/batch.h"
 #include "core/geoalign.h"
@@ -86,6 +87,26 @@ BENCHMARK(BM_SparseWeightedSum)
     ->Arg(8000)
     ->Arg(30000)
     ->Complexity(benchmark::oN);
+
+// The content hash behind plan fingerprints and PlanCache keys, over
+// a buffer about the size of the US suite's reference bytes (~8.6 MB
+// for 9 references). Reports bytes/s.
+void BM_ContentFingerprint(benchmark::State& state) {
+  const size_t bytes = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<double> buffer(bytes / sizeof(double));
+  for (double& v : buffer) v = rng.Uniform(0.0, 1e6);
+  for (auto _ : state) {
+    sparse::ContentHash hash;
+    hash.MixDoubles(buffer);
+    benchmark::DoNotOptimize(hash.Finish());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buffer.size() * sizeof(double)));
+}
+BENCHMARK(BM_ContentFingerprint)
+    ->Arg(8 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_OverlayCells(benchmark::State& state) {
   synth::UniverseOptions opts;

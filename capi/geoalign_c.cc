@@ -45,7 +45,10 @@ int Fail(int code, std::string message) {
 }
 
 int FailStatus(const Status& status) {
-  return Fail(GEOALIGN_ERR_FAILED, std::string(status.message()));
+  const int code = status.code() == geoalign::StatusCode::kInvalidArgument
+                       ? GEOALIGN_ERR_INVALID_ARGUMENT
+                       : GEOALIGN_ERR_FAILED;
+  return Fail(code, std::string(status.message()));
 }
 
 geoalign::obs::Counter& IngestBytesCopied() {
@@ -182,13 +185,7 @@ int geoalign_plan_compile(const geoalign_reference* references,
   try {
     Result<std::vector<geoalign::core::ReferenceAttributeView>> views =
         BuildViews(references, num_references);
-    if (!views.ok()) {
-      const int code =
-          views.status().code() == geoalign::StatusCode::kInvalidArgument
-              ? GEOALIGN_ERR_INVALID_ARGUMENT
-              : GEOALIGN_ERR_FAILED;
-      return Fail(code, std::string(views.status().message()));
-    }
+    if (!views.ok()) return FailStatus(views.status());
     Result<geoalign::core::CrosswalkPlan> plan =
         geoalign::core::CrosswalkPlan::Compile(
             std::move(views).value(), geoalign::core::GeoAlignOptions{});

@@ -40,7 +40,10 @@
 extern "C" {
 #endif
 
-/* Status codes returned by every fallible entry point. */
+/* Status codes returned by every fallible entry point: invalid
+ * arguments (NULL pointers, wrong lengths, NaN, infinite or negative
+ * values) map to GEOALIGN_ERR_INVALID_ARGUMENT, every other failure to
+ * GEOALIGN_ERR_FAILED. */
 #define GEOALIGN_OK 0
 #define GEOALIGN_ERR_INVALID_ARGUMENT 1
 #define GEOALIGN_ERR_FAILED 2
@@ -97,11 +100,13 @@ GEOALIGN_C_EXPORT int geoalign_plan_compile(
     geoalign_plan** out_plan);
 
 /* Executes the plan for one objective column (`objective_len` must
- * equal geoalign_plan_num_source_units). Writes the realigned target
- * aggregates into out_target (geoalign_plan_num_target_units entries)
- * and, if out_weights is non-NULL, the learned reference weights
- * (num_references entries). `objective` is borrowed for the duration
- * of the call only. Bit-identical to the C++ compile/execute path. */
+ * equal geoalign_plan_num_source_units; NaN, infinite or negative
+ * entries are refused with GEOALIGN_ERR_INVALID_ARGUMENT). Writes the
+ * realigned target aggregates into out_target
+ * (geoalign_plan_num_target_units entries) and, if out_weights is
+ * non-NULL, the learned reference weights (num_references entries).
+ * `objective` is borrowed for the duration of the call only.
+ * Bit-identical to the C++ compile/execute path. */
 GEOALIGN_C_EXPORT int geoalign_plan_execute(const geoalign_plan* plan,
                                             const double* objective,
                                             size_t objective_len,

@@ -54,8 +54,16 @@ Result<CrosswalkResult> GeoAlign::Crosswalk(
   // compilation (what the legacy path redid inline anyway); repeated
   // callers should hold the plan. Bit-identical to CrosswalkUncompiled
   // by the CrosswalkPlan contract, which plan_equivalence_test pins.
+  // The plan dies with this call, so it borrows `input`'s arrays
+  // through the view Compile instead of copying them.
+  std::vector<ReferenceAttributeView> views;
+  views.reserve(input.references.size());
+  for (const ReferenceAttribute& ref : input.references) {
+    views.push_back({ref.name, ref.source_aggregates,
+                     ref.disaggregation.Borrow(), nullptr});
+  }
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            CrosswalkPlan::Compile(input, options_));
+                            CrosswalkPlan::Compile(std::move(views), options_));
   return plan.Execute(input.objective_source);
 }
 

@@ -23,7 +23,8 @@ namespace geoalign::core {
 ///
 /// Two ways to run it:
 ///  - `Crosswalk(input)` — the Interpolator entry point; internally a
-///    thin Compile → Execute wrapper.
+///    thin Compile → Execute wrapper whose plan borrows `input`'s
+///    arrays (no reference array is copied).
 ///  - `Compile(input) → CrosswalkPlan`, then `plan.Execute(objective)`
 ///    for each objective column — amortizes every objective-
 ///    independent step (normalization, design/Gram assembly, DM

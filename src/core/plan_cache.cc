@@ -38,22 +38,17 @@ obs::Histogram& CacheCompileLatencyUs() {
   return h;
 }
 
-// Mixes everything execution-relevant about (references, options) into
-// one lane. Seeded differently per lane so a collision would have to
-// defeat two independent 64-bit hashes at once.
-uint64_t FingerprintLane(const std::vector<ReferenceAttribute>& references,
-                         const GeoAlignOptions& options, uint64_t seed) {
-  sparse::Fnv1a hash(seed);
-  hash.MixSize(references.size());
-  for (const ReferenceAttribute& ref : references) {
-    hash.MixString(ref.name);
-    hash.MixDoubles(ref.source_aggregates);
-    hash.MixSize(ref.disaggregation.rows());
-    hash.MixSize(ref.disaggregation.cols());
-    hash.MixSizes(ref.disaggregation.row_ptr());
-    hash.MixSizes(ref.disaggregation.col_idx());
-    hash.MixDoubles(ref.disaggregation.values());
-  }
+}  // namespace
+
+PlanCacheKey PlanCache::MakeKey(
+    const std::vector<ReferenceAttribute>& references,
+    const GeoAlignOptions& options) {
+  // The same function, bytes and order as PreparedReferenceSet::Prepare,
+  // so the reference half equals the fingerprint of the plan compiled
+  // on a miss.
+  sparse::ContentHash hash = sparse::HashReferenceSet(references);
+  PlanCacheKey key;
+  key.references = hash.Finish().lo;
   hash.MixU64(static_cast<uint64_t>(options.scale_mode));
   hash.MixU64(static_cast<uint64_t>(options.solver));
   hash.MixU64(static_cast<uint64_t>(options.denominator));
@@ -73,22 +68,12 @@ uint64_t FingerprintLane(const std::vector<ReferenceAttribute>& references,
   } else {
     hash.MixU64(0);
   }
-  return hash.value();
-}
-
-}  // namespace
-
-PlanCache::Key PlanCache::MakeKey(
-    const std::vector<ReferenceAttribute>& references,
-    const GeoAlignOptions& options) {
-  Key key;
-  key.lane0 = FingerprintLane(references, options, sparse::Fnv1a::kDefaultSeed);
-  key.lane1 = FingerprintLane(references, options, 0x6a09e667f3bcc909ull);
+  key.rest = hash.Finish().hi;
   return key;
 }
 
 std::shared_ptr<const CrosswalkPlan> PlanCache::LookupLocked(
-    const Key& key) {
+    const PlanCacheKey& key) {
   auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
   ++stats_.hits;
@@ -98,7 +83,7 @@ std::shared_ptr<const CrosswalkPlan> PlanCache::LookupLocked(
 }
 
 std::shared_ptr<const CrosswalkPlan> PlanCache::InsertOrAdoptLocked(
-    const Key& key, std::shared_ptr<const CrosswalkPlan> plan) {
+    const PlanCacheKey& key, std::shared_ptr<const CrosswalkPlan> plan) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     // Another thread compiled the same key while we were unlocked;
@@ -127,7 +112,7 @@ void PlanCache::EvictLocked() {
 Result<std::shared_ptr<const CrosswalkPlan>> PlanCache::GetOrCompile(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
-  Key key = MakeKey(references, options);
+  PlanCacheKey key = MakeKey(references, options);
 
   {
     common::MutexLock lock(mu_);

@@ -31,12 +31,24 @@ struct PlanCacheStats {
   size_t insert_races = 0;
 };
 
+/// A PlanCache key: 128 bits from one ContentHash pass over
+/// (references, options). `references` is the digest's low half taken
+/// after the reference content alone (sparse::HashReferenceSet), so it
+/// equals the fingerprint() of the plan compiled from those references;
+/// `rest` is the high half taken after the execution-relevant option
+/// fields and the fallback DM's content are mixed into the same stream.
+struct PlanCacheKey {
+  uint64_t references = 0;
+  uint64_t rest = 0;
+  bool operator==(const PlanCacheKey&) const = default;
+};
+
 /// A small thread-safe LRU cache of compiled CrosswalkPlans for
 /// callers that construct pipelines repeatedly over the same reference
 /// sets — eval/cross_validation's leave-one-out loop revisits each
 /// reference subset once per objective and is the first consumer.
 ///
-/// Keys are CONTENT fingerprints (two independent FNV-1a lanes over
+/// Keys are CONTENT hashes (PlanCacheKey: one word-at-a-time pass over
 /// reference names/aggregates/CSR arrays, the option enums and
 /// tolerances, and the fallback DM's content), never pointer
 /// identities — equal inputs hit regardless of where they live.
@@ -70,30 +82,26 @@ class PlanCache {
   PlanCacheStats stats() const;
   void Clear();
 
+  /// The key GetOrCompile files (references, options) under.
+  static PlanCacheKey MakeKey(
+      const std::vector<ReferenceAttribute>& references,
+      const GeoAlignOptions& options);
+
  private:
-  struct Key {
-    uint64_t lane0 = 0;
-    uint64_t lane1 = 0;
-    bool operator==(const Key& other) const {
-      return lane0 == other.lane0 && lane1 == other.lane1;
-    }
-  };
   struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(k.lane0 ^ (k.lane1 * 0x9e3779b97f4a7c15ull));
+    // `rest` is a finished digest of every key input already.
+    size_t operator()(const PlanCacheKey& k) const {
+      return static_cast<size_t>(k.rest);
     }
   };
   struct Entry {
-    Key key;
+    PlanCacheKey key;
     std::shared_ptr<const CrosswalkPlan> plan;
   };
 
-  static Key MakeKey(const std::vector<ReferenceAttribute>& references,
-                     const GeoAlignOptions& options);
-
   /// Returns the cached plan for `key` (touched to MRU, hit counted),
   /// or null on a miss.
-  std::shared_ptr<const CrosswalkPlan> LookupLocked(const Key& key)
+  std::shared_ptr<const CrosswalkPlan> LookupLocked(const PlanCacheKey& key)
       GEOALIGN_REQUIRES(mu_);
 
   /// Inserts `plan` under `key`, evicting down to capacity — unless a
@@ -101,7 +109,7 @@ class PlanCache {
   /// in which case the incumbent is returned (and `plan` dropped) so
   /// all callers share one plan per key.
   std::shared_ptr<const CrosswalkPlan> InsertOrAdoptLocked(
-      const Key& key, std::shared_ptr<const CrosswalkPlan> plan)
+      const PlanCacheKey& key, std::shared_ptr<const CrosswalkPlan> plan)
       GEOALIGN_REQUIRES(mu_);
 
   /// Pops LRU entries until size() <= capacity_, counting evictions.
@@ -117,7 +125,7 @@ class PlanCache {
   /// this ordered list; the unordered map below is only ever probed
   /// point-wise (find/emplace/erase), never iterated.
   std::list<Entry> lru_ GEOALIGN_GUARDED_BY(mu_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
+  std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash> index_
       GEOALIGN_GUARDED_BY(mu_);
   PlanCacheStats stats_ GEOALIGN_GUARDED_BY(mu_);
 };

@@ -71,6 +71,10 @@ Result<Vector> NormalizeByMax(VectorView a) {
   if (a.empty()) return Status::InvalidArgument("NormalizeByMax: empty");
   double mx = 0.0;
   for (double v : a) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          "NormalizeByMax: non-finite aggregate encountered");
+    }
     if (v < 0.0) {
       return Status::InvalidArgument(
           "NormalizeByMax: negative aggregate encountered");

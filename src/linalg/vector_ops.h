@@ -53,7 +53,7 @@ Vector Add(VectorView a, VectorView b);
 
 /// Divides by the maximum entry, the normalization GeoAlign applies to
 /// reference/objective aggregate vectors (paper §3.4). Returns an error
-/// if any entry is negative or all entries are zero.
+/// if any entry is NaN, ±Inf or negative, or if all entries are zero.
 Result<Vector> NormalizeByMax(VectorView a);
 
 /// True when every |a[i]-b[i]| <= tol.

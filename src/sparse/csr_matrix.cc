@@ -61,7 +61,19 @@ Result<CsrMatrix> CsrMatrix::FromBorrowed(
     const CsrView& view, std::shared_ptr<const void> keepalive) {
   GEOALIGN_RETURN_IF_ERROR(ValidateCsr(view.rows, view.cols, view.row_ptr,
                                        view.col_idx, view.values));
-  CsrMatrix m(view.rows, view.cols);
+  return BorrowUnchecked(view, std::move(keepalive));
+}
+
+CsrMatrix CsrMatrix::Borrow() const {
+  return BorrowUnchecked({rows_, cols_, row_ptr(), col_idx(), values()},
+                         keepalive_);
+}
+
+CsrMatrix CsrMatrix::BorrowUnchecked(const CsrView& view,
+                                     std::shared_ptr<const void> keepalive) {
+  CsrMatrix m;
+  m.rows_ = view.rows;
+  m.cols_ = view.cols;
   m.row_ptr_.clear();  // unused in borrowed mode
   m.borrowed_ = true;
   m.view_row_ptr_ = view.row_ptr;

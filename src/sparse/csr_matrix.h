@@ -56,6 +56,11 @@ class CsrMatrix {
   static Result<CsrMatrix> FromBorrowed(
       const CsrView& view, std::shared_ptr<const void> keepalive = nullptr);
 
+  /// Zero-copy borrowed-mode matrix over this matrix's arrays, without
+  /// re-validation (this matrix is valid by construction). This matrix
+  /// must outlive the result and stay unmodified while it is read.
+  CsrMatrix Borrow() const;
+
   /// Densifies `m` (intended for tests and small examples).
   static CsrMatrix FromDense(const linalg::Matrix& m,
                              double prune_below = 0.0);
@@ -124,6 +129,10 @@ class CsrMatrix {
 
  private:
   friend class CooBuilder;
+
+  /// FromBorrowed minus the validation.
+  static CsrMatrix BorrowUnchecked(const CsrView& view,
+                                   std::shared_ptr<const void> keepalive);
 
   /// Copies borrowed storage into the owned vectors (no-op when
   /// already owned). Every mutator calls this first.

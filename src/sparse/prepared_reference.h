@@ -14,50 +14,63 @@
 
 namespace geoalign::sparse {
 
-/// Incremental 64-bit FNV-1a hash used to fingerprint prepared
-/// reference sets (and, in core::PlanCache, option structs). Two
-/// instances seeded differently give an effectively 128-bit key.
-class Fnv1a {
+/// A 128-bit content digest (ContentHash::Finish). `lo` doubles as
+/// the 64-bit fingerprint that plans, audit records and the C ABI
+/// expose.
+struct ContentDigest {
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  bool operator==(const ContentDigest&) const = default;
+};
+
+/// The library's one content hash: it fingerprints prepared reference
+/// sets and keys core::PlanCache. Non-cryptographic, deterministic for
+/// a given host byte order, with a 128-bit output.
+///
+/// The input is a stream of 64-bit words spread round-robin over four
+/// independent multiply-rotate accumulators, so the multiplies of
+/// neighbouring words overlap instead of forming one dependency chain.
+/// Every array is prefixed by its element count and its trailing
+/// partial word is zero-padded; the in-band count keeps padding and
+/// array boundaries unambiguous. Finish() folds the four lanes and the
+/// word count and avalanches them into two 64-bit halves.
+///
+/// Span parameters (vectors convert implicitly) make the mixed word
+/// stream identical whichever ingest path produced the data, so
+/// fingerprints and PlanCache keys do not depend on whether the arrays
+/// are owned or borrowed.
+class ContentHash {
  public:
-  static constexpr uint64_t kDefaultSeed = 0xcbf29ce484222325ull;
+  ContentHash();
 
-  explicit Fnv1a(uint64_t seed = kDefaultSeed) : state_(seed) {}
-
-  void MixBytes(const void* data, size_t bytes) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-      state_ ^= p[i];
-      state_ *= 0x100000001b3ull;
-    }
-  }
-  void MixU64(uint64_t v) { MixBytes(&v, sizeof(v)); }
+  void MixU64(uint64_t v) { MixWord(v); }
   void MixSize(size_t v) { MixU64(static_cast<uint64_t>(v)); }
   void MixDouble(double v) {
     uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof(bits));
     MixU64(bits);
   }
-  // Span parameters (vectors convert implicitly): the mixed byte
-  // sequence is identical whichever ingest path produced the data, so
-  // fingerprints — and therefore PlanCache keys — do not depend on
-  // whether the arrays are owned or borrowed.
   void MixDoubles(common::ConstSpan<double> v) {
-    MixSize(v.size());
-    MixBytes(v.data(), v.size() * sizeof(double));
+    MixArray(v.size(), v.data(), v.size() * sizeof(double));
   }
   void MixSizes(common::ConstSpan<size_t> v) {
-    MixSize(v.size());
-    MixBytes(v.data(), v.size() * sizeof(size_t));
+    MixArray(v.size(), v.data(), v.size() * sizeof(size_t));
   }
   void MixString(const std::string& s) {
-    MixSize(s.size());
-    MixBytes(s.data(), s.size());
+    MixArray(s.size(), s.data(), s.size());
   }
 
-  uint64_t value() const { return state_; }
+  /// Digest of everything mixed so far. Const: mixing may continue
+  /// afterwards, extending the same stream.
+  ContentDigest Finish() const;
 
  private:
-  uint64_t state_;
+  void MixWord(uint64_t word);
+  /// Count prefix, whole words, then the zero-padded tail word.
+  void MixArray(size_t count, const void* data, size_t bytes);
+
+  uint64_t lanes_[4];
+  uint64_t words_ = 0;
 };
 
 /// Raw per-reference inputs to PreparedReferenceSet::Prepare: one
@@ -107,6 +120,29 @@ struct PreparedReference {
   linalg::Vector dm_row_sums;            ///< per-row sums of DM_r
 };
 
+/// Hashes a reference set's content: the reference count and the DM
+/// shape, then each reference's name, aggregates and CSR arrays, in
+/// reference order. This is the one definition behind
+/// PreparedReferenceSet::fingerprint() and the reference half of
+/// core::PlanCache keys, so both agree by construction. `Reference` is
+/// any type with `name`, `source_aggregates` and `disaggregation`
+/// members. Returns the unfinished hash so callers can mix more in.
+template <typename Reference>
+ContentHash HashReferenceSet(const std::vector<Reference>& references) {
+  ContentHash hash;
+  hash.MixSize(references.size());
+  hash.MixSize(references.empty() ? 0 : references[0].disaggregation.rows());
+  hash.MixSize(references.empty() ? 0 : references[0].disaggregation.cols());
+  for (const Reference& ref : references) {
+    hash.MixString(ref.name);
+    hash.MixDoubles(ref.source_aggregates);
+    hash.MixSizes(ref.disaggregation.row_ptr());
+    hash.MixSizes(ref.disaggregation.col_idx());
+    hash.MixDoubles(ref.disaggregation.values());
+  }
+  return hash;
+}
+
 /// An immutable, shareable set of prepared references — the sparse
 /// half of a compiled CrosswalkPlan. Detects once whether every
 /// reference DM shares one column-index structure (the common case
@@ -121,7 +157,7 @@ class PreparedReferenceSet {
   /// Validates shapes, max-normalizes every aggregate vector (the
   /// ScaleMode::kNormalized / Eq. 15 preprocessing; errors mirror the
   /// legacy per-call path's NormalizeByMax failures), walks every DM
-  /// once for its row sums, and fingerprints the whole set.
+  /// once for its row sums, and hashes the whole set once.
   ///
   /// Zero-copy contract: the aggregate views and any borrowed DM
   /// arrays are referenced, never duplicated — the prepared set reads
@@ -152,8 +188,9 @@ class PreparedReferenceSet {
   /// True when all DMs share identical row_ptr/col_idx arrays.
   bool aligned() const { return aligned_; }
 
-  /// Content fingerprint (names, aggregates, CSR arrays) — the
-  /// reference-set half of a PlanCache key.
+  /// Content fingerprint: the low half of the set's HashReferenceSet
+  /// digest, computed once by Prepare — and the reference half of a
+  /// PlanCache key.
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sparse/csr_matrix.h"
+#include "test_temp_path.h"
 
 namespace geoalign {
 namespace {
@@ -225,11 +227,34 @@ TEST(CapiTest, ExecuteErrorsAreReported) {
   EXPECT_EQ(geoalign_plan_execute(plan, w.objective.data(), 3, nullptr,
                                   nullptr),
             GEOALIGN_ERR_INVALID_ARGUMENT);
-  // Wrong objective length surfaces the C++ validation failure.
+  // Wrong objective length surfaces the C++ validation failure, an
+  // invalid argument.
   EXPECT_EQ(geoalign_plan_execute(plan, w.objective.data(), 2, target,
                                   nullptr),
-            GEOALIGN_ERR_FAILED);
+            GEOALIGN_ERR_INVALID_ARGUMENT);
   EXPECT_NE(std::string(geoalign_error_message()).size(), 0u);
+  geoalign_plan_destroy(plan);
+}
+
+// A NaN or ±Inf objective entry is refused with the C++ message, not
+// turned into NaN or Inf estimates.
+TEST(CapiTest, NonFiniteObjectiveIsRejected) {
+  CWorld w;
+  const geoalign_csr csr_a = w.CsrA();
+  geoalign_reference ref = CsrRef("a", w.agg_a, &csr_a);
+  geoalign_plan* plan = nullptr;
+  ASSERT_EQ(geoalign_plan_compile(&ref, 1, &plan), GEOALIGN_OK);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    std::vector<double> objective = w.objective;
+    objective[1] = bad;
+    double target[2];
+    EXPECT_EQ(geoalign_plan_execute(plan, objective.data(), 3, target,
+                                    nullptr),
+              GEOALIGN_ERR_INVALID_ARGUMENT)
+        << bad;
+    EXPECT_NE(std::string(geoalign_error_message()).find("non-finite"),
+              std::string::npos);
+  }
   geoalign_plan_destroy(plan);
 }
 
@@ -291,7 +316,7 @@ TEST(CapiTest, FlightRecorderDumpWritesParseableFile) {
             GEOALIGN_OK);
   geoalign_plan_destroy(plan);
 
-  const std::string path = ::testing::TempDir() + "geoalign_capi_fr.jsonl";
+  const std::string path = TestTempPath(".jsonl");
   ASSERT_EQ(geoalign_flight_recorder_dump(path.c_str()), GEOALIGN_OK);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

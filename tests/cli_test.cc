@@ -5,10 +5,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "io/csv.h"
+#include "test_temp_path.h"
 
 namespace geoalign {
 namespace {
@@ -38,7 +40,7 @@ class CliTest : public ::testing::Test {
     if (cli_.empty()) {
       GTEST_SKIP() << "geoalign_cli binary not found relative to CWD";
     }
-    dir_ = ::testing::TempDir() + "/geoalign_cli_test";
+    dir_ = TestTempPath("");
     std::string mkdir = "mkdir -p " + dir_;
     ASSERT_EQ(std::system(mkdir.c_str()), 0);
     WriteFile(dir_ + "/steam.csv",
@@ -46,6 +48,10 @@ class CliTest : public ::testing::Test {
     WriteFile(dir_ + "/pop.csv",
               "source,target,value\n"
               "10001,A,10000\n10001,B,15000\n10002,B,5000\n");
+  }
+
+  void TearDown() override {
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
 
   int RunCli(const std::string& args, const std::string& out_csv) {
@@ -95,6 +101,15 @@ TEST_F(CliTest, BadUsageFailsNonZero) {
                      "/bad_obj.csv --ref population=" + dir_ +
                      "/pop.csv 2>/dev/null >/dev/null";
   EXPECT_NE(std::system(cmd2.c_str()), 0);
+  // A NaN or infinite objective value.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    WriteFile(dir_ + "/nonfinite_obj.csv",
+              std::string("unit,value\n10001,") + bad + "\n10002,60\n");
+    std::string cmd3 = cli_ + " --objective " + dir_ +
+                       "/nonfinite_obj.csv --ref population=" + dir_ +
+                       "/pop.csv 2>/dev/null >/dev/null";
+    EXPECT_NE(std::system(cmd3.c_str()), 0) << bad;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "core/areal_weighting.h"
@@ -327,6 +328,40 @@ TEST(GeoAlign, RejectsEmptyReferences) {
   CrosswalkInput input;
   input.objective_source = {1.0};
   EXPECT_FALSE(geoalign.Crosswalk(input).ok());
+}
+
+// NaN and ±Inf in the objective or a reference aggregate are refused
+// by every C++ entry: the one-shot call, a compiled plan (at compile
+// for references, at execute for the objective) and the legacy path.
+TEST(GeoAlign, RejectsNonFiniteAggregates) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    CrosswalkInput good;
+    good.objective_source = {100.0, 50.0};
+    good.references.push_back(
+        MakeRef("population", {{10000.0, 15000.0}, {0.0, 500.0}}));
+    GeoAlign geoalign;
+    auto plan = std::move(geoalign.Compile(good)).ValueOrDie();
+
+    CrosswalkInput bad_objective = good;
+    bad_objective.objective_source[1] = bad;
+    EXPECT_FALSE(geoalign.Crosswalk(bad_objective).ok()) << bad;
+    EXPECT_FALSE(plan.Execute(bad_objective.objective_source).ok()) << bad;
+    EXPECT_FALSE(
+        plan.Execute(bad_objective.objective_source,
+                     ExecuteOutput::kAggregatesOnly)
+            .ok())
+        << bad;
+    EXPECT_FALSE(CrosswalkUncompiled(bad_objective, geoalign.options()).ok())
+        << bad;
+
+    CrosswalkInput bad_reference = good;
+    bad_reference.references[0].source_aggregates[0] = bad;
+    EXPECT_FALSE(geoalign.Compile(bad_reference).ok()) << bad;
+    EXPECT_FALSE(geoalign.Crosswalk(bad_reference).ok()) << bad;
+    EXPECT_FALSE(CrosswalkUncompiled(bad_reference, geoalign.options()).ok())
+        << bad;
+  }
 }
 
 TEST(Dasymetric, SplitsProportionally) {

@@ -10,6 +10,7 @@
 #include "io/csv.h"
 #include "io/geojson.h"
 #include "io/json.h"
+#include "test_temp_path.h"
 
 namespace geoalign {
 namespace {
@@ -125,7 +126,7 @@ TEST(GeoJson, RoundTrip) {
 
 TEST(GeoJson, FileRoundTrip) {
   auto fc = std::move(io::ParseGeoJson(kFeatureCollection)).ValueOrDie();
-  std::string path = ::testing::TempDir() + "/geoalign_test.geojson";
+  std::string path = TestTempPath(".geojson");
   ASSERT_TRUE(io::WriteGeoJsonFile(fc, path).ok());
   auto back = std::move(io::ReadGeoJsonFile(path)).ValueOrDie();
   EXPECT_EQ(back.features.size(), 2u);

@@ -7,6 +7,7 @@
 
 #include "io/csv.h"
 #include "io/table.h"
+#include "test_temp_path.h"
 
 namespace geoalign::io {
 namespace {
@@ -85,7 +86,7 @@ TEST(Csv, RoundTripWithQuoting) {
 TEST(Csv, FileRoundTrip) {
   Table t({"zip", "value"});
   ASSERT_TRUE(t.AppendRow({"10001", "1.5"}).ok());
-  std::string path = ::testing::TempDir() + "/geoalign_csv_test.csv";
+  std::string path = TestTempPath(".csv");
   ASSERT_TRUE(WriteCsvFile(t, path).ok());
   auto back = std::move(ReadCsvFile(path)).ValueOrDie();
   EXPECT_EQ(back.NumRows(), 1u);

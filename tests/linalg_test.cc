@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <cmath>
 
 #include "common/random.h"
@@ -52,6 +54,23 @@ TEST(VectorOps, NormalizeByMaxRejectsBadInput) {
   EXPECT_FALSE(NormalizeByMax({}).ok());
   EXPECT_FALSE(NormalizeByMax({0.0, 0.0}).ok());
   EXPECT_FALSE(NormalizeByMax({1.0, -2.0}).ok());
+}
+
+TEST(VectorOps, NormalizeByMaxRejectsNonFinite) {
+  // NaN compares false with everything, so it would slip past a sign
+  // check and a max; ±Inf would turn into Inf/NaN estimates.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNan, kInf, -kInf}) {
+    for (size_t pos = 0; pos < 3; ++pos) {
+      Vector v = {1.0, 2.0, 3.0};
+      v[pos] = bad;
+      auto n = NormalizeByMax(v);
+      ASSERT_FALSE(n.ok()) << bad << " at " << pos;
+      EXPECT_EQ(n.status().message(),
+                "NormalizeByMax: non-finite aggregate encountered");
+    }
+  }
 }
 
 TEST(VectorOps, AllClose) {

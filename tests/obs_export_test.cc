@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/telemetry.h"
+#include "test_temp_path.h"
 
 namespace geoalign {
 namespace {
@@ -285,7 +286,7 @@ TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {
   r.plan_fingerprint = 0xdeadbeefULL;
   r.panel_width = 8;
   recorder.Record(r);
-  const std::string path = ::testing::TempDir() + "geoalign_fr_demand.jsonl";
+  const std::string path = TestTempPath(".jsonl");
   std::string error;
   ASSERT_TRUE(recorder.DumpToFile(path, "demand", &error)) << error;
 
@@ -324,7 +325,7 @@ TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {
 // that names the in-flight request — the whole point of the recorder.
 TEST_F(ObsExportTest, CheckFailureDumpNamesInFlightRequest) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string path = ::testing::TempDir() + "geoalign_fr_fatal.jsonl";
+  const std::string path = TestTempPath(".jsonl");
   std::remove(path.c_str());
   EXPECT_DEATH(
       {
@@ -366,7 +367,7 @@ TEST_F(ObsExportTest, CheckFailureDumpNamesInFlightRequest) {
 // signal-safe dump before the default disposition kills the process.
 TEST_F(ObsExportTest, CrashHandlerDumpSurvivesFatalSignal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string path = ::testing::TempDir() + "geoalign_fr_crash.jsonl";
+  const std::string path = TestTempPath(".jsonl");
   std::remove(path.c_str());
   EXPECT_EXIT(
       {
