@@ -157,10 +157,6 @@ class [[nodiscard]] Result {
     if (!_st.ok()) return _st;                      \
   } while (false)
 
-/// Older spelling of GEOALIGN_RETURN_IF_ERROR, kept for source
-/// compatibility; new code should use GEOALIGN_RETURN_IF_ERROR.
-#define GEOALIGN_RETURN_NOT_OK(expr) GEOALIGN_RETURN_IF_ERROR(expr)
-
 /// Evaluates a Result-returning expression, assigning the value to
 /// `lhs` or propagating the error. `lhs` may include a declaration.
 #define GEOALIGN_ASSIGN_OR_RETURN(lhs, rexpr)                   \

@@ -1,17 +1,12 @@
 #include "core/batch.h"
 
-#include <algorithm>
-#include <array>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
-#include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::core {
 
@@ -19,11 +14,6 @@ namespace {
 
 // Same registry keys as CrosswalkPipeline: "realign.*" aggregates every
 // realigned column across both serving surfaces.
-obs::Histogram& RealignLatencyUs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
-  return h;
-}
 obs::Histogram& ColumnsPerBatch() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("realign.columns_per_batch");
@@ -33,80 +23,6 @@ obs::Counter& ColumnsTotal() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("realign.columns_total");
   return c;
-}
-
-// Aligned serving path: objectives grouped into consecutive panels of
-// plan.panel_width() — the width comes from the plan at execute time
-// (active ISA, GEOALIGN_PANEL_WIDTH), never from the caller, so
-// nothing ISA-dependent leaks into cached plan state. Each panel is
-// one shared-structure traversal (CrosswalkPlan::ExecutePanelWith);
-// outer parallelism moves from columns to panels. Bit-identity: every
-// column carries exactly its per-column ExecuteWith bits, so grouping
-// and thread count never change a result.
-Result<std::vector<BatchCrosswalk::BatchResult>> RunPanels(
-    const CrosswalkPlan& plan,
-    const std::vector<BatchCrosswalk::Objective>& objectives,
-    common::ThreadPool* pool, const obs::RequestToken& request) {
-  const size_t n = objectives.size();
-  std::vector<std::optional<Result<CrosswalkResult>>> results(n);
-  std::vector<size_t> valid;
-  valid.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (objectives[i].source.size() != plan.num_source_units()) {
-      results[i].emplace(Status::InvalidArgument(
-          "BatchCrosswalk: objective '" + objectives[i].name +
-          "' wrong length"));
-    } else {
-      valid.push_back(i);
-    }
-  }
-  const size_t width = plan.panel_width();
-  const size_t num_panels = (valid.size() + width - 1) / width;
-  const bool outer_inline =
-      pool == nullptr || pool->size() <= 1 || num_panels <= 1;
-  std::vector<ExecuteWorkspace> bank(outer_inline ? 1 : pool->size() + 1);
-  for (ExecuteWorkspace& ws : bank) {
-    ws.Prepare(plan.workspace_spec(), /*slots=*/1);
-    ws.PreparePanel(plan.workspace_spec(),
-                    std::min(width, std::max<size_t>(valid.size(), 1)));
-  }
-  common::ParallelForChunks(pool, num_panels, [&](size_t p) {
-    obs::RequestScope request_scope(request);
-    obs::Stopwatch panel_watch;
-    const size_t begin = p * width;
-    const size_t count = std::min(width, valid.size() - begin);
-    std::array<common::ColumnView, sparse::simd::kMaxPanelWidth> objs;
-    std::array<std::optional<Result<CrosswalkResult>>*,
-               sparse::simd::kMaxPanelWidth>
-        slots;
-    for (size_t k = 0; k < count; ++k) {
-      objs[k] = common::ColumnView(objectives[valid[begin + k]].source);
-      slots[k] = &results[valid[begin + k]];
-    }
-    size_t wi = common::ThreadPool::CurrentWorkerIndex();
-    ExecuteWorkspace& ws =
-        bank[outer_inline || wi == common::ThreadPool::kNoWorkerIndex
-                 ? 0
-                 : wi + 1];
-    plan.ExecutePanelWith(objs.data(), slots.data(), count, &ws);
-    ColumnsTotal().Add(count);
-    // The panel lane serves `count` columns in one traversal; the
-    // latency histogram records per-panel time (docs/observability.md).
-    RealignLatencyUs().Record(panel_watch.ElapsedMicros());
-  });
-  std::vector<BatchCrosswalk::BatchResult> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!results[i]->ok()) return results[i]->status();
-    CrosswalkResult full = std::move(*results[i]).value();
-    BatchCrosswalk::BatchResult result;
-    result.name = objectives[i].name;
-    result.target_estimates = std::move(full.target_estimates);
-    result.weights = std::move(full.weights);
-    result.zero_rows = std::move(full.zero_rows);
-    out.push_back(std::move(result));
-  }
-  return out;
 }
 
 }  // namespace
@@ -156,86 +72,37 @@ Result<BatchCrosswalk> BatchCrosswalk::Create(
   return BatchCrosswalk(std::move(plan));
 }
 
-Result<BatchCrosswalk::BatchResult> BatchCrosswalk::RunOne(
-    const Objective& objective, common::ThreadPool* pool,
-    ExecuteWorkspace* workspace) const {
-  if (objective.source.size() != plan_.num_source_units()) {
-    return Status::InvalidArgument("BatchCrosswalk: objective '" +
-                                   objective.name + "' wrong length");
-  }
-  // No-op when called from Run's fan-out (the worker already carries
-  // the batch's request); gives direct callers an id of their own.
-  obs::EnsureRequestScope ensure_request;
-  obs::Stopwatch column_watch;
-  ColumnsTotal().Add(1);
-  // BatchResult never carries the DM, so take the fused lane: Eq. 14
-  // and Eq. 17 in one pass over the shared structure, no DM̂_o
-  // allocation (bit-identical to the materializing path).
-  GEOALIGN_ASSIGN_OR_RETURN(
-      CrosswalkResult full,
-      plan_.ExecuteWith(objective.source, pool,
-                        ExecuteOutput::kAggregatesOnly, workspace));
-  RealignLatencyUs().Record(column_watch.ElapsedMicros());
-  BatchResult result;
-  result.name = objective.name;
-  result.target_estimates = std::move(full.target_estimates);
-  result.weights = std::move(full.weights);
-  result.zero_rows = std::move(full.zero_rows);
-  return result;
-}
-
 Result<std::vector<BatchCrosswalk::BatchResult>> BatchCrosswalk::Run(
     const std::vector<Objective>& objectives) const {
   obs::EnsureRequestScope ensure_request;
-  // Worker lambdas re-establish this token so fan-out spans and audit
-  // records stay attributed to the request (see CrosswalkPipeline).
-  const obs::RequestToken request = obs::CurrentRequest();
   GEOALIGN_TRACE_SPAN("realign.batch");
   ColumnsPerBatch().Record(static_cast<double>(objectives.size()));
+  ColumnsTotal().Add(objectives.size());
+  // Only the objectives before the first wrong-length one execute: any
+  // later failure would lose to that objective's status anyway.
+  std::vector<common::ColumnView> columns;
+  columns.reserve(objectives.size());
+  for (const Objective& objective : objectives) {
+    if (objective.source.size() != plan_.num_source_units()) break;
+    columns.push_back(objective.source);
+  }
   std::unique_ptr<common::ThreadPool> pool = common::MakePoolOrNull(
       common::ResolveThreadCount(plan_.options().threads));
-  if (plan_.references().aligned()) {
-    return RunPanels(plan_, objectives, pool.get(), request);
+  // BatchResult never carries the DM, so every column takes the
+  // aggregates-only lane.
+  GEOALIGN_ASSIGN_OR_RETURN(
+      std::vector<CrosswalkResult> full,
+      plan_.ExecuteMany(columns, pool.get(), ExecuteOutput::kAggregatesOnly));
+  if (columns.size() < objectives.size()) {
+    return Status::InvalidArgument("BatchCrosswalk: objective '" +
+                                   objectives[columns.size()].name +
+                                   "' wrong length");
   }
   std::vector<BatchResult> out;
-  out.reserve(objectives.size());
-  if (pool == nullptr || objectives.size() <= 1) {
-    // Single objective (or inline mode): spend any pool inside the
-    // one crosswalk's sparse kernels instead. One workspace, sized
-    // once from the plan-compiled spec, serves every column.
-    ExecuteWorkspace workspace;
-    workspace.Prepare(plan_.workspace_spec(),
-                      pool != nullptr && pool->size() > 1 ? pool->size() + 1
-                                                          : 1);
-    for (const Objective& objective : objectives) {
-      GEOALIGN_ASSIGN_OR_RETURN(BatchResult result,
-                                RunOne(objective, pool.get(), &workspace));
-      out.push_back(std::move(result));
-    }
-    return out;
-  }
-  // One task per objective, inner kernels inline: the thread budget
-  // goes to the embarrassingly parallel outer loop. Inner chunk
-  // boundaries are fixed either way, so the outputs carry exactly the
-  // same bits as the sequential path; on error, the lowest-index
-  // objective's status is returned, matching sequential behavior.
-  // One workspace per worker slot, prepared up front so steady-state
-  // columns never grow a buffer.
-  std::vector<ExecuteWorkspace> bank(pool->size() + 1);
-  for (ExecuteWorkspace& ws : bank) {
-    ws.Prepare(plan_.workspace_spec(), /*slots=*/1);
-  }
-  std::vector<std::optional<Result<BatchResult>>> results(objectives.size());
-  common::ParallelForChunks(pool.get(), objectives.size(), [&](size_t i) {
-    obs::RequestScope request_scope(request);
-    size_t wi = common::ThreadPool::CurrentWorkerIndex();
-    ExecuteWorkspace& ws =
-        bank[wi == common::ThreadPool::kNoWorkerIndex ? 0 : wi + 1];
-    results[i].emplace(RunOne(objectives[i], nullptr, &ws));
-  });
-  for (std::optional<Result<BatchResult>>& r : results) {
-    if (!r->ok()) return r->status();
-    out.push_back(std::move(*r).value());
+  out.reserve(full.size());
+  for (size_t i = 0; i < full.size(); ++i) {
+    out.push_back({objectives[i].name, std::move(full[i].target_estimates),
+                   std::move(full[i].weights), std::move(full[i].zero_rows)});
   }
   return out;
 }

@@ -7,10 +7,6 @@
 #include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
 
-namespace geoalign::common {
-class ThreadPool;
-}
-
 namespace geoalign::core {
 
 /// Realigns MANY objective attributes over one shared reference set —
@@ -20,11 +16,12 @@ namespace geoalign::core {
 ///
 /// A thin batching façade over CrosswalkPlan: `Create` compiles the
 /// plan once (normalized design matrix, Gram matrix, per-reference
-/// normalizers, DM structure), `Run` executes it per objective. With R
-/// references and B objectives this removes the O(B · R · |U^s|)
-/// re-normalization and O(B · R² · |U^s|) Gram rebuild that looping
-/// over `GeoAlign::Crosswalk` would pay. Every WeightSolver is
-/// supported (the plan hoists the Gram matrix only for kSimplex).
+/// normalizers, DM structure), `Run` executes it for every objective
+/// through CrosswalkPlan::ExecuteMany. With R references and B
+/// objectives this removes the O(B · R · |U^s|) re-normalization and
+/// O(B · R² · |U^s|) Gram rebuild that looping over
+/// `GeoAlign::Crosswalk` would pay. Every WeightSolver is supported
+/// (the plan hoists the Gram matrix only for kSimplex).
 class BatchCrosswalk {
  public:
   /// Validates and compiles the shared references. All objectives
@@ -59,10 +56,14 @@ class BatchCrosswalk {
   };
 
   /// Realigns every objective; results are index-aligned with input.
-  /// With `options.threads` != 1 the independent objectives run
-  /// concurrently on a pool (the paper-§6 portal shape: every column
-  /// of every table realigned at once); outputs are bit-identical to
-  /// the sequential order for any thread count.
+  /// A thin wrapper over CrosswalkPlan::ExecuteMany (aggregates-only)
+  /// on a pool of `options.threads`: the independent objectives (or
+  /// their column panels, on aligned plans) run concurrently — the
+  /// paper-§6 portal shape, every column of every table realigned at
+  /// once. Outputs are bit-identical to the sequential order for any
+  /// thread count; on error the lowest-index failing objective's
+  /// status is returned (a wrong-length objective keeps its
+  /// Batch-specific message).
   Result<std::vector<BatchResult>> Run(
       const std::vector<Objective>& objectives) const;
 
@@ -75,14 +76,6 @@ class BatchCrosswalk {
 
  private:
   explicit BatchCrosswalk(CrosswalkPlan plan);
-
-  /// Realigns one objective; `pool` parallelizes the sparse kernels
-  /// inside this single crosswalk (null = inline). `workspace` is the
-  /// reusable per-slot buffer arena, sized once from the plan-compiled
-  /// workspace spec.
-  Result<BatchResult> RunOne(const Objective& objective,
-                             common::ThreadPool* pool,
-                             ExecuteWorkspace* workspace) const;
 
   CrosswalkPlan plan_;
 };

@@ -1,7 +1,7 @@
 #include "core/crosswalk_plan.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -11,6 +11,8 @@
 #include "linalg/qr.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/request_context.h"
+#include "obs/timer.h"
 #include "obs/trace.h"
 #include "sparse/coo_builder.h"
 #include "sparse/sparse_ops.h"
@@ -93,6 +95,15 @@ obs::Gauge& ExecuteIsaGauge() {
   static obs::Gauge& g =
       obs::MetricsRegistry::Global().GetGauge("execute.isa");
   return g;
+}
+
+// Serving latency of one ExecuteMany task (a column, or a panel of
+// columns); the key is shared with CrosswalkPipeline::Realign so
+// "realign.latency_us" covers every serving surface.
+obs::Histogram& RealignLatencyUs() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
+  return h;
 }
 
 // One per-solver counter so the weight-solve mix is visible per
@@ -331,18 +342,6 @@ Result<linalg::Vector> CrosswalkPlan::LearnWeights(
 }
 
 Result<CrosswalkResult> CrosswalkPlan::Execute(
-    common::ColumnView objective_source) const {
-  return Execute(objective_source, options_.threads);
-}
-
-Result<CrosswalkResult> CrosswalkPlan::Execute(
-    common::ColumnView objective_source, size_t threads) const {
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(threads));
-  return ExecuteWith(objective_source, pool.get());
-}
-
-Result<CrosswalkResult> CrosswalkPlan::Execute(
     common::ColumnView objective_source, ExecuteOutput output) const {
   std::unique_ptr<common::ThreadPool> pool =
       common::MakePoolOrNull(common::ResolveThreadCount(options_.threads));
@@ -350,13 +349,10 @@ Result<CrosswalkResult> CrosswalkPlan::Execute(
 }
 
 Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
-    common::ColumnView objective_source, common::ThreadPool* pool) const {
-  return ExecuteWith(objective_source, pool, ExecuteOutput::kFullDm, nullptr);
-}
-
-Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
     common::ColumnView objective_source, common::ThreadPool* pool,
     ExecuteOutput output, ExecuteWorkspace* workspace) const {
+  // A wrong-length column fails before the execute span opens, so it
+  // leaves no audit record.
   if (objective_source.size() != prepared_.num_source()) {
     return Status::InvalidArgument(
         "CrosswalkPlan: objective length does not match source units");
@@ -375,9 +371,8 @@ Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
     // Step 1: weight learning (Eq. 15) over the precompiled design.
     // (The weight_solve span lives inside the solver dispatch so it
     // covers every WeightSolver, simplex fast path included.)
-    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector b,
-                              linalg::NormalizeByMax(objective_source));
-    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector beta, SolveWeightsNormalized(b));
+    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector beta,
+                              LearnWeights(objective_source));
     result.timing.Add("weight_learning", watch.ElapsedSeconds());
 
     // Steps 2+3: disaggregation (Eq. 14) + re-aggregation (Eq. 17),
@@ -583,18 +578,6 @@ Status CrosswalkPlan::ExecuteFusedAggregates(
 }
 
 size_t CrosswalkPlan::panel_width() const {
-  // GEOALIGN_PANEL_WIDTH (bench sweeps, CI experiments) wins; read
-  // once per process, like GEOALIGN_FORCE_ISA. Unparsable values mean
-  // "unset".
-  static const size_t env_width = [] {
-    const char* env = std::getenv("GEOALIGN_PANEL_WIDTH");
-    if (env == nullptr || *env == '\0') return size_t{0};
-    long parsed = std::strtol(env, nullptr, 10);
-    if (parsed < 1) return size_t{0};
-    return std::min(static_cast<size_t>(parsed),
-                    sparse::simd::kMaxPanelWidth);
-  }();
-  if (env_width != 0) return env_width;
   // One shared-structure traversal serves the whole panel either way;
   // vector ISAs take wider panels to fill their lanes, the scalar
   // reference keeps the per-row working set smaller.
@@ -624,6 +607,77 @@ void CrosswalkPlan::ExecutePanelWith(
   }
 }
 
+Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
+    common::ConstSpan<common::ColumnView> objectives,
+    common::ThreadPool* pool, ExecuteOutput output) const {
+  // Pool workers start with an empty request context; every task
+  // re-establishes the caller's, so the spans and audit records of the
+  // fan-out stay attributed to the request.
+  const obs::RequestToken request = obs::CurrentRequest();
+  const size_t n = objectives.size();
+  // Aligned aggregates-only columns share one traversal per panel;
+  // every other shape is one column per task.
+  const bool panels =
+      output == ExecuteOutput::kAggregatesOnly && prepared_.aligned();
+  const size_t width = panels ? panel_width() : 1;
+  const size_t num_tasks = (n + width - 1) / width;
+
+  // The scheduling rule: several tasks on a pool fan out with their
+  // kernels inline (no oversubscription); otherwise the tasks run in
+  // order and the kernels get the pool — the caller's, or one of
+  // options().threads. The panel kernel takes no pool, so panels never
+  // start one.
+  const bool fan_out = pool != nullptr && pool->size() > 1 && num_tasks > 1;
+  std::unique_ptr<common::ThreadPool> own_pool;
+  common::ThreadPool* kernel_pool = nullptr;
+  if (!fan_out && !panels) {
+    if (pool == nullptr) {
+      own_pool =
+          common::MakePoolOrNull(common::ResolveThreadCount(options_.threads));
+    }
+    kernel_pool = pool != nullptr ? pool : own_pool.get();
+  }
+
+  // One workspace per worker slot (slot 0 for in-order tasks), sized
+  // once from the compiled spec so steady-state tasks grow nothing.
+  std::vector<ExecuteWorkspace> bank(fan_out ? pool->size() + 1 : 1);
+  for (ExecuteWorkspace& ws : bank) {
+    ws.Prepare(workspace_spec_,
+               kernel_pool != nullptr ? kernel_pool->size() + 1 : 1);
+    if (panels) ws.PreparePanel(workspace_spec_, std::min(width, n));
+  }
+
+  std::vector<std::optional<Result<CrosswalkResult>>> results(n);
+  common::ParallelForChunks(fan_out ? pool : nullptr, num_tasks, [&](size_t t) {
+    obs::RequestScope request_scope(request);
+    obs::Stopwatch task_watch;
+    const size_t wi = common::ThreadPool::CurrentWorkerIndex();
+    ExecuteWorkspace& ws =
+        bank[fan_out && wi != common::ThreadPool::kNoWorkerIndex ? wi + 1
+                                                                 : 0];
+    if (panels) {
+      const size_t begin = t * width;
+      const size_t count = std::min(width, n - begin);
+      std::array<std::optional<Result<CrosswalkResult>>*,
+                 sparse::simd::kMaxPanelWidth>
+          slots;
+      for (size_t k = 0; k < count; ++k) slots[k] = &results[begin + k];
+      ExecutePanelWith(objectives.data() + begin, slots.data(), count, &ws);
+    } else {
+      results[t].emplace(ExecuteWith(objectives[t], kernel_pool, output, &ws));
+    }
+    RealignLatencyUs().Record(task_watch.ElapsedMicros());
+  });
+
+  std::vector<CrosswalkResult> out;
+  out.reserve(n);
+  for (std::optional<Result<CrosswalkResult>>& r : results) {
+    if (!r->ok()) return r->status();
+    out.push_back(std::move(*r).value());
+  }
+  return out;
+}
+
 void CrosswalkPlan::ExecuteOnePanel(
     const common::ColumnView* objectives,
     std::optional<Result<CrosswalkResult>>* const* results, size_t count,
@@ -643,18 +697,8 @@ void CrosswalkPlan::ExecuteOnePanel(
   ExecuteWorkspace::PanelScratch& ps = ws->panel();
   ps.lanes.clear();
   for (size_t i = 0; i < count; ++i) {
-    if (objectives[i].size() != prepared_.num_source()) {
-      results[i]->emplace(Status::InvalidArgument(
-          "CrosswalkPlan: objective length does not match source units"));
-      continue;
-    }
     Stopwatch watch;
-    Result<linalg::Vector> b = linalg::NormalizeByMax(objectives[i]);
-    if (!b.ok()) {
-      results[i]->emplace(b.status());
-      continue;
-    }
-    Result<linalg::Vector> beta = SolveWeightsNormalized(b.value());
+    Result<linalg::Vector> beta = LearnWeights(objectives[i]);
     if (!beta.ok()) {
       results[i]->emplace(beta.status());
       continue;

@@ -93,26 +93,13 @@ class CrosswalkPlan {
   /// re-aggregation (Eq. 17) for one objective column, spinning up a
   /// pool per `options().threads` (the legacy Crosswalk behaviour).
   /// Objective columns are borrowed views (a `linalg::Vector` converts
-  /// implicitly) valid for the duration of the call only.
-  Result<CrosswalkResult> Execute(common::ColumnView objective_source) const;
-
-  /// Same, overriding the thread count for this execution only
-  /// (0 = hardware concurrency, 1 = inline).
-  Result<CrosswalkResult> Execute(common::ColumnView objective_source,
-                                  size_t threads) const;
-
-  /// Same as Execute(objective_source), selecting the output shape:
-  /// ExecuteOutput::kAggregatesOnly takes the fused Eq. 14+17 lane
-  /// (aligned reference structures) and never materializes DM̂_o.
-  Result<CrosswalkResult> Execute(common::ColumnView objective_source,
-                                  ExecuteOutput output) const;
-
-  /// Same, running the parallel kernels on a caller-owned pool
-  /// (nullptr = inline). This is the serving-path entry: RealignMany
-  /// and BatchCrosswalk execute one shared plan across their outer
-  /// pool.
-  Result<CrosswalkResult> ExecuteWith(common::ColumnView objective_source,
-                                      common::ThreadPool* pool) const;
+  /// implicitly) valid for the duration of the call only. `output`
+  /// selects the result shape: ExecuteOutput::kAggregatesOnly takes the
+  /// fused Eq. 14+17 lane (aligned reference structures) and never
+  /// materializes DM̂_o.
+  Result<CrosswalkResult> Execute(
+      common::ColumnView objective_source,
+      ExecuteOutput output = ExecuteOutput::kFullDm) const;
 
   /// Full serving-path entry: output shape plus an optional reusable
   /// workspace (sized per workspace_spec(); grown only if needed, so
@@ -141,22 +128,41 @@ class CrosswalkPlan {
   /// `objectives` is an array of `count` borrowed column views and
   /// `results` an array of `count` non-null pointers; `workspace` is
   /// the reusable per-slot arena (nullptr uses a per-call local one).
-  /// Serving loops slice their columns into panels of panel_width()
-  /// and run one call per panel; counts above simd::kMaxPanelWidth are
+  /// ExecuteMany slices its columns into panels of panel_width() and
+  /// runs one call per panel; counts above simd::kMaxPanelWidth are
   /// split internally. Non-aligned prepared sets fall back to
   /// per-column ExecuteWith.
   void ExecutePanelWith(const common::ColumnView* objectives,
                         std::optional<Result<CrosswalkResult>>* const* results,
                         size_t count, ExecuteWorkspace* workspace) const;
 
-  /// The serving panel width (columns per ExecutePanelWith call) —
-  /// derived at execute time from the active SIMD ISA, overridable
-  /// with GEOALIGN_PANEL_WIDTH (clamped to [1, simd::kMaxPanelWidth]).
-  /// Deliberately NOT part of the plan or its fingerprint: a PlanCache
-  /// entry compiled under one ISA must execute identically under any
-  /// other, so serving layers ask the plan at execute time instead of
-  /// baking a width into cached state (BatchCrosswalk::Run and
-  /// CrosswalkPipeline::RealignMany never take a caller width).
+  /// Executes many objective columns over this one plan — the paper's
+  /// §6 portal shape, and the only multi-column execute:
+  /// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run both serve
+  /// through it. Returns the results index-aligned with `objectives`,
+  /// or the lowest-index failing column's status. Every result carries
+  /// exactly the bits of a per-column ExecuteWith(`output`), at every
+  /// thread count.
+  ///
+  /// Aligned kAggregatesOnly columns run as panels of panel_width()
+  /// (ExecutePanelWith), one task per panel; every other shape runs
+  /// one task per column. The scheduling rule: with a `pool` and more
+  /// than one task, the tasks run across the pool and their kernels
+  /// inline; otherwise the tasks run in order with the kernels on
+  /// `pool`, or, when `pool` is null, on a pool of options().threads.
+  /// Each pool worker keeps one ExecuteWorkspace sized once from
+  /// workspace_spec(), and every task runs under the caller's request
+  /// (obs::CurrentRequest()).
+  Result<std::vector<CrosswalkResult>> ExecuteMany(
+      common::ConstSpan<common::ColumnView> objectives,
+      common::ThreadPool* pool, ExecuteOutput output) const;
+
+  /// The serving panel width (columns per ExecutePanelWith call),
+  /// derived at execute time from the active SIMD ISA. Deliberately
+  /// NOT part of the plan or its fingerprint: a PlanCache entry
+  /// compiled under one ISA must execute identically under any other,
+  /// so ExecuteMany asks at execute time instead of baking a width
+  /// into cached state (no serving surface takes a caller width).
   size_t panel_width() const;
 
   /// Weight learning only (Eq. 15) — β for one objective column.

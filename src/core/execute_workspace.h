@@ -28,8 +28,9 @@ struct ExecuteWorkspaceSpec {
 /// Reusable per-execute buffers for `CrosswalkPlan::ExecuteWith`: the
 /// effective-weight and denominator vectors plus the fused kernel's
 /// arena. One workspace serves one concurrent execute at a time;
-/// serving loops keep one per worker slot and reuse it across
-/// objective columns so steady-state executes never grow a buffer.
+/// `CrosswalkPlan::ExecuteMany` keeps one per worker slot and reuses it
+/// across objective columns so steady-state executes never grow a
+/// buffer.
 ///
 /// alloc_events() counts buffer growth (including the fused arena's)
 /// across the workspace's lifetime; `CrosswalkPlan::ExecuteWith`

@@ -63,9 +63,9 @@ enum class ZeroRowFallback {
 };
 
 /// What a plan execute must produce. An execute-time parameter of
-/// `CrosswalkPlan::Execute`/`ExecuteWith` (not a compile-time option,
-/// so it never affects plan-cache keys): the same compiled plan serves
-/// both shapes.
+/// `CrosswalkPlan::Execute`/`ExecuteWith`/`ExecuteMany` (not a
+/// compile-time option, so it never affects plan-cache keys): the same
+/// compiled plan serves both shapes.
 enum class ExecuteOutput {
   /// Materialize the estimated DM̂_o (Eq. 14) and re-aggregate it —
   /// `CrosswalkResult::estimated_dm` is populated. Default; the only

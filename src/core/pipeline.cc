@@ -1,7 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
-#include <array>
 #include <memory>
 #include <optional>
 
@@ -10,7 +8,6 @@
 #include "obs/request_context.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::core {
 
@@ -165,19 +162,31 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
   return pipeline;
 }
 
-Result<linalg::Vector> CrosswalkPipeline::ResolveColumn(
+Status CrosswalkPipeline::ResolveColumn(
     const std::vector<std::pair<std::string, double>>& column,
-    const std::unordered_map<std::string, size_t>& index) const {
-  linalg::Vector out(index.size(), 0.0);
+    const std::unordered_map<std::string, size_t>& index,
+    linalg::Vector* out) const {
+  out->assign(index.size(), 0.0);
   for (const auto& [unit, value] : column) {
     auto it = index.find(unit);
     if (it == index.end()) {
       return Status::NotFound("CrosswalkPipeline: unknown unit '" + unit +
                               "'");
     }
-    out[it->second] += value;
+    (*out)[it->second] += value;
   }
-  return out;
+  return Status::OK();
+}
+
+Result<CrosswalkResult> CrosswalkPipeline::RealignPerCall(
+    linalg::Vector objective_source) const {
+  CrosswalkInput input;
+  input.objective_source = std::move(objective_source);
+  input.references = references_;
+  // Non-GeoAlign interpolators (baselines, custom methods) have no
+  // compiled-plan form; this also serves GeoAlign when its plan failed
+  // to compile, preserving the legacy error-at-Realign contract.
+  return method_->Crosswalk(input);  // NOLINT(geoalign-plan-bypass)
 }
 
 Result<CrosswalkResult> CrosswalkPipeline::Realign(
@@ -192,27 +201,21 @@ Result<CrosswalkResult> CrosswalkPipeline::Realign(
     obs::Stopwatch& watch;
     ~LatencyRecorder() { RealignLatencyUs().Record(watch.ElapsedMicros()); }
   } recorder{realign_watch};
-  GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector objective_source,
-                            ResolveColumn(objective, source_index_));
+  linalg::Vector objective_source;
+  GEOALIGN_RETURN_IF_ERROR(
+      ResolveColumn(objective, source_index_, &objective_source));
   if (plan_ != nullptr) {
     return plan_->Execute(objective_source);
   }
-  CrosswalkInput input;
-  input.objective_source = std::move(objective_source);
-  input.references = references_;
-  // Non-GeoAlign interpolators (baselines, custom methods) have no
-  // compiled-plan form; this also serves GeoAlign when its plan failed
-  // to compile, preserving the legacy error-at-Realign contract.
-  return method_->Crosswalk(input);  // NOLINT(geoalign-plan-bypass)
+  return RealignPerCall(std::move(objective_source));
 }
 
 Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
     const std::vector<Column>& objectives, size_t threads,
     ExecuteOutput output) const {
   obs::EnsureRequestScope ensure_request;
-  // Pool workers have their own (empty) thread-local request context;
-  // each worker lambda below re-establishes this token so every span
-  // and audit record of the fan-out stays attributed to the request.
+  // Pool workers start with an empty request context; the per-call
+  // tasks below re-establish this token (ExecuteMany does the same).
   const obs::RequestToken request = obs::CurrentRequest();
   GEOALIGN_TRACE_SPAN("realign.batch");
   ColumnsPerBatch().Record(static_cast<double>(objectives.size()));
@@ -220,169 +223,44 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
   std::unique_ptr<common::ThreadPool> pool =
       common::MakePoolOrNull(common::ResolveThreadCount(threads));
 
-  if (plan_ != nullptr && output == ExecuteOutput::kAggregatesOnly &&
-      plan_->references().aligned()) {
-    // Aligned aggregates-only serving path: resolve every column
-    // first, then group the resolved columns into consecutive panels
-    // of plan_->panel_width() — the width is the plan's execute-time
-    // answer (active ISA, GEOALIGN_PANEL_WIDTH), never caller state,
-    // so the PlanCache fingerprint stays ISA-independent. One panel =
-    // one shared-structure traversal serving every lane; outer
-    // parallelism runs across panels and the bits match the
-    // per-column path exactly at every width and thread count.
-    const size_t n = objectives.size();
-    std::vector<std::optional<Result<CrosswalkResult>>> results(n);
-    std::vector<linalg::Vector> resolved(n);
-    std::vector<size_t> valid;
-    valid.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Result<linalg::Vector> column =
-          ResolveColumn(objectives[i], source_index_);
-      if (!column.ok()) {
-        results[i].emplace(column.status());
-      } else {
-        resolved[i] = std::move(column).value();
-        valid.push_back(i);
-      }
-    }
-    const size_t width = plan_->panel_width();
-    const size_t num_panels = (valid.size() + width - 1) / width;
-    const bool outer_inline =
-        pool == nullptr || pool->size() <= 1 || num_panels <= 1;
-    std::vector<ExecuteWorkspace> bank(outer_inline ? 1 : pool->size() + 1);
-    for (ExecuteWorkspace& ws : bank) {
-      ws.Prepare(plan_->workspace_spec(), /*slots=*/1);
-      ws.PreparePanel(plan_->workspace_spec(),
-                      std::min(width, std::max<size_t>(valid.size(), 1)));
-    }
-    common::ParallelForChunks(pool.get(), num_panels, [&](size_t p) {
-      obs::RequestScope request_scope(request);
-      obs::Stopwatch panel_watch;
-      const size_t begin = p * width;
-      const size_t count = std::min(width, valid.size() - begin);
-      std::array<common::ColumnView, sparse::simd::kMaxPanelWidth> objs;
-      std::array<std::optional<Result<CrosswalkResult>>*,
-                 sparse::simd::kMaxPanelWidth>
-          slots;
-      for (size_t k = 0; k < count; ++k) {
-        objs[k] = common::ColumnView(resolved[valid[begin + k]]);
-        slots[k] = &results[valid[begin + k]];
-      }
-      size_t wi = common::ThreadPool::CurrentWorkerIndex();
-      ExecuteWorkspace& ws =
-          bank[outer_inline || wi == common::ThreadPool::kNoWorkerIndex
-                   ? 0
-                   : wi + 1];
-      plan_->ExecutePanelWith(objs.data(), slots.data(), count, &ws);
-      // One traversal served `count` columns; the latency histogram
-      // records per-panel time here (docs/observability.md).
-      RealignLatencyUs().Record(panel_watch.ElapsedMicros());
-    });
-    std::vector<CrosswalkResult> out;
-    out.reserve(n);
-    for (std::optional<Result<CrosswalkResult>>& r : results) {
-      if (!r->ok()) return r->status();
-      out.push_back(std::move(*r).value());
-    }
-    return out;
-  }
-
-  if (plan_ != nullptr) {
-    // Serving path: every column executes the one shared plan. With an
-    // outer pool the inner kernels run inline (oversubscription
-    // guard); without one, every column shares one inner pool instead
-    // of spinning a pool per call. Either way the deterministic
-    // kernels make the bits independent of the threading shape.
-    std::unique_ptr<common::ThreadPool> inner =
-        pool == nullptr ? common::MakePoolOrNull(common::ResolveThreadCount(
-                              plan_->options().threads))
-                        : nullptr;
-
-    // One reusable workspace per worker slot, sized once from the
-    // plan-compiled spec — steady-state columns grow nothing (the
-    // execute.hot_path_allocs counter stays flat from column 0).
-    const bool outer_inline =
-        pool == nullptr || pool->size() <= 1 || objectives.size() == 1;
-    std::vector<ExecuteWorkspace> bank(outer_inline ? 1 : pool->size() + 1);
-    const size_t fused_slots =
-        inner != nullptr && inner->size() > 1 ? inner->size() + 1 : 1;
-    for (ExecuteWorkspace& ws : bank) {
-      ws.Prepare(plan_->workspace_spec(), fused_slots);
-    }
-
-    std::vector<std::optional<Result<CrosswalkResult>>> results(
-        objectives.size());
-    common::ParallelForChunks(pool.get(), objectives.size(), [&](size_t i) {
-      obs::RequestScope request_scope(request);
-      obs::Stopwatch column_watch;
-      Result<linalg::Vector> column =
-          ResolveColumn(objectives[i], source_index_);
-      if (!column.ok()) {
-        results[i].emplace(column.status());
-        return;
-      }
-      // Inline runs use slot 0; outer-pool workers take their worker
-      // index (one slot per thread, so a workspace never sees two
-      // concurrent executes).
-      size_t wi = common::ThreadPool::CurrentWorkerIndex();
-      ExecuteWorkspace& ws =
-          bank[outer_inline || wi == common::ThreadPool::kNoWorkerIndex
-                   ? 0
-                   : wi + 1];
-      results[i].emplace(plan_->ExecuteWith(std::move(column).value(),
-                                            pool != nullptr ? nullptr
-                                                            : inner.get(),
-                                            output, &ws));
-      RealignLatencyUs().Record(column_watch.ElapsedMicros());
-    });
-    std::vector<CrosswalkResult> out;
-    out.reserve(objectives.size());
-    for (std::optional<Result<CrosswalkResult>>& r : results) {
-      if (!r->ok()) return r->status();
-      out.push_back(std::move(*r).value());
-    }
-    return out;
-  }
-
-  // With an outer pool, an interpolator that would itself spawn a pool
-  // per crosswalk (GeoAlign with threads != 1) would oversubscribe the
-  // machine; clone it in inline mode — the deterministic kernels make
-  // this a pure scheduling change, never a numeric one.
-  std::shared_ptr<const Interpolator> method = method_;
-  if (pool != nullptr) {
-    if (const auto* ga = dynamic_cast<const GeoAlign*>(method_.get())) {
-      GeoAlignOptions inline_options = ga->options();
-      inline_options.threads = 1;
-      method = std::make_shared<GeoAlign>(inline_options);
-    }
-  }
-
-  std::vector<std::optional<Result<CrosswalkResult>>> results(
-      objectives.size());
-  common::ParallelForChunks(pool.get(), objectives.size(), [&](size_t i) {
+  // Names resolve on the pool, into columns this thread allocates (so
+  // they live in its malloc arena, not in the pool workers'). Without
+  // a plan, each task then runs the per-call method on its column.
+  const size_t n = objectives.size();
+  std::vector<linalg::Vector> resolved(n);
+  for (linalg::Vector& column : resolved) column.reserve(source_units_.size());
+  std::vector<Status> resolve_status(n);
+  std::vector<std::optional<Result<CrosswalkResult>>> per_call(
+      plan_ == nullptr ? n : 0);
+  common::ParallelForChunks(pool.get(), n, [&](size_t i) {
+    resolve_status[i] = ResolveColumn(objectives[i], source_index_,
+                                      &resolved[i]);
+    if (plan_ != nullptr || !resolve_status[i].ok()) return;
     obs::RequestScope request_scope(request);
     obs::Stopwatch column_watch;
-    CrosswalkInput input;
-    Result<linalg::Vector> column =
-        ResolveColumn(objectives[i], source_index_);
-    if (!column.ok()) {
-      results[i].emplace(column.status());
-      return;
-    }
-    input.objective_source = std::move(column).value();
-    input.references = references_;
-    // Per-call fallback for interpolators without a compiled-plan form
-    // (see Realign).
-    results[i].emplace(
-        method->Crosswalk(input));  // NOLINT(geoalign-plan-bypass)
+    per_call[i].emplace(RealignPerCall(std::move(resolved[i])));
     RealignLatencyUs().Record(column_watch.ElapsedMicros());
   });
 
+  if (plan_ != nullptr) {
+    // Only the columns before the first unresolved one execute: any
+    // later failure would lose to that column's status anyway.
+    size_t valid = 0;
+    while (valid < n && resolve_status[valid].ok()) ++valid;
+    std::vector<common::ColumnView> columns(resolved.begin(),
+                                            resolved.begin() + valid);
+    Result<std::vector<CrosswalkResult>> out =
+        plan_->ExecuteMany(columns, pool.get(), output);
+    if (!out.ok() || valid == n) return out;
+    return resolve_status[valid];
+  }
+
   std::vector<CrosswalkResult> out;
-  out.reserve(objectives.size());
-  for (std::optional<Result<CrosswalkResult>>& r : results) {
-    if (!r->ok()) return r->status();
-    out.push_back(std::move(*r).value());
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    GEOALIGN_RETURN_IF_ERROR(resolve_status[i]);
+    if (!per_call[i]->ok()) return per_call[i]->status();
+    out.push_back(std::move(*per_call[i]).value());
     if (output == ExecuteOutput::kAggregatesOnly) {
       // Per-call interpolators have no fused form; honor the requested
       // shape by dropping the materialized DM.
@@ -397,9 +275,9 @@ Result<std::vector<CrosswalkPipeline::JoinedRow>> CrosswalkPipeline::Join(
     const std::vector<std::pair<std::string, double>>& target_attribute)
     const {
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkResult realigned, Realign(objective));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      linalg::Vector target_vals,
-      ResolveColumn(target_attribute, target_index_));
+  linalg::Vector target_vals;
+  GEOALIGN_RETURN_IF_ERROR(
+      ResolveColumn(target_attribute, target_index_, &target_vals));
   std::vector<JoinedRow> rows;
   rows.reserve(target_units_.size());
   for (size_t j = 0; j < target_units_.size(); ++j) {

@@ -66,13 +66,15 @@ class CrosswalkPipeline {
   /// looping over Realign for every thread count; on error the
   /// lowest-index failing column's status is returned.
   ///
-  /// `output` selects the result shape: ExecuteOutput::kAggregatesOnly
-  /// serves each column through the fused zero-materialization lane
-  /// (results carry an empty estimated_dm; target_estimates, weights,
-  /// and zero_rows are bit-identical to kFullDm). The compiled plan's
-  /// workspace spec sizes one reusable workspace per worker slot up
-  /// front, so steady-state columns execute without hot-path buffer
-  /// growth.
+  /// Column names resolve on a pool of `threads`; the resolved columns
+  /// then execute through CrosswalkPlan::ExecuteMany on the same pool,
+  /// which owns the lane choice, the column panels and the scheduling
+  /// rule. Without a compiled plan each column runs the per-call
+  /// method instead. `output` selects the result shape:
+  /// ExecuteOutput::kAggregatesOnly serves each column through the
+  /// fused zero-materialization lane (results carry an empty
+  /// estimated_dm; target_estimates, weights, and zero_rows are
+  /// bit-identical to kFullDm).
   Result<std::vector<CrosswalkResult>> RealignMany(
       const std::vector<Column>& objectives, size_t threads = 0,
       ExecuteOutput output = ExecuteOutput::kFullDm) const;
@@ -110,9 +112,16 @@ class CrosswalkPipeline {
                     std::vector<ReferenceAttribute> references,
                     std::shared_ptr<const Interpolator> method);
 
-  Result<linalg::Vector> ResolveColumn(
+  /// Sums `column`'s values into `out` (resized to the unit count) by
+  /// unit index; an unknown unit name is NotFound.
+  Status ResolveColumn(
       const std::vector<std::pair<std::string, double>>& column,
-      const std::unordered_map<std::string, size_t>& index) const;
+      const std::unordered_map<std::string, size_t>& index,
+      linalg::Vector* out) const;
+
+  /// Realigns one resolved column through `method_` per call — the
+  /// path for interpolators without a compiled plan.
+  Result<CrosswalkResult> RealignPerCall(linalg::Vector objective_source) const;
 
   std::vector<std::string> source_units_;
   std::vector<std::string> target_units_;

@@ -55,7 +55,7 @@ struct PlanCacheKey {
 /// `GeoAlignOptions::threads` is deliberately excluded: execution
 /// results are bit-identical for every thread count (the
 /// deterministic-reduction contract), so plans are shared across
-/// thread configurations; use `Execute(obj, threads)`/`ExecuteWith`
+/// thread configurations; pass a pool to `ExecuteWith`/`ExecuteMany`
 /// when the cached plan's default should be overridden.
 ///
 /// Compilation runs outside the cache lock; when two threads miss the

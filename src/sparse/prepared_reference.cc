@@ -140,7 +140,6 @@ Result<PreparedReferenceSet> PreparedReferenceSet::Prepare(
     // NormalizeByMax succeeded, so entries are non-negative with at
     // least one positive: the max is a valid positive normalizer.
     prepared.normalizer = linalg::Max(ref.source_aggregates);
-    prepared.dm_row_sums = ref.disaggregation.RowSums();
     prepared.name = std::move(ref.name);
     prepared.source_aggregates = ref.source_aggregates;
     prepared.aggregates_keepalive = std::move(ref.keepalive);

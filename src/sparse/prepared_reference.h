@@ -117,7 +117,6 @@ struct PreparedReference {
   CsrMatrix disaggregation;              ///< DM_r, raw values
   linalg::Vector normalized_aggregates;  ///< a^s_r / max_i a^s_r[i] (Eq. 15 column)
   double normalizer = 1.0;               ///< max_i a^s_r[i]
-  linalg::Vector dm_row_sums;            ///< per-row sums of DM_r
 };
 
 /// Hashes a reference set's content: the reference count and the DM
@@ -156,8 +155,8 @@ class PreparedReferenceSet {
  public:
   /// Validates shapes, max-normalizes every aggregate vector (the
   /// ScaleMode::kNormalized / Eq. 15 preprocessing; errors mirror the
-  /// legacy per-call path's NormalizeByMax failures), walks every DM
-  /// once for its row sums, and hashes the whole set once.
+  /// legacy per-call path's NormalizeByMax failures) and hashes the
+  /// whole set once.
   ///
   /// Zero-copy contract: the aggregate views and any borrowed DM
   /// arrays are referenced, never duplicated — the prepared set reads

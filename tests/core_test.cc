@@ -526,6 +526,26 @@ TEST(Pipeline, CustomMethod) {
   auto res = std::move(pipeline.Realign({{"z1", 8.0}, {"z2", 4.0}})).ValueOrDie();
   EXPECT_NEAR(res.target_estimates[0], 2.0 + 2.0, 1e-9);
   EXPECT_NEAR(res.target_estimates[1], 6.0 + 2.0, 1e-9);
+
+  // RealignMany runs the per-call method for every column at any
+  // thread count, and honours kAggregatesOnly by dropping the DM.
+  std::vector<CrosswalkPipeline::Column> columns = {
+      {{"z1", 8.0}, {"z2", 4.0}}, {{"z2", 1.0}}, {{"z1", 3.0}}};
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto many = std::move(pipeline.RealignMany(columns, threads,
+                                               ExecuteOutput::kAggregatesOnly))
+                    .ValueOrDie();
+    ASSERT_EQ(many.size(), columns.size());
+    for (size_t i = 0; i < columns.size(); ++i) {
+      auto single = std::move(pipeline.Realign(columns[i])).ValueOrDie();
+      EXPECT_EQ(many[i].target_estimates, single.target_estimates);
+      EXPECT_EQ(many[i].estimated_dm.rows(), 0u);
+    }
+    auto unknown = pipeline.RealignMany({columns[0], {{"nope", 1.0}}}, threads);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_NE(unknown.status().message().find("unknown unit 'nope'"),
+              std::string::npos);
+  }
 }
 
 // Dimension independence (paper §3.4): realigning a 1-D histogram via

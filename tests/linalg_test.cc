@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "linalg/nnls.h"
@@ -160,31 +159,6 @@ TEST(Lu, RandomRoundTrip) {
     ASSERT_TRUE(x.ok());
     EXPECT_TRUE(AllClose(*x, x_true, 1e-8)) << "trial " << trial;
   }
-}
-
-TEST(Cholesky, SolvesSpdSystem) {
-  Matrix a = Matrix::FromRows({{4.0, 2.0}, {2.0, 3.0}});
-  auto chol = CholeskyFactorization::Compute(a);
-  ASSERT_TRUE(chol.ok());
-  auto x = chol->Solve({8.0, 7.0});
-  ASSERT_TRUE(x.ok());
-  Vector back = a.MatVec(*x);
-  EXPECT_NEAR(back[0], 8.0, 1e-10);
-  EXPECT_NEAR(back[1], 7.0, 1e-10);
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  Matrix a = Matrix::FromRows({{1.0, 2.0}, {2.0, 1.0}});  // eigenvalues 3,-1
-  EXPECT_FALSE(CholeskyFactorization::Compute(a).ok());
-}
-
-TEST(Cholesky, FactorReconstructs) {
-  Matrix a = Matrix::FromRows(
-      {{6.0, 2.0, 1.0}, {2.0, 5.0, 2.0}, {1.0, 2.0, 4.0}});
-  auto chol = CholeskyFactorization::Compute(a);
-  ASSERT_TRUE(chol.ok());
-  Matrix llt = chol->L().MatMul(chol->L().Transposed());
-  EXPECT_TRUE(llt.AllClose(a, 1e-10));
 }
 
 TEST(Qr, LeastSquaresMatchesNormalEquations) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -478,7 +479,11 @@ TEST(PlanEquivalenceTest, PlanIsReusableAndOutlivesInput) {
   }
   // Thread-count overrides are a pure scheduling choice on the shared
   // immutable plan.
-  auto threaded = std::move(plan->Execute(objective, 4)).ValueOrDie();
+  std::unique_ptr<common::ThreadPool> pool = common::MakePoolOrNull(4);
+  auto threaded = std::move(plan->ExecuteWith(objective, pool.get(),
+                                              core::ExecuteOutput::kFullDm,
+                                              nullptr))
+                      .ValueOrDie();
   ExpectBitIdentical(threaded, want);
 }
 
@@ -662,11 +667,30 @@ TEST(PlanEquivalenceTest, PipelineServesSharedPlanBitIdentically) {
     ExpectBitIdentical(single, legacy);
   }
 
+  // A one-column RealignMany at 4 threads runs its kernels on the pool.
+  auto one4 = std::move(pipeline.RealignMany({columns[0]}, 4)).ValueOrDie();
+  ASSERT_EQ(one4.size(), 1u);
+  ExpectBitIdentical(one4[0],
+                     std::move(pipeline.Realign(columns[0])).ValueOrDie());
+
   // Unknown unit names still error through the hoisted index.
   auto unknown = pipeline.Realign({{"nope", 1.0}});
   ASSERT_FALSE(unknown.ok());
   EXPECT_NE(unknown.status().message().find("unknown unit 'nope'"),
             std::string::npos);
+
+  // Error precedence: column 1 fails execute (a NaN value) and column 3
+  // fails name resolution; the lowest-index failure wins.
+  std::vector<core::CrosswalkPipeline::Column> bad = {
+      columns[0], columns[1], columns[2], {{"nope", 1.0}}};
+  bad[1].emplace_back(sources[0], std::numeric_limits<double>::quiet_NaN());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(StrFormat("threads=%zu", threads));
+    auto failed = pipeline.RealignMany(bad, threads);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_NE(failed.status().message().find("non-finite"), std::string::npos)
+        << failed.status().message();
+  }
 }
 
 TEST(PlanEquivalenceTest, PanelLaneServesWithZeroHotPathAllocs) {
@@ -826,6 +850,15 @@ TEST(PlanEquivalenceTest, AlignedBatchRunServesPanelsBitIdentically) {
     EXPECT_NE(failed.status().message().find("objective 'col3' wrong length"),
               std::string::npos)
         << failed.status().message();
+
+    // Error precedence: objective 1 fails execute (a NaN value) before
+    // objective 3 fails its length check; the lowest index wins.
+    bad[1].source[0] = std::numeric_limits<double>::quiet_NaN();
+    auto nan_first = batch.Run(bad);
+    ASSERT_FALSE(nan_first.ok());
+    EXPECT_NE(nan_first.status().message().find("non-finite"),
+              std::string::npos)
+        << nan_first.status().message();
   }
 }
 
@@ -881,6 +914,31 @@ TEST(PlanEquivalenceTest, AlignedPipelineRealignManyServesPanelsBitIdentically) 
   EXPECT_NE(failed.status().message().find("unknown unit 'nope'"),
             std::string::npos)
       << failed.status().message();
+
+  // A one-column RealignMany at 4 threads.
+  auto one4 = std::move(pipeline.RealignMany(
+                            {columns[0]}, 4,
+                            core::ExecuteOutput::kAggregatesOnly))
+                  .ValueOrDie();
+  ASSERT_EQ(one4.size(), 1u);
+  ExpectAggregatesOnly(one4[0],
+                       std::move(pipeline.Realign(columns[0])).ValueOrDie());
+
+  // Error precedence: column 1 fails execute (a NaN value) and column 3
+  // fails name resolution; the lowest-index failure wins.
+  std::vector<core::CrosswalkPipeline::Column> nan_first = columns;
+  nan_first[1].emplace_back(sources[0],
+                            std::numeric_limits<double>::quiet_NaN());
+  nan_first[3] = {{"nope", 1.0}};
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(StrFormat("threads=%zu", threads));
+    auto precedence = pipeline.RealignMany(
+        nan_first, threads, core::ExecuteOutput::kAggregatesOnly);
+    ASSERT_FALSE(precedence.ok());
+    EXPECT_NE(precedence.status().message().find("non-finite"),
+              std::string::npos)
+        << precedence.status().message();
+  }
 }
 
 TEST(PlanEquivalenceTest, BatchMatchesCrosswalkBitIdentically) {
@@ -888,32 +946,46 @@ TEST(PlanEquivalenceTest, BatchMatchesCrosswalkBitIdentically) {
   for (core::WeightSolver solver :
        {core::WeightSolver::kSimplex, core::WeightSolver::kNnlsNormalized,
         core::WeightSolver::kClampedLs, core::WeightSolver::kUniform}) {
-    SCOPED_TRACE(StrFormat("solver=%d", static_cast<int>(solver)));
-    core::GeoAlignOptions opts;
-    opts.solver = solver;
-    opts.threads = 1;
-    auto batch =
-        std::move(core::BatchCrosswalk::Create(input.references, opts))
-            .ValueOrDie();
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(StrFormat("solver=%d threads=%zu", static_cast<int>(solver),
+                             threads));
+      core::GeoAlignOptions opts;
+      opts.solver = solver;
+      opts.threads = threads;
+      auto batch =
+          std::move(core::BatchCrosswalk::Create(input.references, opts))
+              .ValueOrDie();
 
-    std::vector<core::BatchCrosswalk::Objective> objectives;
-    objectives.push_back({"base", input.objective_source});
-    linalg::Vector scaled = input.objective_source;
-    linalg::Scale(scaled, 3.25);
-    objectives.push_back({"scaled", std::move(scaled)});
+      std::vector<core::BatchCrosswalk::Objective> objectives;
+      objectives.push_back({"base", input.objective_source});
+      linalg::Vector scaled = input.objective_source;
+      linalg::Scale(scaled, 3.25);
+      objectives.push_back({"scaled", std::move(scaled)});
 
-    auto results = std::move(batch.Run(objectives)).ValueOrDie();
-    ASSERT_EQ(results.size(), objectives.size());
-    core::GeoAlign geoalign(opts);
-    for (size_t i = 0; i < objectives.size(); ++i) {
-      SCOPED_TRACE(objectives[i].name);
-      core::CrosswalkInput per_call = input;
-      per_call.objective_source = objectives[i].source;
-      auto want = std::move(geoalign.Crosswalk(per_call)).ValueOrDie();
-      EXPECT_EQ(results[i].name, objectives[i].name);
-      ASSERT_EQ(results[i].target_estimates, want.target_estimates);
-      ASSERT_EQ(results[i].weights, want.weights);
-      ASSERT_EQ(results[i].zero_rows, want.zero_rows);
+      auto results = std::move(batch.Run(objectives)).ValueOrDie();
+      ASSERT_EQ(results.size(), objectives.size());
+      core::GeoAlign geoalign(opts);
+      for (size_t i = 0; i < objectives.size(); ++i) {
+        SCOPED_TRACE(objectives[i].name);
+        core::CrosswalkInput per_call = input;
+        per_call.objective_source = objectives[i].source;
+        auto want = std::move(geoalign.Crosswalk(per_call)).ValueOrDie();
+        EXPECT_EQ(results[i].name, objectives[i].name);
+        ASSERT_EQ(results[i].target_estimates, want.target_estimates);
+        ASSERT_EQ(results[i].weights, want.weights);
+        ASSERT_EQ(results[i].zero_rows, want.zero_rows);
+      }
+
+      // Error precedence: objective 1 fails execute (a NaN value) and
+      // objective 3 its length check; the lowest index wins.
+      std::vector<core::BatchCrosswalk::Objective> bad = {
+          objectives[0], objectives[1], objectives[0], objectives[1]};
+      bad[1].source[0] = std::numeric_limits<double>::quiet_NaN();
+      bad[3].source = linalg::Vector{1.0, 2.0};
+      auto failed = batch.Run(bad);
+      ASSERT_FALSE(failed.ok());
+      EXPECT_NE(failed.status().message().find("non-finite"), std::string::npos)
+          << failed.status().message();
     }
   }
 }

@@ -56,6 +56,14 @@
 #           validate the Prometheus exposition (every histogram's
 #           _count equals its +Inf bucket) and the flight-recorder
 #           JSONL dump — docs/observability.md
+#   perfbench
+#           build the end-to-end benchmark program (perfbench/) against
+#           the library sources and run python3 perfbench/selftest.py:
+#           every workload at reduced scale, untraced and traced, must
+#           pass its output checks and report every metric
+#           BENCHMARK.json names — so a library API change that breaks
+#           the benchmark fails here, not in the next benchmark run.
+#           Builds into $BUILD_DIR/perfbench (CARGO_TARGET_DIR)
 #   benchdiff
 #           ADVISORY: run the obs_overhead and overlay_scale
 #           benchmarks fresh and diff each against its committed
@@ -84,7 +92,7 @@
 #                 concurrency-only smoke.
 #   SKIP_TSAN=1 SKIP_ASAN=1 SKIP_UBSAN=1 SKIP_TIDY=1 SKIP_TSA=1
 #   SKIP_LINT=1 SKIP_BENCH=1 SKIP_FUSED=1 SKIP_OBS=1 SKIP_SIMD=1
-#   SKIP_OVERLAY=1 SKIP_CAPI=1 SKIP_BENCHDIFF=1
+#   SKIP_OVERLAY=1 SKIP_CAPI=1 SKIP_PERFBENCH=1 SKIP_BENCHDIFF=1
 #                 skip the corresponding gate (recorded as "skipped"
 #                 in the summary, never as a pass).
 set -uo pipefail
@@ -100,13 +108,14 @@ CLANGXX="${CLANGXX:-clang++}"
 CTEST_FILTER="${CTEST_FILTER:-}"
 
 GATES=(plain bench fused simd overlay tsan asan ubsan tidy tsa lint
-       capi obs benchdiff)
+       capi obs perfbench benchdiff)
 # Which toolchain each gate runs on, for the summary matrix. "cxx" is
 # the default compiler CMake resolves (gcc or clang alike).
 declare -A TOOL=(
   [plain]=cxx [bench]=cxx [fused]=cxx [simd]=cxx [overlay]=cxx
   [tsan]=cxx [asan]=cxx [ubsan]=cxx [tidy]=clang-tidy [tsa]=clang++
-  [lint]=python3 [capi]=cc [obs]=python3 [benchdiff]=python3
+  [lint]=python3 [capi]=cc [obs]=python3 [perfbench]=python3
+  [benchdiff]=python3
 )
 declare -A RESULT
 failed=0
@@ -192,6 +201,16 @@ EOF
   rc=$?
   rm -rf "$dir"
   return "$rc"
+}
+
+# End-to-end benchmark smoke: perfbench builds its own copy of the
+# library from src/ (perfbench/CMakeLists.txt), so only this gate
+# notices a library change that breaks the benchmark program. The
+# build lands inside the CI build tree instead of .bench_build.
+perfbench_gate() {
+  local target="$BUILD_DIR/perfbench"
+  [[ "$target" == /* ]] || target="$PWD/$target"
+  env CARGO_TARGET_DIR="$target" python3 perfbench/selftest.py
 }
 
 # Advisory benchmark diff: a fresh obs_overhead run against the
@@ -334,7 +353,7 @@ printf '%-12s %-8s gates: %s\n' "$CLANGXX" "$(tool_status "$CLANGXX")" "tsa"
 printf '%-12s %-8s gates: %s\n' "${CLANG_TIDY:-clang-tidy}" \
   "$(tool_status "${CLANG_TIDY:-clang-tidy}")" "tidy"
 printf '%-12s %-8s gates: %s\n' "python3" "$(tool_status python3)" \
-  "lint obs benchdiff"
+  "lint obs perfbench benchdiff"
 printf '%-12s %-8s gates: %s\n' "${CC:-cc}" "$(tool_status "${CC:-cc}")" "capi"
 
 run_gate plain 0 run_suite "$BUILD_DIR"
@@ -356,6 +375,7 @@ run_gate tsa "${SKIP_TSA:-0}" tsa_gate
 run_gate lint "${SKIP_LINT:-0}" python3 tools/geoalign_lint.py --root .
 run_gate capi "${SKIP_CAPI:-0}" capi_gate
 run_gate obs "${SKIP_OBS:-0}" obs_gate
+run_gate perfbench "${SKIP_PERFBENCH:-0}" perfbench_gate
 run_advisory_gate benchdiff "${SKIP_BENCHDIFF:-0}" benchdiff_gate
 
 echo
