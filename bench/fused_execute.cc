@@ -241,7 +241,7 @@ Sample BenchOne(const synth::Universe& uni, size_t num_references,
   s.bit_identical = BitIdenticalAggregates(*fused, *mat);
 
   for (size_t rep = 0; rep < Reps(); ++rep) {
-    Stopwatch watch;
+    obs::Stopwatch watch;
     auto res = pipeline->RealignMany(columns, /*threads=*/1);
     res.status().CheckOK();
     s.materializing_seconds =
@@ -255,7 +255,7 @@ Sample BenchOne(const synth::Universe& uni, size_t num_references,
   uint64_t allocs_before = allocs.Value();
   uint64_t reuse_before = reuse.Value();
   for (size_t rep = 0; rep < Reps(); ++rep) {
-    Stopwatch watch;
+    obs::Stopwatch watch;
     auto res = pipeline->RealignMany(columns, /*threads=*/1,
                                      core::ExecuteOutput::kAggregatesOnly);
     res.status().CheckOK();
@@ -354,7 +354,7 @@ std::vector<SweepSample> PanelWidthSweep(
           RunPanels(plan, objectives, width, &ws);  // warmup + identity
       uint64_t allocs_before = allocs.Value();
       for (size_t rep = 0; rep < Reps(); ++rep) {
-        Stopwatch watch;
+        obs::Stopwatch watch;
         RunPanels(plan, objectives, width, &ws);
         s.seconds = std::min(s.seconds, watch.ElapsedSeconds());
       }

@@ -185,7 +185,7 @@ core::CrosswalkResult ExecuteWarm(const core::CrosswalkPlan& plan,
   *seconds = 1e300;
   core::CrosswalkResult last = std::move(warm).value();
   for (size_t rep = 0; rep < reps; ++rep) {
-    Stopwatch watch;
+    obs::Stopwatch watch;
     auto res = plan.ExecuteWith(objective, /*pool=*/nullptr,
                                 core::ExecuteOutput::kAggregatesOnly, &ws);
     res.status().CheckOK();
@@ -215,7 +215,7 @@ Sample BenchOne(size_t num_sources, size_t num_targets, size_t num_refs) {
   for (size_t rep = 0; rep < Reps(); ++rep) {
     {
       const uint64_t bytes_before = CounterValue("ingest.bytes_copied");
-      Stopwatch watch;
+      obs::Stopwatch watch;
       std::vector<core::ReferenceAttribute> refs = host.BuildOwned();
       auto plan = core::CrosswalkPlan::Compile(refs, options);
       plan.status().CheckOK();
@@ -228,7 +228,7 @@ Sample BenchOne(size_t num_sources, size_t num_targets, size_t num_refs) {
     }
     {
       const uint64_t bytes_before = CounterValue("ingest.bytes_copied");
-      Stopwatch watch;
+      obs::Stopwatch watch;
       auto plan = core::CrosswalkPlan::Compile(host.BuildViews(), options);
       plan.status().CheckOK();
       s.view_compile_seconds =

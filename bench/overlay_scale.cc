@@ -137,7 +137,7 @@ UniverseResult RunUniverse(const char* name, size_t source_units,
   auto time_best = [&](auto&& fn) {
     double best = 1e300;
     for (size_t rep = 0; rep < Reps(); ++rep) {
-      Stopwatch watch;
+      obs::Stopwatch watch;
       fn();
       best = std::min(best, watch.ElapsedSeconds());
     }

@@ -61,7 +61,7 @@ std::vector<Sample> BenchCrosswalk(const synth::Universe& uni) {
     s.threads = threads;
     s.seconds = 1e300;
     for (size_t rep = 0; rep < Reps(); ++rep) {
-      Stopwatch watch;
+      obs::Stopwatch watch;
       auto res = geoalign.Crosswalk(input);
       res.status().CheckOK();
       s.seconds = std::min(s.seconds, watch.ElapsedSeconds());
@@ -108,7 +108,7 @@ std::vector<Sample> BenchBatch(const synth::Universe& uni, size_t* num_objs,
     s.threads = threads;
     s.seconds = 1e300;
     for (size_t rep = 0; rep < Reps(); ++rep) {
-      Stopwatch watch;
+      obs::Stopwatch watch;
       auto results = batch.Run(objectives);
       results.status().CheckOK();
       s.seconds = std::min(s.seconds, watch.ElapsedSeconds());

@@ -155,14 +155,14 @@ Sample BenchOne(const std::vector<std::string>& sources,
   std::vector<core::CrosswalkResult> compiled;
   for (size_t rep = 0; rep < Reps(); ++rep) {
     {
-      Stopwatch watch;
+      obs::Stopwatch watch;
       auto res = RealignLegacy(sources, references, columns, options);
       res.status().CheckOK();
       s.legacy_seconds = std::min(s.legacy_seconds, watch.ElapsedSeconds());
       if (rep == 0) legacy = std::move(res).value();
     }
     {
-      Stopwatch watch;
+      obs::Stopwatch watch;
       auto pipeline = core::CrosswalkPipeline::Create(
           sources, targets, references,
           std::make_shared<core::GeoAlign>(options));

@@ -15,18 +15,14 @@ Result<CrosswalkResult> ArealWeighting::Crosswalk(
         "ArealWeighting: objective vector does not match measure DM rows");
   }
   CrosswalkResult result;
-  Stopwatch watch;
 
   sparse::CsrMatrix estimated = measure_dm_;
   std::vector<size_t> zero_rows;
   sparse::DivideRowsOrZero(estimated, source_measures_, /*zero_tol=*/0.0,
                            &zero_rows);
   estimated.ScaleRows(input.objective_source);
-  result.timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
 
   result.target_estimates = estimated.ColSums();
-  result.timing.Add("reaggregation", watch.ElapsedSeconds());
 
   result.estimated_dm = std::move(estimated);
   result.zero_rows = std::move(zero_rows);

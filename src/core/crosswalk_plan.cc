@@ -30,20 +30,10 @@ obs::Counter& CompileCount() {
       obs::MetricsRegistry::Global().GetCounter("compile.count");
   return c;
 }
-obs::Histogram& CompileLatencyUs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("compile.latency_us");
-  return h;
-}
 obs::Counter& ExecuteCount() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("execute.count");
   return c;
-}
-obs::Histogram& ExecuteLatencyUs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("execute.latency_us");
-  return h;
 }
 obs::Counter& ZeroRowsTotal() {
   static obs::Counter& c =
@@ -95,15 +85,6 @@ obs::Gauge& ExecuteIsaGauge() {
   static obs::Gauge& g =
       obs::MetricsRegistry::Global().GetGauge("execute.isa");
   return g;
-}
-
-// Serving latency of one ExecuteMany task (a column, or a panel of
-// columns); the key is shared with CrosswalkPipeline::Realign so
-// "realign.latency_us" covers every serving surface.
-obs::Histogram& RealignLatencyUs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
-  return h;
 }
 
 // One per-solver counter so the weight-solve mix is visible per
@@ -197,7 +178,6 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
-  obs::Stopwatch compile_watch;
   // Same early validation (and messages) as the legacy per-call path.
   if (references.empty()) {
     return Status::InvalidArgument("GeoAlign: no reference attributes");
@@ -229,7 +209,6 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
                             FinishCompile(std::move(prepared), options));
   CompileCount().Add(1);
-  CompileLatencyUs().Record(compile_watch.ElapsedMicros());
   return plan;
 }
 
@@ -242,7 +221,6 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     std::vector<ReferenceAttributeView> references,
     const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
-  obs::Stopwatch compile_watch;
   if (references.empty()) {
     return Status::InvalidArgument("GeoAlign: no reference attributes");
   }
@@ -259,7 +237,6 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
                             FinishCompile(std::move(prepared), options));
   CompileCount().Add(1);
-  CompileLatencyUs().Record(compile_watch.ElapsedMicros());
   return plan;
 }
 
@@ -366,14 +343,12 @@ Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
   // failure (the recorder is always on; see obs/flight_recorder.h).
   Result<CrosswalkResult> outcome = [&]() -> Result<CrosswalkResult> {
     CrosswalkResult result;
-    Stopwatch watch;
 
     // Step 1: weight learning (Eq. 15) over the precompiled design.
     // (The weight_solve span lives inside the solver dispatch so it
     // covers every WeightSolver, simplex fast path included.)
     GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector beta,
                               LearnWeights(objective_source));
-    result.timing.Add("weight_learning", watch.ElapsedSeconds());
 
     // Steps 2+3: disaggregation (Eq. 14) + re-aggregation (Eq. 17),
     // through one of two bit-identical lanes. The fused lane needs the
@@ -405,7 +380,6 @@ Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
     HotPathAllocs().Add(grown);
     if (workspace != nullptr && grown == 0) WorkspaceReuse().Add(1);
     ExecuteCount().Add(1);
-    ExecuteLatencyUs().Record(execute_watch.ElapsedMicros());
     return result;
   }();
 
@@ -448,7 +422,6 @@ Status CrosswalkPlan::ExecuteMaterializing(
     common::ColumnView objective_source, const linalg::Vector& beta,
     common::ThreadPool* pool, ExecuteWorkspace* ws,
     CrosswalkResult* result) const {
-  Stopwatch watch;
   sparse::CsrMatrix estimated;
   std::vector<size_t> zero_rows;
   {
@@ -512,15 +485,12 @@ Status CrosswalkPlan::ExecuteMaterializing(
       estimated = builder.Build();
     }
   }
-  result->timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
 
   {
     // Step 3: re-aggregation (Eq. 17).
     GEOALIGN_TRACE_SPAN("execute.eq17_reaggregate");
     result->target_estimates = sparse::ColSumsDeterministic(estimated, pool);
   }
-  result->timing.Add("reaggregation", watch.ElapsedSeconds());
 
   result->estimated_dm = std::move(estimated);
   result->zero_rows = std::move(zero_rows);
@@ -532,7 +502,6 @@ Status CrosswalkPlan::ExecuteFusedAggregates(
     common::ThreadPool* pool, ExecuteWorkspace* ws,
     CrosswalkResult* result) const {
   GEOALIGN_TRACE_SPAN("execute.fused");
-  Stopwatch watch;
   const linalg::Vector& effective = EffectiveWeights(beta, ws);
 
   sparse::FusedAggregatesInputs in;
@@ -569,11 +538,6 @@ Status CrosswalkPlan::ExecuteFusedAggregates(
     }
     FallbackRebuilds().Add(1);
   }
-  // One pass does Eq. 14 and Eq. 17 together; report it as the
-  // disaggregation phase and an explicit zero for re-aggregation so
-  // the timing key set matches the materializing lane.
-  result->timing.Add("disaggregation", watch.ElapsedSeconds());
-  result->timing.Add("reaggregation", 0.0);
   return Status::OK();
 }
 
@@ -650,7 +614,6 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   std::vector<std::optional<Result<CrosswalkResult>>> results(n);
   common::ParallelForChunks(fan_out ? pool : nullptr, num_tasks, [&](size_t t) {
     obs::RequestScope request_scope(request);
-    obs::Stopwatch task_watch;
     const size_t wi = common::ThreadPool::CurrentWorkerIndex();
     ExecuteWorkspace& ws =
         bank[fan_out && wi != common::ThreadPool::kNoWorkerIndex ? wi + 1
@@ -666,7 +629,6 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
     } else {
       results[t].emplace(ExecuteWith(objectives[t], kernel_pool, output, &ws));
     }
-    RealignLatencyUs().Record(task_watch.ElapsedMicros());
   });
 
   std::vector<CrosswalkResult> out;
@@ -697,7 +659,6 @@ void CrosswalkPlan::ExecuteOnePanel(
   ExecuteWorkspace::PanelScratch& ps = ws->panel();
   ps.lanes.clear();
   for (size_t i = 0; i < count; ++i) {
-    Stopwatch watch;
     Result<linalg::Vector> beta = LearnWeights(objectives[i]);
     if (!beta.ok()) {
       results[i]->emplace(beta.status());
@@ -706,7 +667,6 @@ void CrosswalkPlan::ExecuteOnePanel(
     results[i]->emplace(CrosswalkResult{});
     CrosswalkResult& res = (*results[i])->value();
     res.weights = std::move(beta).value();
-    res.timing.Add("weight_learning", watch.ElapsedSeconds());
     ps.lanes.push_back(i);
   }
   const size_t width = ps.lanes.size();
@@ -756,11 +716,9 @@ void CrosswalkPlan::ExecuteOnePanel(
   in.fallback_dm = use_fallback ? fallback_dm_.get() : nullptr;
   in.fallback_row_sums = use_fallback ? &fallback_row_sums_ : nullptr;
 
-  Stopwatch kernel_watch;
   Status st = sparse::FusedAggregatesPanel(in, workspace_spec_.fused, isa,
                                            ps.targets.data(),
                                            ps.zero_lists.data(), &ws->fused());
-  const double kernel_seconds = kernel_watch.ElapsedSeconds();
 
   // One always-on flight-recorder audit record per panel (the panel is
   // the execute unit in this lane; per-lane context lives in results).
@@ -795,21 +753,17 @@ void CrosswalkPlan::ExecuteOnePanel(
     }
     audit.zero_rows += res.zero_rows.size();
     ZeroRowsTotal().Add(res.zero_rows.size());
-    res.timing.Add("disaggregation", kernel_seconds);
-    res.timing.Add("reaggregation", 0.0);
     ExecuteCount().Add(1);
   }
 
   // Panel-lane telemetry (observe-only): the dispatched ISA, the
-  // served width, and the usual workspace health counters — one
-  // execute latency per panel, not per column.
+  // served width, and the usual workspace health counters.
   ExecuteIsaGauge().Set(static_cast<int64_t>(isa));
   PanelWidthHist().Record(static_cast<double>(width));
   PanelCount().Add(1);
   const uint64_t grown = ws->alloc_events() - allocs_before;
   HotPathAllocs().Add(grown);
   if (grown == 0) WorkspaceReuse().Add(1);
-  ExecuteLatencyUs().Record(execute_watch.ElapsedMicros());
   audit.latency_us = static_cast<uint64_t>(execute_watch.ElapsedMicros());
   obs::FlightRecorder::Global().Record(audit);
 }

@@ -206,7 +206,7 @@ class CrosswalkPlan {
 
   /// The materializing lane: WeightedSum → DivideRowsOrZero →
   /// ScaleRows → [fallback rebuild] → ColSumsDeterministic; fills
-  /// result's estimated_dm / target_estimates / zero_rows / timing.
+  /// result's estimated_dm / target_estimates / zero_rows.
   Status ExecuteMaterializing(common::ColumnView objective_source,
                               const linalg::Vector& beta,
                               common::ThreadPool* pool, ExecuteWorkspace* ws,

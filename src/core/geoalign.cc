@@ -78,7 +78,6 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
         "GeoAlign: kFallbackDm requires options.fallback_dm");
   }
   CrosswalkResult result;
-  Stopwatch watch;
   // The pool only changes who executes the fixed chunks, never the
   // combine order, so every thread count yields identical bits.
   std::unique_ptr<common::ThreadPool> pool =
@@ -89,8 +88,6 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
   GEOALIGN_ASSIGN_OR_RETURN(
       linalg::Vector beta,
       internal::SolveWeightsForDesign(system.first, system.second, options));
-  result.timing.Add("weight_learning", watch.ElapsedSeconds());
-  watch.Restart();
 
   // Step 2: disaggregation (Eq. 14). Effective per-reference weight
   // folds the β_k together with the normalization factor so a single
@@ -167,12 +164,9 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
     }
     estimated = builder.Build();
   }
-  result.timing.Add("disaggregation", watch.ElapsedSeconds());
-  watch.Restart();
 
   // Step 3: re-aggregation (Eq. 17).
   result.target_estimates = sparse::ColSumsDeterministic(estimated, pool.get());
-  result.timing.Add("reaggregation", watch.ElapsedSeconds());
 
   result.estimated_dm = std::move(estimated);
   result.weights = std::move(beta);

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "obs/timer.h"
 #include "core/crosswalk_input.h"
 
 namespace geoalign::core {
@@ -22,10 +21,6 @@ struct CrosswalkResult {
   /// Source rows whose denominator was zero and fell back (Eq. 14's
   /// "otherwise 0" branch).
   std::vector<size_t> zero_rows;
-
-  /// Wall-clock per phase: "weight_learning", "disaggregation",
-  /// "reaggregation" (the §4.3 breakdown).
-  PhaseTimer timing;
 
   /// max_i |row_sum(estimated_dm)[i] - a^s_o[i]| — 0 (up to float) for
   /// volume-preserving methods on consistent inputs (Eq. 16).

@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 
 namespace geoalign::core {
@@ -16,11 +15,6 @@ namespace {
 // Serving-surface telemetry (catalog: docs/observability.md). The
 // registry keys are shared with BatchCrosswalk so "realign.*" counts
 // every realigned column regardless of entry point.
-obs::Histogram& RealignLatencyUs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("realign.latency_us");
-  return h;
-}
 obs::Histogram& ColumnsPerBatch() {
   static obs::Histogram& h =
       obs::MetricsRegistry::Global().GetHistogram("realign.columns_per_batch");
@@ -180,6 +174,7 @@ Status CrosswalkPipeline::ResolveColumn(
 
 Result<CrosswalkResult> CrosswalkPipeline::RealignPerCall(
     linalg::Vector objective_source) const {
+  GEOALIGN_TRACE_SPAN("realign.per_call");
   CrosswalkInput input;
   input.objective_source = std::move(objective_source);
   input.references = references_;
@@ -195,12 +190,7 @@ Result<CrosswalkResult> CrosswalkPipeline::Realign(
   // request id even when the caller opened no RequestScope.
   obs::EnsureRequestScope ensure_request;
   GEOALIGN_TRACE_SPAN("realign");
-  obs::Stopwatch realign_watch;
   ColumnsTotal().Add(1);
-  struct LatencyRecorder {
-    obs::Stopwatch& watch;
-    ~LatencyRecorder() { RealignLatencyUs().Record(watch.ElapsedMicros()); }
-  } recorder{realign_watch};
   linalg::Vector objective_source;
   GEOALIGN_RETURN_IF_ERROR(
       ResolveColumn(objective, source_index_, &objective_source));
@@ -232,15 +222,16 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
   std::vector<Status> resolve_status(n);
   std::vector<std::optional<Result<CrosswalkResult>>> per_call(
       plan_ == nullptr ? n : 0);
-  common::ParallelForChunks(pool.get(), n, [&](size_t i) {
-    resolve_status[i] = ResolveColumn(objectives[i], source_index_,
-                                      &resolved[i]);
-    if (plan_ != nullptr || !resolve_status[i].ok()) return;
-    obs::RequestScope request_scope(request);
-    obs::Stopwatch column_watch;
-    per_call[i].emplace(RealignPerCall(std::move(resolved[i])));
-    RealignLatencyUs().Record(column_watch.ElapsedMicros());
-  });
+  {
+    GEOALIGN_TRACE_SPAN("realign.resolve");
+    common::ParallelForChunks(pool.get(), n, [&](size_t i) {
+      resolve_status[i] = ResolveColumn(objectives[i], source_index_,
+                                        &resolved[i]);
+      if (plan_ != nullptr || !resolve_status[i].ok()) return;
+      obs::RequestScope request_scope(request);
+      per_call[i].emplace(RealignPerCall(std::move(resolved[i])));
+    });
+  }
 
   if (plan_ != nullptr) {
     // Only the columns before the first unresolved one execute: any

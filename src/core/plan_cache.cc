@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "sparse/prepared_reference.h"
 
 namespace geoalign::core {
@@ -31,11 +30,6 @@ obs::Counter& CacheInsertRaces() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("plan_cache.insert_races");
   return c;
-}
-obs::Histogram& CacheCompileLatencyUs() {
-  static obs::Histogram& h = obs::MetricsRegistry::Global().GetHistogram(
-      "plan_cache.compile_latency_us");
-  return h;
 }
 
 }  // namespace
@@ -127,10 +121,8 @@ Result<std::shared_ptr<const CrosswalkPlan>> PlanCache::GetOrCompile(
 
   // Compile outside the lock: plan compilation walks every reference
   // DM and must not serialize concurrent callers on unrelated keys.
-  obs::Stopwatch compile_watch;
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan compiled,
                             CrosswalkPlan::Compile(references, options));
-  CacheCompileLatencyUs().Record(compile_watch.ElapsedMicros());
   auto plan =
       std::make_shared<const CrosswalkPlan>(std::move(compiled));
   if (capacity_ == 0) return plan;

@@ -18,7 +18,6 @@ Result<CrosswalkResult> RegressionBaseline::Crosswalk(
   size_t nt = input.NumTargetUnits();
   size_t num_refs = input.references.size();
   CrosswalkResult result;
-  Stopwatch watch;
 
   // Design matrix at source level; prediction matrix at target level.
   size_t cols = num_refs + (options_.include_intercept ? 1 : 0);
@@ -54,8 +53,6 @@ Result<CrosswalkResult> RegressionBaseline::Crosswalk(
     }
     coeffs = uniform;
   }
-  result.timing.Add("weight_learning", watch.ElapsedSeconds());
-  watch.Restart();
 
   result.target_estimates = predict.MatVec(*coeffs);
   if (options_.clamp_non_negative) {
@@ -63,7 +60,6 @@ Result<CrosswalkResult> RegressionBaseline::Crosswalk(
   }
   result.weights = std::move(coeffs).value();
   result.estimated_dm = sparse::CsrMatrix(ns, nt);
-  result.timing.Add("prediction", watch.ElapsedSeconds());
   return result;
 }
 

@@ -204,25 +204,36 @@ void FlightRecorder::Record(AuditRecord record) {
   const RequestToken& req = CurrentRequest();
   record.request_seq = req.seq;
   std::memcpy(record.request_id, req.id, sizeof(record.request_id));
+  uint64_t words[kRecordWords];
+  std::memcpy(words, &record, sizeof(words));
   Slot& slot = slots_[i % kCapacity];
-  // Per-slot seqlock: odd stamp while the record bytes are in flux,
-  // even (and derived from the ordinal, so monotonically increasing)
-  // once published.
-  slot.stamp.store(2 * i + 1, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.record = record;
-  std::atomic_thread_fence(std::memory_order_release);
+  // Per-slot seqlock: claim with the odd stamp, store the words, then
+  // publish with the even one. When another writer is filling the slot
+  // or it already holds a newer record, this record is dropped; either
+  // needs the whole ring to lap while a write is in flight.
+  uint64_t stamp = slot.stamp.load();
+  do {
+    if ((stamp & 1) != 0 || stamp > 2 * i) return;
+  } while (!slot.stamp.compare_exchange_weak(stamp, 2 * i + 1));
+  // Release: a reader that loads any new word also sees the odd stamp
+  // (or a later one) on its second check.
+  for (size_t w = 0; w < kRecordWords; ++w) {
+    slot.words[w].store(words[w], std::memory_order_release);
+  }
   slot.stamp.store(2 * i + 2, std::memory_order_release);
 }
 
 bool FlightRecorder::ReadSlot(size_t i, AuditRecord* out) const {
-  const uint64_t s1 = slots_[i].stamp.load(std::memory_order_acquire);
+  const Slot& slot = slots_[i];
+  const uint64_t s1 = slot.stamp.load(std::memory_order_acquire);
   if (s1 == 0 || (s1 & 1) != 0) return false;
-  std::atomic_thread_fence(std::memory_order_acquire);
-  *out = slots_[i].record;
-  std::atomic_thread_fence(std::memory_order_acquire);
-  const uint64_t s2 = slots_[i].stamp.load(std::memory_order_acquire);
-  return s1 == s2;
+  uint64_t words[kRecordWords];
+  for (size_t w = 0; w < kRecordWords; ++w) {
+    words[w] = slot.words[w].load(std::memory_order_acquire);
+  }
+  if (slot.stamp.load(std::memory_order_acquire) != s1) return false;
+  std::memcpy(out, words, sizeof(words));
+  return true;
 }
 
 std::vector<AuditRecord> FlightRecorder::Collect() const {

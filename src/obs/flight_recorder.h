@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/request_context.h"
@@ -21,8 +22,8 @@
 //
 // Unlike metrics and spans, recording is NOT gated on obs::Enabled():
 // the recorder exists precisely for the runs nobody thought to
-// instrument. One Record is a seqlock-stamped struct copy (~tens of
-// ns per plan execute, which itself costs microseconds to seconds).
+// instrument. One Record is a seqlock-stamped word-by-word copy (~tens
+// of ns per plan execute, which itself costs microseconds to seconds).
 //
 // Dump format: one JSON object per line.
 //   {"type":"header","reason":"demand|fatal|signal","in_flight":[ids]}
@@ -51,6 +52,10 @@ struct AuditRecord {
   uint32_t fallback = 0;  ///< DM fallback rebuilds triggered
   uint32_t ok = 1;
 };
+// A ring slot holds a record as whole atomic words.
+static_assert(sizeof(AuditRecord) % sizeof(uint64_t) == 0);
+static_assert(std::is_trivially_copyable_v<AuditRecord>);
+static_assert(std::atomic<uint64_t>::is_always_lock_free);
 
 /// Fixed-capacity ring of AuditRecords. Writers claim slots with one
 /// fetch_add and publish with a per-slot seqlock stamp; readers (and
@@ -91,10 +96,15 @@ class FlightRecorder {
   void Clear();
 
  private:
+  static constexpr size_t kRecordWords =
+      sizeof(AuditRecord) / sizeof(uint64_t);
   struct Slot {
     /// 0 = empty; odd = write in progress; even nonzero = published.
+    /// Ordinal i writes 2i + 1 then 2i + 2, so stamps only grow.
     std::atomic<uint64_t> stamp{0};
-    AuditRecord record;
+    /// The record's bytes; a reader racing a writer loads words, never
+    /// a half-copied struct.
+    std::atomic<uint64_t> words[kRecordWords];
   };
 
   bool ReadSlot(size_t i, AuditRecord* out) const;

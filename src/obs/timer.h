@@ -3,8 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace geoalign::obs {
 
@@ -46,36 +44,6 @@ class Stopwatch {
   int64_t start_ = 0;
 };
 
-/// Accumulates named phase timings (e.g. "weight_learning",
-/// "disaggregation", "reaggregation") so experiments can report the
-/// per-phase breakdown the paper discusses in §4.3.
-class PhaseTimer {
- public:
-  /// Adds `seconds` to the named phase (created on first use).
-  void Add(const std::string& phase, double seconds);
-
-  /// Total over all phases.
-  double TotalSeconds() const;
-
-  /// Seconds recorded for `phase` (0 if never recorded).
-  double Seconds(const std::string& phase) const;
-
-  /// Phase names in insertion order.
-  std::vector<std::string> Phases() const;
-
-  void Clear();
-
- private:
-  std::vector<std::pair<std::string, double>> entries_;
-};
-
 }  // namespace geoalign::obs
-
-namespace geoalign {
-// Historical spellings: Stopwatch/PhaseTimer predate the obs subsystem
-// and are used throughout core/bench; keep them reachable unqualified.
-using obs::PhaseTimer;
-using obs::Stopwatch;
-}  // namespace geoalign
 
 #endif  // GEOALIGN_OBS_TIMER_H_

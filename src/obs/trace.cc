@@ -142,6 +142,28 @@ std::string TraceRecorder::ExportChromeTrace() const {
   return out;
 }
 
+void ScopedSpan::Close() {
+  const int64_t end_ticks = NowTicks();
+  --internal::ThreadSpanDepth();
+  SpanEvent event;
+  event.name = site_->name;
+  event.start_ticks = start_ticks_;
+  event.end_ticks = end_ticks;
+  event.depth = depth_;
+  event.request_seq = request_seq_;
+  TraceRecorder::Global().Record(event);
+
+  Histogram* latency = site_->latency_us.load(std::memory_order_acquire);
+  if (latency == nullptr) {
+    // First close at this site. Racing first closes get the same
+    // histogram back from the registry, so either store is right.
+    latency = &MetricsRegistry::Global().GetHistogram(
+        std::string(site_->name) + ".latency_us");
+    site_->latency_us.store(latency, std::memory_order_release);
+  }
+  latency->Record(TicksToMicros(end_ticks - start_ticks_));
+}
+
 namespace internal {
 
 uint32_t& ThreadSpanDepth() {

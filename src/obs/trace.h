@@ -1,6 +1,7 @@
 #ifndef GEOALIGN_OBS_TRACE_H_
 #define GEOALIGN_OBS_TRACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,36 +105,42 @@ namespace internal {
 uint32_t& ThreadSpanDepth();
 }  // namespace internal
 
-/// RAII timed span; records into the global TraceRecorder on
-/// destruction. Inert (two relaxed loads, no clock read) while
-/// telemetry is disabled. Use via GEOALIGN_TRACE_SPAN.
+class Histogram;
+
+/// One GEOALIGN_TRACE_SPAN call site: the span name and its
+/// `<name>.latency_us` histogram, looked up in the global registry at
+/// the site's first close and cached here. Constant-initialized
+/// (`constinit`), so the function-local static costs no guard.
+struct SpanSite {
+  const char* const name;
+  std::atomic<Histogram*> latency_us{nullptr};
+};
+
+/// RAII timed span; on destruction records into the global
+/// TraceRecorder and its site's latency histogram (µs). Inert (two
+/// relaxed loads, no clock read, no registry access) while telemetry
+/// is disabled. Use via GEOALIGN_TRACE_SPAN.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name) {
+  explicit ScopedSpan(SpanSite& site) {
     if (!Enabled()) return;
-    name_ = name;
+    site_ = &site;
     depth_ = ++internal::ThreadSpanDepth();
     request_seq_ = CurrentRequestSeq();
     start_ticks_ = NowTicks();
   }
 
   ~ScopedSpan() {
-    if (name_ == nullptr) return;
-    --internal::ThreadSpanDepth();
-    SpanEvent event;
-    event.name = name_;
-    event.start_ticks = start_ticks_;
-    event.end_ticks = NowTicks();
-    event.depth = depth_;
-    event.request_seq = request_seq_;
-    TraceRecorder::Global().Record(event);
+    if (site_ != nullptr) Close();
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  const char* name_ = nullptr;
+  void Close();
+
+  SpanSite* site_ = nullptr;
   int64_t start_ticks_ = 0;
   uint32_t depth_ = 0;
   uint64_t request_seq_ = 0;
@@ -143,11 +150,17 @@ class ScopedSpan {
 #define GEOALIGN_OBS_CONCAT(a, b) GEOALIGN_OBS_CONCAT_INNER(a, b)
 
 /// GEOALIGN_TRACE_SPAN("execute.weight_solve"); — times the enclosing
-/// scope as a nested per-thread span. Span naming convention
-/// (docs/observability.md): lowercase dotted paths, `<stage>.<step>`.
-#define GEOALIGN_TRACE_SPAN(name)                 \
-  ::geoalign::obs::ScopedSpan GEOALIGN_OBS_CONCAT(\
-      geoalign_trace_span_, __COUNTER__)(name)
+/// scope as a nested per-thread span and a sample of the
+/// `execute.weight_solve.latency_us` histogram. `name` must be a
+/// string literal (`"" name` rejects anything else at compile time).
+/// Span naming convention (docs/observability.md): lowercase dotted
+/// paths, `<stage>.<step>`.
+#define GEOALIGN_TRACE_SPAN(name) GEOALIGN_OBS_TRACE_SPAN_AT(name, __COUNTER__)
+#define GEOALIGN_OBS_TRACE_SPAN_AT(name, n)                                  \
+  static constinit ::geoalign::obs::SpanSite GEOALIGN_OBS_CONCAT(            \
+      geoalign_trace_site_, n){"" name};                                     \
+  ::geoalign::obs::ScopedSpan GEOALIGN_OBS_CONCAT(geoalign_trace_span_, n)(  \
+      GEOALIGN_OBS_CONCAT(geoalign_trace_site_, n))
 
 }  // namespace geoalign::obs
 

@@ -12,7 +12,6 @@
 #include "geom/boolean_ops.h"
 #include "geom/predicates.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 #include "partition/overlay_prepared.h"
 #include "sparse/coo_builder.h"
@@ -46,11 +45,6 @@ obs::Counter& HotPathAllocs() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("overlay.hot_path_allocs");
   return c;
-}
-obs::Histogram& ClipLatencyUs() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Global().GetHistogram("overlay.clip_latency_us");
-  return h;
 }
 
 bool CellLess(const IntersectionCell& a, const IntersectionCell& b) {
@@ -185,9 +179,14 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   // of this for every candidate pair. A warm caller-owned workspace
   // re-overlaying the same partitions serves these from its cache and
   // skips the Build entirely. Allocation is fine here.
+  {
+    GEOALIGN_TRACE_SPAN("overlay.prepare");
+    ws.Prepare(ws.Prepared(0, source), ws.Prepared(1, target),
+               (pool ? pool->size() : 0) + 1);
+  }
+  // Cache hits: the block above built both layers.
   const PreparedOverlayLayer& prep_s = ws.Prepared(0, source);
   const PreparedOverlayLayer& prep_t = ws.Prepared(1, target);
-  ws.Prepare(prep_s, prep_t, (pool ? pool->size() : 0) + 1);
   const uint64_t allocs_before = ws.alloc_events();
 
   // Candidate generation: one simultaneous descent of both R-trees
@@ -197,6 +196,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   // per-target queries produced.
   std::vector<std::pair<uint32_t, uint32_t>>& pairs = ws.pair_buffer();
   if (!ws.pairs_cached()) {
+    GEOALIGN_TRACE_SPAN("overlay.join");
     const size_t pairs_cap_before = pairs.capacity();
     source.rtree().DualTreeJoin(target.rtree(), &pairs);
     if (pairs.capacity() != pairs_cap_before) ws.CountGrowth(1);
@@ -218,8 +218,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
     uint32_t growths = 0;
   };
   std::array<ChunkStats, common::kMaxChunks> stats;
-  common::ParallelForChunks(pool.get(), chunks.size(), [&](size_t ci) {
-    obs::Stopwatch clip_watch;
+  auto clip_chunk = [&](size_t ci) {
     size_t wi = common::ThreadPool::CurrentWorkerIndex();
     geom::FanScratch& scratch = ws.slot(
         outer_inline || wi == common::ThreadPool::kNoWorkerIndex ? 0 : wi + 1);
@@ -275,9 +274,15 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
     }
     // GEOALIGN_HOT_LOOP_END
     if (cells.capacity() != cells_cap_before) ++st.growths;
-    ClipLatencyUs().Record(clip_watch.ElapsedMicros());
-  });
+  };
+  {
+    GEOALIGN_TRACE_SPAN("overlay.clip");
+    common::ParallelForChunks(pool.get(), chunks.size(), clip_chunk);
+  }
 
+  // The rest of the call: concatenate the chunk cell lists, sort, and
+  // flush the counters.
+  GEOALIGN_TRACE_SPAN("overlay.sort");
   uint64_t pruned = 0;
   uint64_t contain_hits = 0;
   uint64_t convex_hits = 0;

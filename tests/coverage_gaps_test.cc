@@ -1,12 +1,11 @@
 // Small coverage pass over public surfaces not exercised elsewhere:
-// centroids with holes, interpolator names, timer reset, WKT numeric
-// fidelity, misc accessors.
+// centroids with holes, interpolator names, WKT numeric fidelity,
+// misc accessors.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "obs/timer.h"
 #include "core/areal_weighting.h"
 #include "core/dasymetric.h"
 #include "core/geoalign.h"
@@ -56,14 +55,6 @@ TEST(InterpolatorNames, AreStable) {
   EXPECT_EQ(core::RegressionBaseline().name(), "regression");
   EXPECT_EQ(core::ThreeClassDasymetric(sparse::CsrMatrix(1, 1)).name(),
             "3-class dasymetric");
-}
-
-TEST(PhaseTimer, ClearResets) {
-  PhaseTimer t;
-  t.Add("x", 1.0);
-  t.Clear();
-  EXPECT_DOUBLE_EQ(t.TotalSeconds(), 0.0);
-  EXPECT_TRUE(t.Phases().empty());
 }
 
 TEST(BoxStats, SingleElement) {

@@ -278,6 +278,55 @@ TEST_F(ObsExportTest, FlightRecorderRingKeepsNewestOnWrap) {
   EXPECT_EQ(got.back().seq, total);
 }
 
+// Every field of the record published for `c` derives from c, so a
+// record mixing two writes shows.
+obs::AuditRecord RecordFor(uint64_t c) {
+  obs::AuditRecord r;
+  r.plan_fingerprint = c * 0x9E3779B97F4A7C15ULL;
+  std::snprintf(r.mode, sizeof(r.mode), "m%llu",
+                static_cast<unsigned long long>(c));
+  r.panel_width = static_cast<uint32_t>(c);
+  r.isa = static_cast<uint32_t>(c >> 7);
+  r.rows = c;
+  r.latency_us = c + 1;
+  r.zero_rows = ~c;
+  r.fallback = static_cast<uint32_t>(c * 3);
+  r.ok = static_cast<uint32_t>(c & 1);
+  return r;
+}
+
+TEST_F(ObsExportTest, FlightRecorderCollectIsConsistentUnderWriters) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  constexpr uint64_t kWriters = 4;
+  constexpr uint64_t kPerWriter = 20000;
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (uint64_t t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&recorder, t] {
+      for (uint64_t i = 0; i < kPerWriter; ++i) {
+        recorder.Record(RecordFor(t * kPerWriter + i));
+      }
+    });
+  }
+  uint64_t checked = 0;
+  uint64_t torn = 0;
+  auto check = [&](const std::vector<obs::AuditRecord>& records) {
+    for (const obs::AuditRecord& r : records) {
+      obs::AuditRecord want = RecordFor(r.rows);
+      want.seq = r.seq;  // stamped by Record
+      if (std::memcmp(&want, &r, sizeof(r)) != 0) ++torn;
+      ++checked;
+    }
+  };
+  while (recorder.TotalRecorded() < kWriters * kPerWriter) {
+    check(recorder.Collect());
+  }
+  for (std::thread& th : writers) th.join();
+  check(recorder.Collect());
+  EXPECT_EQ(torn, 0u) << "of " << checked << " records";
+  EXPECT_GE(checked, obs::FlightRecorder::kCapacity / 2);
+}
+
 TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   obs::RequestScope scope("dump-req");

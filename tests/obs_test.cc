@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,6 +179,24 @@ TEST_F(ObsTest, SpansNestAndOrder) {
   // All on the one test thread.
   EXPECT_EQ(spans[1].thread_index, spans[0].thread_index);
   EXPECT_EQ(spans[2].thread_index, spans[0].thread_index);
+
+  // A second call site with an existing name feeds the same histogram,
+  // and each name's histogram holds one sample per recorded span.
+  {
+    GEOALIGN_TRACE_SPAN("test.inner_a");
+  }
+  std::map<std::string, uint64_t> events;
+  for (const obs::SpanEvent& s : obs::TraceRecorder::Global().Collect()) {
+    ++events[s.name];
+  }
+  EXPECT_EQ(events["test.inner_a"], 2u);
+  for (const auto& [name, count] : events) {
+    EXPECT_EQ(obs::MetricsRegistry::Global()
+                  .GetHistogram(name + ".latency_us")
+                  .Count(),
+              count)
+        << name;
+  }
 }
 
 TEST_F(ObsTest, SpansAreInertWhileDisabled) {
@@ -187,6 +206,11 @@ TEST_F(ObsTest, SpansAreInertWhileDisabled) {
   }
   obs::SetEnabled(true);
   EXPECT_TRUE(obs::TraceRecorder::Global().Collect().empty());
+  // Nor did it register its latency histogram.
+  for (const obs::HistogramSnapshot& h :
+       obs::MetricsRegistry::Global().Snapshot().histograms) {
+    EXPECT_NE(h.name, "test.should_not_record.latency_us");
+  }
 }
 
 TEST_F(ObsTest, ChromeTraceExportMatchesSchema) {
@@ -298,6 +322,14 @@ TEST_F(ObsTest, CrosswalkEmitsServingPathSpansAndCounters) {
   EXPECT_GE(reg.GetCounter("execute.count").Value(), 1u);
   EXPECT_GE(reg.GetCounter("weight_solve.simplex").Value(), 1u);
   EXPECT_GE(reg.GetHistogram("execute.latency_us").Count(), 1u);
+  // Every span feeds its own latency histogram, one sample per close.
+  for (const char* name :
+       {"compile.latency_us", "execute.latency_us",
+        "execute.weight_solve.latency_us",
+        "execute.eq14_disaggregate.latency_us",
+        "execute.eq17_reaggregate.latency_us"}) {
+    EXPECT_EQ(reg.GetHistogram(name).Count(), 1u) << name;
+  }
 
   std::vector<obs::SpanEvent> spans = obs::TraceRecorder::Global().Collect();
   auto has_span = [&spans](const char* name) {
@@ -319,7 +351,7 @@ TEST_F(ObsTest, SummaryTableMentionsRecordedMetrics) {
   EXPECT_NE(table.find("obs_test.summary"), std::string::npos);
 }
 
-TEST_F(ObsTest, StopwatchAndPhaseTimerShareSteadyClockPolicy) {
+TEST_F(ObsTest, StopwatchFollowsSteadyClockPolicy) {
   obs::Stopwatch watch;
   int64_t t0 = obs::NowTicks();
   int64_t t1 = obs::NowTicks();

@@ -939,6 +939,27 @@ TEST(PlanEquivalenceTest, AlignedPipelineRealignManyServesPanelsBitIdentically) 
               std::string::npos)
         << precedence.status().message();
   }
+
+  // Telemetry: a 64-column call at 4 threads closes one execute.panel
+  // span per panel and one execute.weight_solve span per column, each
+  // a sample of its latency histogram.
+  const bool saved_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  std::vector<core::CrosswalkPipeline::Column> wide;
+  for (size_t i = 0; i < 64; ++i) wide.push_back(columns[i % columns.size()]);
+  obs::Histogram& panel_latency =
+      obs::MetricsRegistry::Global().GetHistogram("execute.panel.latency_us");
+  obs::Histogram& solve_latency = obs::MetricsRegistry::Global().GetHistogram(
+      "execute.weight_solve.latency_us");
+  const uint64_t panels_before = panel_latency.Count();
+  const uint64_t solves_before = solve_latency.Count();
+  ASSERT_TRUE(pipeline
+                  .RealignMany(wide, 4, core::ExecuteOutput::kAggregatesOnly)
+                  .ok());
+  const size_t width = pipeline.plan()->panel_width();
+  EXPECT_EQ(panel_latency.Count() - panels_before, (64 + width - 1) / width);
+  EXPECT_EQ(solve_latency.Count() - solves_before, 64u);
+  obs::SetEnabled(saved_enabled);
 }
 
 TEST(PlanEquivalenceTest, BatchMatchesCrosswalkBitIdentically) {

@@ -51,7 +51,9 @@
 #           and --trace-out under GEOALIGN_TELEMETRY=0 (proving the
 #           output flags implicitly enable telemetry), validate both
 #           outputs parse as JSON (the trace must be Chrome trace-event
-#           shaped, i.e. carry a traceEvents array), then re-run with
+#           shaped, i.e. carry a traceEvents array, and every span name
+#           in it must have a <name>.latency_us histogram counting its
+#           events), then re-run with
 #           --metrics-format=prom and --flight-recorder-out and
 #           validate the Prometheus exposition (every histogram's
 #           _count equals its +Inf bucket) and the flight-recorder
@@ -165,8 +167,18 @@ assert metrics["counters"].get("compile.count", 0) >= 1, (
 with open(sys.argv[2]) as f:
     trace = json.load(f)
 assert isinstance(trace.get("traceEvents"), list), type(trace)
+# Each span name feeds <name>.latency_us with one sample per close. The
+# run stays far below the 8192-span ring, so no span was dropped.
+spans = {}
+for event in trace["traceEvents"]:
+    spans[event["name"]] = spans.get(event["name"], 0) + 1
+assert spans, "no spans in the trace"
+for name, count in sorted(spans.items()):
+    hist = metrics["histograms"].get(name + ".latency_us")
+    assert hist is not None and hist["count"] == count, (name, count, hist)
 print("obs gate: metrics + trace both parse; "
-      f"{len(trace['traceEvents'])} trace event(s)")
+      f"{len(trace['traceEvents'])} trace event(s) over {len(spans)} "
+      "span name(s), each matched by its latency histogram")
 EOF
   local rc=$?
   [[ $rc -ne 0 ]] && { rm -rf "$dir"; return "$rc"; }

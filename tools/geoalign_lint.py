@@ -43,10 +43,10 @@ documented in docs/static_analysis.md:
   geoalign-raw-clock
       No raw `std::chrono::*_clock::now()` in library code (src/)
       outside src/obs/. Time reads must go through the obs timing
-      primitives (obs::NowTicks, obs::Stopwatch, obs::PhaseTimer,
-      GEOALIGN_TRACE_SPAN) so the whole tree shares one steady_clock
-      policy and timing shows up in the telemetry exports instead of in
-      ad-hoc locals. See docs/observability.md.
+      primitives (obs::NowTicks, obs::Stopwatch, GEOALIGN_TRACE_SPAN)
+      so the whole tree shares one steady_clock policy and timing
+      shows up in the telemetry exports instead of in ad-hoc locals.
+      See docs/observability.md.
 
   geoalign-hot-alloc
       No heap allocation inside a marked hot loop in src/sparse/,
