@@ -347,7 +347,7 @@ std::vector<SweepSample> PanelWidthSweep(
       s.width = width;
       s.seconds = 1e300;
       core::ExecuteWorkspace ws;
-      ws.Prepare(plan.workspace_spec(), /*slots=*/1);
+      ws.Prepare(plan.workspace_spec());
       ws.PreparePanel(plan.workspace_spec(),
                       std::min(width, objectives.size()));
       std::vector<core::CrosswalkResult> results =

@@ -177,17 +177,17 @@ core::CrosswalkResult ExecuteWarm(const core::CrosswalkPlan& plan,
                                   common::ColumnView objective, size_t reps,
                                   double* seconds, uint64_t* hot_allocs) {
   core::ExecuteWorkspace ws;
-  ws.Prepare(plan.workspace_spec(), /*slots=*/1);
-  auto warm = plan.ExecuteWith(objective, /*pool=*/nullptr,
-                               core::ExecuteOutput::kAggregatesOnly, &ws);
+  ws.Prepare(plan.workspace_spec());
+  auto warm =
+      plan.Execute(objective, core::ExecuteOutput::kAggregatesOnly, &ws);
   warm.status().CheckOK();
   const uint64_t allocs_before = CounterValue("execute.hot_path_allocs");
   *seconds = 1e300;
   core::CrosswalkResult last = std::move(warm).value();
   for (size_t rep = 0; rep < reps; ++rep) {
     obs::Stopwatch watch;
-    auto res = plan.ExecuteWith(objective, /*pool=*/nullptr,
-                                core::ExecuteOutput::kAggregatesOnly, &ws);
+    auto res =
+        plan.Execute(objective, core::ExecuteOutput::kAggregatesOnly, &ws);
     res.status().CheckOK();
     *seconds = std::min(*seconds, watch.ElapsedSeconds());
     last = std::move(res).value();

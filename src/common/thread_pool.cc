@@ -160,12 +160,4 @@ void ParallelForChunks(ThreadPool* pool, size_t num_chunks,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t, size_t)>& fn) {
-  std::vector<ChunkRange> chunks = DeterministicChunks(n, grain);
-  ParallelForChunks(pool, chunks.size(), [&](size_t c) {
-    fn(c, chunks[c].begin, chunks[c].end);
-  });
-}
-
 }  // namespace geoalign::common

@@ -47,9 +47,9 @@ class ThreadPool {
 
   /// Index of the calling thread within the pool that spawned it
   /// ([0, size())), or kNoWorkerIndex when the caller is not a pool
-  /// worker. Lets chunked kernels pick a private scratch slot without
+  /// worker. Lets fan-out tasks pick a private scratch slot without
   /// any synchronization. Note the index identifies the thread within
-  /// its *owning* pool — a kernel running inline on a worker of some
+  /// its *owning* pool — a fan-out running inline on a worker of some
   /// outer pool must key its slot choice off whether *its own*
   /// invocation was pooled, not off this value alone.
   static size_t CurrentWorkerIndex();
@@ -93,7 +93,7 @@ struct ChunkRange {
 std::vector<ChunkRange> DeterministicChunks(size_t n, size_t grain);
 
 /// Upper bound on the number of chunks DeterministicChunks emits;
-/// bounds the transient memory of chunked reductions.
+/// bounds the per-chunk buffers of a fan-out.
 inline constexpr size_t kMaxChunks = 512;
 
 /// Runs fn(chunk_index) for every chunk_index in [0, num_chunks).
@@ -105,32 +105,6 @@ inline constexpr size_t kMaxChunks = 512;
 /// throwing one are never started).
 void ParallelForChunks(ThreadPool* pool, size_t num_chunks,
                        const std::function<void(size_t)>& fn);
-
-/// Chunked parallel loop over [0, n): fn(chunk_index, begin, end) is
-/// called once per deterministic chunk. Same execution and exception
-/// semantics as ParallelForChunks.
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t, size_t)>& fn);
-
-/// Deterministic chunked reduction: partials[c] = chunk_fn(begin_c,
-/// end_c) computed possibly in parallel, then combine(acc, partial)
-/// applied in chunk-index order. Per the DeterministicChunks contract
-/// the result is bit-identical for every pool size. T must be
-/// default-constructible and movable.
-template <typename T, typename ChunkFn, typename CombineFn>
-T ParallelReduceOrdered(ThreadPool* pool, size_t n, size_t grain, T init,
-                        const ChunkFn& chunk_fn, const CombineFn& combine) {
-  std::vector<ChunkRange> chunks = DeterministicChunks(n, grain);
-  std::vector<T> partials(chunks.size());
-  ParallelForChunks(pool, chunks.size(), [&](size_t c) {
-    partials[c] = chunk_fn(chunks[c].begin, chunks[c].end);
-  });
-  T acc = std::move(init);
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    combine(acc, std::move(partials[c]));
-  }
-  return acc;
-}
 
 }  // namespace geoalign::common
 

@@ -319,15 +319,8 @@ Result<linalg::Vector> CrosswalkPlan::LearnWeights(
 }
 
 Result<CrosswalkResult> CrosswalkPlan::Execute(
-    common::ColumnView objective_source, ExecuteOutput output) const {
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(options_.threads));
-  return ExecuteWith(objective_source, pool.get(), output, nullptr);
-}
-
-Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
-    common::ColumnView objective_source, common::ThreadPool* pool,
-    ExecuteOutput output, ExecuteWorkspace* workspace) const {
+    common::ColumnView objective_source, ExecuteOutput output,
+    ExecuteWorkspace* workspace) const {
   // A wrong-length column fails before the execute span opens, so it
   // leaves no audit record.
   if (objective_source.size() != prepared_.num_source()) {
@@ -363,10 +356,10 @@ Result<CrosswalkResult> CrosswalkPlan::ExecuteWith(
     if (output == ExecuteOutput::kAggregatesOnly && prepared_.aligned()) {
       audit_mode = "fused";
       GEOALIGN_RETURN_IF_ERROR(
-          ExecuteFusedAggregates(objective_source, beta, pool, ws, &result));
+          ExecuteFusedAggregates(objective_source, beta, ws, &result));
     } else {
       GEOALIGN_RETURN_IF_ERROR(
-          ExecuteMaterializing(objective_source, beta, pool, ws, &result));
+          ExecuteMaterializing(objective_source, beta, ws, &result));
       if (output == ExecuteOutput::kAggregatesOnly) {
         result.estimated_dm = sparse::CsrMatrix();
       }
@@ -420,8 +413,7 @@ const linalg::Vector& CrosswalkPlan::EffectiveWeights(
 
 Status CrosswalkPlan::ExecuteMaterializing(
     common::ColumnView objective_source, const linalg::Vector& beta,
-    common::ThreadPool* pool, ExecuteWorkspace* ws,
-    CrosswalkResult* result) const {
+    ExecuteWorkspace* ws, CrosswalkResult* result) const {
   sparse::CsrMatrix estimated;
   std::vector<size_t> zero_rows;
   {
@@ -431,8 +423,8 @@ Status CrosswalkPlan::ExecuteMaterializing(
 
     Result<sparse::CsrMatrix> summed =
         prepared_.aligned()
-            ? sparse::WeightedSumAligned(prepared_.dms(), effective, pool)
-            : sparse::WeightedSum(prepared_.dms(), effective, pool);
+            ? sparse::WeightedSumAligned(prepared_.dms(), effective)
+            : sparse::WeightedSum(prepared_.dms(), effective);
     GEOALIGN_ASSIGN_OR_RETURN(sparse::CsrMatrix numerator, std::move(summed));
 
     linalg::Vector row_sums;
@@ -451,7 +443,7 @@ Status CrosswalkPlan::ExecuteMaterializing(
     }
 
     sparse::DivideRowsOrZero(numerator, *denom, options_.zero_tolerance,
-                             &zero_rows, pool);
+                             &zero_rows);
     numerator.ScaleRows(objective_source);
     estimated = std::move(numerator);
 
@@ -489,7 +481,7 @@ Status CrosswalkPlan::ExecuteMaterializing(
   {
     // Step 3: re-aggregation (Eq. 17).
     GEOALIGN_TRACE_SPAN("execute.eq17_reaggregate");
-    result->target_estimates = sparse::ColSumsDeterministic(estimated, pool);
+    result->target_estimates = estimated.ColSums();
   }
 
   result->estimated_dm = std::move(estimated);
@@ -499,8 +491,7 @@ Status CrosswalkPlan::ExecuteMaterializing(
 
 Status CrosswalkPlan::ExecuteFusedAggregates(
     common::ColumnView objective_source, const linalg::Vector& beta,
-    common::ThreadPool* pool, ExecuteWorkspace* ws,
-    CrosswalkResult* result) const {
+    ExecuteWorkspace* ws, CrosswalkResult* result) const {
   GEOALIGN_TRACE_SPAN("execute.fused");
   const linalg::Vector& effective = EffectiveWeights(beta, ws);
 
@@ -529,7 +520,7 @@ Status CrosswalkPlan::ExecuteFusedAggregates(
 
   GEOALIGN_RETURN_IF_ERROR(sparse::FusedAggregatesAligned(
       in, workspace_spec_.fused, &result->target_estimates,
-      &result->zero_rows, &ws->fused(), pool));
+      &result->zero_rows, &ws->fused()));
 
   if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
       !result->zero_rows.empty()) {
@@ -557,9 +548,8 @@ void CrosswalkPlan::ExecutePanelWith(
     // Serving loops only route aligned plans here; keep the entry
     // total by degrading to the per-column lane.
     for (size_t i = 0; i < count; ++i) {
-      results[i]->emplace(ExecuteWith(objectives[i], nullptr,
-                                      ExecuteOutput::kAggregatesOnly,
-                                      workspace));
+      results[i]->emplace(
+          Execute(objectives[i], ExecuteOutput::kAggregatesOnly, workspace));
     }
     return;
   }
@@ -586,28 +576,15 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   const size_t width = panels ? panel_width() : 1;
   const size_t num_tasks = (n + width - 1) / width;
 
-  // The scheduling rule: several tasks on a pool fan out with their
-  // kernels inline (no oversubscription); otherwise the tasks run in
-  // order and the kernels get the pool — the caller's, or one of
-  // options().threads. The panel kernel takes no pool, so panels never
-  // start one.
+  // Several tasks on a pool fan out; otherwise they run in order on
+  // the calling thread.
   const bool fan_out = pool != nullptr && pool->size() > 1 && num_tasks > 1;
-  std::unique_ptr<common::ThreadPool> own_pool;
-  common::ThreadPool* kernel_pool = nullptr;
-  if (!fan_out && !panels) {
-    if (pool == nullptr) {
-      own_pool =
-          common::MakePoolOrNull(common::ResolveThreadCount(options_.threads));
-    }
-    kernel_pool = pool != nullptr ? pool : own_pool.get();
-  }
 
   // One workspace per worker slot (slot 0 for in-order tasks), sized
   // once from the compiled spec so steady-state tasks grow nothing.
   std::vector<ExecuteWorkspace> bank(fan_out ? pool->size() + 1 : 1);
   for (ExecuteWorkspace& ws : bank) {
-    ws.Prepare(workspace_spec_,
-               kernel_pool != nullptr ? kernel_pool->size() + 1 : 1);
+    ws.Prepare(workspace_spec_);
     if (panels) ws.PreparePanel(workspace_spec_, std::min(width, n));
   }
 
@@ -627,7 +604,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
       for (size_t k = 0; k < count; ++k) slots[k] = &results[begin + k];
       ExecutePanelWith(objectives.data() + begin, slots.data(), count, &ws);
     } else {
-      results[t].emplace(ExecuteWith(objectives[t], kernel_pool, output, &ws));
+      results[t].emplace(Execute(objectives[t], output, &ws));
     }
   });
 

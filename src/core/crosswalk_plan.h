@@ -38,7 +38,11 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 /// {ScaleMode, WeightSolver, DenominatorMode, ZeroRowFallback} ×
 /// threads combination, `Compile(input, opts) → Execute(obj)` produces
 /// exactly the bits of the legacy per-call path (`CrosswalkUncompiled`
-/// in core/geoalign.h). The hoisted quantities make that possible:
+/// in core/geoalign.h). One column runs on one thread, so thread
+/// count never enters the arithmetic, and Eq. 17's `target_estimates`
+/// are exactly `estimated_dm.ColSums()`: every lane adds each target's
+/// terms in ascending source-row order. The hoisted quantities make
+/// the rest possible:
 ///  - the simplex solve goes through SolveSimplexLsFromNormalEquations,
 ///    which is the literal tail of SolveSimplexLeastSquares, so a
 ///    precomputed Gram matrix changes nothing;
@@ -90,30 +94,26 @@ class CrosswalkPlan {
   CrosswalkPlan& operator=(const CrosswalkPlan&) = delete;
 
   /// Runs weight learning (Eq. 15) + disaggregation (Eq. 14) +
-  /// re-aggregation (Eq. 17) for one objective column, spinning up a
-  /// pool per `options().threads` (the legacy Crosswalk behaviour).
-  /// Objective columns are borrowed views (a `linalg::Vector` converts
-  /// implicitly) valid for the duration of the call only. `output`
-  /// selects the result shape: ExecuteOutput::kAggregatesOnly takes the
-  /// fused Eq. 14+17 lane (aligned reference structures) and never
-  /// materializes DM̂_o.
+  /// re-aggregation (Eq. 17) for one objective column on the calling
+  /// thread. Objective columns are borrowed views (a `linalg::Vector`
+  /// converts implicitly) valid for the duration of the call only.
+  /// `output` selects the result shape: ExecuteOutput::kAggregatesOnly
+  /// takes the fused Eq. 14+17 lane (aligned reference structures) and
+  /// never materializes DM̂_o.
+  ///
+  /// `workspace` is an optional reusable arena (sized per
+  /// workspace_spec(); grown only if needed, so steady-state executes
+  /// through a prepared workspace perform zero hot-path buffer growth —
+  /// the `execute.hot_path_allocs` / `execute.workspace_reuse`
+  /// counters). A workspace serves one execute at a time; nullptr uses
+  /// a per-call local one. Bit-identity: output shape and workspace
+  /// reuse never change any produced value — `target_estimates`,
+  /// `weights`, and `zero_rows` carry exactly the kFullDm/no-workspace
+  /// bits.
   Result<CrosswalkResult> Execute(
       common::ColumnView objective_source,
-      ExecuteOutput output = ExecuteOutput::kFullDm) const;
-
-  /// Full serving-path entry: output shape plus an optional reusable
-  /// workspace (sized per workspace_spec(); grown only if needed, so
-  /// steady-state executes through a prepared workspace perform zero
-  /// hot-path buffer growth — the `execute.hot_path_allocs` /
-  /// `execute.workspace_reuse` counters). A workspace serves one
-  /// concurrent execute at a time; nullptr uses a per-call local one.
-  /// Bit-identity: output shape and workspace reuse never change any
-  /// produced value — `target_estimates`, `weights`, and `zero_rows`
-  /// carry exactly the kFullDm/no-workspace bits.
-  Result<CrosswalkResult> ExecuteWith(common::ColumnView objective_source,
-                                      common::ThreadPool* pool,
-                                      ExecuteOutput output,
-                                      ExecuteWorkspace* workspace) const;
+      ExecuteOutput output = ExecuteOutput::kFullDm,
+      ExecuteWorkspace* workspace = nullptr) const;
 
   /// Executes `count` objective columns as fused column panels
   /// (aggregates-only): weight learning stays scalar per column, then
@@ -122,8 +122,8 @@ class CrosswalkPlan {
   /// dispatched on the active ISA (sparse/simd/). `results[i]`
   /// receives column i's result or error — the same per-column
   /// statuses and exactly the same bits as per-column
-  /// ExecuteWith(kAggregatesOnly) calls, at every panel width, ISA,
-  /// and thread count.
+  /// Execute(kAggregatesOnly) calls, at every panel width, ISA, and
+  /// thread count.
   ///
   /// `objectives` is an array of `count` borrowed column views and
   /// `results` an array of `count` non-null pointers; `workspace` is
@@ -131,7 +131,7 @@ class CrosswalkPlan {
   /// ExecuteMany slices its columns into panels of panel_width() and
   /// runs one call per panel; counts above simd::kMaxPanelWidth are
   /// split internally. Non-aligned prepared sets fall back to
-  /// per-column ExecuteWith.
+  /// per-column Execute.
   void ExecutePanelWith(const common::ColumnView* objectives,
                         std::optional<Result<CrosswalkResult>>* const* results,
                         size_t count, ExecuteWorkspace* workspace) const;
@@ -141,18 +141,17 @@ class CrosswalkPlan {
   /// CrosswalkPipeline::RealignMany and BatchCrosswalk::Run both serve
   /// through it. Returns the results index-aligned with `objectives`,
   /// or the lowest-index failing column's status. Every result carries
-  /// exactly the bits of a per-column ExecuteWith(`output`), at every
+  /// exactly the bits of a per-column Execute(`output`), at every
   /// thread count.
   ///
   /// Aligned kAggregatesOnly columns run as panels of panel_width()
   /// (ExecutePanelWith), one task per panel; every other shape runs
-  /// one task per column. The scheduling rule: with a `pool` and more
-  /// than one task, the tasks run across the pool and their kernels
-  /// inline; otherwise the tasks run in order with the kernels on
-  /// `pool`, or, when `pool` is null, on a pool of options().threads.
-  /// Each pool worker keeps one ExecuteWorkspace sized once from
-  /// workspace_spec(), and every task runs under the caller's request
-  /// (obs::CurrentRequest()).
+  /// one task per column. With a `pool` of more than one thread and
+  /// more than one task, the tasks fan out across the pool; otherwise
+  /// they run in order on the calling thread. Each task runs on one
+  /// thread. Each pool worker keeps one ExecuteWorkspace sized once
+  /// from workspace_spec(), and every task runs under the caller's
+  /// request (obs::CurrentRequest()).
   Result<std::vector<CrosswalkResult>> ExecuteMany(
       common::ConstSpan<common::ColumnView> objectives,
       common::ThreadPool* pool, ExecuteOutput output) const;
@@ -205,18 +204,17 @@ class CrosswalkPlan {
                                          ExecuteWorkspace* ws) const;
 
   /// The materializing lane: WeightedSum → DivideRowsOrZero →
-  /// ScaleRows → [fallback rebuild] → ColSumsDeterministic; fills
-  /// result's estimated_dm / target_estimates / zero_rows.
+  /// ScaleRows → [fallback rebuild] → ColSums; fills result's
+  /// estimated_dm / target_estimates / zero_rows.
   Status ExecuteMaterializing(common::ColumnView objective_source,
                               const linalg::Vector& beta,
-                              common::ThreadPool* pool, ExecuteWorkspace* ws,
+                              ExecuteWorkspace* ws,
                               CrosswalkResult* result) const;
 
   /// The fused aggregates-only lane (aligned structures only):
   /// sparse::FusedAggregatesAligned straight into target_estimates.
   Status ExecuteFusedAggregates(common::ColumnView objective_source,
                                 const linalg::Vector& beta,
-                                common::ThreadPool* pool,
                                 ExecuteWorkspace* ws,
                                 CrosswalkResult* result) const;
 

@@ -2,11 +2,10 @@
 
 namespace geoalign::core {
 
-void ExecuteWorkspace::Prepare(const ExecuteWorkspaceSpec& spec,
-                               size_t slots) {
+void ExecuteWorkspace::Prepare(const ExecuteWorkspaceSpec& spec, size_t) {
   Reset(effective_weights_, spec.num_references);
   Reset(denominators_, spec.num_source);
-  if (spec.aligned) fused_.Prepare(spec.fused, slots);
+  if (spec.aligned) fused_.Prepare(spec.fused);
 }
 
 void ExecuteWorkspace::PreparePanel(const ExecuteWorkspaceSpec& spec,

@@ -20,20 +20,20 @@ struct ExecuteWorkspaceSpec {
   /// True when the prepared references share one CSR structure — the
   /// precondition of the fused aggregates-only lane.
   bool aligned = false;
-  /// Fused-kernel sizing (chunk count, widest row); meaningful only
+  /// Fused-kernel sizing (row/col counts, widest row); meaningful only
   /// when `aligned`.
   sparse::FusedWorkspace::Spec fused;
 };
 
-/// Reusable per-execute buffers for `CrosswalkPlan::ExecuteWith`: the
+/// Reusable per-execute buffers for `CrosswalkPlan::Execute`: the
 /// effective-weight and denominator vectors plus the fused kernel's
-/// arena. One workspace serves one concurrent execute at a time;
+/// arena. One workspace serves one execute at a time;
 /// `CrosswalkPlan::ExecuteMany` keeps one per worker slot and reuses it
 /// across objective columns so steady-state executes never grow a
 /// buffer.
 ///
 /// alloc_events() counts buffer growth (including the fused arena's)
-/// across the workspace's lifetime; `CrosswalkPlan::ExecuteWith`
+/// across the workspace's lifetime; `CrosswalkPlan::Execute`
 /// reports the per-execute delta as `execute.hot_path_allocs` and
 /// counts zero-growth externally-supplied workspaces as
 /// `execute.workspace_reuse` (docs/observability.md). A workspace
@@ -61,11 +61,11 @@ class ExecuteWorkspace {
     std::vector<size_t> lanes;  ///< panel-local → caller column index
   };
 
-  /// Eagerly grows every buffer to cover `spec` with `slots`
-  /// concurrently usable fused row-scratch slots (1 when executes run
-  /// inline, pool size + 1 when a pool runs the chunks). Monotonic;
-  /// call once per (plan, pool) to make later executes growth-free.
-  void Prepare(const ExecuteWorkspaceSpec& spec, size_t slots);
+  /// Eagerly grows every buffer to cover `spec`. Monotonic; call once
+  /// per plan to make later executes growth-free. The second parameter
+  /// is unused; it stays only because perfbench/ still passes it, and
+  /// goes with the next revision of perfbench.
+  void Prepare(const ExecuteWorkspaceSpec& spec, size_t /*unused*/ = 1);
 
   /// Eagerly grows the panel-lane buffers (this scratch plus the fused
   /// arena's panel arenas) for panels of up to `width` columns.

@@ -1,9 +1,7 @@
 #include "core/geoalign.h"
 
 #include <cmath>
-#include <memory>
 
-#include "common/thread_pool.h"
 #include "sparse/coo_builder.h"
 #include "sparse/sparse_ops.h"
 #include "common/float_eq.h"
@@ -78,10 +76,6 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
         "GeoAlign: kFallbackDm requires options.fallback_dm");
   }
   CrosswalkResult result;
-  // The pool only changes who executes the fixed chunks, never the
-  // combine order, so every thread count yields identical bits.
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(options.threads));
 
   // Step 1: weight learning (Eq. 15).
   GEOALIGN_ASSIGN_OR_RETURN(auto system, BuildNormalizedSystem(input));
@@ -114,7 +108,7 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
     dms.push_back(&ref.disaggregation);
   }
   GEOALIGN_ASSIGN_OR_RETURN(sparse::CsrMatrix numerator,
-                            sparse::WeightedSum(dms, effective, pool.get()));
+                            sparse::WeightedSum(dms, effective));
 
   linalg::Vector denom;
   if (options.denominator == DenominatorMode::kFromDmRowSums) {
@@ -131,7 +125,7 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
   // Rows scale by a^s_o[i] / denom[i]; zero denominators fall back.
   std::vector<size_t> zero_rows;
   sparse::DivideRowsOrZero(numerator, denom, options.zero_tolerance,
-                           &zero_rows, pool.get());
+                           &zero_rows);
   numerator.ScaleRows(input.objective_source);
   sparse::CsrMatrix estimated = std::move(numerator);
 
@@ -166,7 +160,7 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
   }
 
   // Step 3: re-aggregation (Eq. 17).
-  result.target_estimates = sparse::ColSumsDeterministic(estimated, pool.get());
+  result.target_estimates = estimated.ColSums();
 
   result.estimated_dm = std::move(estimated);
   result.weights = std::move(beta);

@@ -63,7 +63,7 @@ enum class ZeroRowFallback {
 };
 
 /// What a plan execute must produce. An execute-time parameter of
-/// `CrosswalkPlan::Execute`/`ExecuteWith`/`ExecuteMany` (not a
+/// `CrosswalkPlan::Execute`/`ExecuteMany` (not a
 /// compile-time option, so it never affects plan-cache keys): the same
 /// compiled plan serves both shapes.
 enum class ExecuteOutput {
@@ -92,12 +92,11 @@ struct GeoAlignOptions {
   /// the pointee, so a compiled plan does NOT require the original to
   /// stay alive.)
   const sparse::CsrMatrix* fallback_dm = nullptr;
-  /// Worker threads for the disaggregation (Eq. 14) and re-aggregation
-  /// (Eq. 17) phases: 0 = one per hardware thread, 1 = run inline on
-  /// the calling thread (legacy single-threaded execution). Outputs
-  /// are bit-identical for every value — the parallel kernels use
-  /// fixed chunk boundaries and ordered combines (the deterministic-
-  /// reduction contract, docs/parallelism.md).
+  /// Worker threads for `BatchCrosswalk::Run`'s fan-out across
+  /// objective columns: 0 = one per hardware thread, 1 = run the
+  /// columns in order on the calling thread. Every single-column
+  /// execute runs on one thread, so outputs are bit-identical for
+  /// every value (docs/parallelism.md).
   size_t threads = 0;
   /// Options forwarded to the simplex solver.
   linalg::SimplexLsOptions solver_options;

@@ -53,10 +53,9 @@ struct PlanCacheKey {
 /// tolerances, and the fallback DM's content), never pointer
 /// identities — equal inputs hit regardless of where they live.
 /// `GeoAlignOptions::threads` is deliberately excluded: execution
-/// results are bit-identical for every thread count (the
-/// deterministic-reduction contract), so plans are shared across
-/// thread configurations; pass a pool to `ExecuteWith`/`ExecuteMany`
-/// when the cached plan's default should be overridden.
+/// results are bit-identical for every thread count (one column runs
+/// on one thread), so plans are shared across thread configurations;
+/// pass a pool to `ExecuteMany` to fan columns out.
 ///
 /// Compilation runs outside the cache lock; when two threads miss the
 /// same key concurrently, both compile and the first insert wins (the

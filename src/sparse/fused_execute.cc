@@ -5,22 +5,9 @@
 
 #include "common/float_eq.h"
 #include "common/logging.h"
-#include "sparse/kernel_grains.h"
 #include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::sparse {
-
-namespace {
-
-// Per-chunk / per-slot slices are padded to a cache line (8 doubles)
-// so concurrent chunks never false-share a line of the arena.
-constexpr size_t kLineDoubles = 8;
-
-size_t PadStride(size_t n) {
-  return (n + (kLineDoubles - 1)) & ~(kLineDoubles - 1);
-}
-
-}  // namespace
 
 FusedWorkspace::Spec FusedWorkspace::ComputeSpec(const CsrMatrix& structure,
                                                  size_t num_operands) {
@@ -35,48 +22,16 @@ FusedWorkspace::Spec FusedWorkspace::ComputeSpec(const CsrMatrix& structure,
   return spec;
 }
 
-void FusedWorkspace::Prepare(const Spec& spec, size_t slots) {
-  slots = std::max<size_t>(1, slots);
-
-  // Chunk boundaries depend only on the row count (the deterministic-
-  // reduction contract), so they are recomputed only when it changes —
-  // the "hoist per-call scratch sizing into the plan-compiled spec"
-  // rule: a workspace prepared for one plan re-resolves nothing.
-  if (chunk_rows_ != spec.rows || (spec.rows != 0 && chunks_.empty())) {
+void FusedWorkspace::Prepare(const Spec& spec) {
+  if (row_scratch_.size() < spec.max_row_nnz) {
     ++alloc_events_;
-    chunks_ = common::DeterministicChunks(spec.rows, kColSumGrain);
-    chunk_rows_ = spec.rows;
+    row_scratch_.resize(spec.max_row_nnz);
   }
-
-  partial_stride_ = PadStride(spec.cols);
-  size_t need_partials = chunks_.size() * partial_stride_;
-  if (partials_.size() < need_partials) {
+  // Each row contributes at most one zero-row entry.
+  if (zero_rows_.capacity() < spec.rows) {
     ++alloc_events_;
-    partials_.resize(need_partials);
+    zero_rows_.reserve(spec.rows);
   }
-
-  scratch_stride_ = PadStride(spec.max_row_nnz);
-  size_t need_scratch = slots * scratch_stride_;
-  if (row_scratch_.size() < need_scratch) {
-    ++alloc_events_;
-    row_scratch_.resize(need_scratch);
-  }
-  slots_ = std::max(slots_, slots);
-
-  if (chunk_zero_.size() < chunks_.size()) {
-    ++alloc_events_;
-    chunk_zero_.resize(chunks_.size());
-  }
-  bool grew_zero_lists = false;
-  for (size_t ci = 0; ci < chunks_.size(); ++ci) {
-    size_t chunk_rows = chunks_[ci].end - chunks_[ci].begin;
-    if (chunk_zero_[ci].capacity() < chunk_rows) {
-      grew_zero_lists = true;
-      chunk_zero_[ci].reserve(chunk_rows);
-    }
-  }
-  if (grew_zero_lists) ++alloc_events_;
-
   if (active_values_.capacity() < spec.max_operands ||
       active_weights_.capacity() < spec.max_operands) {
     ++alloc_events_;
@@ -87,15 +42,6 @@ void FusedWorkspace::Prepare(const Spec& spec, size_t slots) {
 
 void FusedWorkspace::PreparePanel(const Spec& spec, size_t width) {
   width = std::min(std::max<size_t>(1, width), simd::kMaxPanelWidth);
-
-  // The chunk grid is shared with the single-column kernel (and
-  // recomputed only when the row count changes).
-  if (chunk_rows_ != spec.rows || (spec.rows != 0 && chunks_.empty())) {
-    ++alloc_events_;
-    chunks_ = common::DeterministicChunks(spec.rows, kColSumGrain);
-    chunk_rows_ = spec.rows;
-  }
-
   panel_width_ = std::max(panel_width_, width);
   auto grow = [this](std::vector<double>& v, size_t need) {
     if (v.size() < need) {
@@ -104,7 +50,6 @@ void FusedWorkspace::PreparePanel(const Spec& spec, size_t width) {
     }
   };
   grow(panel_scratch_, spec.max_row_nnz * panel_width_);
-  grow(panel_partial_, spec.cols * panel_width_);
   grow(panel_accum_, spec.cols * panel_width_);
   grow(panel_weights_, spec.max_operands * panel_width_);
   grow(panel_row_, 3 * panel_width_);
@@ -128,8 +73,7 @@ Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
                               const FusedWorkspace::Spec& spec,
                               linalg::Vector* target_estimates,
                               std::vector<size_t>* zero_rows,
-                              FusedWorkspace* workspace,
-                              common::ThreadPool* pool) {
+                              FusedWorkspace* workspace) {
   if (in.mats == nullptr || in.weights == nullptr ||
       in.row_scale.data() == nullptr || target_estimates == nullptr ||
       zero_rows == nullptr || workspace == nullptr) {
@@ -179,8 +123,7 @@ Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
   }
 
   FusedWorkspace& ws = *workspace;
-  const bool pooled = pool != nullptr && pool->size() > 1;
-  ws.Prepare(spec, pooled ? pool->size() + 1 : 1);
+  ws.Prepare(spec);
 
   // Operands the scatter-gather path would skip entirely — the same
   // filtering as WeightedSumAligned, staged in preallocated arrays.
@@ -197,108 +140,84 @@ Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
 
   common::ConstSpan<size_t> row_ptr = mats[0]->row_ptr();
   common::ConstSpan<size_t> col_idx = mats[0]->col_idx();
-  const std::vector<common::ChunkRange>& chunks = ws.chunks_;
+  double* scratch = ws.row_scratch_.data();
+  std::vector<size_t>& zrows = ws.zero_rows_;
+  zrows.clear();
+  target_estimates->assign(cols, 0.0);
+  double* target = target_estimates->data();
 
   // GEOALIGN_HOT_LOOP_BEGIN
   // The fused Eq. 14 + Eq. 17 scatter. Zero heap allocations in this
   // region (machine-checked by the geoalign-hot-alloc lint): every
-  // buffer was sized by Prepare above. Chunking is kColSumGrain — the
-  // ColSumsDeterministic boundaries — so the per-target addition order
-  // is exactly the materializing path's.
-  common::ParallelForChunks(pool, chunks.size(), [&](size_t ci) {
-    const common::ChunkRange& range = chunks[ci];
-    size_t wi = common::ThreadPool::CurrentWorkerIndex();
-    size_t slot =
-        (!pooled || wi == common::ThreadPool::kNoWorkerIndex) ? 0 : wi + 1;
-    GEOALIGN_DCHECK(slot < ws.slots_) << "fused execute: slot out of range";
-    double* scratch = ws.row_scratch_.data() + slot * ws.scratch_stride_;
-    double* part = ws.partials_.data() + ci * ws.partial_stride_;
-    std::fill(part, part + cols, 0.0);
-    std::vector<size_t>& zrows = ws.chunk_zero_[ci];
-    zrows.clear();
-    for (size_t r = range.begin; r < range.end; ++r) {
-      const size_t rb = row_ptr[r];
-      const size_t re = row_ptr[r + 1];
-      // Eq. 14 numerator: accumulate per entry in operand order from
-      // 0.0 — WeightedSumAligned's addition sequence, into the row
-      // scratch instead of a materialized CSR.
-      double denom;
-      if (in.denominators != nullptr) {
-        denom = (*in.denominators)[r];
-        for (size_t k = rb; k < re; ++k) {
-          double acc = 0.0;
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            acc += active_w[mi] * active_vals[mi][k];
-          }
-          scratch[k - rb] = acc;
-        }
-      } else {
-        // kFromDmRowSums: the materializing path prunes exact-zero
-        // numerator entries before RowSums, so the row sum here skips
-        // them too.
-        double row_sum = 0.0;
-        for (size_t k = rb; k < re; ++k) {
-          double acc = 0.0;
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            acc += active_w[mi] * active_vals[mi][k];
-          }
-          scratch[k - rb] = acc;
-          if (!ExactlyZero(acc)) row_sum += acc;
-        }
-        denom = row_sum;
-      }
-      if (std::fabs(denom) <= in.zero_tolerance) {
-        // Eq. 14's "otherwise 0" branch: record the zero row; with a
-        // fallback DM, scatter the fallback row directly (the
-        // CooBuilder rebuild of the materializing path, minus the
-        // rebuild — CooBuilder::Build drops exact zeros, and adding
-        // ±0.0 to a +0.0-seeded partial never changes a bit).
-        // Capacity was reserved to the chunk's row count in Prepare,
-        // so this never grows.
-        zrows.push_back(r);  // NOLINT(geoalign-hot-alloc)
-        if (in.fallback_dm != nullptr) {
-          double fb_sum = (*in.fallback_row_sums)[r];
-          if (fb_sum > 0.0) {
-            double fb_scale = in.row_scale[r] / fb_sum;
-            CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
-            for (size_t k = 0; k < fb_row.size; ++k) {
-              part[fb_row.cols[k]] += fb_row.values[k] * fb_scale;
-            }
-          }
-        }
-        continue;
-      }
-      const double inv = 1.0 / denom;           // DivideRowsOrZero
-      const double rscale = in.row_scale[r];    // ScaleRows
+  // buffer was sized by Prepare above. Rows run in ascending order, so
+  // each target adds its terms in ColSums' storage order.
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t rb = row_ptr[r];
+    const size_t re = row_ptr[r + 1];
+    // Eq. 14 numerator: accumulate per entry in operand order from
+    // 0.0 — WeightedSumAligned's addition sequence, into the row
+    // scratch instead of a materialized CSR.
+    double denom;
+    if (in.denominators != nullptr) {
+      denom = (*in.denominators)[r];
       for (size_t k = rb; k < re; ++k) {
-        const double acc = scratch[k - rb];
-        if (ExactlyZero(acc)) continue;  // pruned by WeightedSumAligned
-        // Entries DivideRowsOrZero's Prune(0.0) would drop divide to
-        // exact ±0.0 here; scattering them is a bit-neutral no-op (the
-        // partial accumulates from +0.0 and IEEE addition of ±0.0 to
-        // it is the identity), so no branch is needed.
-        part[col_idx[k]] += (acc * inv) * rscale;
+        double acc = 0.0;
+        for (size_t mi = 0; mi < n_active; ++mi) {
+          acc += active_w[mi] * active_vals[mi][k];
+        }
+        scratch[k - rb] = acc;
       }
+    } else {
+      // kFromDmRowSums: the materializing path prunes exact-zero
+      // numerator entries before RowSums, so the row sum here skips
+      // them too.
+      double row_sum = 0.0;
+      for (size_t k = rb; k < re; ++k) {
+        double acc = 0.0;
+        for (size_t mi = 0; mi < n_active; ++mi) {
+          acc += active_w[mi] * active_vals[mi][k];
+        }
+        scratch[k - rb] = acc;
+        if (!ExactlyZero(acc)) row_sum += acc;
+      }
+      denom = row_sum;
     }
-  });
+    if (std::fabs(denom) <= in.zero_tolerance) {
+      // Eq. 14's "otherwise 0" branch: record the zero row; with a
+      // fallback DM, scatter the fallback row directly (the
+      // CooBuilder rebuild of the materializing path, minus the
+      // rebuild — CooBuilder::Build drops exact zeros, and adding
+      // ±0.0 to a +0.0-seeded target never changes a bit).
+      // Capacity was reserved to spec.rows in Prepare, so this never
+      // grows.
+      zrows.push_back(r);  // NOLINT(geoalign-hot-alloc)
+      if (in.fallback_dm != nullptr) {
+        double fb_sum = (*in.fallback_row_sums)[r];
+        if (fb_sum > 0.0) {
+          double fb_scale = in.row_scale[r] / fb_sum;
+          CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
+          for (size_t k = 0; k < fb_row.size; ++k) {
+            target[fb_row.cols[k]] += fb_row.values[k] * fb_scale;
+          }
+        }
+      }
+      continue;
+    }
+    const double inv = 1.0 / denom;           // DivideRowsOrZero
+    const double rscale = in.row_scale[r];    // ScaleRows
+    for (size_t k = rb; k < re; ++k) {
+      const double acc = scratch[k - rb];
+      if (ExactlyZero(acc)) continue;  // pruned by WeightedSumAligned
+      // Entries DivideRowsOrZero's Prune(0.0) would drop divide to
+      // exact ±0.0 here; scattering them is a bit-neutral no-op (the
+      // target accumulates from +0.0 and IEEE addition of ±0.0 to it
+      // is the identity), so no branch is needed.
+      target[col_idx[k]] += (acc * inv) * rscale;
+    }
+  }
   // GEOALIGN_HOT_LOOP_END
 
-  // Ordered combine — ColSumsDeterministic's reduction verbatim: the
-  // per-chunk partials added into a +0.0 accumulator in ascending
-  // chunk index.
-  target_estimates->assign(cols, 0.0);
-  double* target = target_estimates->data();
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    const double* part = ws.partials_.data() + ci * ws.partial_stride_;
-    for (size_t c = 0; c < cols; ++c) target[c] += part[c];
-  }
-
-  // Chunks are in ascending row order, so concatenation matches the
-  // sequential zero-row reporting order.
-  zero_rows->clear();
-  for (const std::vector<size_t>& z : ws.chunk_zero_) {
-    zero_rows->insert(zero_rows->end(), z.begin(), z.end());
-  }
+  zero_rows->assign(zrows.begin(), zrows.end());
   return Status::OK();
 }
 
@@ -400,10 +319,8 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
 
   common::ConstSpan<size_t> row_ptr = mats[0]->row_ptr();
   common::ConstSpan<size_t> col_idx = mats[0]->col_idx();
-  const std::vector<common::ChunkRange>& chunks = ws.chunks_;
 
   double* scratch = ws.panel_scratch_.data();
-  double* part = ws.panel_partial_.data();
   double* accum = ws.panel_accum_.data();
   double* denom = ws.panel_row_.data();
   double* inv = denom + width;
@@ -415,93 +332,87 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
   // GEOALIGN_HOT_LOOP_BEGIN
   // The panel form of the fused Eq. 14 + Eq. 17 scatter. Zero heap
   // allocations in this region (machine-checked); every buffer was
-  // sized by PreparePanel. One thread walks the kColSumGrain chunks in
-  // ascending order and folds each chunk's cols × width partial into
-  // the accumulator — per lane, the exact chunk-partial addition order
-  // of the pooled single-column kernel, independent of thread count.
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    const common::ChunkRange& range = chunks[ci];
-    std::fill(part, part + cols * width, 0.0);
-    for (size_t r = range.begin; r < range.end; ++r) {
-      const size_t rb = row_ptr[r];
-      const size_t re = row_ptr[r + 1];
-      // Eq. 14 numerator, all lanes at once: per entry, broadcast the
-      // operand value against the per-lane weights in operand order
-      // from 0.0 — each lane replays WeightedSumAligned's sequence.
-      if (in.operand_aggregates != nullptr) {
-        // kFromAggregates: each lane's denominator accumulates the
-        // operand aggregates in the same order (the hoisted
-        // linalg::Axpy loop, per row).
-        std::fill(denom, denom + width, 0.0);
+  // sized by PreparePanel. Rows run in ascending order and scatter
+  // straight into the lane-major accumulator — per lane, the exact
+  // addition order of the single-column kernel.
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t rb = row_ptr[r];
+    const size_t re = row_ptr[r + 1];
+    // Eq. 14 numerator, all lanes at once: per entry, broadcast the
+    // operand value against the per-lane weights in operand order
+    // from 0.0 — each lane replays WeightedSumAligned's sequence.
+    if (in.operand_aggregates != nullptr) {
+      // kFromAggregates: each lane's denominator accumulates the
+      // operand aggregates in the same order (the hoisted
+      // linalg::Axpy loop, per row).
+      std::fill(denom, denom + width, 0.0);
+      for (size_t mi = 0; mi < n_active; ++mi) {
+        kern.axpy_broadcast(denom, panel_w + mi * width, active_aggs[mi][r],
+                            width);
+      }
+      for (size_t k = rb; k < re; ++k) {
+        double* acc = scratch + (k - rb) * width;
+        std::fill(acc, acc + width, 0.0);
         for (size_t mi = 0; mi < n_active; ++mi) {
-          kern.axpy_broadcast(denom, panel_w + mi * width, active_aggs[mi][r],
-                              width);
-        }
-        for (size_t k = rb; k < re; ++k) {
-          double* acc = scratch + (k - rb) * width;
-          std::fill(acc, acc + width, 0.0);
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            kern.axpy_broadcast(acc, panel_w + mi * width,
-                                active_vals[mi][k], width);
-          }
-        }
-      } else {
-        // kFromDmRowSums: row sums skip exact-zero numerator entries,
-        // as the materializing path prunes them before RowSums.
-        std::fill(denom, denom + width, 0.0);
-        for (size_t k = rb; k < re; ++k) {
-          double* acc = scratch + (k - rb) * width;
-          std::fill(acc, acc + width, 0.0);
-          for (size_t mi = 0; mi < n_active; ++mi) {
-            kern.axpy_broadcast(acc, panel_w + mi * width,
-                                active_vals[mi][k], width);
-          }
-          kern.masked_add(denom, acc, width);
+          kern.axpy_broadcast(acc, panel_w + mi * width,
+                              active_vals[mi][k], width);
         }
       }
-      for (size_t p = 0; p < width; ++p) rscale[p] = in.row_scales[p][r];
+    } else {
+      // kFromDmRowSums: row sums skip exact-zero numerator entries,
+      // as the materializing path prunes them before RowSums.
+      std::fill(denom, denom + width, 0.0);
+      for (size_t k = rb; k < re; ++k) {
+        double* acc = scratch + (k - rb) * width;
+        std::fill(acc, acc + width, 0.0);
+        for (size_t mi = 0; mi < n_active; ++mi) {
+          kern.axpy_broadcast(acc, panel_w + mi * width,
+                              active_vals[mi][k], width);
+        }
+        kern.masked_add(denom, acc, width);
+      }
+    }
+    for (size_t p = 0; p < width; ++p) rscale[p] = in.row_scales[p][r];
 
-      const uint64_t zmask = kern.zero_mask(denom, in.zero_tolerance, width);
-      if (zmask == 0) {
-        // Every lane live: vectorized divide + scatter.
-        kern.reciprocal(inv, denom, width);
-        for (size_t k = rb; k < re; ++k) {
-          kern.scatter_scaled(part + col_idx[k] * width,
-                              scratch + (k - rb) * width, inv, rscale, width);
+    const uint64_t zmask = kern.zero_mask(denom, in.zero_tolerance, width);
+    if (zmask == 0) {
+      // Every lane live: vectorized divide + scatter.
+      kern.reciprocal(inv, denom, width);
+      for (size_t k = rb; k < re; ++k) {
+        kern.scatter_scaled(accum + col_idx[k] * width,
+                            scratch + (k - rb) * width, inv, rscale, width);
+      }
+      continue;
+    }
+    // At least one lane hit the Eq. 14 "otherwise 0" branch: record
+    // the lane set (capacity reserved to spec.rows in PreparePanel),
+    // then finish the row per lane — zero lanes take the fallback
+    // scatter, live lanes the scalar divide + scatter, both exactly
+    // the single-column kernel's code.
+    ws.panel_zero_.push_back(  // NOLINT(geoalign-hot-alloc)
+        FusedWorkspace::PanelZeroRow{r, zmask});
+    for (size_t p = 0; p < width; ++p) {
+      if ((zmask >> p) & 1u) {
+        if (in.fallback_dm != nullptr) {
+          double fb_sum = (*in.fallback_row_sums)[r];
+          if (fb_sum > 0.0) {
+            double fb_scale = rscale[p] / fb_sum;
+            CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
+            for (size_t k = 0; k < fb_row.size; ++k) {
+              accum[fb_row.cols[k] * width + p] +=
+                  fb_row.values[k] * fb_scale;
+            }
+          }
         }
         continue;
       }
-      // At least one lane hit the Eq. 14 "otherwise 0" branch: record
-      // the lane set (capacity reserved to spec.rows in PreparePanel),
-      // then finish the row per lane — zero lanes take the fallback
-      // scatter, live lanes the scalar divide + scatter, both exactly
-      // the single-column kernel's code.
-      ws.panel_zero_.push_back(  // NOLINT(geoalign-hot-alloc)
-          FusedWorkspace::PanelZeroRow{r, zmask});
-      for (size_t p = 0; p < width; ++p) {
-        if ((zmask >> p) & 1u) {
-          if (in.fallback_dm != nullptr) {
-            double fb_sum = (*in.fallback_row_sums)[r];
-            if (fb_sum > 0.0) {
-              double fb_scale = rscale[p] / fb_sum;
-              CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
-              for (size_t k = 0; k < fb_row.size; ++k) {
-                part[fb_row.cols[k] * width + p] +=
-                    fb_row.values[k] * fb_scale;
-              }
-            }
-          }
-          continue;
-        }
-        const double lane_inv = 1.0 / denom[p];
-        for (size_t k = rb; k < re; ++k) {
-          const double acc = scratch[(k - rb) * width + p];
-          if (ExactlyZero(acc)) continue;
-          part[col_idx[k] * width + p] += (acc * lane_inv) * rscale[p];
-        }
+      const double lane_inv = 1.0 / denom[p];
+      for (size_t k = rb; k < re; ++k) {
+        const double acc = scratch[(k - rb) * width + p];
+        if (ExactlyZero(acc)) continue;
+        accum[col_idx[k] * width + p] += (acc * lane_inv) * rscale[p];
       }
     }
-    kern.add(accum, part, cols * width);
   }
   // GEOALIGN_HOT_LOOP_END
 

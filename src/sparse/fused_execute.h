@@ -5,18 +5,16 @@
 #include <vector>
 
 #include "common/span.h"
-#include "common/thread_pool.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/simd/isa.h"
 
 namespace geoalign::sparse {
 
-/// Reusable buffers for FusedAggregatesAligned: per-chunk partial
-/// target vectors, per-chunk zero-row lists, per-slot row scratch, and
-/// the active-operand staging arrays. One workspace serves one
-/// concurrent execute at a time; serving loops keep one per worker
-/// slot and reuse it across columns so the steady-state kernel never
-/// touches the heap.
+/// Reusable buffers for FusedAggregatesAligned and FusedAggregatesPanel:
+/// the row scratch, the zero-row list, the active-operand staging
+/// arrays, and the panel arenas. One workspace serves one execute at a
+/// time; serving loops keep one per worker slot and reuse it across
+/// columns so the steady-state kernel never touches the heap.
 ///
 /// Prepare() grows buffers monotonically and counts every buffer that
 /// actually grew in alloc_events() — the source of the
@@ -44,10 +42,9 @@ class FusedWorkspace {
   FusedWorkspace(FusedWorkspace&&) = default;
   FusedWorkspace& operator=(FusedWorkspace&&) = default;
 
-  /// Ensures every buffer covers `spec` with `slots` concurrently
-  /// usable row-scratch slots (1 for inline execution, pool size + 1
-  /// when a pool runs the chunks). Monotonic: buffers never shrink.
-  void Prepare(const Spec& spec, size_t slots);
+  /// Ensures every single-column buffer covers `spec`. Monotonic:
+  /// buffers never shrink.
+  void Prepare(const Spec& spec);
 
   /// Ensures the column-panel buffers cover `spec` at panel width
   /// `width` (clamped to [1, simd::kMaxPanelWidth]). Monotonic like
@@ -63,7 +60,7 @@ class FusedWorkspace {
   friend Status FusedAggregatesAligned(
       const struct FusedAggregatesInputs& in, const Spec& spec,
       linalg::Vector* target_estimates, std::vector<size_t>* zero_rows,
-      FusedWorkspace* workspace, common::ThreadPool* pool);
+      FusedWorkspace* workspace);
   friend Status FusedAggregatesPanel(const struct FusedPanelInputs& in,
                                      const Spec& spec, simd::Isa isa,
                                      linalg::Vector* const* target_estimates,
@@ -77,23 +74,8 @@ class FusedWorkspace {
     uint64_t lanes = 0;
   };
 
-  // Chunk boundaries for spec.rows at kColSumGrain — fixed per plan,
-  // so they are computed in Prepare, not per execute.
-  std::vector<common::ChunkRange> chunks_;
-  size_t chunk_rows_ = 0;  ///< rows the chunks_ cover
-
-  // Flat per-chunk partial target arena; slices are padded to a cache
-  // line (8 doubles) so concurrent chunks never false-share.
-  std::vector<double> partials_;
-  size_t partial_stride_ = 0;
-
-  // Flat per-slot row scratch (numerator accumulators), same padding.
-  std::vector<double> row_scratch_;
-  size_t scratch_stride_ = 0;
-  size_t slots_ = 0;
-
-  // Per-chunk zero-row lists, each reserved to its chunk's row count.
-  std::vector<std::vector<size_t>> chunk_zero_;
+  std::vector<double> row_scratch_;  ///< max_row_nnz numerators
+  std::vector<size_t> zero_rows_;    ///< reserved to spec.rows
 
   // Active-operand staging (value arrays + weights of the operands the
   // materializing kernel would keep).
@@ -101,13 +83,10 @@ class FusedWorkspace {
   std::vector<double> active_weights_;
 
   // --- Column-panel arenas (PreparePanel; lane-major layout: the
-  // doubles of one logical cell's `width` lanes are contiguous). The
-  // panel kernel walks its chunks sequentially on one thread, so one
-  // partial + one accumulator per workspace suffice.
+  // doubles of one logical cell's `width` lanes are contiguous).
   size_t panel_width_ = 0;                 ///< prepared lane capacity
   std::vector<double> panel_scratch_;      ///< max_row_nnz × width
-  std::vector<double> panel_partial_;      ///< cols × width (per chunk)
-  std::vector<double> panel_accum_;        ///< cols × width (combined)
+  std::vector<double> panel_accum_;        ///< cols × width targets
   std::vector<double> panel_weights_;      ///< active ops × width
   std::vector<double> panel_row_;          ///< denom/inv/rscale, 3 × width
   std::vector<PanelZeroRow> panel_zero_;   ///< reserved to spec.rows
@@ -144,23 +123,22 @@ struct FusedAggregatesInputs {
   const linalg::Vector* fallback_row_sums = nullptr;
 };
 
-/// One fused pass over the shared structure: accumulates the
-/// β-weighted numerator per entry (Eq. 14 numerator), applies the
-/// per-row denominator and the objective row scale, and scatters
-/// directly into per-chunk partial target vectors that are combined in
-/// chunk-index order (Eq. 17) — without ever materializing the
-/// estimated DM.
+/// One fused pass over the shared structure on the calling thread:
+/// accumulates the β-weighted numerator per entry (Eq. 14 numerator),
+/// applies the per-row denominator and the objective row scale, and
+/// scatters straight into `target_estimates` in ascending row order
+/// (Eq. 17) — without ever materializing the estimated DM.
 ///
 /// Bit-identity contract: `target_estimates` and `zero_rows` carry
 /// exactly the bits of the materializing pipeline
 ///   WeightedSumAligned → RowSums/denominators → DivideRowsOrZero →
-///   ScaleRows → [zero-row fallback rebuild] → ColSumsDeterministic
-/// for every pool size, because the scatter reuses the column-sum
-/// chunking (kColSumGrain) and every per-entry/per-row operation
-/// replays the materializing kernels' arithmetic in the same order.
-/// (Entries those kernels prune are exact ±0.0 here; adding them to a
-/// partial that accumulates from +0.0 can never flip a bit, so
-/// skipping the materialization is bit-neutral.)
+///   ScaleRows → [zero-row fallback rebuild] → CsrMatrix::ColSums
+/// because every per-entry/per-row operation replays the materializing
+/// kernels' arithmetic, and each target adds its terms in the same
+/// ascending row order as ColSums' storage-order walk. (Entries those
+/// kernels prune are exact ±0.0 here; adding them to a target that
+/// accumulates from +0.0 can never flip a bit, so skipping the
+/// materialization is bit-neutral.)
 ///
 /// `spec` is the plan-compiled sizing (FusedWorkspace::ComputeSpec of
 /// the shared structure); `workspace` must be non-null and is prepared
@@ -169,8 +147,7 @@ Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
                               const FusedWorkspace::Spec& spec,
                               linalg::Vector* target_estimates,
                               std::vector<size_t>* zero_rows,
-                              FusedWorkspace* workspace,
-                              common::ThreadPool* pool = nullptr);
+                              FusedWorkspace* workspace);
 
 /// Inputs of the column-panel fused pass: `width` objective columns
 /// (1..simd::kMaxPanelWidth) executed against one shared CSR traversal.
@@ -214,13 +191,11 @@ struct FusedPanelInputs {
 /// Bit-identity contract: lane p's `target_estimates[p]` /
 /// `zero_rows[p]` carry exactly the bits of a single-column
 /// FusedAggregatesAligned call (and therefore of the materializing
-/// pipeline) for column p, at every panel width, ISA, and thread
-/// count. Structurally guaranteed: each lane performs the scalar
-/// sequence of its own column (lane-wise kernels, fixed in-lane
-/// order, no FMA), the chunk grid is the same kColSumGrain
-/// DeterministicChunks, and the per-chunk partials are combined in
-/// ascending chunk index by a single thread. Verified differentially
-/// by tests/simd_kernel_test.cc.
+/// pipeline) for column p, at every panel width and ISA. Structurally
+/// guaranteed: each lane performs the scalar sequence of its own
+/// column (lane-wise kernels, fixed in-lane order, no FMA) and
+/// scatters into its targets in the same ascending row order.
+/// Verified differentially by tests/simd_kernel_test.cc.
 ///
 /// `target_estimates` and `zero_rows` are arrays of `in.width`
 /// non-null pointers.

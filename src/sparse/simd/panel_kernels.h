@@ -48,9 +48,6 @@ struct PanelKernels {
   void (*scatter_scaled)(double* part, const double* acc, const double* inv,
                          const double* rscale, size_t n);
 
-  /// dst[i] += src[i] — the ordered per-chunk partial combine.
-  void (*add)(double* dst, const double* src, size_t n);
-
   /// Bit p set iff |denom[p]| <= tol (the zero-row predicate).
   /// Requires n <= kMaxPanelWidth.
   uint64_t (*zero_mask)(const double* denom, double tol, size_t n);

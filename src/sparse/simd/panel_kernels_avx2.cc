@@ -91,15 +91,6 @@ void ScatterScaledAvx2(double* part, const double* acc, const double* inv,
   }
 }
 
-void AddAvx2(double* dst, const double* src, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
 uint64_t ZeroMaskAvx2(const double* denom, double tol, size_t n) {
   // |x| via clearing the sign bit — bit-exact fabs for every input
   // including NaN payloads (the compare then mirrors fabs(x) <= tol).
@@ -137,8 +128,8 @@ namespace internal {
 
 const PanelKernels& Avx2Kernels() {
   static const PanelKernels table{
-      AxpyBroadcastAvx2, AxpyScalarAvx2, MaskedAddAvx2, ScatterScaledAvx2,
-      AddAvx2,           ZeroMaskAvx2,   ReciprocalAvx2,
+      AxpyBroadcastAvx2, AxpyScalarAvx2, MaskedAddAvx2,
+      ScatterScaledAvx2, ZeroMaskAvx2,   ReciprocalAvx2,
   };
   return table;
 }

@@ -76,14 +76,6 @@ void ScatterScaledNeon(double* part, const double* acc, const double* inv,
   }
 }
 
-void AddNeon(double* dst, const double* src, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), vld1q_f64(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
 uint64_t ZeroMaskNeon(const double* denom, double tol, size_t n) {
   const float64x2_t tolv = vdupq_n_f64(tol);
   uint64_t mask = 0;
@@ -116,8 +108,8 @@ namespace internal {
 
 const PanelKernels& NeonKernels() {
   static const PanelKernels table{
-      AxpyBroadcastNeon, AxpyScalarNeon, MaskedAddNeon, ScatterScaledNeon,
-      AddNeon,           ZeroMaskNeon,   ReciprocalNeon,
+      AxpyBroadcastNeon, AxpyScalarNeon, MaskedAddNeon,
+      ScatterScaledNeon, ZeroMaskNeon,   ReciprocalNeon,
   };
   return table;
 }

@@ -36,10 +36,6 @@ void ScatterScaledScalar(double* part, const double* acc, const double* inv,
   }
 }
 
-void AddScalar(double* dst, const double* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += src[i];
-}
-
 uint64_t ZeroMaskScalar(const double* denom, double tol, size_t n) {
   uint64_t mask = 0;
   for (size_t p = 0; p < n; ++p) {
@@ -59,8 +55,7 @@ namespace internal {
 const PanelKernels& ScalarKernels() {
   static const PanelKernels table{
       AxpyBroadcastScalar, AxpyScalarScalar, MaskedAddScalar,
-      ScatterScaledScalar, AddScalar,        ZeroMaskScalar,
-      ReciprocalScalar,
+      ScatterScaledScalar, ZeroMaskScalar,   ReciprocalScalar,
   };
   return table;
 }

@@ -5,51 +5,9 @@
 
 #include "common/logging.h"
 #include "common/float_eq.h"
-#include "sparse/kernel_grains.h"
 #include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::sparse {
-
-namespace {
-
-// Row-chunk grains live in sparse/kernel_grains.h — kColSumGrain is
-// shared with the fused execute kernel, which must chunk exactly like
-// ColSumsDeterministic to stay bit-identical.
-
-// Private per-chunk output of a row-parallel merge kernel.
-struct ChunkOut {
-  std::vector<size_t> cols;
-  std::vector<double> vals;
-  std::vector<size_t> row_nnz;  // entries per row in this chunk
-};
-
-// Stitches per-chunk outputs back into one CSR matrix in chunk order —
-// the deterministic combine step shared by WeightedSum and
-// WeightedSumAligned.
-Result<CsrMatrix> StitchRowChunks(size_t rows, size_t cols,
-                                  std::vector<ChunkOut>& parts) {
-  std::vector<size_t> out_rowptr(rows + 1, 0);
-  size_t total_nnz = 0;
-  size_t r = 0;
-  for (const ChunkOut& part : parts) {
-    for (size_t nnz : part.row_nnz) {
-      total_nnz += nnz;
-      out_rowptr[++r] = total_nnz;
-    }
-  }
-  std::vector<size_t> out_cols;
-  std::vector<double> out_vals;
-  out_cols.reserve(total_nnz);
-  out_vals.reserve(total_nnz);
-  for (ChunkOut& part : parts) {
-    out_cols.insert(out_cols.end(), part.cols.begin(), part.cols.end());
-    out_vals.insert(out_vals.end(), part.vals.begin(), part.vals.end());
-  }
-  return CsrMatrix::FromCsrArrays(rows, cols, std::move(out_rowptr),
-                                  std::move(out_cols), std::move(out_vals));
-}
-
-}  // namespace
 
 Result<CsrMatrix> Add(const CsrMatrix& a, const CsrMatrix& b, double alpha,
                       double beta) {
@@ -57,8 +15,7 @@ Result<CsrMatrix> Add(const CsrMatrix& a, const CsrMatrix& b, double alpha,
 }
 
 Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
-                              const linalg::Vector& weights,
-                              common::ThreadPool* pool) {
+                              const linalg::Vector& weights) {
   if (mats.empty()) {
     return Status::InvalidArgument("WeightedSum: no matrices");
   }
@@ -73,49 +30,41 @@ Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
     }
   }
 
-  // Each chunk merges its own row range into private output arrays —
-  // rows are self-contained, so chunking changes no bit of the result.
-  std::vector<common::ChunkRange> chunks =
-      common::DeterministicChunks(rows, kRowMergeGrain);
-  std::vector<ChunkOut> parts(chunks.size());
-  common::ParallelForChunks(pool, chunks.size(), [&](size_t ci) {
-    const common::ChunkRange& range = chunks[ci];
-    ChunkOut& part = parts[ci];
-    part.row_nnz.reserve(range.end - range.begin);
-    // Scatter-gather row merge using a dense accumulator over columns
-    // touched in the current row.
-    std::vector<double> acc(cols, 0.0);
-    std::vector<size_t> touched;
-    for (size_t r = range.begin; r < range.end; ++r) {
-      touched.clear();
-      for (size_t mi = 0; mi < mats.size(); ++mi) {
-        double w = weights[mi];
-        if (ExactlyZero(w)) continue;
-        CsrMatrix::RowView row = mats[mi]->Row(r);
-        for (size_t k = 0; k < row.size; ++k) {
-          size_t c = row.cols[k];
-          if (ExactlyZero(acc[c])) touched.push_back(c);
-          acc[c] += w * row.values[k];
-        }
+  std::vector<size_t> out_rowptr(rows + 1, 0);
+  std::vector<size_t> out_cols;
+  std::vector<double> out_vals;
+  // Scatter-gather row merge using a dense accumulator over columns
+  // touched in the current row.
+  std::vector<double> acc(cols, 0.0);
+  std::vector<size_t> touched;
+  for (size_t r = 0; r < rows; ++r) {
+    touched.clear();
+    for (size_t mi = 0; mi < mats.size(); ++mi) {
+      double w = weights[mi];
+      if (ExactlyZero(w)) continue;
+      CsrMatrix::RowView row = mats[mi]->Row(r);
+      for (size_t k = 0; k < row.size; ++k) {
+        size_t c = row.cols[k];
+        if (ExactlyZero(acc[c])) touched.push_back(c);
+        acc[c] += w * row.values[k];
       }
-      std::sort(touched.begin(), touched.end());
-      size_t before = part.cols.size();
-      for (size_t c : touched) {
-        if (!ExactlyZero(acc[c])) {
-          part.cols.push_back(c);
-          part.vals.push_back(acc[c]);
-        }
-        acc[c] = 0.0;
-      }
-      part.row_nnz.push_back(part.cols.size() - before);
     }
-  });
-  return StitchRowChunks(rows, cols, parts);
+    std::sort(touched.begin(), touched.end());
+    for (size_t c : touched) {
+      if (!ExactlyZero(acc[c])) {
+        out_cols.push_back(c);
+        out_vals.push_back(acc[c]);
+      }
+      acc[c] = 0.0;
+    }
+    out_rowptr[r + 1] = out_cols.size();
+  }
+  return CsrMatrix::FromCsrArrays(rows, cols, std::move(out_rowptr),
+                                  std::move(out_cols), std::move(out_vals));
 }
 
 Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
-                                     const linalg::Vector& weights,
-                                     common::ThreadPool* pool) {
+                                     const linalg::Vector& weights) {
   if (mats.empty()) {
     return Status::InvalidArgument("WeightedSumAligned: no matrices");
   }
@@ -136,111 +85,63 @@ Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
         << "WeightedSumAligned: sparsity structures differ";
   }
 
-  // Operands that the scatter-gather path would skip entirely.
-  std::vector<const CsrMatrix*> active_mats;
-  std::vector<double> active_weights;
-  active_mats.reserve(mats.size());
-  active_weights.reserve(mats.size());
-  for (size_t mi = 0; mi < mats.size(); ++mi) {
-    if (ExactlyZero(weights[mi])) continue;
-    active_mats.push_back(mats[mi]);
-    active_weights.push_back(weights[mi]);
-  }
-
   common::ConstSpan<size_t> row_ptr = mats[0]->row_ptr();
   common::ConstSpan<size_t> col_idx = mats[0]->col_idx();
-  std::vector<common::ChunkRange> chunks =
-      common::DeterministicChunks(rows, kRowMergeGrain);
-  std::vector<ChunkOut> parts(chunks.size());
+  const size_t nnz = row_ptr[rows];
   // The value lane is elementwise over the shared entry span, so it
   // dispatches to the vectorized simd kernels: per entry the operands
   // still accumulate in ascending order from 0.0 (the operand loop is
   // outer, the entry loop inner — a pure loop interchange), which
   // keeps every entry bit-identical to the scatter-gather kernel at
-  // every ISA (tests/simd_kernel_test.cc).
+  // every ISA (tests/simd_kernel_test.cc). Operands with an exact-zero
+  // weight are skipped, as the scatter-gather path skips them.
   const simd::PanelKernels& kern = simd::KernelsFor(simd::ActiveIsa());
-  common::ParallelForChunks(pool, chunks.size(), [&](size_t ci) {
-    const common::ChunkRange& range = chunks[ci];
-    ChunkOut& part = parts[ci];
-    part.row_nnz.reserve(range.end - range.begin);
-    const size_t span_begin = row_ptr[range.begin];
-    const size_t span = row_ptr[range.end] - span_begin;
-    std::vector<double> acc(span, 0.0);
-    for (size_t mi = 0; mi < active_mats.size(); ++mi) {
-      kern.axpy_scalar(acc.data(), active_weights[mi],
-                       active_mats[mi]->values().data() + span_begin, span);
+  std::vector<double> vals(nnz, 0.0);
+  for (size_t mi = 0; mi < mats.size(); ++mi) {
+    if (ExactlyZero(weights[mi])) continue;
+    kern.axpy_scalar(vals.data(), weights[mi], mats[mi]->values().data(),
+                     nnz);
+  }
+  // Drop exact-zero sums, compacting the values in place.
+  std::vector<size_t> out_rowptr(rows + 1, 0);
+  std::vector<size_t> out_cols(nnz);
+  size_t out = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      if (ExactlyZero(vals[k])) continue;
+      out_cols[out] = col_idx[k];
+      vals[out] = vals[k];
+      ++out;
     }
-    for (size_t r = range.begin; r < range.end; ++r) {
-      size_t before = part.cols.size();
-      for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        double v = acc[k - span_begin];
-        if (!ExactlyZero(v)) {
-          part.cols.push_back(col_idx[k]);
-          part.vals.push_back(v);
-        }
-      }
-      part.row_nnz.push_back(part.cols.size() - before);
-    }
-  });
-  return StitchRowChunks(rows, cols, parts);
+    out_rowptr[r + 1] = out;
+  }
+  out_cols.resize(out);
+  vals.resize(out);
+  return CsrMatrix::FromCsrArrays(rows, cols, std::move(out_rowptr),
+                                  std::move(out_cols), std::move(vals));
 }
 
 void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
-                      double zero_tol, std::vector<size_t>* zero_rows,
-                      common::ThreadPool* pool) {
+                      double zero_tol, std::vector<size_t>* zero_rows) {
   GEOALIGN_CHECK(denom.size() == m.rows())
       << "DivideRowsOrZero: size mismatch";
   // mutable_values() first: it materializes an owned copy of a
   // borrowed matrix, so the row_ptr span below views the final storage.
   std::vector<double>& values = m.mutable_values();
   common::ConstSpan<size_t> row_ptr = m.row_ptr();
-  std::vector<common::ChunkRange> chunks =
-      common::DeterministicChunks(m.rows(), kRowScaleGrain);
-  std::vector<std::vector<size_t>> chunk_zero(chunks.size());
-  common::ParallelForChunks(pool, chunks.size(), [&](size_t ci) {
-    for (size_t r = chunks[ci].begin; r < chunks[ci].end; ++r) {
-      double scale;
-      if (std::fabs(denom[r]) <= zero_tol) {
-        chunk_zero[ci].push_back(r);
-        scale = 0.0;
-      } else {
-        scale = 1.0 / denom[r];
-      }
-      for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-        values[k] *= scale;
-      }
+  for (size_t r = 0; r < m.rows(); ++r) {
+    double scale;
+    if (std::fabs(denom[r]) <= zero_tol) {
+      if (zero_rows != nullptr) zero_rows->push_back(r);
+      scale = 0.0;
+    } else {
+      scale = 1.0 / denom[r];
     }
-  });
-  if (zero_rows != nullptr) {
-    // Chunks are in ascending row order, so this concatenation matches
-    // the sequential reporting order.
-    for (const std::vector<size_t>& z : chunk_zero) {
-      zero_rows->insert(zero_rows->end(), z.begin(), z.end());
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      values[k] *= scale;
     }
   }
   m.Prune(0.0);
-}
-
-linalg::Vector ColSumsDeterministic(const CsrMatrix& m,
-                                    common::ThreadPool* pool) {
-  common::ConstSpan<size_t> row_ptr = m.row_ptr();
-  common::ConstSpan<size_t> col_idx = m.col_idx();
-  common::ConstSpan<double> values = m.values();
-  size_t cols = m.cols();
-  return common::ParallelReduceOrdered<linalg::Vector>(
-      pool, m.rows(), kColSumGrain, linalg::Vector(cols, 0.0),
-      [&](size_t begin, size_t end) {
-        linalg::Vector part(cols, 0.0);
-        for (size_t r = begin; r < end; ++r) {
-          for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            part[col_idx[k]] += values[k];
-          }
-        }
-        return part;
-      },
-      [](linalg::Vector& acc, linalg::Vector&& part) {
-        for (size_t c = 0; c < acc.size(); ++c) acc[c] += part[c];
-      });
 }
 
 }  // namespace geoalign::sparse

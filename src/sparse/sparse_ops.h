@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "sparse/csr_matrix.h"
 
 namespace geoalign::sparse {
@@ -15,12 +14,10 @@ Result<CsrMatrix> Add(const CsrMatrix& a, const CsrMatrix& b,
 /// Weighted sum  sum_k weights[k] * mats[k]  of same-shaped matrices.
 /// This is the "Σ β_k DM_rk" inner step of paper Eq. 14; implemented
 /// as one row-merge pass over all operands rather than repeated
-/// pairwise adds. With a pool the row chunks run in parallel; every
-/// row is computed self-contained in the sequential operand order, so
-/// the result is bit-identical for any pool size (including none).
+/// pairwise adds. Every entry accumulates its operands in ascending
+/// order from 0.0, and exact-zero sums are dropped.
 Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
-                              const linalg::Vector& weights,
-                              common::ThreadPool* pool = nullptr);
+                              const linalg::Vector& weights);
 
 /// WeightedSum for matrices that share one sparsity structure
 /// (identical row_ptr/col_idx arrays — the PreparedReferenceSet
@@ -29,27 +26,16 @@ Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
 /// structure directly. Structure equality is a precondition verified
 /// by the caller (checked here only in debug builds); shapes and
 /// weight count are still validated. Bit-identical to WeightedSum on
-/// any aligned input, for any pool size.
+/// any aligned input.
 Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
-                                     const linalg::Vector& weights,
-                                     common::ThreadPool* pool = nullptr);
+                                     const linalg::Vector& weights);
 
 /// Divides every entry of row r by denom[r]. Rows whose denominator is
-/// (absolutely) below `zero_tol` are set entirely to zero and reported
-/// in `zero_rows` when non-null — the paper's "otherwise 0" branch of
-/// Eq. 14. Parallel over row chunks; `zero_rows` comes back in
-/// ascending row order and all output bits match the sequential path.
+/// (absolutely) below `zero_tol` are set entirely to zero and appended
+/// to `zero_rows` in ascending order when non-null — the paper's
+/// "otherwise 0" branch of Eq. 14.
 void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
-                      double zero_tol, std::vector<size_t>* zero_rows,
-                      common::ThreadPool* pool = nullptr);
-
-/// Column sums (paper Eq. 17 re-aggregation) with the deterministic
-/// chunked reduction: one partial column-sum vector per fixed row
-/// chunk, combined in chunk-index order. Bit-identical for every pool
-/// size; equals CsrMatrix::ColSums() whenever a single chunk covers
-/// the matrix.
-linalg::Vector ColSumsDeterministic(const CsrMatrix& m,
-                                    common::ThreadPool* pool = nullptr);
+                      double zero_tol, std::vector<size_t>* zero_rows);
 
 }  // namespace geoalign::sparse
 

@@ -1,17 +1,11 @@
-// Tests for the batch crosswalk API and the geometric-path universe,
-// including the batch-vs-individual equivalence guarantee and the
-// agreement between the geometric and crosswalk-file pipelines.
+// Tests for the batch crosswalk API, including the batch-vs-individual
+// equivalence guarantee.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/areal_weighting.h"
 #include "core/batch.h"
 #include "core/geoalign.h"
-#include "eval/metrics.h"
 #include "linalg/simplex_ls.h"
-#include "synth/geometric_universe.h"
 #include "synth/universe.h"
 
 namespace geoalign {
@@ -130,79 +124,6 @@ TEST(BatchCrosswalk, ValidatesInput) {
   EXPECT_EQ(uniform_results[0].target_estimates,
             uniform_individual.target_estimates);
   EXPECT_EQ(uniform_results[0].weights, uniform_individual.weights);
-}
-
-const synth::GeometricUniverse& SmallGeometric() {
-  static synth::GeometricUniverse* uni = [] {
-    synth::GeometricUniverseOptions opts;
-    opts.num_zips = 150;
-    opts.num_counties = 12;
-    opts.population_points = 30000;
-    opts.seed = 99;
-    return new synth::GeometricUniverse(
-        std::move(synth::BuildGeometricUniverse(opts)).ValueOrDie());
-  }();
-  return *uni;
-}
-
-TEST(GeometricUniverse, StructureIsConsistent) {
-  const synth::GeometricUniverse& uni = SmallGeometric();
-  EXPECT_GT(uni.NumZips(), 100u);
-  EXPECT_GE(uni.NumCounties(), 10u);
-  // The geometric overlay covers the world.
-  EXPECT_NEAR(uni.overlay.TotalMeasure(), 100.0 * 100.0, 1.0);
-  // Every dataset's DM marginals are its aggregate vectors.
-  for (const synth::Dataset& d : uni.datasets) {
-    EXPECT_TRUE(linalg::AllClose(d.dm.RowSums(), d.source, 1e-6)) << d.name;
-    EXPECT_TRUE(linalg::AllClose(d.dm.ColSums(), d.target, 1e-6)) << d.name;
-  }
-  // Leave-one-out inputs validate.
-  for (size_t t = 0; t < uni.datasets.size(); ++t) {
-    auto input = std::move(uni.MakeLeaveOneOutInput(t)).ValueOrDie();
-    EXPECT_TRUE(input.Validate().ok()) << uni.datasets[t].name;
-  }
-  EXPECT_FALSE(uni.MakeLeaveOneOutInput(999).ok());
-}
-
-TEST(GeometricUniverse, GeoAlignBeatsArealWeightingOnPointData) {
-  const synth::GeometricUniverse& uni = SmallGeometric();
-  core::GeoAlign geoalign;
-  core::ArealWeighting areal(uni.measure_dm);
-  double ga_total = 0.0;
-  double aw_total = 0.0;
-  int n = 0;
-  for (size_t t = 0; t < uni.datasets.size(); ++t) {
-    if (uni.datasets[t].name == "Area (Sq. Miles)") continue;
-    auto input = std::move(uni.MakeLeaveOneOutInput(t)).ValueOrDie();
-    auto ga = std::move(geoalign.Crosswalk(input)).ValueOrDie();
-    auto aw = std::move(areal.Crosswalk(input)).ValueOrDie();
-    ga_total += eval::Nrmse(ga.target_estimates, uni.datasets[t].target);
-    aw_total += eval::Nrmse(aw.target_estimates, uni.datasets[t].target);
-    ++n;
-  }
-  ASSERT_GT(n, 0);
-  EXPECT_LT(ga_total / n, aw_total / n);
-}
-
-TEST(GeometricUniverse, ValidatesOptions) {
-  synth::GeometricUniverseOptions bad;
-  bad.num_counties = 500;
-  bad.num_zips = 100;
-  EXPECT_FALSE(synth::BuildGeometricUniverse(bad).ok());
-}
-
-TEST(GeometricUniverse, DeterministicGivenSeed) {
-  synth::GeometricUniverseOptions opts;
-  opts.num_zips = 40;
-  opts.num_counties = 5;
-  opts.population_points = 5000;
-  opts.seed = 31;
-  auto a = std::move(synth::BuildGeometricUniverse(opts)).ValueOrDie();
-  auto b = std::move(synth::BuildGeometricUniverse(opts)).ValueOrDie();
-  ASSERT_EQ(a.datasets.size(), b.datasets.size());
-  for (size_t d = 0; d < a.datasets.size(); ++d) {
-    EXPECT_EQ(a.datasets[d].source, b.datasets[d].source);
-  }
 }
 
 }  // namespace

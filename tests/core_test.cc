@@ -13,7 +13,6 @@
 #include "core/dasymetric.h"
 #include "core/geoalign.h"
 #include "core/pipeline.h"
-#include "core/pycnophylactic.h"
 #include "partition/interval_partition.h"
 #include "partition/overlay.h"
 #include "sparse/coo_builder.h"
@@ -418,51 +417,6 @@ TEST(ArealWeighting, ShapeMismatchRejected) {
   CrosswalkInput input;
   input.objective_source = {1.0, 2.0};
   EXPECT_FALSE(areal.Crosswalk(input).ok());
-}
-
-TEST(Pycnophylactic, PreservesSourceVolumes) {
-  // 4x2 grid, two source units (left/right), two target units
-  // (top/bottom).
-  size_t nx = 4;
-  size_t ny = 2;
-  std::vector<uint32_t> src = {0, 0, 1, 1, 0, 0, 1, 1};
-  std::vector<uint32_t> tgt = {0, 0, 0, 0, 1, 1, 1, 1};
-  Vector objective = {12.0, 4.0};
-  auto target = std::move(PycnophylacticInterpolate(nx, ny, src, 2, tgt, 2,
-                                                    objective)).ValueOrDie();
-  EXPECT_NEAR(target[0] + target[1], 16.0, 1e-9);
-  EXPECT_GE(target[0], 0.0);
-  EXPECT_GE(target[1], 0.0);
-}
-
-TEST(Pycnophylactic, UniformFieldSplitsEvenly) {
-  size_t nx = 4;
-  size_t ny = 4;
-  std::vector<uint32_t> src(16, 0);
-  std::vector<uint32_t> tgt(16);
-  for (size_t a = 0; a < 16; ++a) tgt[a] = a < 8 ? 0 : 1;
-  auto target = std::move(PycnophylacticInterpolate(nx, ny, src, 1, tgt, 2,
-                                                    {32.0})).ValueOrDie();
-  EXPECT_NEAR(target[0], 16.0, 1e-9);
-  EXPECT_NEAR(target[1], 16.0, 1e-9);
-}
-
-TEST(Pycnophylactic, ValidatesInput) {
-  std::vector<uint32_t> labels = {0, 0, 0, 0};
-  EXPECT_FALSE(
-      PycnophylacticInterpolate(0, 0, {}, 1, {}, 1, {1.0}).ok());
-  EXPECT_FALSE(
-      PycnophylacticInterpolate(2, 2, {0, 0}, 1, labels, 1, {1.0}).ok());
-  EXPECT_FALSE(
-      PycnophylacticInterpolate(2, 2, labels, 1, labels, 1, {1.0, 2.0}).ok());
-  std::vector<uint32_t> bad = {0, 0, 0, 9};
-  EXPECT_FALSE(
-      PycnophylacticInterpolate(2, 2, bad, 1, labels, 1, {1.0}).ok());
-  PycnophylacticOptions opts;
-  opts.relaxation = 0.0;
-  EXPECT_FALSE(PycnophylacticInterpolate(2, 2, labels, 1, labels, 1, {1.0},
-                                         opts)
-                   .ok());
 }
 
 TEST(Pipeline, EndToEndJoin) {

@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "core/pycnophylactic.h"
 #include "eval/cross_validation.h"
 #include "eval/metrics.h"
 #include "eval/noise.h"
@@ -173,45 +172,6 @@ TEST(Integration, PolygonOverlayPathAgreesWithCellPath) {
   auto aw = std::move(areal.Crosswalk(input)).ValueOrDie();
   EXPECT_NEAR(linalg::Sum(aw.target_estimates), linalg::Sum(by_zip),
               linalg::Sum(by_zip) * 1e-6);
-}
-
-TEST(Integration, PycnophylacticVsGeoAlignOnSyntheticGrid) {
-  // Tobler smoothing should beat naive areal weighting on a smooth
-  // field; GeoAlign with a good reference should beat both.
-  const synth::Universe& uni = SmallUs();
-  const synth::SyntheticGeography& geo = *uni.geography;
-  // Use state 0's raster only (rectangular by construction).
-  auto raster = geo.state_raster(0);
-  size_t n_atoms = raster.nx * raster.ny;
-  // Build dense per-state labels.
-  std::vector<uint32_t> src(n_atoms);
-  std::vector<uint32_t> tgt(n_atoms);
-  uint32_t max_src = 0;
-  uint32_t max_tgt = 0;
-  for (size_t a = 0; a < n_atoms; ++a) {
-    src[a] = geo.zips().LabelOf(raster.atom_offset + a);
-    tgt[a] = geo.counties().LabelOf(raster.atom_offset + a);
-    max_src = std::max(max_src, src[a]);
-    max_tgt = std::max(max_tgt, tgt[a]);
-  }
-  //
-
-  const synth::Dataset& pop = uni.datasets[std::move(
-      uni.FindDataset("Population")).ValueOrDie()];
-  linalg::Vector objective(max_src + 1, 0.0);
-  for (size_t a = 0; a < n_atoms; ++a) {
-    objective[src[a]] += pop.atom_values[raster.atom_offset + a];
-  }
-  linalg::Vector truth(max_tgt + 1, 0.0);
-  for (size_t a = 0; a < n_atoms; ++a) {
-    truth[tgt[a]] += pop.atom_values[raster.atom_offset + a];
-  }
-  auto est = std::move(core::PycnophylacticInterpolate(
-      raster.nx, raster.ny, src, max_src + 1, tgt, max_tgt + 1, objective)).ValueOrDie();
-  // Mass conserved and correlated with the truth.
-  EXPECT_NEAR(linalg::Sum(est), linalg::Sum(objective),
-              1e-6 * linalg::Sum(objective));
-  EXPECT_GT(linalg::PearsonCorrelation(est, truth), 0.9);
 }
 
 }  // namespace

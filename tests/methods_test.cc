@@ -1,15 +1,10 @@
-// Tests for the extended method set (three-class dasymetric) and the
-// disaggregation-matrix similarity metrics, including the §4.4.2
-// collinear-reference DM-similarity observation.
+// Tests for the extended method set (three-class dasymetric).
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "core/areal_weighting.h"
 #include "core/geoalign.h"
 #include "core/three_class_dasymetric.h"
-#include "eval/dm_metrics.h"
 #include "eval/metrics.h"
 #include "sparse/coo_builder.h"
 #include "synth/universe.h"
@@ -114,69 +109,6 @@ TEST(ThreeClassDasymetric, OnSyntheticUniverse) {
   EXPECT_LT(t_err, a_err);
   EXPECT_LT(t.VolumePreservationError(input.objective_source),
             1e-6 * linalg::Max(input.objective_source));
-}
-
-CsrMatrix SmallDm(std::vector<std::vector<double>> rows) {
-  return CsrMatrix::FromDense(linalg::Matrix::FromRows(rows));
-}
-
-TEST(DmMetrics, IdenticalMatrices) {
-  CsrMatrix a = SmallDm({{1.0, 2.0}, {0.0, 3.0}});
-  EXPECT_DOUBLE_EQ(eval::DmFrobeniusDistance(a, a), 0.0);
-  EXPECT_NEAR(eval::DmCosineSimilarity(a, a), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(eval::DmMisallocationShare(a, a), 0.0);
-}
-
-TEST(DmMetrics, DisjointAllocations) {
-  CsrMatrix a = SmallDm({{6.0, 0.0}});
-  CsrMatrix b = SmallDm({{0.0, 6.0}});
-  EXPECT_DOUBLE_EQ(eval::DmFrobeniusDistance(a, b), std::sqrt(72.0));
-  EXPECT_DOUBLE_EQ(eval::DmCosineSimilarity(a, b), 0.0);
-  EXPECT_DOUBLE_EQ(eval::DmMisallocationShare(a, b), 1.0);
-}
-
-TEST(DmMetrics, PartialOverlap) {
-  CsrMatrix a = SmallDm({{4.0, 0.0}});
-  CsrMatrix b = SmallDm({{2.0, 2.0}});
-  // Half of b's mass sits where a has none: misallocation 0.5.
-  EXPECT_DOUBLE_EQ(eval::DmMisallocationShare(a, b), 0.5);
-}
-
-TEST(DmMetrics, ZeroMatrix) {
-  CsrMatrix zero(1, 2);
-  CsrMatrix a = SmallDm({{1.0, 1.0}});
-  EXPECT_DOUBLE_EQ(eval::DmCosineSimilarity(zero, a), 0.0);
-  EXPECT_DOUBLE_EQ(eval::DmMisallocationShare(zero, zero), 0.0);
-}
-
-TEST(DmMetrics, CollinearReferencesYieldNearIdenticalDms) {
-  // The §4.4.2 mechanism: with two near-collinear references, dropping
-  // one leaves the estimated DM almost unchanged.
-  synth::UniverseOptions opts;
-  opts.scale = 0.08;
-  opts.seed = 909;
-  opts.suite = synth::SuiteKind::kUnitedStates;
-  auto uni = std::move(synth::BuildUniverse(synth::UniverseId::kNewYork,
-                                            opts)).ValueOrDie();
-  size_t accidents = std::move(uni.FindDataset("Accidents")).ValueOrDie();
-  auto full = std::move(uni.MakeLeaveOneOutInput(accidents)).ValueOrDie();
-  // Drop USPS Residential (collinear with Population).
-  std::vector<size_t> keep;
-  for (size_t k = 0; k < full.references.size(); ++k) {
-    if (full.references[k].name != "USPS Residential Address") {
-      keep.push_back(k);
-    }
-  }
-  auto reduced = std::move(full.WithReferenceSubset(keep)).ValueOrDie();
-  core::GeoAlign geoalign;
-  auto res_full = std::move(geoalign.Crosswalk(full)).ValueOrDie();
-  auto res_reduced = std::move(geoalign.Crosswalk(reduced)).ValueOrDie();
-  double cos = eval::DmCosineSimilarity(res_full.estimated_dm,
-                                        res_reduced.estimated_dm);
-  EXPECT_GT(cos, 0.999);
-  EXPECT_LT(eval::DmMisallocationShare(res_full.estimated_dm,
-                                       res_reduced.estimated_dm),
-            0.02);
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 // {ScaleMode, WeightSolver, DenominatorMode, ZeroRowFallback} × threads
 // combination, `CrosswalkPlan::Compile → Execute` and the thin
 // `GeoAlign::Crosswalk` wrapper must produce exactly the bits of the
-// preserved legacy oracle `CrosswalkUncompiled` — no tolerances. The
-// sweep is a four-way oracle: the fused aggregates-only lane
-// (ExecuteOutput::kAggregatesOnly through a reused ExecuteWorkspace)
-// and the SIMD column-panel lane (ExecutePanelWith, every lane of a
-// replicated panel) must carry the same bits while never materializing
-// DM̂_o. Also covers plan reuse/immutability, the PlanCache (including
+// preserved legacy oracle `CrosswalkUncompiled` — no tolerances — and
+// Eq. 17's target estimates must be exactly the row-order column sums
+// of the returned DM̂_o. The sweep is a four-way oracle: the fused
+// aggregates-only lane (ExecuteOutput::kAggregatesOnly through a reused
+// ExecuteWorkspace) and the SIMD column-panel lane (ExecutePanelWith,
+// every lane of a replicated panel) must carry the same bits while
+// never materializing DM̂_o. Also covers plan reuse/immutability, the PlanCache (including
 // forced-ISA independence of cached plans), the pipeline serving path,
 // and the batch façade.
 
@@ -37,17 +38,17 @@
 namespace geoalign {
 namespace {
 
-synth::Universe MakeWorldUniverse() {
+synth::Universe MakeWorldUniverse(double scale = 0.08) {
   synth::UniverseOptions opts;
   opts.seed = 555;
-  opts.scale = 0.08;
+  opts.scale = scale;
   opts.suite = synth::SuiteKind::kUnitedStates;
   return std::move(synth::BuildUniverse(synth::UniverseId::kNewYork, opts))
       .ValueOrDie();
 }
 
-core::CrosswalkInput MakeWorldInput() {
-  synth::Universe universe = MakeWorldUniverse();
+core::CrosswalkInput MakeWorldInput(double scale = 0.08) {
+  synth::Universe universe = MakeWorldUniverse(scale);
   return std::move(universe.MakeLeaveOneOutInput(0)).ValueOrDie();
 }
 
@@ -56,8 +57,8 @@ core::CrosswalkInput MakeWorldInput() {
 // cover every overlay cell and therefore share one CSR structure —
 // the aligned regime where the fused execute kernel engages
 // (FusedLaneRunsOnAlignedWorld asserts the plan sees it as aligned).
-core::CrosswalkInput MakeAlignedDenseInput() {
-  core::CrosswalkInput input = MakeWorldInput();
+core::CrosswalkInput MakeAlignedDenseInput(double scale = 0.08) {
+  core::CrosswalkInput input = MakeWorldInput(scale);
   std::vector<core::ReferenceAttribute> dense;
   for (core::ReferenceAttribute& ref : input.references) {
     if (ref.name == "Area (Sq. Miles)" || ref.name == "Population" ||
@@ -137,6 +138,8 @@ void SweepAllOptions(const core::CrosswalkInput& input,
 
             auto legacy =
                 std::move(core::CrosswalkUncompiled(input, opts)).ValueOrDie();
+            // Eq. 17 is the plain column sum of DM̂_o, in row order.
+            ASSERT_EQ(legacy.target_estimates, legacy.estimated_dm.ColSums());
             core::GeoAlign geoalign(opts);
             auto wrapped = std::move(geoalign.Crosswalk(input)).ValueOrDie();
             ExpectBitIdentical(wrapped, legacy);
@@ -145,20 +148,19 @@ void SweepAllOptions(const core::CrosswalkInput& input,
             auto executed =
                 std::move(plan.Execute(input.objective_source)).ValueOrDie();
             ExpectBitIdentical(executed, legacy);
+            ASSERT_EQ(executed.target_estimates,
+                      executed.estimated_dm.ColSums());
 
             // Third oracle leg: the fused aggregates-only lane, twice
             // through one reused workspace so the steady-state
             // (zero-growth) path is on the hook too. On non-aligned
             // reference sets this exercises the materializing
             // fallback with the DM dropped — same contract.
-            std::unique_ptr<common::ThreadPool> pool =
-                common::MakePoolOrNull(common::ResolveThreadCount(threads));
             core::ExecuteWorkspace workspace;
-            workspace.Prepare(plan.workspace_spec(),
-                              pool != nullptr ? pool->size() + 1 : 1);
+            workspace.Prepare(plan.workspace_spec());
             for (int rep = 0; rep < 2; ++rep) {
-              auto fused = std::move(plan.ExecuteWith(
-                               input.objective_source, pool.get(),
+              auto fused = std::move(plan.Execute(
+                               input.objective_source,
                                core::ExecuteOutput::kAggregatesOnly,
                                &workspace))
                                .ValueOrDie();
@@ -349,6 +351,21 @@ TEST(PlanEquivalenceTest, AlignedDenseWorldBitIdentical) {
   SweepAllOptions(input, fallback);
 }
 
+TEST(PlanEquivalenceTest, LargeAlignedWorldBitIdentical) {
+  // 440 source units: each target sums terms from hundreds of rows, so
+  // any lane that added Eq. 17's terms in another order than ascending
+  // rows would differ from ColSums in the last bits.
+  core::CrosswalkInput input = MakeAlignedDenseInput(0.25);
+  ASSERT_GT(input.NumSourceUnits(), 256u);
+  auto plan =
+      std::move(core::CrosswalkPlan::Compile(input, core::GeoAlignOptions{}))
+          .ValueOrDie();
+  ASSERT_TRUE(plan.references().aligned());
+  sparse::CsrMatrix fallback = MakeDenseFallback(
+      input.NumSourceUnits(), input.NumTargetUnits());
+  SweepAllOptions(input, fallback);
+}
+
 TEST(PlanEquivalenceTest, AlignedZeroRowWorldBitIdentical) {
   // The fused kernel's zero-row and fallback-scatter paths, against
   // the same legacy oracle (kFallbackDm iterations of the sweep scatter
@@ -385,7 +402,7 @@ TEST(PlanEquivalenceTest, PreparedWorkspaceServesWithZeroHotPathAllocs) {
                     .ValueOrDie();
     ASSERT_TRUE(plan.references().aligned());
     core::ExecuteWorkspace workspace;
-    workspace.Prepare(plan.workspace_spec(), /*slots=*/1);
+    workspace.Prepare(plan.workspace_spec());
 
     obs::Counter& allocs = obs::MetricsRegistry::Global().GetCounter(
         "execute.hot_path_allocs");
@@ -394,8 +411,8 @@ TEST(PlanEquivalenceTest, PreparedWorkspaceServesWithZeroHotPathAllocs) {
     uint64_t allocs_before = allocs.Value();
     uint64_t reuse_before = reuse.Value();
     for (int rep = 0; rep < 3; ++rep) {
-      auto result = std::move(plan.ExecuteWith(
-                        input.objective_source, nullptr,
+      auto result = std::move(plan.Execute(
+                        input.objective_source,
                         core::ExecuteOutput::kAggregatesOnly, &workspace))
                         .ValueOrDie();
       ASSERT_FALSE(result.target_estimates.empty());
@@ -477,14 +494,17 @@ TEST(PlanEquivalenceTest, PlanIsReusableAndOutlivesInput) {
     auto got = std::move(plan->Execute(objective)).ValueOrDie();
     ExpectBitIdentical(got, want);
   }
-  // Thread-count overrides are a pure scheduling choice on the shared
-  // immutable plan.
+  // Fanning columns out over a pool is a pure scheduling choice on the
+  // shared immutable plan.
   std::unique_ptr<common::ThreadPool> pool = common::MakePoolOrNull(4);
-  auto threaded = std::move(plan->ExecuteWith(objective, pool.get(),
-                                              core::ExecuteOutput::kFullDm,
-                                              nullptr))
+  const std::vector<common::ColumnView> columns = {objective, objective};
+  auto threaded = std::move(plan->ExecuteMany(columns, pool.get(),
+                                              core::ExecuteOutput::kFullDm))
                       .ValueOrDie();
-  ExpectBitIdentical(threaded, want);
+  ASSERT_EQ(threaded.size(), 2u);
+  for (const core::CrosswalkResult& result : threaded) {
+    ExpectBitIdentical(result, want);
+  }
 }
 
 TEST(PlanEquivalenceTest, PlanCacheHitsMissesEviction) {
@@ -667,7 +687,7 @@ TEST(PlanEquivalenceTest, PipelineServesSharedPlanBitIdentically) {
     ExpectBitIdentical(single, legacy);
   }
 
-  // A one-column RealignMany at 4 threads runs its kernels on the pool.
+  // A one-column RealignMany at 4 threads runs on the calling thread.
   auto one4 = std::move(pipeline.RealignMany({columns[0]}, 4)).ValueOrDie();
   ASSERT_EQ(one4.size(), 1u);
   ExpectBitIdentical(one4[0],
@@ -708,7 +728,7 @@ TEST(PlanEquivalenceTest, PanelLaneServesWithZeroHotPathAllocs) {
     ASSERT_TRUE(plan.references().aligned());
     constexpr size_t kWidth = 8;
     core::ExecuteWorkspace workspace;
-    workspace.Prepare(plan.workspace_spec(), /*slots=*/1);
+    workspace.Prepare(plan.workspace_spec());
     workspace.PreparePanel(plan.workspace_spec(), kWidth);
 
     obs::Counter& allocs = obs::MetricsRegistry::Global().GetCounter(

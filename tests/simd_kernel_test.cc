@@ -161,16 +161,6 @@ TEST_P(SimdKernelTest, MicroKernelsMatchScalarReferenceBitForBit) {
         ExpectBitsEqual(got.data(), want.data(), n, "scatter_scaled");
       }
 
-      // add: dst[i] += src[i]
-      {
-        std::vector<double> src = TrickyArray(rng, n);
-        std::vector<double> got = TrickyArray(rng, n);
-        std::vector<double> want = got;
-        kern.add(got.data(), src.data(), n);
-        ref.add(want.data(), src.data(), n);
-        ExpectBitsEqual(got.data(), want.data(), n, "add");
-      }
-
       // zero_mask: bit p iff |denom[p]| <= tol — boundary values
       // included (|x| == tol must count as zero, one ulp above must
       // not).
@@ -423,8 +413,7 @@ void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
   target->clear();
   zeros->clear();
   ASSERT_TRUE(
-      sparse::FusedAggregatesAligned(in, w.spec, target, zeros, &ws, nullptr)
-          .ok());
+      sparse::FusedAggregatesAligned(in, w.spec, target, zeros, &ws).ok());
 }
 
 // Panel widths: 1 (degenerate), every vector-lane multiple, and ragged

@@ -1,13 +1,11 @@
-// Unit tests for the deterministic parallel execution layer: pool
-// startup/shutdown, exception propagation out of tasks, chunk
-// geometry, and ParallelFor / ParallelReduceOrdered over empty,
-// 1-element, and odd-sized ranges at several thread counts.
+// Unit tests for the task fan-out layer: pool startup/shutdown,
+// exception propagation out of tasks, chunk geometry, and
+// ParallelForChunks over empty, 1-element, and odd-sized ranges at
+// several thread counts.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -93,8 +91,8 @@ TEST(DeterministicChunks, IndependentOfNothingButNAndGrain) {
   }
 }
 
-// ParallelFor / reduction behavior at several pool configurations,
-// including the inline (no pool) path.
+// ParallelForChunks behavior at several pool configurations, including
+// the inline (no pool) path.
 class ParallelForTest : public ::testing::TestWithParam<size_t> {
  protected:
   // GetParam() == 0 means "no pool" (inline execution).
@@ -106,16 +104,17 @@ class ParallelForTest : public ::testing::TestWithParam<size_t> {
 TEST_P(ParallelForTest, EmptyRangeNeverCallsBody) {
   std::unique_ptr<ThreadPool> pool = MakePool();
   std::atomic<int> calls{0};
-  ParallelFor(pool.get(), 0, 4,
-              [&](size_t, size_t, size_t) { ++calls; });
+  std::vector<ChunkRange> chunks = DeterministicChunks(0, 4);
+  ParallelForChunks(pool.get(), chunks.size(), [&](size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
 TEST_P(ParallelForTest, SingleElementRange) {
   std::unique_ptr<ThreadPool> pool = MakePool();
   std::vector<int> visits(1, 0);
-  ParallelFor(pool.get(), 1, 4, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) ++visits[i];
+  std::vector<ChunkRange> chunks = DeterministicChunks(1, 4);
+  ParallelForChunks(pool.get(), chunks.size(), [&](size_t c) {
+    for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) ++visits[i];
   });
   EXPECT_EQ(visits[0], 1);
 }
@@ -125,8 +124,9 @@ TEST_P(ParallelForTest, OddSizedRangesVisitEveryIndexOnce) {
   for (size_t n : {3, 7, 17, 101}) {
     // Chunks own disjoint index ranges, so plain ints are race-free.
     std::vector<int> visits(n, 0);
-    ParallelFor(pool.get(), n, 4, [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) ++visits[i];
+    std::vector<ChunkRange> chunks = DeterministicChunks(n, 4);
+    ParallelForChunks(pool.get(), chunks.size(), [&](size_t c) {
+      for (size_t i = chunks[c].begin; i < chunks[c].end; ++i) ++visits[i];
     });
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(visits[i], 1) << "index " << i;
   }
@@ -134,47 +134,18 @@ TEST_P(ParallelForTest, OddSizedRangesVisitEveryIndexOnce) {
 
 TEST_P(ParallelForTest, ChunkExceptionPropagates) {
   std::unique_ptr<ThreadPool> pool = MakePool();
-  EXPECT_THROW(
-      ParallelFor(pool.get(), 32, 4,
-                  [&](size_t chunk, size_t, size_t) {
-                    if (chunk >= 2) throw std::runtime_error("boom");
-                  }),
-      std::runtime_error);
-}
-
-TEST_P(ParallelForTest, OrderedReductionIsBitIdenticalAcrossThreadCounts) {
-  // An accumulation whose result depends on the float summation order;
-  // the fixed chunking + ordered combine must make every pool size
-  // agree to the last bit.
-  constexpr size_t kN = 10007;  // odd, not a multiple of any grain
-  auto run = [](ThreadPool* pool) {
-    return ParallelReduceOrdered<double>(
-        pool, kN, 64, 0.0,
-        [](size_t begin, size_t end) {
-          double acc = 0.0;
-          for (size_t i = begin; i < end; ++i) {
-            acc += std::sin(static_cast<double>(i)) * 1e-3 + 1.0 / (i + 1.0);
-          }
-          return acc;
-        },
-        [](double& acc, double&& part) { acc += part; });
-  };
-  std::unique_ptr<ThreadPool> pool = MakePool();
-  double with_pool = run(pool.get());
-  double inline_result = run(nullptr);
-  // Exact equality on purpose: this is the determinism contract.
-  EXPECT_EQ(with_pool, inline_result);
+  std::vector<ChunkRange> chunks = DeterministicChunks(32, 4);
+  EXPECT_THROW(ParallelForChunks(pool.get(), chunks.size(),
+                                 [&](size_t chunk) {
+                                   if (chunk >= 2) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ParallelForTest,
                          ::testing::Values(0, 1, 2, 7));
-
-TEST(ParallelReduceOrdered, EmptyRangeReturnsInit) {
-  double out = ParallelReduceOrdered<double>(
-      nullptr, 0, 8, 42.0, [](size_t, size_t) { return 1.0; },
-      [](double& acc, double&& part) { acc += part; });
-  EXPECT_EQ(out, 42.0);
-}
 
 TEST(ResolveThreadCount, ZeroMeansHardware) {
   EXPECT_GE(ResolveThreadCount(0), 1u);

@@ -78,22 +78,32 @@ TEST(UbsanRegression, DivideRowsOrZeroAllZeroAndEmpty) {
   EXPECT_TRUE(none.empty());
 }
 
-// The parallel fallback path must agree with the sequential one on the
-// degenerate inputs too, not only on the benchmark shapes.
+// DivideRowsOrZero runs on whichever thread calls it; copies run from
+// pool workers by a task fan-out must agree with the calling-thread
+// run on the degenerate inputs too, not only on the benchmark shapes.
 TEST(UbsanRegression, DivideRowsOrZeroParallelMatchesSequential) {
   Vector denom = {2.0, 0.0, 1e-30};
   CsrMatrix seq = Dense3x2();
   std::vector<size_t> seq_zero;
   sparse::DivideRowsOrZero(seq, denom, 1e-12, &seq_zero);
+  EXPECT_EQ(seq_zero, (std::vector<size_t>{1, 2}));
+  EXPECT_EQ(seq.nnz(), 2u);
+  EXPECT_DOUBLE_EQ(seq.At(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(seq.At(0, 1), 2.0);
 
+  constexpr size_t kTasks = 8;
   common::ThreadPool pool(4);
-  CsrMatrix par = Dense3x2();
-  std::vector<size_t> par_zero;
-  sparse::DivideRowsOrZero(par, denom, 1e-12, &par_zero, &pool);
+  std::vector<CsrMatrix> par(kTasks, Dense3x2());
+  std::vector<std::vector<size_t>> par_zero(kTasks);
+  common::ParallelForChunks(&pool, kTasks, [&](size_t t) {
+    sparse::DivideRowsOrZero(par[t], denom, 1e-12, &par_zero[t]);
+  });
 
-  EXPECT_EQ(seq_zero, par_zero);
-  ASSERT_EQ(seq.nnz(), par.nnz());
-  EXPECT_EQ(seq.values(), par.values());
+  for (size_t t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(seq_zero, par_zero[t]) << "task " << t;
+    ASSERT_EQ(seq.nnz(), par[t].nnz()) << "task " << t;
+    EXPECT_EQ(seq.values(), par[t].values()) << "task " << t;
+  }
 }
 
 // Simplex solver (Eq. 15) degenerate shapes: every early-exit must be

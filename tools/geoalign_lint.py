@@ -97,6 +97,15 @@ documented in docs/static_analysis.md:
       formats stay byte-identical across surfaces and new formats land
       everywhere at once. See docs/observability.md.
 
+  geoalign-kernel-pool
+      No `ThreadPool` under src/sparse/ or src/linalg/. A kernel that
+      serves one column runs on the calling thread and sums in
+      ascending row order; pools fan out independent tasks (columns,
+      panels, name resolution, overlay pair chunks) above the kernels.
+      A pool inside a kernel would add a second level of parallelism
+      and tie a column's addition order to its chunking
+      (docs/parallelism.md).
+
   geoalign-capi-abi
       The public C ABI headers (capi/*.h) must stay C99-clean: no
       C++-only keywords (class/template/namespace/constexpr/nullptr/
@@ -135,6 +144,7 @@ RULES = (
     "geoalign-raw-intrinsic",
     "geoalign-raw-mutex",
     "geoalign-metrics-export",
+    "geoalign-kernel-pool",
     "geoalign-capi-abi",
 )
 
@@ -157,7 +167,7 @@ FLOAT_EQ_RE = re.compile(
 )
 THROW_RE = re.compile(r"\bthrow\b")
 # Member call to any interpolator's Crosswalk, or the preserved legacy
-# free function. Plan execution (Execute/ExecuteWith) never matches.
+# free function. Plan execution (Execute/ExecuteMany) never matches.
 PLAN_BYPASS_RE = re.compile(
     r"(?:\.|->)\s*Crosswalk\s*\(|\bCrosswalkUncompiled\s*\(")
 # Raw clock reads outside src/obs/. Matches the fully and partially
@@ -195,6 +205,9 @@ RAW_MUTEX_RE = re.compile(
 # itself (and tests) may call the snapshot methods; everything else
 # must go through FormatMetricsSnapshot / WriteMetricsFile.
 METRICS_EXPORT_RE = re.compile(r"(?:\.|->)\s*To(?:Text|Json)\s*\(")
+# A thread pool in the single-column kernel directories.
+KERNEL_POOL_DIRS = ("src/sparse/", "src/linalg/")
+KERNEL_POOL_RE = re.compile(r"\bThreadPool\b")
 RAW_INTRINSIC_RE = re.compile(
     r"#\s*include\s*<(?:immintrin|x86intrin|arm_neon)\.h>"
     r"|\b_mm(?:256|512)?_[a-z0-9_]+\s*\("
@@ -370,6 +383,8 @@ class Linter:
         if ((rel.startswith("src/") and not rel.startswith("src/obs/"))
                 or rel.startswith("capi/")):
             self.check_metrics_export(path, stripped, raw_lines)
+        if rel.startswith(KERNEL_POOL_DIRS):
+            self.check_kernel_pool(path, stripped, raw_lines)
         if rel.startswith("capi/") and rel.endswith(".h"):
             self.check_capi_abi(path, stripped, raw_lines)
 
@@ -462,6 +477,14 @@ class Linter:
                 "(obs::FormatMetricsSnapshot / obs::WriteMetricsFile in "
                 "obs/export.h) so every surface stays byte-identical"
                 % m.group(0).strip(), raw_lines)
+
+    def check_kernel_pool(self, path, stripped, raw_lines):
+        for m in KERNEL_POOL_RE.finditer(stripped):
+            self.report(
+                path, line_of(m.start(), stripped), "geoalign-kernel-pool",
+                "ThreadPool in a single-column kernel directory; a kernel "
+                "runs on the calling thread and sums in row order — fan "
+                "out independent tasks above it instead", raw_lines)
 
     def check_capi_abi(self, path, stripped, raw_lines):
         for m in CAPI_CXX_TOKEN_RE.finditer(stripped):
