@@ -1,10 +1,17 @@
 // Microbenchmarks for the substrate libraries: the constrained
 // least-squares solvers, sparse kernels, overlay construction, spatial
-// indexes, and polygon clipping. These are the building blocks whose
-// costs the scaling study (Fig. 6) aggregates.
+// indexes, polygon clipping, the aggregates-only execute lanes and the
+// two compile ingest paths. These are the building blocks whose costs
+// the scaling study (Fig. 6) aggregates. GEOALIGN_BENCH_SCALE rescales
+// the US universe the lane and ingest benchmarks run on.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+
+#include "bench_util.h"
 #include "common/random.h"
 #include "geom/boolean_ops.h"
 #include "geom/voronoi.h"
@@ -15,7 +22,10 @@
 #include "sparse/coo_builder.h"
 #include "sparse/prepared_reference.h"
 #include "sparse/sparse_ops.h"
+#include "sparse/simd/isa.h"
+#include "sparse/simd/panel_kernels.h"
 #include "core/batch.h"
+#include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
 #include "synth/universe.h"
 
@@ -218,6 +228,114 @@ void BM_CrosswalkBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrosswalkBatch)->Unit(benchmark::kMillisecond);
+
+const synth::Universe& UsUniverse() {
+  return bench::GetUniverse(synth::UniverseId::kUnitedStates,
+                            synth::SuiteKind::kUnitedStates);
+}
+
+// The aggregates-only execute lanes over the five aligned dense US
+// layers that perfbench's portal_us serves, 64 perturbed suite
+// columns per iteration. Width 0 is the single-column fused
+// Execute(kAggregatesOnly); widths 1..16 run ExecutePanelWith in panels
+// of that width. range(1) = 1 forces scalar dispatch, 0 runs the
+// native ISA. Items are columns.
+void BM_AggregatesLane(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  const synth::Universe& uni = UsUniverse();
+  std::vector<core::ReferenceAttribute> refs;
+  for (const char* name : {"Population", "USPS Residential Address",
+                           "USPS Business Address", "Area (Sq. Miles)",
+                           "Accidents"}) {
+    const synth::Dataset& d = uni.datasets[uni.FindDataset(name).value()];
+    refs.push_back({d.name, d.source, d.dm});
+  }
+  auto plan = core::CrosswalkPlan::Compile(refs, core::GeoAlignOptions{});
+  plan.status().CheckOK();
+  if (!plan->references().aligned()) {
+    state.SkipWithError("dense US layers are not aligned");
+    return;
+  }
+  constexpr size_t kColumns = 64;
+  Rng rng(41);
+  std::vector<linalg::Vector> columns;
+  for (size_t c = 0; c < kColumns; ++c) {
+    linalg::Vector v = uni.datasets[c % uni.datasets.size()].source;
+    for (double& x : v) x *= rng.Uniform(0.8, 1.2);
+    columns.push_back(std::move(v));
+  }
+
+  std::optional<sparse::simd::ScopedForceIsa> force;
+  if (state.range(1) != 0) force.emplace(sparse::simd::Isa::kScalar);
+  state.SetLabel(sparse::simd::IsaName(sparse::simd::ActiveIsa()));
+  core::ExecuteWorkspace ws;
+  ws.Prepare(plan->workspace_spec());
+  if (width > 0) ws.PreparePanel(plan->workspace_spec(), width);
+  std::array<common::ColumnView, sparse::simd::kMaxPanelWidth> objs;
+  std::array<std::optional<Result<core::CrosswalkResult>>,
+             sparse::simd::kMaxPanelWidth>
+      slots;
+  std::array<std::optional<Result<core::CrosswalkResult>>*,
+             sparse::simd::kMaxPanelWidth>
+      outs;
+  for (auto _ : state) {
+    if (width == 0) {
+      for (const linalg::Vector& column : columns) {
+        auto res =
+            plan->Execute(column, core::ExecuteOutput::kAggregatesOnly, &ws);
+        res.status().CheckOK();
+        benchmark::DoNotOptimize(res->target_estimates.data());
+      }
+      continue;
+    }
+    for (size_t base = 0; base < kColumns; base += width) {
+      const size_t count = std::min(width, kColumns - base);
+      for (size_t k = 0; k < count; ++k) {
+        objs[k] = columns[base + k];
+        slots[k].reset();
+        outs[k] = &slots[k];
+      }
+      plan->ExecutePanelWith(objs.data(), outs.data(), count, &ws);
+      for (size_t k = 0; k < count; ++k) {
+        slots[k]->status().CheckOK();
+        benchmark::DoNotOptimize((*slots[k])->target_estimates.data());
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kColumns));
+}
+BENCHMARK(BM_AggregatesLane)
+    ->ArgsProduct({{0, 1, 2, 4, 8, 16}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+// Compile of the 9-reference US leave-one-out input 0 through the two
+// ingest paths: 0 = the owning Compile, which copies every array into
+// the plan; 1 = the view Compile over Borrow()ed arrays, which copies
+// none.
+void BM_CompileIngest(benchmark::State& state) {
+  const bool view = state.range(0) != 0;
+  core::CrosswalkInput input =
+      std::move(UsUniverse().MakeLeaveOneOutInput(0)).ValueOrDie();
+  const core::GeoAlignOptions options;
+  auto compile = [&]() -> Result<core::CrosswalkPlan> {
+    if (!view) return core::CrosswalkPlan::Compile(input.references, options);
+    std::vector<core::ReferenceAttributeView> views;
+    views.reserve(input.references.size());
+    for (const core::ReferenceAttribute& ref : input.references) {
+      views.push_back({ref.name, ref.source_aggregates,
+                       ref.disaggregation.Borrow(), nullptr});
+    }
+    return core::CrosswalkPlan::Compile(std::move(views), options);
+  };
+  state.SetLabel(view ? "view" : "copy");
+  for (auto _ : state) {
+    Result<core::CrosswalkPlan> plan = compile();
+    plan.status().CheckOK();
+    benchmark::DoNotOptimize(plan->fingerprint());
+  }
+}
+BENCHMARK(BM_CompileIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace geoalign

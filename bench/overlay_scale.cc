@@ -1,14 +1,12 @@
 // National-scale overlay construction benchmark: the legacy path
 // (OverlayPolygonsReference: per-target R-tree queries, per-pair fan
 // recomputation, allocating clippers) against the overlay engine
-// (cached fans + dual-tree join + workspace scratch), with and without
-// the geometry fast paths, on perturbed-grid × Voronoi universes up to
-// ~30k × 3k units.
+// (cached fans + dual-tree join + per-worker scratch) on
+// perturbed-grid × Voronoi universes up to ~30k × 3k units.
 //
-// Each universe also checks the engine (fast paths off) for
-// BIT-identical cells against the reference, reports the dual-tree
-// candidate count, and measures the steady-state hot-path allocation
-// count through a warm workspace (the zero-alloc contract: 0).
+// Each universe also checks the engine for BIT-identical cells against
+// the reference and reports the dual-tree candidate count. The binary
+// exits nonzero on any bit difference.
 //
 // Usage: overlay_scale [output.json]
 //   GEOALIGN_BENCH_SCALE   rescales unit counts (default 1.0)
@@ -30,7 +28,6 @@
 #include "obs/telemetry.h"
 #include "obs/timer.h"
 #include "partition/overlay.h"
-#include "partition/overlay_prepared.h"
 
 namespace geoalign {
 namespace {
@@ -100,11 +97,7 @@ struct UniverseResult {
   size_t cells = 0;
   double seconds_reference = 0.0;
   double seconds_engine = 0.0;
-  double seconds_fast = 0.0;
-  double seconds_fast_warm = 0.0;
-  double speedup_engine = 0.0;  // reference / engine (fast paths off)
-  double speedup_fast = 0.0;    // reference / fast-path warm engine
-  uint64_t hot_allocs_steady = 0;
+  double speedup_engine = 0.0;  // reference / engine
   bool bit_identical = true;
 };
 
@@ -154,51 +147,18 @@ UniverseResult RunUniverse(const char* name, size_t source_units,
 
   obs::Counter& pair_counter =
       obs::MetricsRegistry::Global().GetCounter("overlay.candidate_pairs");
-  obs::Counter& alloc_counter =
-      obs::MetricsRegistry::Global().GetCounter("overlay.hot_path_allocs");
 
-  partition::OverlayOptions exact;
-  exact.min_area = kMinArea;
   uint64_t pairs_before = pair_counter.Value();
   partition::OverlayResult engine_cells;
   r.seconds_engine = time_best([&] {
-    engine_cells =
-        std::move(partition::OverlayPolygons(source, target, exact))
-            .ValueOrDie();
+    engine_cells = std::move(partition::OverlayPolygons(
+                                 source, target, {.min_area = kMinArea}))
+                       .ValueOrDie();
   });
   r.candidate_pairs = static_cast<size_t>(
       (pair_counter.Value() - pairs_before) / Reps());
   r.bit_identical = CellsBitIdentical(engine_cells, ref_cells);
-
-  partition::OverlayOptions fast = exact;
-  fast.fast_paths = true;
-  r.seconds_fast = time_best([&] {
-    partition::OverlayResult fast_cells =
-        std::move(partition::OverlayPolygons(source, target, fast))
-            .ValueOrDie();
-    if (fast_cells.cells.size() != ref_cells.cells.size()) std::abort();
-  });
-
-  // Warm-workspace steady state: first run grows the buffers, the
-  // timed runs reuse them; the alloc counter must stay flat.
-  partition::OverlayWorkspace ws;
-  partition::OverlayOptions warm = fast;
-  warm.workspace = &ws;
-  partition::OverlayResult warmup =
-      std::move(partition::OverlayPolygons(source, target, warm))
-          .ValueOrDie();
-  (void)warmup;
-  uint64_t allocs_before = alloc_counter.Value();
-  r.seconds_fast_warm = time_best([&] {
-    partition::OverlayResult cells =
-        std::move(partition::OverlayPolygons(source, target, warm))
-            .ValueOrDie();
-    (void)cells;
-  });
-  r.hot_allocs_steady = alloc_counter.Value() - allocs_before;
-
   r.speedup_engine = r.seconds_reference / r.seconds_engine;
-  r.speedup_fast = r.seconds_reference / r.seconds_fast_warm;
   return r;
 }
 
@@ -235,10 +195,8 @@ int main(int argc, char** argv) {
   }
 
   eval::TextTable table({"universe", "src", "tgt", "pairs", "cells",
-                         "ref s", "engine s", "fast+warm s", "speedup",
-                         "allocs", "bit-id"});
+                         "ref s", "engine s", "speedup", "bit-id"});
   bool all_identical = true;
-  bool all_zero_alloc = true;
   for (const UniverseResult& r : results) {
     table.Row()
         .Text(r.name)
@@ -248,18 +206,13 @@ int main(int argc, char** argv) {
         .Num(static_cast<double>(r.cells))
         .Num(r.seconds_reference)
         .Num(r.seconds_engine)
-        .Num(r.seconds_fast_warm)
-        .Num(r.speedup_fast)
-        .Num(static_cast<double>(r.hot_allocs_steady))
+        .Num(r.speedup_engine)
         .Text(r.bit_identical ? "yes" : "NO");
     all_identical &= r.bit_identical;
-    all_zero_alloc &= r.hot_allocs_steady == 0;
   }
   table.Print();
   std::printf("\nbit-identity (engine vs reference): %s\n",
               all_identical ? "PASS" : "FAIL");
-  std::printf("zero steady-state hot-path allocs: %s\n",
-              all_zero_alloc ? "PASS" : "FAIL");
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -276,8 +229,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"repetitions\": %zu,\n", Reps());
   std::fprintf(f, "  \"bit_identical_all\": %s,\n",
                all_identical ? "true" : "false");
-  std::fprintf(f, "  \"zero_steady_state_allocs\": %s,\n",
-               all_zero_alloc ? "true" : "false");
   std::fprintf(f, "  \"universes\": {\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const UniverseResult& r = results[i];
@@ -286,18 +237,14 @@ int main(int argc, char** argv) {
         "    \"%s\": {\"source_units\": %zu, \"target_units\": %zu, "
         "\"candidate_pairs\": %zu, \"cells\": %zu,\n"
         "      \"seconds_reference\": %.6e, \"seconds_engine\": %.6e, "
-        "\"seconds_fast\": %.6e, \"seconds_fast_warm\": %.6e,\n"
-        "      \"speedup_engine\": %.3f, \"speedup_fast\": %.3f, "
-        "\"hot_allocs_steady\": %llu, \"bit_identical\": %s}%s\n",
+        "\"speedup_engine\": %.3f, \"bit_identical\": %s}%s\n",
         r.name.c_str(), r.source_units, r.target_units, r.candidate_pairs,
-        r.cells, r.seconds_reference, r.seconds_engine, r.seconds_fast,
-        r.seconds_fast_warm, r.speedup_engine, r.speedup_fast,
-        static_cast<unsigned long long>(r.hot_allocs_steady),
+        r.cells, r.seconds_reference, r.seconds_engine, r.speedup_engine,
         r.bit_identical ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
-  return all_identical && all_zero_alloc ? 0 : 1;
+  return all_identical ? 0 : 1;
 }

@@ -46,7 +46,9 @@ int main() {
   auto counties = std::move(partition::PolygonPartition::Create(county_polys)).ValueOrDie();
 
   // Geometric overlay (intersection areas via polygon clipping).
-  auto overlay = std::move(partition::OverlayPolygons(zips, counties, 1e-9)).ValueOrDie();
+  auto overlay = std::move(partition::OverlayPolygons(
+                               zips, counties, {.min_area = 1e-9}))
+                     .ValueOrDie();
   std::printf("overlay: %zu zips x %zu counties -> %zu intersection cells, "
               "area %.1f (world %.1f)\n",
               zips.NumUnits(), counties.NumUnits(), overlay.cells.size(),

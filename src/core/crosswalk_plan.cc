@@ -61,7 +61,7 @@ obs::Counter& WorkspaceReuse() {
 // Bytes the ingest path duplicated to get reference data into a plan
 // (aggregate columns + CSR arrays). The owning Compile overloads pay
 // this once per reference; the view overloads keep it at zero — the
-// zero-copy contract tests and bench/ingest_path assert on the delta.
+// zero-copy contract tests assert on the delta.
 obs::Counter& IngestBytesCopied() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("ingest.bytes_copied");

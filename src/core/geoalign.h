@@ -61,10 +61,10 @@ class GeoAlign : public Interpolator {
 
 /// The legacy recompile-per-call implementation of Algorithm 1,
 /// preserved verbatim from before the compile/execute split. This is
-/// the reference oracle that `plan_equivalence_test` compares the
-/// compiled path against, and the baseline arm of
-/// bench/realign_throughput — it must keep redoing all objective-
-/// independent work per call, so do not "optimize" it. Production code
+/// the reference oracle that `plan_equivalence_test` and perfbench
+/// compare the compiled path against — it must keep redoing all
+/// objective-independent work per call, so do not "optimize" it.
+/// Production code
 /// goes through GeoAlign::Crosswalk or a CrosswalkPlan instead
 /// (enforced in src/ hot paths by the geoalign-plan-bypass lint).
 Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,

@@ -1,8 +1,6 @@
 #ifndef GEOALIGN_GEOM_BOOLEAN_OPS_H_
 #define GEOALIGN_GEOM_BOOLEAN_OPS_H_
 
-#include <cstdint>
-
 #include "geom/convex_clip.h"
 #include "geom/polygon.h"
 
@@ -53,19 +51,15 @@ std::vector<BBox> FanBBoxes(const std::vector<SignedTriangle>& fan);
 /// Per-worker scratch for the prepared-fan intersection kernel: the
 /// clip ping/pong rings plus the two staging triangle rings. Reserve
 /// once (overlay workers own one each), then IntersectionAreaPrepared
-/// never allocates; alloc_events() reads back any growth that did
-/// happen (the `overlay.hot_path_allocs` telemetry).
+/// never allocates.
 struct FanScratch {
   ClipScratch clip;
   Ring tri_a;
   Ring tri_b;
 
   /// Pre-grows the clip rings for subjects of up to `max_vertices`
-  /// vertices (triangles need 8; the convex fast path clips whole
-  /// rings and passes outer-ring bounds). Monotonic.
+  /// vertices (a triangle clipped by a triangle needs 8). Monotonic.
   void Reserve(size_t max_vertices);
-
-  uint64_t alloc_events() const { return clip.alloc_events; }
 };
 
 /// The cached-fan core of IntersectionArea: both polygons arrive as

@@ -1,6 +1,6 @@
 #include "geom/convex_clip.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "geom/predicates.h"
@@ -30,7 +30,7 @@ Ring ClipRingToHalfPlane(const Ring& subject, const HalfPlane& hp) {
 // the bit pattern of every intersection vertex) is decided in exactly
 // one place.
 // GEOALIGN_HOT_LOOP_BEGIN (overlay clipping: no heap growth when the
-// caller Reserved enough capacity; growth is counted by ClipScratch)
+// caller Reserved enough capacity)
 void ClipRingToHalfPlaneInto(const Ring& subject, const HalfPlane& hp,
                              Ring* out) {
   out->clear();
@@ -48,8 +48,8 @@ void ClipRingToHalfPlaneInto(const Ring& subject, const HalfPlane& hp,
     bool cur_in = dc <= 0.0;
     bool nxt_in = dn <= 0.0;
     // Capacity comes from ClipScratch::Reserve (or the reserve in
-    // ClipRingToHalfPlane); a short reservation only costs a counted
-    // growth, never correctness.
+    // ClipRingToHalfPlane); a short reservation only costs a growth,
+    // never correctness.
     if (cur_in) out->push_back(cur);  // NOLINT(geoalign-hot-alloc)
     if (cur_in != nxt_in) {
       double t = dc / (dc - dn);
@@ -98,12 +98,10 @@ void ClipScratch::Reserve(size_t max_vertices) {
 double ConvexIntersectionAreaWith(const Ring& a, const Ring& b,
                                   ClipScratch* scratch) {
   if (a.size() < 3 || b.size() < 3) return 0.0;
-  size_t cap_ping = scratch->ping.capacity();
-  size_t cap_pong = scratch->pong.capacity();
   // Same clip sequence as ClipRingToConvex, ping/pong instead of a
   // fresh ring per half-plane.
   // GEOALIGN_HOT_LOOP_BEGIN (overlay clipping: assign within reserved
-  // capacity; growth is counted below)
+  // capacity)
   scratch->ping.assign(a.begin(), a.end());  // NOLINT(geoalign-hot-alloc)
   size_t n = b.size();
   for (size_t i = 0; i < n && scratch->ping.size() >= 3; ++i) {
@@ -116,14 +114,6 @@ double ConvexIntersectionAreaWith(const Ring& a, const Ring& b,
     std::swap(scratch->ping, scratch->pong);
   }
   // GEOALIGN_HOT_LOOP_END
-  // std::swap exchanges the rings' capacities, so compare as an
-  // unordered pair: only genuine growth counts as an alloc event.
-  size_t now_ping = scratch->ping.capacity();
-  size_t now_pong = scratch->pong.capacity();
-  if (std::min(now_ping, now_pong) != std::min(cap_ping, cap_pong) ||
-      std::max(now_ping, now_pong) != std::max(cap_ping, cap_pong)) {
-    ++scratch->alloc_events;
-  }
   if (scratch->ping.size() < 3) return 0.0;
   return RingArea(scratch->ping);
 }

@@ -1,8 +1,6 @@
 #ifndef GEOALIGN_GEOM_CONVEX_CLIP_H_
 #define GEOALIGN_GEOM_CONVEX_CLIP_H_
 
-#include <cstdint>
-
 #include "geom/polygon.h"
 
 namespace geoalign::geom {
@@ -44,14 +42,11 @@ double ConvexIntersectionArea(const Ring& a, const Ring& b);
 
 /// Reusable ping/pong rings for the allocation-free clipping path.
 /// One scratch serves one clip at a time; overlay workers each own one
-/// (partition::OverlayWorkspace) and Reserve it once, so steady-state
-/// clipping never touches the heap. `alloc_events` counts every
-/// capacity growth after Reserve — the `overlay.hot_path_allocs`
-/// telemetry reads it back.
+/// (inside a FanScratch) and Reserve it once, so steady-state clipping
+/// never touches the heap.
 struct ClipScratch {
   Ring ping;
   Ring pong;
-  uint64_t alloc_events = 0;
 
   /// Pre-grows both rings for subjects/clips of up to `max_vertices`
   /// vertices each (a subject of n vertices clipped by m half-planes

@@ -130,19 +130,6 @@ bool Polygon::Contains(const Point& p) const {
   return true;
 }
 
-bool Polygon::IsConvex() const {
-  if (!holes_.empty()) return false;
-  size_t n = outer_.size();
-  if (n < 3) return false;
-  for (size_t i = 0; i < n; ++i) {
-    const Point& a = outer_[i];
-    const Point& b = outer_[(i + 1) % n];
-    const Point& c = outer_[(i + 2) % n];
-    if (Cross(b - a, c - b) < 0.0) return false;
-  }
-  return true;
-}
-
 size_t Polygon::VertexCount() const {
   size_t n = outer_.size();
   for (const Ring& h : holes_) n += h.size();

@@ -62,9 +62,6 @@ class Polygon {
   /// and outside every hole.
   bool Contains(const Point& p) const;
 
-  /// True when the outer ring is convex and there are no holes.
-  bool IsConvex() const;
-
   /// Number of vertices over all rings.
   size_t VertexCount() const;
 

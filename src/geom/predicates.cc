@@ -96,60 +96,4 @@ double PointSegmentDistance(const Point& p, const Point& a, const Point& b) {
   return Distance(p, proj);
 }
 
-bool SegmentIntersectsBBox(const Point& a, const Point& b, const BBox& box) {
-  if (box.Empty()) return false;
-  // Liang–Barsky: intersect the parameter interval [0, 1] with the
-  // four slab constraints p * t <= q.
-  double t0 = 0.0;
-  double t1 = 1.0;
-  double dx = b.x - a.x;
-  double dy = b.y - a.y;
-  auto clip = [&t0, &t1](double p, double q) {
-    if (ExactlyZero(p)) return q >= 0.0;  // parallel: inside the slab?
-    double r = q / p;
-    if (p < 0.0) {
-      if (r > t1) return false;
-      if (r > t0) t0 = r;
-    } else {
-      if (r < t0) return false;
-      if (r < t1) t1 = r;
-    }
-    return true;
-  };
-  return clip(-dx, a.x - box.min_x) && clip(dx, box.max_x - a.x) &&
-         clip(-dy, a.y - box.min_y) && clip(dy, box.max_y - a.y) && t0 <= t1;
-}
-
-bool PolygonContainsBBox(const Polygon& poly, const BBox& box) {
-  if (box.Empty()) return false;
-  const BBox& pb = poly.Bounds();
-  if (box.min_x < pb.min_x || box.max_x > pb.max_x ||
-      box.min_y < pb.min_y || box.max_y > pb.max_y) {
-    return false;
-  }
-  const Ring& outer = poly.outer();
-  if (!PointInRing({box.min_x, box.min_y}, outer) ||
-      !PointInRing({box.max_x, box.min_y}, outer) ||
-      !PointInRing({box.max_x, box.max_y}, outer) ||
-      !PointInRing({box.min_x, box.max_y}, outer)) {
-    return false;
-  }
-  // Corners inside and no outer edge touching the box means the box
-  // boundary never crosses the ring, so the whole (connected) box is
-  // interior.
-  size_t n = outer.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (SegmentIntersectsBBox(outer[i], outer[(i + 1) % n], box)) {
-      return false;
-    }
-  }
-  // Holes: any hole whose extent touches the box could carve it.
-  for (const Ring& hole : poly.holes()) {
-    BBox hb;
-    for (const Point& p : hole) hb.Expand(p);
-    if (hb.Intersects(box)) return false;
-  }
-  return true;
-}
-
 }  // namespace geoalign::geom

@@ -33,17 +33,6 @@ std::optional<Point> SegmentIntersection(const Point& a, const Point& b,
 /// Distance from p to the closed segment [a, b].
 double PointSegmentDistance(const Point& p, const Point& a, const Point& b);
 
-/// True when the closed segment [a, b] shares at least one point with
-/// the closed box (Liang–Barsky slab clipping). Touching counts.
-bool SegmentIntersectsBBox(const Point& a, const Point& b, const BBox& box);
-
-/// True when the closed box lies entirely inside the polygon:
-/// all four box corners pass the point-in-polygon test, no outer-ring
-/// edge intersects the closed box, and no hole's bounding box touches
-/// it. Conservative — a false negative only means a caller falls back
-/// to the exact clipping path (the overlay containment fast path).
-bool PolygonContainsBBox(const Polygon& poly, const BBox& box);
-
 }  // namespace geoalign::geom
 
 #endif  // GEOALIGN_GEOM_PREDICATES_H_

@@ -1,6 +1,7 @@
 #include "io/crosswalk_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -10,11 +11,19 @@ namespace geoalign::io {
 
 namespace {
 
-std::unordered_map<std::string, size_t> IndexOf(
-    const std::vector<std::string>& units) {
+// Name → position in `units`. A duplicate name is an error: the map
+// would keep only its first position, so rows naming it would all land
+// there and the later position would stay empty.
+Result<std::unordered_map<std::string, size_t>> IndexOf(
+    const std::vector<std::string>& units, const char* which) {
   std::unordered_map<std::string, size_t> out;
   out.reserve(units.size());
-  for (size_t i = 0; i < units.size(); ++i) out.emplace(units[i], i);
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (!out.emplace(units[i], i).second) {
+      return Status::InvalidArgument(StrFormat(
+          "duplicate %s unit name '%s'", which, units[i].c_str()));
+    }
+  }
   return out;
 }
 
@@ -43,8 +52,10 @@ Result<LoadedCrosswalk> CrosswalkFromTable(
       source_units.empty() ? SortedUnique(sources) : std::move(source_units);
   out.target_units =
       target_units.empty() ? SortedUnique(targets) : std::move(target_units);
-  auto src_index = IndexOf(out.source_units);
-  auto tgt_index = IndexOf(out.target_units);
+  GEOALIGN_ASSIGN_OR_RETURN(auto src_index,
+                            IndexOf(out.source_units, "source"));
+  GEOALIGN_ASSIGN_OR_RETURN(auto tgt_index,
+                            IndexOf(out.target_units, "target"));
 
   sparse::CooBuilder builder(out.source_units.size(),
                              out.target_units.size());
@@ -61,9 +72,11 @@ Result<LoadedCrosswalk> CrosswalkFromTable(
                                         "unit '%s'",
                                         r, targets[r].c_str()));
     }
-    if (values[r] < 0.0) {
-      return Status::InvalidArgument(
-          StrFormat("crosswalk row %zu: negative value", r));
+    // strtod accepts "nan" and "inf", so the parsed column can hold
+    // them.
+    if (!std::isfinite(values[r]) || values[r] < 0.0) {
+      return Status::InvalidArgument(StrFormat(
+          "crosswalk row %zu: negative or non-finite value", r));
     }
     builder.Add(si->second, ti->second, values[r]);
   }
@@ -88,7 +101,7 @@ Result<linalg::Vector> AggregatesFromTable(
                             table.StringColumn(unit_column));
   GEOALIGN_ASSIGN_OR_RETURN(std::vector<double> values,
                             table.NumericColumn(value_column));
-  auto index = IndexOf(units);
+  GEOALIGN_ASSIGN_OR_RETURN(auto index, IndexOf(units, "aggregate"));
   linalg::Vector out(units.size(), 0.0);
   for (size_t r = 0; r < names.size(); ++r) {
     auto it = index.find(names[r]);

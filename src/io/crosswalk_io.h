@@ -25,8 +25,9 @@ struct LoadedCrosswalk {
 
 /// Parses a long-form crosswalk table. When `source_units` /
 /// `target_units` are empty they are derived from the table (sorted,
-/// deduplicated); otherwise unknown unit names are an error. Duplicate
-/// (source,target) rows are summed; negative values are rejected.
+/// deduplicated); otherwise unknown unit names and duplicate names in
+/// either list are errors. Duplicate (source,target) rows are summed;
+/// negative and non-finite values are rejected.
 Result<LoadedCrosswalk> CrosswalkFromTable(
     const Table& table, const std::string& source_column,
     const std::string& target_column, const std::string& value_column,
@@ -39,7 +40,8 @@ core::ReferenceAttribute ReferenceFromCrosswalk(std::string name,
                                                 const LoadedCrosswalk& cw);
 
 /// Resolves a (unit,value) aggregate table into a vector aligned with
-/// `units`; missing units get 0, unknown units error, duplicates sum.
+/// `units`; missing units get 0, unknown units error, duplicate rows
+/// sum. A duplicate name in `units` is an error.
 Result<linalg::Vector> AggregatesFromTable(
     const Table& table, const std::string& unit_column,
     const std::string& value_column, const std::vector<std::string>& units);

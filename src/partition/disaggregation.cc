@@ -85,7 +85,10 @@ Status CheckDmConsistency(const sparse::CsrMatrix& dm,
   linalg::Vector sums = dm.RowSums();
   for (size_t i = 0; i < sums.size(); ++i) {
     double lim = tol * std::max(1.0, std::fabs(source_aggregates[i]));
-    if (std::fabs(sums[i] - source_aggregates[i]) > lim) {
+    double diff = std::fabs(sums[i] - source_aggregates[i]);
+    // A NaN or infinite row sum or aggregate leaves diff non-finite,
+    // and NaN compares false against any limit, so test that first.
+    if (!std::isfinite(diff) || diff > lim) {
       return Status::FailedPrecondition(StrFormat(
           "DM row %zu sums to %.12g but source aggregate is %.12g", i,
           sums[i], source_aggregates[i]));

@@ -35,7 +35,8 @@ linalg::Vector AggregatePoints(const PolygonPartition& layer,
                                size_t* dropped_points = nullptr);
 
 /// Checks DM/source-vector consistency: row i of `dm` must sum to
-/// `source_aggregates[i]` within `tol * max(1, |a_i|)`. GeoAlign's
+/// `source_aggregates[i]` within `tol * max(1, |a_i|)`; a NaN or
+/// infinite row sum or aggregate fails. GeoAlign's
 /// volume-preservation guarantee (Eq. 16) relies on this.
 Status CheckDmConsistency(const sparse::CsrMatrix& dm,
                           const linalg::Vector& source_aggregates,

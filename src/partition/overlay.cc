@@ -1,7 +1,6 @@
 #include "partition/overlay.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "geom/boolean_ops.h"
-#include "geom/predicates.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/overlay_prepared.h"
@@ -31,22 +29,6 @@ obs::Counter& PairsPruned() {
       obs::MetricsRegistry::Global().GetCounter("overlay.pairs_pruned");
   return c;
 }
-obs::Counter& FastPathContainHits() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "overlay.fastpath_contain_hits");
-  return c;
-}
-obs::Counter& FastPathConvexHits() {
-  static obs::Counter& c = obs::MetricsRegistry::Global().GetCounter(
-      "overlay.fastpath_convex_hits");
-  return c;
-}
-obs::Counter& HotPathAllocs() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("overlay.hot_path_allocs");
-  return c;
-}
-
 bool CellLess(const IntersectionCell& a, const IntersectionCell& b) {
   return a.source != b.source ? a.source < b.source : a.target < b.target;
 }
@@ -167,155 +149,84 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
 
   std::unique_ptr<common::ThreadPool> pool =
       common::MakePoolOrNull(common::ResolveThreadCount(options.threads));
-  const bool outer_inline = pool == nullptr;
 
-  // Slot 0 serves the inline path; workers map to wi + 1 (batch.cc
-  // idiom), so no two concurrently-running chunks share a scratch.
-  OverlayWorkspace local_ws;
-  OverlayWorkspace& ws = options.workspace ? *options.workspace : local_ws;
-
-  // Cold section: cache each layer's signed fans, per-triangle bboxes,
-  // areas, and convexity flags once — the legacy path re-derived all
-  // of this for every candidate pair. A warm caller-owned workspace
-  // re-overlaying the same partitions serves these from its cache and
-  // skips the Build entirely. Allocation is fine here.
+  // Cold section: cache each layer's signed fans and per-triangle
+  // bboxes once — the legacy path re-derived them for every candidate
+  // pair. Allocation is fine here.
+  PreparedOverlayLayer prep_s;
+  PreparedOverlayLayer prep_t;
   {
     GEOALIGN_TRACE_SPAN("overlay.prepare");
-    ws.Prepare(ws.Prepared(0, source), ws.Prepared(1, target),
-               (pool ? pool->size() : 0) + 1);
+    prep_s = PreparedOverlayLayer::Build(source);
+    prep_t = PreparedOverlayLayer::Build(target);
   }
-  // Cache hits: the block above built both layers.
-  const PreparedOverlayLayer& prep_s = ws.Prepared(0, source);
-  const PreparedOverlayLayer& prep_t = ws.Prepared(1, target);
-  const uint64_t allocs_before = ws.alloc_events();
 
-  // Candidate generation: one simultaneous descent of both R-trees
-  // into the reused pair buffer. Emission order is a pure function of
-  // the two tree structures — never of the thread count — and the set
-  // of emitted pairs is exactly the bbox-intersecting pairs the legacy
-  // per-target queries produced.
-  std::vector<std::pair<uint32_t, uint32_t>>& pairs = ws.pair_buffer();
-  if (!ws.pairs_cached()) {
+  // Candidate generation: one simultaneous descent of both R-trees.
+  // Emission order is a pure function of the two tree structures —
+  // never of the thread count — and the set of emitted pairs is
+  // exactly the bbox-intersecting pairs the legacy per-target queries
+  // produced.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  {
     GEOALIGN_TRACE_SPAN("overlay.join");
-    const size_t pairs_cap_before = pairs.capacity();
     source.rtree().DualTreeJoin(target.rtree(), &pairs);
-    if (pairs.capacity() != pairs_cap_before) ws.CountGrowth(1);
-    ws.MarkPairsCached();
   }
   CandidatePairs().Add(pairs.size());
 
-  // Each chunk of the pair list clips into its own reused cell list;
-  // every pair is computed wholly inside one chunk, so cell values are
+  // Each chunk of the pair list clips into its own cell list; every
+  // pair is computed wholly inside one chunk, so cell values are
   // independent of the chunking, and the final unique-key sort makes
   // the emission order irrelevant: bit-identical at any thread count.
   constexpr size_t kPairGrain = 64;
   std::vector<common::ChunkRange> chunks =
       common::DeterministicChunks(pairs.size(), kPairGrain);
-  struct ChunkStats {
-    uint32_t pruned = 0;
-    uint32_t contain_hits = 0;
-    uint32_t convex_hits = 0;
-    uint32_t growths = 0;
-  };
-  std::array<ChunkStats, common::kMaxChunks> stats;
+  std::vector<std::vector<IntersectionCell>> chunk_cells(chunks.size());
+  // One scratch per worker slot. ParallelForChunks runs every chunk on
+  // a pool worker when it has a pool and more than one chunk, else all
+  // chunks inline on the calling thread — which may be a worker of some
+  // outer pool, so only a pooled run may key the slot off the index.
+  const bool pooled = pool != nullptr && chunks.size() > 1;
+  std::vector<geom::FanScratch> scratch(pooled ? pool->size() : 1);
+  for (geom::FanScratch& s : scratch) s.Reserve(8);  // triangle × triangle
   auto clip_chunk = [&](size_t ci) {
-    size_t wi = common::ThreadPool::CurrentWorkerIndex();
-    geom::FanScratch& scratch = ws.slot(
-        outer_inline || wi == common::ThreadPool::kNoWorkerIndex ? 0 : wi + 1);
-    ChunkStats& st = stats[ci];
-    std::vector<IntersectionCell>& cells = ws.cell_chunks()[ci];
-    const size_t cells_cap_before = cells.capacity();
-    cells.clear();
-    // GEOALIGN_HOT_LOOP_BEGIN (overlay pair loop: fans, bboxes, and
-    // areas come cached from the prepared layers; rings come Reserved
-    // from the workspace scratch)
+    geom::FanScratch& fs =
+        scratch[pooled ? common::ThreadPool::CurrentWorkerIndex() : 0];
+    std::vector<IntersectionCell>& cells = chunk_cells[ci];
+    cells.reserve(chunks[ci].end - chunks[ci].begin);
+    // GEOALIGN_HOT_LOOP_BEGIN (overlay pair loop: fans and bboxes come
+    // cached from the prepared layers, rings from the Reserved scratch)
     for (size_t k = chunks[ci].begin; k < chunks[ci].end; ++k) {
       const uint32_t i = pairs[k].first;
       const uint32_t j = pairs[k].second;
-      double inter;
-      if (options.fast_paths && prep_s.unit(i).convex &&
-          prep_t.unit(j).convex) {
-        // Hole-free convex pair: one Sutherland–Hodgman pass over the
-        // outer rings replaces the fan double loop. The ring with fewer
-        // edges serves as the clip ring — fewer half-plane passes, and
-        // intersection area is symmetric. Containment needs no separate
-        // check here: clipping a contained subject returns it exactly.
-        const geom::Ring& ra = source.unit(i).outer();
-        const geom::Ring& rb = target.unit(j).outer();
-        inter = rb.size() <= ra.size()
-                    ? geom::ConvexIntersectionAreaWith(ra, rb, &scratch.clip)
-                    : geom::ConvexIntersectionAreaWith(rb, ra, &scratch.clip);
-        ++st.convex_hits;
-      } else if (options.fast_paths &&
-                 geom::PolygonContainsBBox(source.unit(i),
-                                           target.unit(j).Bounds())) {
-        // target ⊂ its bbox ⊂ source, so the intersection is the whole
-        // target polygon. Exact (no clipping arithmetic at all), and it
-        // skips the fan double loop the non-convex pair would pay.
-        inter = prep_t.unit(j).area;
-        ++st.contain_hits;
-      } else if (options.fast_paths &&
-                 geom::PolygonContainsBBox(target.unit(j),
-                                           source.unit(i).Bounds())) {
-        inter = prep_s.unit(i).area;
-        ++st.contain_hits;
-      } else {
-        inter = geom::IntersectionAreaPrepared(
-            prep_s.fan(i), prep_s.fan_boxes(i), prep_s.fan_size(i),
-            prep_t.fan(j), prep_t.fan_boxes(j), prep_t.fan_size(j), &scratch);
-      }
+      double inter = geom::IntersectionAreaPrepared(
+          prep_s.fan(i), prep_s.fan_boxes(i), prep_s.fan_size(i),
+          prep_t.fan(j), prep_t.fan_boxes(j), prep_t.fan_size(j), &fs);
       if (inter > options.min_area) {
-        // Growth is detected by the capacity snapshot below and lands
-        // in overlay.hot_path_allocs; a warmed workspace never grows.
+        // Reserved above to the chunk's pair count: never grows.
         cells.push_back({i, j, inter});  // NOLINT(geoalign-hot-alloc)
-      } else {
-        ++st.pruned;
       }
     }
     // GEOALIGN_HOT_LOOP_END
-    if (cells.capacity() != cells_cap_before) ++st.growths;
   };
   {
     GEOALIGN_TRACE_SPAN("overlay.clip");
     common::ParallelForChunks(pool.get(), chunks.size(), clip_chunk);
   }
 
-  // The rest of the call: concatenate the chunk cell lists, sort, and
-  // flush the counters.
+  // The rest of the call: concatenate the chunk cell lists and sort.
+  // Every candidate pair either became a cell or was pruned.
   GEOALIGN_TRACE_SPAN("overlay.sort");
-  uint64_t pruned = 0;
-  uint64_t contain_hits = 0;
-  uint64_t convex_hits = 0;
-  uint64_t growths = 0;
   size_t total_cells = 0;
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    total_cells += ws.cell_chunks()[ci].size();
+  for (const std::vector<IntersectionCell>& cells : chunk_cells) {
+    total_cells += cells.size();
   }
   out.cells.reserve(total_cells);
-  for (size_t ci = 0; ci < chunks.size(); ++ci) {
-    const std::vector<IntersectionCell>& cells = ws.cell_chunks()[ci];
+  for (const std::vector<IntersectionCell>& cells : chunk_cells) {
     out.cells.insert(out.cells.end(), cells.begin(), cells.end());
-    pruned += stats[ci].pruned;
-    contain_hits += stats[ci].contain_hits;
-    convex_hits += stats[ci].convex_hits;
-    growths += stats[ci].growths;
   }
   std::sort(out.cells.begin(), out.cells.end(), CellLess);
-  ws.CountGrowth(growths);
-  PairsPruned().Add(pruned);
-  FastPathContainHits().Add(contain_hits);
-  FastPathConvexHits().Add(convex_hits);
-  HotPathAllocs().Add(ws.alloc_events() - allocs_before);
+  PairsPruned().Add(pairs.size() - total_cells);
   return out;
-}
-
-Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
-                                      const PolygonPartition& target,
-                                      double min_area, size_t threads) {
-  OverlayOptions options;
-  options.min_area = min_area;
-  options.threads = threads;
-  return OverlayPolygons(source, target, options);
 }
 
 Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,

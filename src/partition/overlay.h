@@ -54,9 +54,6 @@ Result<OverlayResult> OverlayBoxes(const BoxPartition& source,
                                    const BoxPartition& target,
                                    double tol = 1e-9);
 
-/// Reusable scratch for the geometric overlay (overlay_prepared.h).
-class OverlayWorkspace;
-
 /// Options for the geometric overlay engine.
 struct OverlayOptions {
   /// Cells with area <= min_area are dropped.
@@ -69,48 +66,24 @@ struct OverlayOptions {
   /// computed independently, and the final (source, target) sort has
   /// unique keys.
   size_t threads = 1;
-
-  /// Enables the value-changing geometry fast paths: containment
-  /// pairs (one polygon's bbox provably inside the other) short-cut to
-  /// the contained polygon's cached area, and convex/hole-free pairs
-  /// clip outer rings directly instead of summing the triangle-fan
-  /// double loop. Both are exact in real arithmetic but may differ
-  /// from the fan path in the last ulp, so they are opt-in; with
-  /// fast_paths=false the engine is bit-identical to
-  /// OverlayPolygonsReference.
-  bool fast_paths = false;
-
-  /// Optional caller-owned scratch, reused across overlays. With a
-  /// warmed workspace the hot section performs zero heap allocations
-  /// (the `overlay.hot_path_allocs` counter stays flat), and a repeat
-  /// overlay of the same two partitions also serves the prepared
-  /// layers and the dual-tree candidate join from the workspace's
-  /// cache (see OverlayWorkspace::Prepared for the lifetime contract).
-  /// Null = the engine uses an internal workspace for this call.
-  OverlayWorkspace* workspace = nullptr;
 };
 
-/// Geometric 2-D overlay: the intersection area of every
-/// bbox-candidate pair of units. Candidates come from a simultaneous
+/// Geometric 2-D overlay: the exact intersection area of every
+/// bbox-candidate pair of units, bit-identical to
+/// OverlayPolygonsReference. Candidates come from a simultaneous
 /// R-tree×R-tree join (spatial::RTree::DualTreeJoin); per-unit signed
 /// fans and triangle bboxes are cached once per layer
-/// (partition::PreparedOverlayLayer) instead of recomputed per pair;
-/// all intermediate rings come from workspace scratch.
+/// (partition::PreparedOverlayLayer) instead of recomputed per pair,
+/// and every intermediate ring comes from per-worker scratch.
 Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
                                       const PolygonPartition& target,
-                                      const OverlayOptions& options);
-
-/// Legacy-signature convenience wrapper (fast paths off).
-Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
-                                      const PolygonPartition& target,
-                                      double min_area = 0.0,
-                                      size_t threads = 1);
+                                      const OverlayOptions& options = {});
 
 /// The pre-engine overlay, kept verbatim as the differential oracle:
 /// per-target R-tree queries + per-pair IntersectionArea, no caching,
-/// no workspace. tests/overlay_engine_test.cc asserts the engine (fast
-/// paths off) is bit-identical to this for every universe × thread
-/// count; bench/overlay_scale measures the speedup against it.
+/// no scratch reuse. tests/overlay_engine_test.cc asserts the engine is
+/// bit-identical to this for every universe × thread count;
+/// bench/overlay_scale measures the speedup against it.
 Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,
                                                const PolygonPartition& target,
                                                double min_area = 0.0,

@@ -1,78 +1,28 @@
 #include "partition/overlay_prepared.h"
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
-
 namespace geoalign::partition {
 
 PreparedOverlayLayer PreparedOverlayLayer::Build(const PolygonPartition& layer) {
   PreparedOverlayLayer out;
-  out.layer_ = &layer;
   size_t n = layer.NumUnits();
-  out.units_.resize(n);
+  out.fan_offsets_.reserve(n + 1);
 
-  // First pass sizes the flat stores exactly (fans have at most
-  // vertices-2 triangles per ring) so the fill pass never reallocates.
+  // Size the flat store up front (fans have at most vertices-2
+  // triangles per ring) so the fill pass never reallocates.
   size_t tri_upper = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const geom::Polygon& poly = layer.unit(i);
-    tri_upper += poly.VertexCount();  // >= sum over rings of (len - 2)
-    out.max_ring_vertices_ =
-        std::max(out.max_ring_vertices_, poly.outer().size());
-    for (const geom::Ring& hole : poly.holes()) {
-      out.max_ring_vertices_ = std::max(out.max_ring_vertices_, hole.size());
-    }
-  }
+  for (size_t i = 0; i < n; ++i) tri_upper += layer.unit(i).VertexCount();
   out.tris_.reserve(tri_upper);
 
+  out.fan_offsets_.push_back(0);
   for (size_t i = 0; i < n; ++i) {
-    const geom::Polygon& poly = layer.unit(i);
-    PreparedOverlayUnit& u = out.units_[i];
-    u.fan_begin = static_cast<uint32_t>(out.tris_.size());
     // Same decomposition the per-pair path ran: identical triangles in
     // identical order, so downstream clipping is bit-identical.
-    std::vector<geom::SignedTriangle> fan = geom::SignedFan(poly);
+    std::vector<geom::SignedTriangle> fan = geom::SignedFan(layer.unit(i));
     out.tris_.insert(out.tris_.end(), fan.begin(), fan.end());
-    u.fan_end = static_cast<uint32_t>(out.tris_.size());
-    u.area = poly.Area();
-    u.convex = poly.IsConvex();
+    out.fan_offsets_.push_back(static_cast<uint32_t>(out.tris_.size()));
   }
   out.tri_boxes_ = geom::FanBBoxes(out.tris_);
   return out;
-}
-
-const PreparedOverlayLayer& OverlayWorkspace::Prepared(
-    int side, const PolygonPartition& layer) {
-  if (prep_key_[side] != &layer || prep_units_[side] != layer.NumUnits()) {
-    prep_cache_[side] = PreparedOverlayLayer::Build(layer);
-    prep_key_[side] = &layer;
-    prep_units_[side] = layer.NumUnits();
-    pairs_cached_ = false;
-  }
-  return prep_cache_[side];
-}
-
-void OverlayWorkspace::Prepare(const PreparedOverlayLayer& source,
-                               const PreparedOverlayLayer& target,
-                               size_t slots) {
-  if (slots_.size() < slots) slots_.resize(slots);
-  // Triangles clipped by triangles need capacity 8 (3 + 3 + slack);
-  // the convex fast path clips whole outer rings against whole outer
-  // rings, so size for the widest ring on either side, clipped by the
-  // other side's edge count.
-  size_t max_ring = std::max<size_t>(
-      8, source.max_ring_vertices() + target.max_ring_vertices());
-  for (geom::FanScratch& s : slots_) s.Reserve(max_ring);
-  if (chunk_cells_.size() < common::kMaxChunks) {
-    chunk_cells_.resize(common::kMaxChunks);
-  }
-}
-
-uint64_t OverlayWorkspace::alloc_events() const {
-  uint64_t total = extra_growth_;
-  for (const geom::FanScratch& s : slots_) total += s.alloc_events();
-  return total;
 }
 
 }  // namespace geoalign::partition

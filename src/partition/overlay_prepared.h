@@ -2,126 +2,41 @@
 #define GEOALIGN_PARTITION_OVERLAY_PREPARED_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "geom/boolean_ops.h"
-#include "partition/overlay.h"
 #include "partition/polygon_partition.h"
 
 namespace geoalign::partition {
-
-/// Per-unit precomputed overlay geometry: the unit's signed-fan span
-/// inside the layer's flat triangle store plus the properties the
-/// fast paths key on. Everything here is a pure function of the unit
-/// polygon, computed exactly once per unit per overlay — where the
-/// legacy path re-derived it per candidate pair.
-struct PreparedOverlayUnit {
-  uint32_t fan_begin = 0;  ///< first triangle in the layer store
-  uint32_t fan_end = 0;    ///< one past the last triangle
-  double area = 0.0;       ///< Polygon::Area(), for containment pairs
-  bool convex = false;     ///< convex outer ring, no holes
-};
 
 /// Overlay-scoped prepared form of one PolygonPartition. The signed
 /// fans of all units live in one flat triangle vector with a parallel
 /// per-triangle bbox vector (geom::FanBBoxes arithmetic, so pruning
 /// against them is bit-identical to recomputing boxes in the tri×tri
-/// loop). Build is O(total vertices); the overlay engine builds one
-/// per side and amortizes it over every candidate pair.
+/// loop). Each unit's fan is a pure function of its polygon, computed
+/// exactly once per overlay — where the legacy path re-derived it per
+/// candidate pair. Build is O(total vertices); the overlay engine
+/// builds one per side and amortizes it over every candidate pair.
 class PreparedOverlayLayer {
  public:
   static PreparedOverlayLayer Build(const PolygonPartition& layer);
 
-  const PolygonPartition& layer() const { return *layer_; }
-  size_t NumUnits() const { return units_.size(); }
-  const PreparedOverlayUnit& unit(size_t i) const { return units_[i]; }
-
   /// The unit's fan triangles / per-triangle bboxes (parallel arrays).
   const geom::SignedTriangle* fan(size_t i) const {
-    return tris_.data() + units_[i].fan_begin;
+    return tris_.data() + fan_offsets_[i];
   }
   const geom::BBox* fan_boxes(size_t i) const {
-    return tri_boxes_.data() + units_[i].fan_begin;
+    return tri_boxes_.data() + fan_offsets_[i];
   }
   size_t fan_size(size_t i) const {
-    return units_[i].fan_end - units_[i].fan_begin;
+    return fan_offsets_[i + 1] - fan_offsets_[i];
   }
 
-  /// Largest ring vertex count over all units' rings — sizes the clip
-  /// scratch so the convex fast path never grows a ring.
-  size_t max_ring_vertices() const { return max_ring_vertices_; }
-
  private:
-  const PolygonPartition* layer_ = nullptr;
-  std::vector<PreparedOverlayUnit> units_;
+  /// Unit i's triangles are [fan_offsets_[i], fan_offsets_[i + 1]).
+  std::vector<uint32_t> fan_offsets_;
   std::vector<geom::SignedTriangle> tris_;
   std::vector<geom::BBox> tri_boxes_;
-  size_t max_ring_vertices_ = 0;
-};
-
-/// Reusable scratch for the OverlayPolygons hot path: the candidate
-/// pair buffer the dual-tree join fills, the per-chunk cell lists,
-/// and one geom::FanScratch per worker slot. A workspace passed
-/// through OverlayOptions::workspace survives across overlays, so a
-/// second overlay of same-scale layers performs ZERO hot-path heap
-/// allocations — `alloc_events()` (and the `overlay.hot_path_allocs`
-/// counter, which reports the per-overlay delta past Prepare) stays
-/// flat. One workspace serves one overlay at a time.
-class OverlayWorkspace {
- public:
-  OverlayWorkspace() = default;
-  OverlayWorkspace(const OverlayWorkspace&) = delete;
-  OverlayWorkspace& operator=(const OverlayWorkspace&) = delete;
-
-  /// Grows the worker-slot scratch to `slots` entries, each Reserved
-  /// for the layers' widest rings, and pre-sizes the chunk-cell table.
-  /// Monotonic; called by OverlayPolygons before the hot section.
-  void Prepare(const PreparedOverlayLayer& source,
-               const PreparedOverlayLayer& target, size_t slots);
-
-  /// The prepared form of `layer`, served from the workspace's cache
-  /// when the same partition was prepared by the previous overlay
-  /// (side 0 = source, side 1 = target) and rebuilt otherwise — so a
-  /// warm workspace re-overlaying the same layers skips the O(total
-  /// vertices) Build entirely. The cache keys on the partition's
-  /// address and unit count; keep a partition alive for as long as a
-  /// workspace that served it may be reused, or the key can alias.
-  const PreparedOverlayLayer& Prepared(int side,
-                                       const PolygonPartition& layer);
-
-  /// Cumulative buffer growths (pair buffer, chunk cell lists, clip
-  /// scratch) since construction. The engine snapshots this after
-  /// Prepare and reports the hot-section delta.
-  uint64_t alloc_events() const;
-
-  /// True when pair_buffer() still holds the dual-tree join of the
-  /// exact layers the prep cache serves — the join is a pure function
-  /// of the two trees, so a warm same-layers overlay skips it. Any
-  /// cache miss in Prepared() invalidates this.
-  bool pairs_cached() const { return pairs_cached_; }
-  void MarkPairsCached() { pairs_cached_ = true; }
-
-  // Engine-facing internals (OverlayPolygons).
-  std::vector<std::pair<uint32_t, uint32_t>>& pair_buffer() { return pairs_; }
-  std::vector<std::vector<IntersectionCell>>& cell_chunks() {
-    return chunk_cells_;
-  }
-  geom::FanScratch& slot(size_t i) { return slots_[i]; }
-  size_t num_slots() const { return slots_.size(); }
-  /// Records `n` buffer growths observed by the engine (pair-buffer /
-  /// cell-list capacity deltas it tracks around the hot section).
-  void CountGrowth(uint64_t n) { extra_growth_ += n; }
-
- private:
-  std::vector<std::pair<uint32_t, uint32_t>> pairs_;
-  std::vector<std::vector<IntersectionCell>> chunk_cells_;
-  std::vector<geom::FanScratch> slots_;
-  PreparedOverlayLayer prep_cache_[2];
-  const void* prep_key_[2] = {nullptr, nullptr};
-  size_t prep_units_[2] = {0, 0};
-  bool pairs_cached_ = false;
-  uint64_t extra_growth_ = 0;
 };
 
 }  // namespace geoalign::partition

@@ -211,6 +211,45 @@ TEST(CapiTest, CompileErrorsAreReported) {
             GEOALIGN_ERR_INVALID_ARGUMENT);
   EXPECT_NE(std::string(geoalign_error_message()).find("out of range"),
             std::string::npos);
+
+  // CSR ingest mutations are refused with the message the C++ path
+  // gives for the same arrays: CsrMatrix::FromCsrArrays for structure,
+  // CrosswalkInput::Validate for values.
+  struct Mutation {
+    std::vector<size_t> row_ptr;
+    std::vector<size_t> col_idx;
+    std::vector<double> values;
+    const char* message;
+  };
+  const Mutation mutations[] = {
+      // Not {0, 3, 2, 5}: that trips the column-order check first.
+      {{0, 2, 1, 5}, w.col_idx, w.values_a, "CSR: row_ptr not monotone"},
+      {w.row_ptr, {0, 1, 0, 7, 1}, w.values_a,
+       "CSR: column index out of range"},
+      {w.row_ptr, w.col_idx, {1.0, 2.0, 3.0, std::nan(""), 4.0},
+       "reference 'a': negative or non-finite DM entry"},
+  };
+  for (const Mutation& m : mutations) {
+    const geoalign_csr csr = {3, 2, m.row_ptr.data(), m.col_idx.data(),
+                              m.values.data()};
+    geoalign_reference mutated = CsrRef("a", w.agg_a, &csr);
+    EXPECT_EQ(geoalign_plan_compile(&mutated, 1, &plan),
+              GEOALIGN_ERR_INVALID_ARGUMENT)
+        << m.message;
+    EXPECT_EQ(plan, nullptr);
+    EXPECT_EQ(std::string(geoalign_error_message()), m.message);
+
+    Result<sparse::CsrMatrix> dm =
+        sparse::CsrMatrix::FromCsrArrays(3, 2, m.row_ptr, m.col_idx, m.values);
+    Status cpp = dm.status();
+    if (dm.ok()) {
+      core::CrosswalkInput input;
+      input.objective_source = w.objective;
+      input.references.push_back({"a", w.agg_a, std::move(dm).value()});
+      cpp = input.Validate();
+    }
+    EXPECT_EQ(cpp.message(), m.message);
+  }
 }
 
 TEST(CapiTest, ExecuteErrorsAreReported) {

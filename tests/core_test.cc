@@ -17,6 +17,7 @@
 #include "partition/overlay.h"
 #include "sparse/coo_builder.h"
 #include "sparse/sparse_ops.h"
+#include "synth/universe.h"
 
 namespace geoalign::core {
 namespace {
@@ -169,6 +170,40 @@ TEST(GeoAlign, VolumePreservation) {
     // Mass conservation at target level.
     EXPECT_NEAR(linalg::Sum(res.target_estimates),
                 linalg::Sum(c.input.objective_source), 1e-6);
+  }
+}
+
+TEST(GeoAlign, NearCollinearUsReferencesConverge) {
+  // The US suite's references are nearly collinear: the largest
+  // pairwise correlation at this scale is 0.9992 (EXPERIMENTS.md,
+  // Fig. 8). On every leave-one-out input the simplex solver must still
+  // converge within its 10·R + 20 step cap (it fails with "iteration
+  // cap reached" otherwise), land on the simplex, and preserve volume
+  // (Eq. 16) on every row that is not a zero row.
+  synth::UniverseOptions opts;
+  opts.scale = 0.1;
+  opts.suite = synth::SuiteKind::kUnitedStates;
+  synth::Universe uni =
+      std::move(synth::BuildUniverse(synth::UniverseId::kUnitedStates, opts))
+          .ValueOrDie();
+  ASSERT_EQ(uni.datasets.size(), 10u);
+  GeoAlign geoalign;
+  for (size_t test = 0; test < uni.datasets.size(); ++test) {
+    CrosswalkInput input =
+        std::move(uni.MakeLeaveOneOutInput(test)).ValueOrDie();
+    Result<CrosswalkResult> res = geoalign.Crosswalk(input);
+    ASSERT_TRUE(res.ok()) << "input " << test << ": " << res.status().message();
+    EXPECT_NEAR(linalg::Sum(res->weights), 1.0, 1e-12) << "input " << test;
+    for (double b : res->weights) EXPECT_GE(b, 0.0) << "input " << test;
+    Vector sums = res->estimated_dm.RowSums();
+    const Vector& objective = input.objective_source;
+    std::vector<bool> zero(sums.size(), false);
+    for (size_t i : res->zero_rows) zero[i] = true;
+    for (size_t i = 0; i < sums.size(); ++i) {
+      if (zero[i]) continue;
+      EXPECT_LE(std::fabs(sums[i] - objective[i]), 1e-12 * objective[i])
+          << "input " << test << " row " << i;
+    }
   }
 }
 

@@ -99,12 +99,6 @@ TEST(Polygon, HoleReducesAreaAndContains) {
   EXPECT_TRUE(p->Contains({2.0, 1.0}));   // on hole boundary
 }
 
-TEST(Polygon, ConvexityCheck) {
-  EXPECT_TRUE(Polygon({{0, 0}, {2, 0}, {2, 2}, {0, 2}}).IsConvex());
-  EXPECT_FALSE(
-      Polygon({{0, 0}, {4, 0}, {4, 4}, {2, 1}, {0, 4}}).IsConvex());
-}
-
 TEST(Polygon, RegularNgonAreaConvergesToCircle) {
   Polygon hex = Polygon::RegularNgon({0, 0}, 1.0, 6);
   EXPECT_NEAR(hex.Area(), 6.0 * std::sqrt(3.0) / 4.0, 1e-12);
@@ -432,56 +426,6 @@ TEST(ConvexClip, ScratchVariantBitIdenticalAndReusable) {
                                                          b.outer())))
         << "round " << round;
   }
-  // Reserve(16) covers every ring above (<= 11 + 11 vertices is over,
-  // but growth is tracked, not forbidden, for the generic entry);
-  // a second sweep through the now-warm scratch must not grow at all.
-  uint64_t events = scratch.alloc_events;
-  Polygon a = Polygon::RegularNgon({0, 0}, 1.0, 8);
-  Polygon b = Polygon::RegularNgon({0.4, 0.2}, 1.0, 9);
-  ConvexIntersectionAreaWith(a.outer(), b.outer(), &scratch);
-  EXPECT_EQ(scratch.alloc_events, events);
-}
-
-TEST(Predicates, SegmentIntersectsBBoxCases) {
-  BBox box(1, 1, 3, 3);
-  // Fully inside.
-  EXPECT_TRUE(SegmentIntersectsBBox({1.5, 1.5}, {2.5, 2.5}, box));
-  // Crossing through.
-  EXPECT_TRUE(SegmentIntersectsBBox({0, 2}, {4, 2}, box));
-  // Diagonal clipping a corner region.
-  EXPECT_TRUE(SegmentIntersectsBBox({0, 2.5}, {2.5, 0}, box));
-  // Touching an edge exactly (closed-box semantics).
-  EXPECT_TRUE(SegmentIntersectsBBox({0, 1}, {4, 1}, box));
-  // Touching a corner exactly.
-  EXPECT_TRUE(SegmentIntersectsBBox({0, 0}, {1, 1}, box));
-  // Disjoint, axis-parallel outside the slab.
-  EXPECT_FALSE(SegmentIntersectsBBox({0, 0.5}, {4, 0.5}, box));
-  // Disjoint diagonal that misses the corner.
-  EXPECT_FALSE(SegmentIntersectsBBox({0, 1.8}, {1.8, 0}, box));
-  // Degenerate point-segment inside / outside.
-  EXPECT_TRUE(SegmentIntersectsBBox({2, 2}, {2, 2}, box));
-  EXPECT_FALSE(SegmentIntersectsBBox({0, 0}, {0, 0}, box));
-}
-
-TEST(Predicates, PolygonContainsBBoxCases) {
-  Ring outer = {{0, 0}, {10, 0}, {10, 10}, {0, 10}};
-  Ring hole = {{4, 4}, {6, 4}, {6, 6}, {4, 6}};
-  Polygon donut = std::move(Polygon::Create(outer, {hole})).ValueOrDie();
-  // Comfortably inside, away from the hole.
-  EXPECT_TRUE(PolygonContainsBBox(donut, BBox(1, 1, 3, 3)));
-  // Crossing the outer boundary.
-  EXPECT_FALSE(PolygonContainsBBox(donut, BBox(-1, 1, 2, 3)));
-  // Fully outside.
-  EXPECT_FALSE(PolygonContainsBBox(donut, BBox(11, 11, 12, 12)));
-  // Overlapping the hole (conservatively rejected).
-  EXPECT_FALSE(PolygonContainsBBox(donut, BBox(3, 3, 5, 5)));
-  // Inside the hole: corners fail the outer-ring test only when the
-  // hole is consulted — the hole-bbox check rejects it.
-  EXPECT_FALSE(PolygonContainsBBox(donut, BBox(4.5, 4.5, 5.5, 5.5)));
-  // Concave polygon: corners inside but an edge cuts through the box.
-  Polygon lshape({{0, 0}, {6, 0}, {6, 2}, {2, 2}, {2, 6}, {0, 6}});
-  EXPECT_FALSE(PolygonContainsBBox(lshape, BBox(1, 1, 3, 3)));
-  EXPECT_TRUE(PolygonContainsBBox(lshape, BBox(0.5, 0.5, 1.5, 1.5)));
 }
 
 TEST(Voronoi, TwoSitesSplitBox) {

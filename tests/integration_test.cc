@@ -166,8 +166,8 @@ TEST(Integration, PolygonOverlayPathAgreesWithCellPath) {
   EXPECT_TRUE(linalg::AllClose(res.target_estimates, by_county, 1e-6));
 
   // Areal weighting via the geometric overlay is sane: conserves mass.
-  auto ov = std::move(partition::OverlayPolygons(zip_layer, county_layer,
-                                                 1e-9)).ValueOrDie();
+  auto ov = std::move(partition::OverlayPolygons(
+                 zip_layer, county_layer, {.min_area = 1e-9})).ValueOrDie();
   core::ArealWeighting areal(ov.MeasureDm());
   auto aw = std::move(areal.Crosswalk(input)).ValueOrDie();
   EXPECT_NEAR(linalg::Sum(aw.target_estimates), linalg::Sum(by_zip),

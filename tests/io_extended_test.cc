@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/regression.h"
 #include "io/crosswalk_io.h"
@@ -165,12 +166,37 @@ TEST(CrosswalkIo, ExplicitUnitOrderingRespected) {
   EXPECT_FALSE(io::CrosswalkFromTable(table, "source", "target", "value",
                                       {"10001"}, {})
                    .ok());
+  // A duplicate name in an explicit list -> error, not a silently
+  // empty row.
+  auto dup = std::move(io::ParseCsv("source,target,value\na,x,1\nb,x,2\n"))
+                 .ValueOrDie();
+  Result<io::LoadedCrosswalk> dup_source = io::CrosswalkFromTable(
+      dup, "source", "target", "value", {"a", "b", "a"}, {"x"});
+  ASSERT_FALSE(dup_source.ok());
+  EXPECT_EQ(dup_source.status().message(), "duplicate source unit name 'a'");
+  Result<io::LoadedCrosswalk> dup_target = io::CrosswalkFromTable(
+      dup, "source", "target", "value", {}, {"x", "x"});
+  ASSERT_FALSE(dup_target.ok());
+  EXPECT_EQ(dup_target.status().message(), "duplicate target unit name 'x'");
 }
 
 TEST(CrosswalkIo, RejectsNegativeAndBadColumns) {
   auto bad = std::move(io::ParseCsv("source,target,value\na,b,-1\n")).ValueOrDie();
   EXPECT_FALSE(
       io::CrosswalkFromTable(bad, "source", "target", "value").ok());
+  // strtod parses these, and NaN passes a plain `< 0` test.
+  for (const char* value : {"nan", "inf", "-nan"}) {
+    auto non_finite =
+        std::move(io::ParseCsv(std::string("source,target,value\n") +
+                               "a,b,1\na,c," + value + "\n"))
+            .ValueOrDie();
+    Result<io::LoadedCrosswalk> cw =
+        io::CrosswalkFromTable(non_finite, "source", "target", "value");
+    ASSERT_FALSE(cw.ok()) << value;
+    EXPECT_EQ(cw.status().message(),
+              "crosswalk row 1: negative or non-finite value")
+        << value;
+  }
   auto table = std::move(io::ParseCsv(kCrosswalkCsv)).ValueOrDie();
   EXPECT_FALSE(io::CrosswalkFromTable(table, "nope", "target", "value").ok());
 }
@@ -193,6 +219,10 @@ TEST(CrosswalkIo, AggregatesFromTable) {
   EXPECT_EQ(vec, (linalg::Vector{1.0, 5.0, 0.0}));
   EXPECT_FALSE(
       io::AggregatesFromTable(table, "unit", "value", {"a"}).ok());
+  Result<linalg::Vector> dup =
+      io::AggregatesFromTable(table, "unit", "value", {"a", "b", "a"});
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().message(), "duplicate aggregate unit name 'a'");
 }
 
 core::ReferenceAttribute DenseRef(const char* name,

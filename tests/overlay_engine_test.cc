@@ -1,11 +1,9 @@
 // Differential gates for the geometric overlay engine
-// (partition/overlay.cc): with fast paths off the engine must be
-// BIT-identical to OverlayPolygonsReference (the pre-engine per-target
-// query + per-pair IntersectionArea path) over every universe shape ×
-// thread count; the value-changing fast paths get their own
-// differential with a documented tolerance; a warmed OverlayWorkspace
-// must serve overlays with zero hot-path allocations; and the
-// dual-tree candidate join must agree with the brute-force bbox join.
+// (partition/overlay.cc): the engine must be BIT-identical to
+// OverlayPolygonsReference (the pre-engine per-target query +
+// per-pair IntersectionArea path) over every universe shape × thread
+// count, and the dual-tree candidate join must agree with the
+// brute-force bbox join.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +15,7 @@
 #include "common/float_eq.h"
 #include "common/random.h"
 #include "geom/voronoi.h"
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "partition/overlay.h"
-#include "partition/overlay_prepared.h"
 #include "spatial/rtree.h"
 
 namespace geoalign::partition {
@@ -42,8 +37,7 @@ PolygonPartition MakeVoronoiLayer(Rng& rng, size_t n,
   return std::move(PolygonPartition::Create(std::move(polys))).ValueOrDie();
 }
 
-// Perturbed-grid layer; optional square holes make units non-convex so
-// the fan path (not the convex fast path) is exercised.
+// Perturbed-grid layer; optional square holes make units non-convex.
 PolygonPartition MakeGridLayer(Rng& rng, size_t nx, size_t ny,
                                double world, bool with_holes) {
   double dx = world / static_cast<double>(nx);
@@ -77,10 +71,9 @@ PolygonPartition MakeGridLayer(Rng& rng, size_t nx, size_t ny,
   return std::move(PolygonPartition::Create(std::move(polys))).ValueOrDie();
 }
 
-// Small L-shaped islands strictly inside the cells of a coarse grid —
-// every island is fully contained in one coarse unit, and the L makes
-// it non-convex, so the pair falls past the convex fast path and the
-// containment fast path gets real hits.
+// Small L-shaped islands strictly inside the cells of a coarse grid:
+// many candidate pairs have one polygon wholly inside the other, and
+// the L makes every island non-convex.
 PolygonPartition MakeIslandLayer(Rng& rng, size_t nx, size_t ny,
                                  double world) {
   double dx = world / static_cast<double>(nx);
@@ -131,6 +124,8 @@ TEST(OverlayEngineTest, BitIdenticalToReferenceAcrossUniversesAndThreads) {
   universes.push_back({"holey grid x shifted grid",
                        MakeGridLayer(rng, 8, 8, 10.0, /*with_holes=*/true),
                        MakeGridLayer(rng, 5, 5, 10.0, /*with_holes=*/false)});
+  universes.push_back({"voronoi x islands", MakeVoronoiLayer(rng, 6, world),
+                       MakeIslandLayer(rng, 7, 7, 10.0)});
 
   for (const Universe& u : universes) {
     OverlayResult ref = std::move(OverlayPolygonsReference(
@@ -145,126 +140,6 @@ TEST(OverlayEngineTest, BitIdenticalToReferenceAcrossUniversesAndThreads) {
           std::move(OverlayPolygons(u.source, u.target, opts)).ValueOrDie();
       ExpectBitIdentical(got, ref, u.name);
     }
-  }
-}
-
-TEST(OverlayEngineTest, FastPathsMatchExactPathWithinTolerance) {
-  // Containment hits are exact (the measure is the contained polygon's
-  // Area(), which IS the real intersection area); convex hits replace
-  // the triangle-fan sum with one Sutherland–Hodgman pass, identical
-  // in real arithmetic but free to differ in the last ulps — 1e-9
-  // relative is orders of magnitude looser than the observed error and
-  // still far tighter than any downstream use (docs/architecture.md).
-  bool saved = obs::Enabled();
-  obs::SetEnabled(true);
-  Rng rng(9200);
-  geom::BBox world(0, 0, 10, 10);
-  struct Universe {
-    const char* name;
-    PolygonPartition source;
-    PolygonPartition target;
-  };
-  std::vector<Universe> universes;
-  universes.push_back({"voronoi x voronoi (convex hits)",
-                       MakeVoronoiLayer(rng, 50, world),
-                       MakeVoronoiLayer(rng, 11, world)});
-  universes.push_back({"voronoi x islands (containment hits)",
-                       MakeVoronoiLayer(rng, 6, world),
-                       MakeIslandLayer(rng, 7, 7, 10.0)});
-  obs::Counter& contain_hits = obs::MetricsRegistry::Global().GetCounter(
-      "overlay.fastpath_contain_hits");
-  obs::Counter& convex_hits = obs::MetricsRegistry::Global().GetCounter(
-      "overlay.fastpath_convex_hits");
-  uint64_t contain_before = contain_hits.Value();
-  uint64_t convex_before = convex_hits.Value();
-
-  for (const Universe& u : universes) {
-    OverlayOptions exact;
-    exact.min_area = 1e-9;
-    OverlayOptions fast = exact;
-    fast.fast_paths = true;
-    OverlayResult want =
-        std::move(OverlayPolygons(u.source, u.target, exact)).ValueOrDie();
-    OverlayResult got =
-        std::move(OverlayPolygons(u.source, u.target, fast)).ValueOrDie();
-    ASSERT_EQ(got.cells.size(), want.cells.size()) << u.name;
-    for (size_t k = 0; k < got.cells.size(); ++k) {
-      EXPECT_EQ(got.cells[k].source, want.cells[k].source) << u.name;
-      EXPECT_EQ(got.cells[k].target, want.cells[k].target) << u.name;
-      EXPECT_NEAR(got.cells[k].measure, want.cells[k].measure,
-                  1e-9 * std::max(1.0, want.cells[k].measure))
-          << u.name << " cell " << k;
-    }
-  }
-  EXPECT_GT(contain_hits.Value(), contain_before)
-      << "island universe produced no containment fast-path hits";
-  EXPECT_GT(convex_hits.Value(), convex_before)
-      << "voronoi universe produced no convex fast-path hits";
-  obs::SetEnabled(saved);
-}
-
-TEST(OverlayEngineTest, WarmWorkspaceServesOverlaysWithZeroHotPathAllocs) {
-  // The zero-allocation promise: the first overlay through a fresh
-  // workspace may grow its buffers; every later same-shape overlay
-  // must not (overlay.hot_path_allocs delta == 0, and the workspace's
-  // own growth ledger stays flat).
-  bool saved = obs::Enabled();
-  obs::SetEnabled(true);
-  {
-    Rng rng(9300);
-    geom::BBox world(0, 0, 10, 10);
-    PolygonPartition source = MakeVoronoiLayer(rng, 40, world);
-    PolygonPartition target = MakeVoronoiLayer(rng, 9, world);
-
-    OverlayWorkspace ws;
-    OverlayOptions opts;
-    opts.min_area = 1e-9;
-    opts.workspace = &ws;
-    OverlayResult warm =
-        std::move(OverlayPolygons(source, target, opts)).ValueOrDie();
-    ASSERT_FALSE(warm.cells.empty());
-
-    obs::Counter& allocs = obs::MetricsRegistry::Global().GetCounter(
-        "overlay.hot_path_allocs");
-    uint64_t counter_before = allocs.Value();
-    uint64_t ledger_before = ws.alloc_events();
-    for (int rep = 0; rep < 3; ++rep) {
-      OverlayResult again =
-          std::move(OverlayPolygons(source, target, opts)).ValueOrDie();
-      ExpectBitIdentical(again, warm, "workspace reuse");
-    }
-    EXPECT_EQ(allocs.Value(), counter_before)
-        << "warmed workspace must serve overlays without buffer growth";
-    EXPECT_EQ(ws.alloc_events(), ledger_before);
-  }
-  obs::SetEnabled(saved);
-}
-
-TEST(OverlayEngineTest, WorkspaceReusedAcrossDifferentUniverses) {
-  // One workspace serving unrelated overlays back-to-back must not
-  // leak state between them (stale chunk cells, stale pairs).
-  Rng rng(9400);
-  geom::BBox world(0, 0, 10, 10);
-  PolygonPartition a1 = MakeVoronoiLayer(rng, 30, world);
-  PolygonPartition a2 = MakeVoronoiLayer(rng, 7, world);
-  PolygonPartition b1 = MakeGridLayer(rng, 6, 6, 10.0, /*with_holes=*/true);
-  PolygonPartition b2 = MakeGridLayer(rng, 4, 4, 10.0, /*with_holes=*/false);
-
-  OverlayWorkspace ws;
-  OverlayOptions opts;
-  opts.min_area = 1e-9;
-  opts.workspace = &ws;
-  for (int rep = 0; rep < 2; ++rep) {
-    OverlayResult got_a =
-        std::move(OverlayPolygons(a1, a2, opts)).ValueOrDie();
-    OverlayResult ref_a =
-        std::move(OverlayPolygonsReference(a1, a2, 1e-9)).ValueOrDie();
-    ExpectBitIdentical(got_a, ref_a, "universe A");
-    OverlayResult got_b =
-        std::move(OverlayPolygons(b1, b2, opts)).ValueOrDie();
-    OverlayResult ref_b =
-        std::move(OverlayPolygonsReference(b1, b2, 1e-9)).ValueOrDie();
-    ExpectBitIdentical(got_b, ref_b, "universe B");
   }
 }
 

@@ -90,7 +90,9 @@ TEST_P(PolygonOverlayPropertyTest, VoronoiPairConservesMeasure) {
   };
   PolygonPartition source = make_layer(10 + rng.UniformInt(uint64_t{40}));
   PolygonPartition target = make_layer(3 + rng.UniformInt(uint64_t{12}));
-  auto overlay = std::move(OverlayPolygons(source, target, 1e-9)).ValueOrDie();
+  auto overlay =
+      std::move(OverlayPolygons(source, target, {.min_area = 1e-9}))
+          .ValueOrDie();
   EXPECT_NEAR(overlay.TotalMeasure(), 100.0, 1e-4);
   sparse::CsrMatrix dm = overlay.MeasureDm();
   linalg::Vector rows = dm.RowSums();

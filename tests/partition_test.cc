@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "geom/voronoi.h"
@@ -180,7 +181,8 @@ TEST(OverlayPolygons, ShiftedGridsProduceQuarterCells) {
   // intersections are 0.5 x 0.5 squares.
   PolygonPartition source = MakeGridLayer(0, 0, 2, 2, 1.0);
   PolygonPartition target = MakeGridLayer(0.5, 0.5, 2, 2, 1.0);
-  auto ov = std::move(OverlayPolygons(source, target, 1e-9)).ValueOrDie();
+  auto ov = std::move(OverlayPolygons(source, target, {.min_area = 1e-9}))
+                .ValueOrDie();
   // Shared region is [0.5,2]x[0.5,2] = 2.25.
   EXPECT_NEAR(ov.TotalMeasure(), 2.25, 1e-9);
   for (const IntersectionCell& c : ov.cells) {
@@ -207,7 +209,8 @@ TEST(OverlayPolygons, VoronoiVsGridConservesArea) {
   }
   auto vor = std::move(PolygonPartition::Create(std::move(polys))).ValueOrDie();
   PolygonPartition grid = MakeGridLayer(0, 0, 4, 4, 2.0);
-  auto ov = std::move(OverlayPolygons(vor, grid, 1e-12)).ValueOrDie();
+  auto ov =
+      std::move(OverlayPolygons(vor, grid, {.min_area = 1e-12})).ValueOrDie();
   EXPECT_NEAR(ov.TotalMeasure(), 64.0, 1e-6);
   // Row sums equal Voronoi cell areas; column sums equal grid areas.
   sparse::CsrMatrix dm = ov.MeasureDm();
@@ -336,6 +339,16 @@ TEST(Disaggregation, CheckDmConsistency) {
   EXPECT_TRUE(CheckDmConsistency(dm, {3.0, 5.0}).ok());
   EXPECT_FALSE(CheckDmConsistency(dm, {3.0, 6.0}).ok());
   EXPECT_FALSE(CheckDmConsistency(dm, {3.0}).ok());
+  // Non-finite aggregates and DM values fail.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(CheckDmConsistency(dm, {3.0, nan}).ok());
+  EXPECT_FALSE(CheckDmConsistency(dm, {inf, 5.0}).ok());
+  sparse::CooBuilder nb(2, 2);
+  nb.Add(0, 0, 1.0);
+  nb.Add(0, 1, nan);
+  nb.Add(1, 0, 5.0);
+  EXPECT_FALSE(CheckDmConsistency(nb.Build(), {3.0, 5.0}).ok());
 }
 
 }  // namespace
