@@ -8,8 +8,6 @@
 
 #include "capi/geoalign_c.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -17,11 +15,11 @@
 #include <vector>
 
 #include "common/span.h"
-#include "common/string_util.h"
 #include "core/crosswalk_plan.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "partition/disaggregation.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
 
@@ -56,39 +54,6 @@ geoalign::obs::Counter& IngestBytesCopied() {
       geoalign::obs::MetricsRegistry::Global().GetCounter(
           "ingest.bytes_copied");
   return c;
-}
-
-// The structural validation the C++ callers get from
-// CrosswalkInput::Validate, minus the objective checks (the C API has
-// no objective at compile time). Same messages, same 1e-6 relative
-// tolerance on the row-sum consistency precondition.
-Status ValidateReference(const geoalign::core::ReferenceAttributeView& ref) {
-  using geoalign::StrFormat;
-  for (double v : ref.source_aggregates) {
-    if (v < 0.0 || !std::isfinite(v)) {
-      return Status::InvalidArgument(StrFormat(
-          "reference '%s': negative or non-finite source aggregate",
-          ref.name.c_str()));
-    }
-  }
-  for (double v : ref.disaggregation.values()) {
-    if (v < 0.0 || !std::isfinite(v)) {
-      return Status::InvalidArgument(StrFormat(
-          "reference '%s': negative or non-finite DM entry",
-          ref.name.c_str()));
-    }
-  }
-  const geoalign::linalg::Vector sums = ref.disaggregation.RowSums();
-  for (size_t i = 0; i < sums.size(); ++i) {
-    const double lim = 1e-6 * std::max(1.0, ref.source_aggregates[i]);
-    if (std::fabs(sums[i] - ref.source_aggregates[i]) > lim) {
-      return Status::FailedPrecondition(StrFormat(
-          "reference '%s': DM row %zu sums to %.9g, source aggregate "
-          "is %.9g",
-          ref.name.c_str(), i, sums[i], ref.source_aggregates[i]));
-    }
-  }
-  return Status::OK();
 }
 
 // Builds the per-reference view list from the C structs. CSR input is
@@ -158,7 +123,6 @@ Result<std::vector<geoalign::core::ReferenceAttributeView>> BuildViews(
       view.source_aggregates =
           geoalign::common::ColumnView(ref.source_aggregates, ref.coo_rows);
     }
-    GEOALIGN_RETURN_IF_ERROR(ValidateReference(view));
     views.push_back(std::move(view));
   }
   IngestBytesCopied().Add(bytes_copied);
@@ -190,6 +154,20 @@ int geoalign_plan_compile(const geoalign_reference* references,
         geoalign::core::CrosswalkPlan::Compile(
             std::move(views).value(), geoalign::core::GeoAlignOptions{});
     if (!plan.ok()) return FailStatus(plan.status());
+    // Compile has checked every reference's shape and values; the C
+    // ABI adds the row-sum precondition, as CrosswalkInput::Validate
+    // does.
+    const geoalign::sparse::PreparedReferenceSet& prepared =
+        plan->references();
+    for (size_t k = 0; k < prepared.size(); ++k) {
+      const geoalign::sparse::PreparedReference& ref = prepared.reference(k);
+      const Status consistent = geoalign::partition::CheckDmConsistency(
+          ref.disaggregation, ref.source_aggregates, 1e-6);
+      if (!consistent.ok()) {
+        return FailStatus(
+            geoalign::sparse::ReferenceError(ref.name, consistent));
+      }
+    }
     *out_plan = new geoalign_plan{std::move(plan).value()};
     return GEOALIGN_OK;
   } catch (const std::exception& e) {

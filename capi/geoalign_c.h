@@ -93,8 +93,12 @@ GEOALIGN_C_EXPORT uint32_t geoalign_abi_version(void);
  * default GeoAlign options (normalized scaling, simplex weight
  * solver). On success stores the new plan in *out_plan; free it with
  * geoalign_plan_destroy. Borrowed buffers (aggregates, CSR arrays)
- * must stay valid until then. Validation matches the C++ API,
- * including the row-sum consistency check on each matrix. */
+ * must stay valid until then. Every reference gets the check every
+ * C++ compile runs, with the same messages: shapes agree, aggregates
+ * finite, >= 0 and not all zero, matrix entries finite and >= 0
+ * (GEOALIGN_ERR_INVALID_ARGUMENT). Then, like the C++
+ * CrosswalkInput::Validate, each matrix row must sum to its source
+ * aggregate within 1e-6 relative tolerance (GEOALIGN_ERR_FAILED). */
 GEOALIGN_C_EXPORT int geoalign_plan_compile(
     const geoalign_reference* references, size_t num_references,
     geoalign_plan** out_plan);

@@ -32,43 +32,8 @@ BatchCrosswalk::BatchCrosswalk(CrosswalkPlan plan)
 
 Result<BatchCrosswalk> BatchCrosswalk::Create(
     std::vector<ReferenceAttribute> references, GeoAlignOptions options) {
-  if (references.empty()) {
-    return Status::InvalidArgument("BatchCrosswalk: no references");
-  }
-  size_t num_source = references[0].source_aggregates.size();
-  size_t num_target = references[0].disaggregation.cols();
-  for (const ReferenceAttribute& ref : references) {
-    if (ref.source_aggregates.size() != num_source ||
-        ref.disaggregation.rows() != num_source ||
-        ref.disaggregation.cols() != num_target) {
-      return Status::InvalidArgument("BatchCrosswalk: reference '" +
-                                     ref.name + "' shape mismatch");
-    }
-  }
-  GEOALIGN_ASSIGN_OR_RETURN(
-      CrosswalkPlan plan,
-      CrosswalkPlan::Compile(references, options));
-  return BatchCrosswalk(std::move(plan));
-}
-
-Result<BatchCrosswalk> BatchCrosswalk::Create(
-    std::vector<ReferenceAttributeView> references, GeoAlignOptions options) {
-  if (references.empty()) {
-    return Status::InvalidArgument("BatchCrosswalk: no references");
-  }
-  size_t num_source = references[0].source_aggregates.size();
-  size_t num_target = references[0].disaggregation.cols();
-  for (const ReferenceAttributeView& ref : references) {
-    if (ref.source_aggregates.size() != num_source ||
-        ref.disaggregation.rows() != num_source ||
-        ref.disaggregation.cols() != num_target) {
-      return Status::InvalidArgument("BatchCrosswalk: reference '" +
-                                     ref.name + "' shape mismatch");
-    }
-  }
-  GEOALIGN_ASSIGN_OR_RETURN(
-      CrosswalkPlan plan,
-      CrosswalkPlan::Compile(std::move(references), options));
+  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
+                            CrosswalkPlan::Compile(references, options));
   return BatchCrosswalk(std::move(plan));
 }
 

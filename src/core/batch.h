@@ -24,19 +24,11 @@ namespace geoalign::core {
 /// (the plan hoists the Gram matrix only for kSimplex).
 class BatchCrosswalk {
  public:
-  /// Validates and compiles the shared references. All objectives
-  /// passed to `Run` must use source vectors of `references[0]`'s
-  /// length.
+  /// Compiles the shared references (CrosswalkPlan::Compile, with its
+  /// checks and messages). All objectives passed to `Run` must use
+  /// source vectors of `references[0]`'s length.
   static Result<BatchCrosswalk> Create(
       std::vector<ReferenceAttribute> references,
-      GeoAlignOptions options = {});
-
-  /// Zero-copy Create: the reference views flow into the compiled plan
-  /// without duplicating an aggregate column or CSR array. The viewed
-  /// memory must outlive the batch (attach keepalives to the views to
-  /// make that automatic).
-  static Result<BatchCrosswalk> Create(
-      std::vector<ReferenceAttributeView> references,
       GeoAlignOptions options = {});
 
   /// One objective column to realign.

@@ -3,29 +3,29 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "partition/disaggregation.h"
 
 namespace geoalign::core {
 
-namespace {
-
-// One reference as seen by validation — both the owning and the view
-// input shapes lower to this, so their checks (and messages) cannot
-// drift apart.
-struct RefForValidate {
-  const std::string* name;
-  common::ColumnView source_aggregates;
-  const sparse::CsrMatrix* disaggregation;
-};
-
-Status ValidateImpl(common::ColumnView objective_source,
-                    const std::vector<RefForValidate>& references,
-                    double consistency_tol) {
+Status CrosswalkInput::Validate(double consistency_tol) const {
   if (references.empty()) {
     return Status::InvalidArgument("CrosswalkInput: no reference attributes");
   }
-  size_t num_source = objective_source.size();
-  if (num_source == 0) {
-    return Status::InvalidArgument("CrosswalkInput: empty objective vector");
+  const size_t num_source = references[0].disaggregation.rows();
+  const size_t num_target = references[0].disaggregation.cols();
+  for (const ReferenceAttribute& ref : references) {
+    GEOALIGN_RETURN_IF_ERROR(
+        sparse::CheckReference(ref.name, ref.source_aggregates,
+                               ref.disaggregation, num_source, num_target)
+            .status());
+  }
+  if (num_target == 0) {
+    return Status::InvalidArgument("CrosswalkInput: zero target units");
+  }
+  if (objective_source.size() != num_source) {
+    return Status::InvalidArgument(
+        StrFormat("CrosswalkInput: objective has %zu entries, expected %zu",
+                  objective_source.size(), num_source));
   }
   for (double v : objective_source) {
     if (v < 0.0 || !std::isfinite(v)) {
@@ -33,72 +33,12 @@ Status ValidateImpl(common::ColumnView objective_source,
           "CrosswalkInput: objective aggregates must be finite and >= 0");
     }
   }
-  size_t num_target = references[0].disaggregation->cols();
-  if (num_target == 0) {
-    return Status::InvalidArgument("CrosswalkInput: zero target units");
-  }
-  for (const RefForValidate& ref : references) {
-    if (ref.source_aggregates.size() != num_source) {
-      return Status::InvalidArgument(StrFormat(
-          "reference '%s': source vector has %zu entries, expected %zu",
-          ref.name->c_str(), ref.source_aggregates.size(), num_source));
-    }
-    if (ref.disaggregation->rows() != num_source ||
-        ref.disaggregation->cols() != num_target) {
-      return Status::InvalidArgument(StrFormat(
-          "reference '%s': DM is %zux%zu, expected %zux%zu",
-          ref.name->c_str(), ref.disaggregation->rows(),
-          ref.disaggregation->cols(), num_source, num_target));
-    }
-    for (double v : ref.source_aggregates) {
-      if (v < 0.0 || !std::isfinite(v)) {
-        return Status::InvalidArgument(StrFormat(
-            "reference '%s': negative or non-finite source aggregate",
-            ref.name->c_str()));
-      }
-    }
-    for (double v : ref.disaggregation->values()) {
-      if (v < 0.0 || !std::isfinite(v)) {
-        return Status::InvalidArgument(StrFormat(
-            "reference '%s': negative or non-finite DM entry",
-            ref.name->c_str()));
-      }
-    }
-    linalg::Vector sums = ref.disaggregation->RowSums();
-    for (size_t i = 0; i < num_source; ++i) {
-      double lim =
-          consistency_tol * std::max(1.0, ref.source_aggregates[i]);
-      if (std::fabs(sums[i] - ref.source_aggregates[i]) > lim) {
-        return Status::FailedPrecondition(StrFormat(
-            "reference '%s': DM row %zu sums to %.9g, source aggregate "
-            "is %.9g",
-            ref.name->c_str(), i, sums[i], ref.source_aggregates[i]));
-      }
-    }
+  for (const ReferenceAttribute& ref : references) {
+    Status consistent = partition::CheckDmConsistency(
+        ref.disaggregation, ref.source_aggregates, consistency_tol);
+    if (!consistent.ok()) return sparse::ReferenceError(ref.name, consistent);
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status CrosswalkInput::Validate(double consistency_tol) const {
-  std::vector<RefForValidate> refs;
-  refs.reserve(references.size());
-  for (const ReferenceAttribute& ref : references) {
-    refs.push_back({&ref.name, common::ColumnView(ref.source_aggregates),
-                    &ref.disaggregation});
-  }
-  return ValidateImpl(common::ColumnView(objective_source), refs,
-                      consistency_tol);
-}
-
-Status CrosswalkInputView::Validate(double consistency_tol) const {
-  std::vector<RefForValidate> refs;
-  refs.reserve(references.size());
-  for (const ReferenceAttributeView& ref : references) {
-    refs.push_back({&ref.name, ref.source_aggregates, &ref.disaggregation});
-  }
-  return ValidateImpl(objective_source, refs, consistency_tol);
 }
 
 Result<size_t> CrosswalkInput::FindReference(const std::string& name) const {

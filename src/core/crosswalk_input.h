@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/span.h"
 #include "common/status.h"
 #include "linalg/vector_ops.h"
 #include "sparse/csr_matrix.h"
@@ -14,8 +13,13 @@ namespace geoalign::core {
 
 /// One reference attribute α_r: its aggregate vector on the source
 /// units plus its disaggregation matrix DM_r between source and target
-/// units (paper §3.3). The matrix rows must (approximately) sum to the
-/// source aggregates — `CrosswalkInput::Validate` checks this.
+/// units (paper §3.3). Every compile path rejects a reference whose
+/// aggregates or DM entries are NaN, ±Inf or negative, whose
+/// aggregates are all zero, or whose shape is off
+/// (sparse::CheckReference). The matrix rows should also sum to the
+/// source aggregates; compile accepts a gap (DenominatorMode::
+/// kFromDmRowSums keeps Eq. 16 exact for it), `CrosswalkInput::Validate`
+/// rejects it.
 struct ReferenceAttribute {
   std::string name;
   linalg::Vector source_aggregates;  ///< a^s_r, one entry per source unit
@@ -39,11 +43,15 @@ struct CrosswalkInput {
     return references.empty() ? 0 : references[0].disaggregation.cols();
   }
 
-  /// Checks structural consistency:
-  ///  - at least one reference; all shapes agree;
-  ///  - all aggregates and DM entries non-negative;
+  /// Checks the whole input, in this order:
+  ///  - at least one reference;
+  ///  - every reference passes sparse::CheckReference, the check every
+  ///    compile path runs (same messages);
+  ///  - the objective has one finite, non-negative entry per source
+  ///    unit;
   ///  - each DM_r's rows sum to a^s_r within `consistency_tol`
-  ///    (relative), the precondition for exact volume preservation.
+  ///    (relative; partition::CheckDmConsistency), the precondition
+  ///    for exact volume preservation. Compile does not check this.
   Status Validate(double consistency_tol = 1e-6) const;
 
   /// Returns the index of the reference named `name`.
@@ -60,27 +68,6 @@ struct CrosswalkInput {
 /// typically a borrowed-mode CsrMatrix. Identical to — and directly
 /// consumed as — the sparse layer's Prepare input.
 using ReferenceAttributeView = sparse::ReferenceDataView;
-
-/// Zero-copy flavor of CrosswalkInput for embedding hosts that already
-/// hold the aggregate columns in columnar memory (Arrow buffers, the C
-/// ABI): compile paths consume the views without duplicating a single
-/// aggregate column. The viewed memory must outlive the compile call;
-/// whatever the compile produces retains only what it needs (the plan
-/// keeps reading the reference views, so those must outlive the plan —
-/// pass keepalives to make that automatic).
-struct CrosswalkInputView {
-  common::ColumnView objective_source;  ///< a^s_o
-  std::vector<ReferenceAttributeView> references;
-
-  size_t NumSourceUnits() const { return objective_source.size(); }
-  size_t NumTargetUnits() const {
-    return references.empty() ? 0 : references[0].disaggregation.cols();
-  }
-
-  /// Same checks — and byte-identical messages — as
-  /// CrosswalkInput::Validate.
-  Status Validate(double consistency_tol = 1e-6) const;
-};
 
 }  // namespace geoalign::core
 

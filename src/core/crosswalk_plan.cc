@@ -60,7 +60,7 @@ obs::Counter& WorkspaceReuse() {
 }
 // Bytes the ingest path duplicated to get reference data into a plan
 // (aggregate columns + CSR arrays). The owning Compile overloads pay
-// this once per reference; the view overloads keep it at zero — the
+// this once per reference; the view overload keeps it at zero — the
 // zero-copy contract tests assert on the delta.
 obs::Counter& IngestBytesCopied() {
   static obs::Counter& c =
@@ -178,49 +178,40 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
-  // Same early validation (and messages) as the legacy per-call path.
-  if (references.empty()) {
-    return Status::InvalidArgument("GeoAlign: no reference attributes");
-  }
-  if (options.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      options.fallback_dm == nullptr) {
-    return Status::InvalidArgument(
-        "GeoAlign: kFallbackDm requires options.fallback_dm");
-  }
-
   // The owning ingest path duplicates every reference (aggregate
-  // column + CSR arrays) into plan-owned storage; the view overload
-  // below is the copy-free path.
-  std::vector<sparse::ReferenceData> data;
-  data.reserve(references.size());
+  // column + CSR arrays) into storage the plan keeps alive, then
+  // compiles views of the copies; the view overload below is the
+  // copy-free path.
+  std::vector<ReferenceAttributeView> copies;
+  copies.reserve(references.size());
   uint64_t bytes_copied = 0;
   for (const ReferenceAttribute& ref : references) {
     bytes_copied +=
         ref.source_aggregates.size() * sizeof(double) +
         ref.disaggregation.row_ptr().size() * sizeof(size_t) +
         ref.disaggregation.nnz() * (sizeof(size_t) + sizeof(double));
-    data.push_back(sparse::ReferenceData{ref.name, ref.source_aggregates,
-                                         ref.disaggregation});
+    auto aggregates =
+        std::make_shared<const linalg::Vector>(ref.source_aggregates);
+    copies.push_back({ref.name, *aggregates, ref.disaggregation, aggregates});
   }
   IngestBytesCopied().Add(bytes_copied);
-  GEOALIGN_ASSIGN_OR_RETURN(
-      sparse::PreparedReferenceSet prepared,
-      sparse::PreparedReferenceSet::Prepare(std::move(data)));
-  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            FinishCompile(std::move(prepared), options));
-  CompileCount().Add(1);
-  return plan;
-}
-
-Result<CrosswalkPlan> CrosswalkPlan::Compile(CrosswalkInputView input,
-                                             const GeoAlignOptions& options) {
-  return Compile(std::move(input.references), options);
+  return CompileViews(std::move(copies), options);
 }
 
 Result<CrosswalkPlan> CrosswalkPlan::Compile(
     std::vector<ReferenceAttributeView> references,
     const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
+  // Views flow straight into Prepare — no aggregate column or CSR
+  // array is duplicated, so IngestBytesCopied stays untouched.
+  return CompileViews(std::move(references), options);
+}
+
+Result<CrosswalkPlan> CrosswalkPlan::CompileViews(
+    std::vector<ReferenceAttributeView> references,
+    const GeoAlignOptions& options) {
+  // The legacy path's up-front checks, in its order and with its
+  // messages; every reference check is Prepare's.
   if (references.empty()) {
     return Status::InvalidArgument("GeoAlign: no reference attributes");
   }
@@ -229,19 +220,9 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     return Status::InvalidArgument(
         "GeoAlign: kFallbackDm requires options.fallback_dm");
   }
-  // Views flow straight into Prepare — no aggregate column or CSR
-  // array is duplicated, so IngestBytesCopied stays untouched.
   GEOALIGN_ASSIGN_OR_RETURN(
       sparse::PreparedReferenceSet prepared,
       sparse::PreparedReferenceSet::Prepare(std::move(references)));
-  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            FinishCompile(std::move(prepared), options));
-  CompileCount().Add(1);
-  return plan;
-}
-
-Result<CrosswalkPlan> CrosswalkPlan::FinishCompile(
-    sparse::PreparedReferenceSet prepared, const GeoAlignOptions& options) {
   CrosswalkPlan plan(std::move(prepared), options);
 
   {
@@ -286,6 +267,7 @@ Result<CrosswalkPlan> CrosswalkPlan::FinishCompile(
       plan.fallback_row_sums_ = plan.fallback_dm_->RowSums();
     }
   }
+  CompileCount().Add(1);
   return plan;
 }
 
@@ -580,9 +562,12 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   // the calling thread.
   const bool fan_out = pool != nullptr && pool->size() > 1 && num_tasks > 1;
 
-  // One workspace per worker slot (slot 0 for in-order tasks), sized
-  // once from the compiled spec so steady-state tasks grow nothing.
-  std::vector<ExecuteWorkspace> bank(fan_out ? pool->size() + 1 : 1);
+  // One workspace per worker slot, sized once from the compiled spec
+  // so steady-state tasks grow nothing. A fan-out runs every task on a
+  // worker of `pool`, so the worker index picks the slot; in-order
+  // tasks run on the calling thread, which may be a worker of some
+  // outer pool, so they share the one slot.
+  std::vector<ExecuteWorkspace> bank(fan_out ? pool->size() : 1);
   for (ExecuteWorkspace& ws : bank) {
     ws.Prepare(workspace_spec_);
     if (panels) ws.PreparePanel(workspace_spec_, std::min(width, n));
@@ -591,10 +576,8 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   std::vector<std::optional<Result<CrosswalkResult>>> results(n);
   common::ParallelForChunks(fan_out ? pool : nullptr, num_tasks, [&](size_t t) {
     obs::RequestScope request_scope(request);
-    const size_t wi = common::ThreadPool::CurrentWorkerIndex();
     ExecuteWorkspace& ws =
-        bank[fan_out && wi != common::ThreadPool::kNoWorkerIndex ? wi + 1
-                                                                 : 0];
+        bank[fan_out ? common::ThreadPool::CurrentWorkerIndex() : 0];
     if (panels) {
       const size_t begin = t * width;
       const size_t count = std::min(width, n - begin);

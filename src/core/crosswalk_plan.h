@@ -59,11 +59,12 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 class CrosswalkPlan {
  public:
   /// Compiles the objective-independent work for `input.references`
-  /// (the objective column in `input` is ignored). Surfaces the same
-  /// errors as the legacy path's per-call preprocessing: no
-  /// references, shape mismatches, non-normalizable aggregates, and a
-  /// missing fallback DM under ZeroRowFallback::kFallbackDm. When a
-  /// fallback DM is supplied it is snapshotted, so the plan never
+  /// (the objective column in `input` is ignored). Fails on no
+  /// references and on a missing fallback DM under
+  /// ZeroRowFallback::kFallbackDm, with the legacy path's messages,
+  /// then on the first reference that sparse::CheckReference rejects.
+  /// A DM whose rows do not sum to its aggregates still compiles. When
+  /// a fallback DM is supplied it is snapshotted, so the plan never
   /// dangles on the caller's pointer.
   static Result<CrosswalkPlan> Compile(const CrosswalkInput& input,
                                        const GeoAlignOptions& options);
@@ -80,10 +81,6 @@ class CrosswalkPlan {
   /// to the views to make that automatic. Surfaces the same errors —
   /// and produces the same fingerprint for the same bytes — as the
   /// owning overloads, so PlanCache keys are ingest-path independent.
-  static Result<CrosswalkPlan> Compile(CrosswalkInputView input,
-                                       const GeoAlignOptions& options);
-
-  /// Same, from a bare reference-view list.
   static Result<CrosswalkPlan> Compile(
       std::vector<ReferenceAttributeView> references,
       const GeoAlignOptions& options);
@@ -188,11 +185,12 @@ class CrosswalkPlan {
   CrosswalkPlan(sparse::PreparedReferenceSet prepared,
                 GeoAlignOptions options);
 
-  /// The shared Compile tail: design matrix, Gram, workspace spec,
-  /// fallback snapshot — everything after the prepared set exists.
-  /// Telemetry stays in the public Compile entries.
-  static Result<CrosswalkPlan> FinishCompile(
-      sparse::PreparedReferenceSet prepared, const GeoAlignOptions& options);
+  /// The one Compile body behind every public overload: up-front
+  /// checks, Prepare, design matrix, Gram, workspace spec, fallback
+  /// snapshot. The public entries open the `compile` span.
+  static Result<CrosswalkPlan> CompileViews(
+      std::vector<ReferenceAttributeView> references,
+      const GeoAlignOptions& options);
 
   /// β for an already max-normalized objective vector.
   Result<linalg::Vector> SolveWeightsNormalized(

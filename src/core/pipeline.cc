@@ -68,13 +68,9 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     return Status::InvalidArgument("CrosswalkPipeline: no references");
   }
   for (const ReferenceAttribute& ref : references) {
-    if (ref.source_aggregates.size() != source_units.size() ||
-        ref.disaggregation.rows() != source_units.size() ||
-        ref.disaggregation.cols() != target_units.size()) {
-      return Status::InvalidArgument(
-          "CrosswalkPipeline: reference '" + ref.name +
-          "' does not match the unit lists");
-    }
+    GEOALIGN_RETURN_IF_ERROR(sparse::CheckReferenceShape(
+        ref.name, ref.source_aggregates, ref.disaggregation,
+        source_units.size(), target_units.size()));
   }
   if (method == nullptr) {
     method = std::make_shared<GeoAlign>();
@@ -106,53 +102,6 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
       pipeline.references_.shrink_to_fit();
     }
   }
-  return pipeline;
-}
-
-Result<CrosswalkPipeline> CrosswalkPipeline::Create(
-    std::vector<std::string> source_units,
-    std::vector<std::string> target_units,
-    std::vector<ReferenceAttributeView> references,
-    std::shared_ptr<const Interpolator> method) {
-  if (source_units.empty() || target_units.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: empty unit lists");
-  }
-  if (references.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: no references");
-  }
-  for (const ReferenceAttributeView& ref : references) {
-    if (ref.source_aggregates.size() != source_units.size() ||
-        ref.disaggregation.rows() != source_units.size() ||
-        ref.disaggregation.cols() != target_units.size()) {
-      return Status::InvalidArgument(
-          "CrosswalkPipeline: reference '" + ref.name +
-          "' does not match the unit lists");
-    }
-  }
-  if (method == nullptr) {
-    method = std::make_shared<GeoAlign>();
-  }
-  const auto* ga = dynamic_cast<const GeoAlign*>(method.get());
-  if (ga == nullptr) {
-    return Status::InvalidArgument(
-        "CrosswalkPipeline: view-based Create requires a GeoAlign method");
-  }
-  const GeoAlignOptions options = ga->options();
-  CrosswalkPipeline pipeline(std::move(source_units), std::move(target_units),
-                             {}, std::move(method));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.source_index_,
-      BuildUnitIndex(pipeline.source_units_, "source"));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.target_index_,
-      BuildUnitIndex(pipeline.target_units_, "target"));
-  // Unlike the owning Create there is nothing to fall back to per call
-  // (the pipeline holds no owning reference copies), so a compile
-  // error fails Create instead of resurfacing at Realign time.
-  GEOALIGN_ASSIGN_OR_RETURN(
-      CrosswalkPlan plan,
-      CrosswalkPlan::Compile(std::move(references), options));
-  pipeline.plan_ = std::make_shared<const CrosswalkPlan>(std::move(plan));
   return pipeline;
 }
 

@@ -22,7 +22,8 @@ namespace geoalign::core {
 class CrosswalkPipeline {
  public:
   /// `references` carry the crosswalk knowledge (aggregates + DMs in
-  /// the index order of the unit name lists). `method` defaults to
+  /// the index order of the unit name lists); each must have the unit
+  /// lists' shape (sparse::CheckReferenceShape). `method` defaults to
   /// GeoAlign with default options when null. Duplicate names within
   /// either unit list are rejected (they would silently shadow earlier
   /// indices during column resolution).
@@ -37,17 +38,6 @@ class CrosswalkPipeline {
       std::vector<std::string> source_units,
       std::vector<std::string> target_units,
       std::vector<ReferenceAttribute> references,
-      std::shared_ptr<const Interpolator> method = nullptr);
-
-  /// Zero-copy Create: reference aggregate columns and CSR arrays stay
-  /// borrowed caller memory through plan compilation (attach keepalives
-  /// to the views to tie lifetime to the pipeline). Requires a GeoAlign
-  /// method (default when null) — there is no per-call fallback for
-  /// views, so compile errors surface here rather than at Realign time.
-  static Result<CrosswalkPipeline> Create(
-      std::vector<std::string> source_units,
-      std::vector<std::string> target_units,
-      std::vector<ReferenceAttributeView> references,
       std::shared_ptr<const Interpolator> method = nullptr);
 
   /// Realigns a (unit name, value) column from source to target units.

@@ -51,11 +51,6 @@ bool WriteStringToFile(const std::string& content, const std::string& path,
 
 }  // namespace
 
-bool WriteMetricsJsonFile(const std::string& path, std::string* error) {
-  return WriteStringToFile(MetricsRegistry::Global().Snapshot().ToJson(),
-                           path, error);
-}
-
 bool WriteTraceJsonFile(const std::string& path, std::string* error) {
   return WriteStringToFile(TraceRecorder::Global().ExportChromeTrace(), path,
                            error);

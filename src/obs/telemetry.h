@@ -30,12 +30,10 @@ inline bool Enabled() {
 /// kept; new ones are dropped while disabled.
 void SetEnabled(bool enabled);
 
-/// Serializes the global metrics registry and writes it to `path` as
-/// JSON. On failure returns false and, when non-null, fills `error`.
-bool WriteMetricsJsonFile(const std::string& path, std::string* error);
-
 /// Exports the global trace recorder as Chrome trace-event JSON
 /// (loadable in Perfetto / chrome://tracing) and writes it to `path`.
+/// On failure returns false and, when non-null, fills `error`.
+/// Metrics files come from obs::WriteMetricsFile (obs/export.h).
 bool WriteTraceJsonFile(const std::string& path, std::string* error);
 
 /// Human-readable end-of-run summary of the global registry: counters,

@@ -77,7 +77,7 @@ linalg::Vector AggregatePoints(const PolygonPartition& layer,
 }
 
 Status CheckDmConsistency(const sparse::CsrMatrix& dm,
-                          const linalg::Vector& source_aggregates,
+                          common::ConstSpan<double> source_aggregates,
                           double tol) {
   if (dm.rows() != source_aggregates.size()) {
     return Status::InvalidArgument("CheckDmConsistency: row count mismatch");

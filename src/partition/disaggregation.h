@@ -1,6 +1,7 @@
 #ifndef GEOALIGN_PARTITION_DISAGGREGATION_H_
 #define GEOALIGN_PARTITION_DISAGGREGATION_H_
 
+#include "common/span.h"
 #include "geom/point.h"
 #include "partition/overlay.h"
 #include "sparse/csr_matrix.h"
@@ -37,9 +38,11 @@ linalg::Vector AggregatePoints(const PolygonPartition& layer,
 /// Checks DM/source-vector consistency: row i of `dm` must sum to
 /// `source_aggregates[i]` within `tol * max(1, |a_i|)`; a NaN or
 /// infinite row sum or aggregate fails. GeoAlign's
-/// volume-preservation guarantee (Eq. 16) relies on this.
+/// volume-preservation guarantee (Eq. 16) relies on this. The
+/// library's one row-sum check: core::CrosswalkInput::Validate and
+/// geoalign_plan_compile call it; compile itself accepts a gap.
 Status CheckDmConsistency(const sparse::CsrMatrix& dm,
-                          const linalg::Vector& source_aggregates,
+                          common::ConstSpan<double> source_aggregates,
                           double tol = 1e-9);
 
 }  // namespace geoalign::partition

@@ -1,8 +1,10 @@
 #include "sparse/prepared_reference.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
+#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace geoalign::sparse {
@@ -103,40 +105,73 @@ ContentDigest ContentHash::Finish() const {
   return digest;
 }
 
+Status ReferenceError(const std::string& name, const Status& status) {
+  return Status(status.code(),
+                "reference '" + name + "': " + std::string(status.message()));
+}
+
+Status CheckReferenceShape(const std::string& name,
+                           common::ColumnView aggregates, const CsrMatrix& dm,
+                           size_t rows, size_t cols) {
+  if (dm.rows() != rows || dm.cols() != cols) {
+    return Status::InvalidArgument(
+        StrFormat("reference '%s': DM is %zux%zu, expected %zux%zu",
+                  name.c_str(), dm.rows(), dm.cols(), rows, cols));
+  }
+  if (aggregates.size() != rows) {
+    return Status::InvalidArgument(
+        StrFormat("reference '%s': source vector has %zu entries, expected %zu",
+                  name.c_str(), aggregates.size(), rows));
+  }
+  return Status::OK();
+}
+
+Result<linalg::Vector> CheckReference(const std::string& name,
+                                      common::ColumnView aggregates,
+                                      const CsrMatrix& dm, size_t rows,
+                                      size_t cols) {
+  GEOALIGN_RETURN_IF_ERROR(
+      CheckReferenceShape(name, aggregates, dm, rows, cols));
+  // The normalization the legacy per-call BuildNormalizedSystem makes
+  // is the aggregate check: it fails on NaN, ±Inf, negative and
+  // all-zero columns.
+  Result<linalg::Vector> normalized = linalg::NormalizeByMax(aggregates);
+  if (!normalized.ok()) return ReferenceError(name, normalized.status());
+  // One branch-free pass over the DM values. `+ 0.0` turns -0.0 into
+  // +0.0 and leaves every other value as it is; then the sign bit of
+  // `bits | (bits + 2^52)` is set exactly for a negative value (its
+  // own sign bit) or ±Inf and NaN (adding 1 to their all-ones exponent
+  // carries into the sign bit).
+  uint64_t flags = 0;
+  for (double v : dm.values()) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v + 0.0);
+    flags |= bits | (bits + (uint64_t{1} << 52));
+  }
+  if (flags >> 63 != 0) {
+    return Status::InvalidArgument(StrFormat(
+        "reference '%s': negative or non-finite DM entry", name.c_str()));
+  }
+  return normalized;
+}
+
 Result<PreparedReferenceSet> PreparedReferenceSet::Prepare(
     std::vector<ReferenceDataView> references) {
   if (references.empty()) {
     return Status::InvalidArgument(
         "PreparedReferenceSet: no reference attributes");
   }
-  size_t rows = references[0].disaggregation.rows();
-  size_t cols = references[0].disaggregation.cols();
-  for (const ReferenceDataView& ref : references) {
-    if (ref.disaggregation.rows() != rows ||
-        ref.disaggregation.cols() != cols) {
-      return Status::InvalidArgument(
-          "PreparedReferenceSet: reference '" + ref.name +
-          "' disaggregation shape mismatch");
-    }
-    if (ref.source_aggregates.size() != rows) {
-      return Status::InvalidArgument(
-          "PreparedReferenceSet: reference '" + ref.name +
-          "' aggregate length does not match disaggregation rows");
-    }
-  }
 
   GEOALIGN_TRACE_SPAN("compile.prepare_references");
   PreparedReferenceSet set;
-  set.num_source_ = rows;
-  set.num_target_ = cols;
+  set.num_source_ = references[0].disaggregation.rows();
+  set.num_target_ = references[0].disaggregation.cols();
   set.refs_.reserve(references.size());
   for (ReferenceDataView& ref : references) {
     PreparedReference prepared;
-    // Same normalization (and therefore same failure messages) as the
-    // legacy per-call BuildNormalizedSystem.
     GEOALIGN_ASSIGN_OR_RETURN(
         prepared.normalized_aggregates,
-        linalg::NormalizeByMax(ref.source_aggregates));
+        CheckReference(ref.name, ref.source_aggregates, ref.disaggregation,
+                       set.num_source_, set.num_target_));
     // NormalizeByMax succeeded, so entries are non-negative with at
     // least one positive: the max is a valid positive normalizer.
     prepared.normalizer = linalg::Max(ref.source_aggregates);

@@ -95,6 +95,34 @@ struct ReferenceDataView {
   std::shared_ptr<const void> keepalive;
 };
 
+/// Decides whether one reference is usable: the library's one
+/// reference check, run by PreparedReferenceSet::Prepare (so by every
+/// compile path, the C ABI included) and by
+/// core::CrosswalkInput::Validate. Fails with InvalidArgument, naming
+/// the reference, when
+///  - the shape is off (CheckReferenceShape against `rows` x `cols`,
+///    the first reference's DM shape);
+///  - an aggregate is NaN, ±Inf or negative, or all of them are zero;
+///  - a DM entry is NaN, ±Inf or negative.
+/// On success returns the max-normalized aggregates (the Eq. 15
+/// column): the aggregate check is the normalization pass itself.
+/// Row sums are not checked here; see partition::CheckDmConsistency.
+Result<linalg::Vector> CheckReference(const std::string& name,
+                                      common::ColumnView aggregates,
+                                      const CsrMatrix& dm, size_t rows,
+                                      size_t cols);
+
+/// The shape half of CheckReference: `dm` is `rows` x `cols` and
+/// `aggregates` has `rows` entries. core::CrosswalkPipeline::Create
+/// runs it against its unit lists for every method.
+Status CheckReferenceShape(const std::string& name,
+                           common::ColumnView aggregates, const CsrMatrix& dm,
+                           size_t rows, size_t cols);
+
+/// `status` with its message prefixed by "reference '<name>': ", the
+/// form every per-reference error takes.
+Status ReferenceError(const std::string& name, const Status& status);
+
 /// One reference after objective-independent compilation: everything
 /// Eq. 14/15 need that does not depend on the objective column,
 /// computed once and immutable afterwards.
@@ -153,10 +181,9 @@ ContentHash HashReferenceSet(const std::vector<Reference>& references) {
 /// not across copies.
 class PreparedReferenceSet {
  public:
-  /// Validates shapes, max-normalizes every aggregate vector (the
-  /// ScaleMode::kNormalized / Eq. 15 preprocessing; errors mirror the
-  /// legacy per-call path's NormalizeByMax failures) and hashes the
-  /// whole set once.
+  /// Checks every reference with CheckReference, which also
+  /// max-normalizes its aggregates (the ScaleMode::kNormalized /
+  /// Eq. 15 preprocessing), and hashes the whole set once.
   ///
   /// Zero-copy contract: the aggregate views and any borrowed DM
   /// arrays are referenced, never duplicated — the prepared set reads

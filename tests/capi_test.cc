@@ -15,7 +15,11 @@
 #include <vector>
 
 #include "capi/geoalign_c.h"
+#include "core/batch.h"
 #include "core/crosswalk_plan.h"
+#include "core/geoalign.h"
+#include "core/pipeline.h"
+#include "core/plan_cache.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sparse/csr_matrix.h"
@@ -190,14 +194,6 @@ TEST(CapiTest, CompileErrorsAreReported) {
   EXPECT_NE(std::string(geoalign_error_message()).find("exactly one"),
             std::string::npos);
 
-  // Aggregates that contradict the matrix row sums fail validation the
-  // same way the C++ path does.
-  std::vector<double> bad_agg = {100.0, 4.0, 4.0};
-  geoalign_reference bad = CsrRef("a", bad_agg, &csr_a);
-  EXPECT_EQ(geoalign_plan_compile(&bad, 1, &plan), GEOALIGN_ERR_FAILED);
-  EXPECT_NE(std::string(geoalign_error_message()).find("row 0"),
-            std::string::npos);
-
   // COO entry out of range.
   geoalign_coo_entry oob = {7, 0, 1.0};
   geoalign_reference coo_ref = {};
@@ -212,44 +208,132 @@ TEST(CapiTest, CompileErrorsAreReported) {
   EXPECT_NE(std::string(geoalign_error_message()).find("out of range"),
             std::string::npos);
 
-  // CSR ingest mutations are refused with the message the C++ path
-  // gives for the same arrays: CsrMatrix::FromCsrArrays for structure,
-  // CrosswalkInput::Validate for values.
+  // Reference `a` of the two-reference world, mutated, through every
+  // entry point: the status of each C++ path that compiles it, then
+  // CrosswalkInput::Validate, then geoalign_plan_compile.
+  const sparse::CsrMatrix dm_b =
+      std::move(sparse::CsrMatrix::FromCsrArrays(3, 2, w.row_ptr, w.col_idx,
+                                                 w.values_b))
+          .ValueOrDie();
+  auto input_of = [&](const std::vector<core::ReferenceAttribute>& refs) {
+    core::CrosswalkInput input;
+    input.objective_source = w.objective;
+    input.references = refs;
+    return input;
+  };
+  auto compile_paths = [&](const std::vector<core::ReferenceAttribute>& refs) {
+    std::vector<core::ReferenceAttributeView> views;
+    for (const core::ReferenceAttribute& ref : refs) {
+      views.push_back({ref.name, ref.source_aggregates,
+                       ref.disaggregation.Borrow(), nullptr});
+    }
+    core::PlanCache cache;
+    // The pipeline defers a compile error to Realign.
+    Result<core::CrosswalkPipeline> pipeline = core::CrosswalkPipeline::Create(
+        {"s0", "s1", "s2"}, {"t0", "t1"}, refs);
+    return std::vector<std::pair<std::string, Status>>{
+        {"Compile", core::CrosswalkPlan::Compile(refs, {}).status()},
+        {"Compile(views)",
+         core::CrosswalkPlan::Compile(std::move(views), {}).status()},
+        {"Crosswalk", core::GeoAlign().Crosswalk(input_of(refs)).status()},
+        {"GetOrCompile", cache.GetOrCompile(refs, {}).status()},
+        {"BatchCrosswalk::Create", core::BatchCrosswalk::Create(refs).status()},
+        {"CrosswalkPipeline",
+         pipeline.ok()
+             ? pipeline->Realign({{"s0", 10.0}, {"s1", 20.0}, {"s2", 30.0}})
+                   .status()
+             : pipeline.status()},
+    };
+  };
+
+  // Rejected with one message on every entry point: CSR structure by
+  // CsrMatrix::FromCsrArrays, shapes and values by
+  // sparse::CheckReference.
   struct Mutation {
     std::vector<size_t> row_ptr;
     std::vector<size_t> col_idx;
     std::vector<double> values;
+    std::vector<double> aggregates;
     const char* message;
   };
+  const double nan = std::nan("");
   const Mutation mutations[] = {
       // Not {0, 3, 2, 5}: that trips the column-order check first.
-      {{0, 2, 1, 5}, w.col_idx, w.values_a, "CSR: row_ptr not monotone"},
-      {w.row_ptr, {0, 1, 0, 7, 1}, w.values_a,
+      {{0, 2, 1, 5}, w.col_idx, w.values_a, w.agg_a,
+       "CSR: row_ptr not monotone"},
+      {w.row_ptr, {0, 1, 0, 7, 1}, w.values_a, w.agg_a,
        "CSR: column index out of range"},
-      {w.row_ptr, w.col_idx, {1.0, 2.0, 3.0, std::nan(""), 4.0},
+      {w.row_ptr, w.col_idx, {1.0, 2.0, 3.0, nan, 4.0}, w.agg_a,
        "reference 'a': negative or non-finite DM entry"},
+      {w.row_ptr, w.col_idx, {1.0, 2.0, 3.0, HUGE_VAL, 4.0}, w.agg_a,
+       "reference 'a': negative or non-finite DM entry"},
+      {w.row_ptr, w.col_idx, {1.0, 2.0, 3.0, -1.0, 4.0}, w.agg_a,
+       "reference 'a': negative or non-finite DM entry"},
+      {w.row_ptr, w.col_idx, w.values_a, {3.0, nan, 4.0},
+       "reference 'a': NormalizeByMax: non-finite aggregate encountered"},
+      {w.row_ptr, w.col_idx, w.values_a, {3.0, -1.0, 4.0},
+       "reference 'a': NormalizeByMax: negative aggregate encountered"},
+      // All zero, DM included, so the rows still sum to the aggregates.
+      {w.row_ptr, w.col_idx, {0.0, 0.0, 0.0, 0.0, 0.0}, {0.0, 0.0, 0.0},
+       "reference 'a': NormalizeByMax: all-zero vector"},
+      {w.row_ptr, w.col_idx, w.values_a, {3.0, 4.0},
+       "reference 'a': source vector has 2 entries, expected 3"},
   };
   for (const Mutation& m : mutations) {
-    const geoalign_csr csr = {3, 2, m.row_ptr.data(), m.col_idx.data(),
-                              m.values.data()};
-    geoalign_reference mutated = CsrRef("a", w.agg_a, &csr);
-    EXPECT_EQ(geoalign_plan_compile(&mutated, 1, &plan),
-              GEOALIGN_ERR_INVALID_ARGUMENT)
-        << m.message;
-    EXPECT_EQ(plan, nullptr);
-    EXPECT_EQ(std::string(geoalign_error_message()), m.message);
-
+    SCOPED_TRACE(m.message);
     Result<sparse::CsrMatrix> dm =
         sparse::CsrMatrix::FromCsrArrays(3, 2, m.row_ptr, m.col_idx, m.values);
-    Status cpp = dm.status();
-    if (dm.ok()) {
-      core::CrosswalkInput input;
-      input.objective_source = w.objective;
-      input.references.push_back({"a", w.agg_a, std::move(dm).value()});
-      cpp = input.Validate();
+    if (!dm.ok()) {
+      EXPECT_EQ(dm.status().message(), m.message);
+    } else {
+      const std::vector<core::ReferenceAttribute> refs = {
+          {"a", m.aggregates, std::move(dm).value()}, {"b", w.agg_b, dm_b}};
+      for (const auto& [entry, status] : compile_paths(refs)) {
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << entry;
+        EXPECT_EQ(status.message(), m.message) << entry;
+      }
+      const Status validated = input_of(refs).Validate();
+      EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(validated.message(), m.message);
     }
-    EXPECT_EQ(cpp.message(), m.message);
+
+    // The C struct carries no aggregate length: geoalign_plan_compile
+    // reads one aggregate per DM row.
+    if (m.aggregates.size() != 3) continue;
+    const geoalign_csr csr = {3, 2, m.row_ptr.data(), m.col_idx.data(),
+                              m.values.data()};
+    const geoalign_csr csr_b = w.CsrB();
+    geoalign_reference mutated[2] = {CsrRef("a", m.aggregates, &csr),
+                                     CsrRef("b", w.agg_b, &csr_b)};
+    EXPECT_EQ(geoalign_plan_compile(mutated, 2, &plan),
+              GEOALIGN_ERR_INVALID_ARGUMENT);
+    EXPECT_EQ(plan, nullptr);
+    EXPECT_EQ(std::string(geoalign_error_message()), m.message);
   }
+
+  // Aggregates that contradict the matrix row sums: every compile path
+  // accepts them (Eq. 16 stays exact under kFromDmRowSums), while
+  // Validate and the C ABI reject them with one message.
+  std::vector<double> bad_agg = {100.0, 4.0, 4.0};
+  const std::vector<core::ReferenceAttribute> gap_refs = {
+      {"a", bad_agg,
+       std::move(sparse::CsrMatrix::FromCsrArrays(3, 2, w.row_ptr, w.col_idx,
+                                                  w.values_a))
+           .ValueOrDie()},
+      {"b", w.agg_b, dm_b}};
+  for (const auto& [entry, status] : compile_paths(gap_refs)) {
+    EXPECT_TRUE(status.ok()) << entry << ": " << status.message();
+  }
+  const Status gap = input_of(gap_refs).Validate();
+  EXPECT_EQ(gap.code(), StatusCode::kFailedPrecondition);
+  const geoalign_csr csr_b = w.CsrB();
+  geoalign_reference bad[2] = {CsrRef("a", bad_agg, &csr_a),
+                               CsrRef("b", w.agg_b, &csr_b)};
+  EXPECT_EQ(geoalign_plan_compile(bad, 2, &plan), GEOALIGN_ERR_FAILED);
+  EXPECT_EQ(plan, nullptr);
+  EXPECT_EQ(std::string(geoalign_error_message()), gap.message());
+  EXPECT_NE(std::string(geoalign_error_message()).find("row 0"),
+            std::string::npos);
 }
 
 TEST(CapiTest, ExecuteErrorsAreReported) {

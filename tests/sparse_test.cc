@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
+#include "sparse/prepared_reference.h"
 #include "sparse/sparse_ops.h"
 
 namespace geoalign::sparse {
@@ -206,6 +210,29 @@ TEST(SparseOps, DivideRowsZeroToleranceZeroesTinyDenominators) {
   // denominator 1.0; row 1 simply stores no entries).
   ASSERT_EQ(zero_rows.size(), 1u);
   EXPECT_EQ(zero_rows[0], 0u);
+}
+
+// Every value the DM-entry check must accept or reject, one entry at a
+// time: -0.0 and the extreme finite values pass; every negative, ±Inf
+// and NaN (either sign) fails.
+TEST(CheckReference, DmEntriesAtTheFiniteNonNegativeBoundary) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::denorm_min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::nan("");
+  for (double v : {0.0, -0.0, kMin, 1.0, kMax}) {
+    CsrMatrix dm = std::move(CsrMatrix::FromCsrArrays(1, 1, {0, 1}, {0}, {v}))
+                       .ValueOrDie();
+    EXPECT_TRUE(CheckReference("r", {1.0}, dm, 1, 1).ok()) << v;
+  }
+  for (double v : {-kMin, -1.0, -kMax, kInf, -kInf, kNan, -kNan}) {
+    CsrMatrix dm = std::move(CsrMatrix::FromCsrArrays(1, 1, {0, 1}, {0}, {v}))
+                       .ValueOrDie();
+    Result<Vector> checked = CheckReference("r", {1.0}, dm, 1, 1);
+    ASSERT_FALSE(checked.ok()) << v;
+    EXPECT_EQ(checked.status().message(),
+              "reference 'r': negative or non-finite DM entry");
+  }
 }
 
 // Property test: transpose-transpose identity and sum invariants over

@@ -100,7 +100,7 @@ TEST(BufferTest, EmptyBufferHasNoKeepalive) {
 // ---- zero-copy compile paths ------------------------------------------
 
 // One aligned two-reference world, built both ways: owning
-// CrosswalkInput and borrowed CrosswalkInputView over the same bytes.
+// CrosswalkInput and borrowed reference views over the same bytes.
 struct World {
   // Caller-owned storage (what an embedding host would hold).
   std::vector<size_t> row_ptr = {0, 2, 4, 5};
@@ -130,23 +130,21 @@ struct World {
     return input;
   }
 
-  core::CrosswalkInputView Borrowing() const {
-    core::CrosswalkInputView input;
-    input.objective_source = objective;
-    input.references.resize(2);
-    input.references[0].name = "a";
-    input.references[0].source_aggregates = agg_a;
-    input.references[0].disaggregation =
+  std::vector<core::ReferenceAttributeView> Borrowing() const {
+    std::vector<core::ReferenceAttributeView> references(2);
+    references[0].name = "a";
+    references[0].source_aggregates = agg_a;
+    references[0].disaggregation =
         std::move(sparse::CsrMatrix::FromBorrowed(
                       {3, 2, row_ptr, col_idx, values_a}))
             .ValueOrDie();
-    input.references[1].name = "b";
-    input.references[1].source_aggregates = agg_b;
-    input.references[1].disaggregation =
+    references[1].name = "b";
+    references[1].source_aggregates = agg_b;
+    references[1].disaggregation =
         std::move(sparse::CsrMatrix::FromBorrowed(
                       {3, 2, row_ptr, col_idx, values_b}))
             .ValueOrDie();
-    return input;
+    return references;
   }
 };
 
@@ -280,8 +278,8 @@ TEST(ZeroCopyCompileTest, OddLengthMisalignedViewsMatchThroughPanels) {
 
 TEST(ZeroCopyCompileTest, EmptyObjectiveViewIsRejected) {
   World w;
-  core::CrosswalkInputView input = w.Borrowing();
-  input.objective_source = common::ColumnView();
+  core::CrosswalkInput input = w.Owning();
+  input.objective_source.clear();
   EXPECT_FALSE(input.Validate().ok());
   auto plan = std::move(core::CrosswalkPlan::Compile(
                             w.Borrowing(), core::GeoAlignOptions{}))
