@@ -1,9 +1,10 @@
 // Microbenchmarks for the substrate libraries: the constrained
 // least-squares solvers, sparse kernels, overlay construction, spatial
-// indexes, polygon clipping, the aggregates-only execute lanes and the
-// two compile ingest paths. These are the building blocks whose costs
-// the scaling study (Fig. 6) aggregates. GEOALIGN_BENCH_SCALE rescales
-// the US universe the lane and ingest benchmarks run on.
+// indexes, polygon clipping, the aggregates-only execute lanes, the
+// two compile ingest paths and unit-name resolution. These are the
+// building blocks whose costs the scaling study (Fig. 6) aggregates.
+// GEOALIGN_BENCH_SCALE rescales the US universe the lane and ingest
+// benchmarks run on.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
+#include "common/unit_index.h"
 #include "geom/boolean_ops.h"
 #include "geom/voronoi.h"
 #include "linalg/nnls.h"
@@ -336,6 +339,44 @@ void BM_CompileIngest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Resolves one full US source column, all 30,831 zip names in shuffled
+// order, through common::UnitIndex: the loop CrosswalkPipeline runs per
+// column (zero-fill, then `+=` by found index in column order). Time is
+// per column; `lookups_per_s` counts names resolved.
+void BM_ResolveColumn(benchmark::State& state) {
+  constexpr size_t kUnits = 30831;
+  std::vector<std::string> names;
+  names.reserve(kUnits);
+  for (size_t i = 0; i < kUnits; ++i) names.push_back(StrFormat("z%05zu", i));
+  std::vector<std::pair<std::string, double>> column;
+  column.reserve(kUnits);
+  for (size_t i = 0; i < kUnits; ++i) {
+    column.emplace_back(names[i], static_cast<double>(i));
+  }
+  Rng rng(43);
+  rng.Shuffle(column);
+  const common::UnitIndex index =
+      std::move(common::UnitIndex::Create(std::move(names), "source"))
+          .ValueOrDie();
+  linalg::Vector out;
+  for (auto _ : state) {
+    out.assign(index.size(), 0.0);
+    for (const auto& [name, value] : column) {
+      const size_t i = index.Find(name);
+      if (i == common::UnitIndex::kNotFound) {
+        state.SkipWithError("unknown unit");
+        return;
+      }
+      out[i] += value;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["lookups_per_s"] = benchmark::Counter(
+      static_cast<double>(kUnits), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ResolveColumn)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace geoalign

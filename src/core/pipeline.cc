@@ -26,33 +26,14 @@ obs::Counter& ColumnsTotal() {
   return c;
 }
 
-// Builds a name→index map, rejecting duplicates (a duplicate would
-// silently shadow the earlier unit during column resolution).
-Result<std::unordered_map<std::string, size_t>> BuildUnitIndex(
-    const std::vector<std::string>& units, const char* which) {
-  std::unordered_map<std::string, size_t> index;
-  index.reserve(units.size());
-  for (size_t i = 0; i < units.size(); ++i) {
-    auto [it, inserted] = index.emplace(units[i], i);
-    (void)it;
-    if (!inserted) {
-      return Status::InvalidArgument(
-          std::string("CrosswalkPipeline: duplicate ") + which +
-          " unit name '" + units[i] + "'");
-    }
-  }
-  return index;
-}
-
 }  // namespace
 
 CrosswalkPipeline::CrosswalkPipeline(
-    std::vector<std::string> source_units,
-    std::vector<std::string> target_units,
+    common::UnitIndex source_index, common::UnitIndex target_index,
     std::vector<ReferenceAttribute> references,
     std::shared_ptr<const Interpolator> method)
-    : source_units_(std::move(source_units)),
-      target_units_(std::move(target_units)),
+    : source_index_(std::move(source_index)),
+      target_index_(std::move(target_index)),
       references_(std::move(references)),
       method_(std::move(method)) {}
 
@@ -72,18 +53,17 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
         ref.name, ref.source_aggregates, ref.disaggregation,
         source_units.size(), target_units.size()));
   }
+  GEOALIGN_ASSIGN_OR_RETURN(
+      common::UnitIndex source_index,
+      common::UnitIndex::Create(std::move(source_units), "source"));
+  GEOALIGN_ASSIGN_OR_RETURN(
+      common::UnitIndex target_index,
+      common::UnitIndex::Create(std::move(target_units), "target"));
   if (method == nullptr) {
     method = std::make_shared<GeoAlign>();
   }
-  CrosswalkPipeline pipeline(std::move(source_units),
-                             std::move(target_units), std::move(references),
-                             std::move(method));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.source_index_,
-      BuildUnitIndex(pipeline.source_units_, "source"));
-  GEOALIGN_ASSIGN_OR_RETURN(
-      pipeline.target_index_,
-      BuildUnitIndex(pipeline.target_units_, "target"));
+  CrosswalkPipeline pipeline(std::move(source_index), std::move(target_index),
+                             std::move(references), std::move(method));
 
   // Compile step: a GeoAlign method gets its objective-independent
   // work hoisted into one shared plan here. Compilation failures (e.g.
@@ -107,16 +87,15 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
 
 Status CrosswalkPipeline::ResolveColumn(
     const std::vector<std::pair<std::string, double>>& column,
-    const std::unordered_map<std::string, size_t>& index,
-    linalg::Vector* out) const {
+    const common::UnitIndex& index, linalg::Vector* out) {
   out->assign(index.size(), 0.0);
   for (const auto& [unit, value] : column) {
-    auto it = index.find(unit);
-    if (it == index.end()) {
+    const size_t i = index.Find(unit);
+    if (i == common::UnitIndex::kNotFound) {
       return Status::NotFound("CrosswalkPipeline: unknown unit '" + unit +
                               "'");
     }
-    (*out)[it->second] += value;
+    (*out)[i] += value;
   }
   return Status::OK();
 }
@@ -167,7 +146,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
   // a plan, each task then runs the per-call method on its column.
   const size_t n = objectives.size();
   std::vector<linalg::Vector> resolved(n);
-  for (linalg::Vector& column : resolved) column.reserve(source_units_.size());
+  for (linalg::Vector& column : resolved) column.reserve(source_index_.size());
   std::vector<Status> resolve_status(n);
   std::vector<std::optional<Result<CrosswalkResult>>> per_call(
       plan_ == nullptr ? n : 0);
@@ -219,10 +198,10 @@ Result<std::vector<CrosswalkPipeline::JoinedRow>> CrosswalkPipeline::Join(
   GEOALIGN_RETURN_IF_ERROR(
       ResolveColumn(target_attribute, target_index_, &target_vals));
   std::vector<JoinedRow> rows;
-  rows.reserve(target_units_.size());
-  for (size_t j = 0; j < target_units_.size(); ++j) {
-    rows.push_back(
-        {target_units_[j], realigned.target_estimates[j], target_vals[j]});
+  const std::vector<std::string>& targets = target_units();
+  rows.reserve(targets.size());
+  for (size_t j = 0; j < targets.size(); ++j) {
+    rows.push_back({targets[j], realigned.target_estimates[j], target_vals[j]});
   }
   return rows;
 }

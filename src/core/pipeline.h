@@ -3,10 +3,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/unit_index.h"
 #include "core/geoalign.h"
 
 namespace geoalign::core {
@@ -24,13 +24,15 @@ class CrosswalkPipeline {
   /// `references` carry the crosswalk knowledge (aggregates + DMs in
   /// the index order of the unit name lists); each must have the unit
   /// lists' shape (sparse::CheckReferenceShape). `method` defaults to
-  /// GeoAlign with default options when null. Duplicate names within
-  /// either unit list are rejected (they would silently shadow earlier
-  /// indices during column resolution).
+  /// GeoAlign with default options when null. A duplicate name within
+  /// either unit list is InvalidArgument `duplicate <source|target>
+  /// unit name '<name>'` (common::UnitIndex; it would otherwise shadow
+  /// an earlier index during column resolution).
   ///
-  /// Create is the COMPILE step of the serving path: it hoists the
-  /// name→index maps and, when `method` is GeoAlign, compiles the
-  /// shared CrosswalkPlan once; Realign/RealignMany then only execute.
+  /// Create is the COMPILE step of the serving path: it builds one
+  /// common::UnitIndex per unit list and, when `method` is GeoAlign,
+  /// compiles the shared CrosswalkPlan once; Realign/RealignMany then
+  /// only resolve names and execute.
   /// (If plan compilation fails — e.g. a reference GeoAlign cannot
   /// normalize — Create still succeeds and the error surfaces at
   /// Realign time, matching the legacy behaviour.)
@@ -85,10 +87,10 @@ class CrosswalkPipeline {
       const;
 
   const std::vector<std::string>& source_units() const {
-    return source_units_;
+    return source_index_.names();
   }
   const std::vector<std::string>& target_units() const {
-    return target_units_;
+    return target_index_.names();
   }
   const Interpolator& method() const { return *method_; }
 
@@ -97,28 +99,25 @@ class CrosswalkPipeline {
   const CrosswalkPlan* plan() const { return plan_.get(); }
 
  private:
-  CrosswalkPipeline(std::vector<std::string> source_units,
-                    std::vector<std::string> target_units,
+  CrosswalkPipeline(common::UnitIndex source_index,
+                    common::UnitIndex target_index,
                     std::vector<ReferenceAttribute> references,
                     std::shared_ptr<const Interpolator> method);
 
   /// Sums `column`'s values into `out` (resized to the unit count) by
-  /// unit index; an unknown unit name is NotFound.
-  Status ResolveColumn(
+  /// unit index, in column order; an unknown unit name is NotFound.
+  static Status ResolveColumn(
       const std::vector<std::pair<std::string, double>>& column,
-      const std::unordered_map<std::string, size_t>& index,
-      linalg::Vector* out) const;
+      const common::UnitIndex& index, linalg::Vector* out);
 
   /// Realigns one resolved column through `method_` per call — the
   /// path for interpolators without a compiled plan.
   Result<CrosswalkResult> RealignPerCall(linalg::Vector objective_source) const;
 
-  std::vector<std::string> source_units_;
-  std::vector<std::string> target_units_;
-  /// Hoisted name→index maps; built (and checked for duplicates) once
-  /// in Create instead of once per Realign call.
-  std::unordered_map<std::string, size_t> source_index_;
-  std::unordered_map<std::string, size_t> target_index_;
+  /// The unit name lists and their name→index tables, built (and
+  /// checked for duplicates) once in Create; the only copy of the names.
+  common::UnitIndex source_index_;
+  common::UnitIndex target_index_;
   /// Reference attributes, kept only for interpolators that take the
   /// per-call CrosswalkInput path; empty once `plan_` is compiled.
   std::vector<ReferenceAttribute> references_;

@@ -2,30 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/string_util.h"
+#include "common/unit_index.h"
 #include "sparse/coo_builder.h"
 
 namespace geoalign::io {
 
 namespace {
 
-// Name → position in `units`. A duplicate name is an error: the map
-// would keep only its first position, so rows naming it would all land
-// there and the later position would stay empty.
-Result<std::unordered_map<std::string, size_t>> IndexOf(
-    const std::vector<std::string>& units, const char* which) {
-  std::unordered_map<std::string, size_t> out;
-  out.reserve(units.size());
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (!out.emplace(units[i], i).second) {
-      return Status::InvalidArgument(StrFormat(
-          "duplicate %s unit name '%s'", which, units[i].c_str()));
-    }
-  }
-  return out;
-}
+using common::UnitIndex;
+
+// strtod accepts "nan" and "inf", so a parsed value column can hold
+// them; both loaders reject those and negative cells.
+bool NonNegativeFinite(double v) { return std::isfinite(v) && v >= 0.0; }
 
 std::vector<std::string> SortedUnique(std::vector<std::string> names) {
   std::sort(names.begin(), names.end());
@@ -52,33 +42,31 @@ Result<LoadedCrosswalk> CrosswalkFromTable(
       source_units.empty() ? SortedUnique(sources) : std::move(source_units);
   out.target_units =
       target_units.empty() ? SortedUnique(targets) : std::move(target_units);
-  GEOALIGN_ASSIGN_OR_RETURN(auto src_index,
-                            IndexOf(out.source_units, "source"));
-  GEOALIGN_ASSIGN_OR_RETURN(auto tgt_index,
-                            IndexOf(out.target_units, "target"));
+  GEOALIGN_ASSIGN_OR_RETURN(UnitIndex src_index,
+                            UnitIndex::Create(out.source_units, "source"));
+  GEOALIGN_ASSIGN_OR_RETURN(UnitIndex tgt_index,
+                            UnitIndex::Create(out.target_units, "target"));
 
   sparse::CooBuilder builder(out.source_units.size(),
                              out.target_units.size());
   for (size_t r = 0; r < values.size(); ++r) {
-    auto si = src_index.find(sources[r]);
-    if (si == src_index.end()) {
+    const size_t si = src_index.Find(sources[r]);
+    if (si == UnitIndex::kNotFound) {
       return Status::NotFound(StrFormat("crosswalk row %zu: unknown source "
                                         "unit '%s'",
                                         r, sources[r].c_str()));
     }
-    auto ti = tgt_index.find(targets[r]);
-    if (ti == tgt_index.end()) {
+    const size_t ti = tgt_index.Find(targets[r]);
+    if (ti == UnitIndex::kNotFound) {
       return Status::NotFound(StrFormat("crosswalk row %zu: unknown target "
                                         "unit '%s'",
                                         r, targets[r].c_str()));
     }
-    // strtod accepts "nan" and "inf", so the parsed column can hold
-    // them.
-    if (!std::isfinite(values[r]) || values[r] < 0.0) {
+    if (!NonNegativeFinite(values[r])) {
       return Status::InvalidArgument(StrFormat(
           "crosswalk row %zu: negative or non-finite value", r));
     }
-    builder.Add(si->second, ti->second, values[r]);
+    builder.Add(si, ti, values[r]);
   }
   out.dm = builder.Build();
   return out;
@@ -101,15 +89,20 @@ Result<linalg::Vector> AggregatesFromTable(
                             table.StringColumn(unit_column));
   GEOALIGN_ASSIGN_OR_RETURN(std::vector<double> values,
                             table.NumericColumn(value_column));
-  GEOALIGN_ASSIGN_OR_RETURN(auto index, IndexOf(units, "aggregate"));
+  GEOALIGN_ASSIGN_OR_RETURN(UnitIndex index,
+                            UnitIndex::Create(units, "aggregate"));
   linalg::Vector out(units.size(), 0.0);
   for (size_t r = 0; r < names.size(); ++r) {
-    auto it = index.find(names[r]);
-    if (it == index.end()) {
+    const size_t i = index.Find(names[r]);
+    if (i == UnitIndex::kNotFound) {
       return Status::NotFound(StrFormat(
           "aggregate row %zu: unknown unit '%s'", r, names[r].c_str()));
     }
-    out[it->second] += values[r];
+    if (!NonNegativeFinite(values[r])) {
+      return Status::InvalidArgument(StrFormat(
+          "aggregate row %zu: negative or non-finite value", r));
+    }
+    out[i] += values[r];
   }
   return out;
 }

@@ -41,7 +41,10 @@ core::ReferenceAttribute ReferenceFromCrosswalk(std::string name,
 
 /// Resolves a (unit,value) aggregate table into a vector aligned with
 /// `units`; missing units get 0, unknown units error, duplicate rows
-/// sum. A duplicate name in `units` is an error.
+/// sum. A duplicate name in `units` is an error. Like a crosswalk
+/// cell, every value must be finite and >= 0: a negative, NaN or
+/// infinite cell is InvalidArgument `aggregate row <r>: negative or
+/// non-finite value`, checked after the row's unit name.
 Result<linalg::Vector> AggregatesFromTable(
     const Table& table, const std::string& unit_column,
     const std::string& value_column, const std::vector<std::string>& units);

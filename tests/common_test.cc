@@ -1,17 +1,21 @@
 // Unit tests for the common substrate: Status/Result, Rng, string
-// utilities, Stopwatch.
+// utilities, UnitIndex, Stopwatch.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/unit_index.h"
 #include "obs/timer.h"
 #include "common/string_util.h"
 
@@ -219,6 +223,117 @@ TEST(StringUtil, StartsWithAndLower) {
   EXPECT_TRUE(StartsWith("POLYGON(...)", "POLYGON"));
   EXPECT_FALSE(StartsWith("POLY", "POLYGON"));
   EXPECT_EQ(AsciiToLower("MiXeD123"), "mixed123");
+}
+
+common::UnitIndex MakeUnitIndex(std::vector<std::string> names) {
+  return std::move(common::UnitIndex::Create(std::move(names), "source"))
+      .ValueOrDie();
+}
+
+// Copies `name` into a heap block of exactly its length and looks it up
+// through a view of that block, so a word load that strays past the
+// name's last byte is a heap overflow under ASan (a std::string's
+// inline buffer would hide it).
+size_t FindExact(const common::UnitIndex& index, const std::string& name) {
+  std::unique_ptr<char[]> block(new char[name.size()]);
+  std::copy(name.begin(), name.end(), block.get());
+  return index.Find(std::string_view(block.get(), name.size()));
+}
+
+TEST(UnitIndex, UsZipNamesRoundTrip) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 30831; ++i) names.push_back(StrFormat("z%05zu", i));
+  const common::UnitIndex index = MakeUnitIndex(names);
+  ASSERT_EQ(index.size(), names.size());
+  EXPECT_EQ(index.names(), names);
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(index.Find(names[i]), i) << names[i];
+  }
+}
+
+TEST(UnitIndex, SmallListsRoundTripAcrossTheTableEnd) {
+  for (size_t n : {1, 8, 9, 16, 17}) {
+    // The table has bit_ceil(2n) slots. Lead with names that hash to
+    // the last slot, so every one after the first wraps to slot 0.
+    const size_t last = std::bit_ceil(2 * n) - 1;
+    std::vector<std::string> names;
+    for (size_t k = 0; names.size() < std::min<size_t>(n, 3); ++k) {
+      std::string name = "w" + std::to_string(k);
+      if ((common::HashUnitName(name) & last) == last) names.push_back(name);
+    }
+    while (names.size() < n) names.push_back("u" + std::to_string(names.size()));
+    const common::UnitIndex index = MakeUnitIndex(names);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(FindExact(index, names[i]), i) << "n=" << n << " " << names[i];
+    }
+    // A missing name whose probe starts at the last slot wraps too.
+    for (size_t k = 0;; ++k) {
+      std::string missing = "m" + std::to_string(k);
+      if ((common::HashUnitName(missing) & last) != last) continue;
+      EXPECT_EQ(FindExact(index, missing), common::UnitIndex::kNotFound)
+          << "n=" << n;
+      break;
+    }
+  }
+}
+
+TEST(UnitIndex, EveryByteSeparatesNamesAtEveryLength) {
+  for (size_t len = 0; len <= 40; ++len) {
+    std::string base;
+    for (size_t i = 0; i < len; ++i) {
+      base.push_back(static_cast<char>('a' + i % 26));
+    }
+    // The base name, then one variant per byte position with only that
+    // byte changed.
+    std::vector<std::string> names = {base};
+    for (size_t pos = 0; pos < len; ++pos) {
+      std::string variant = base;
+      variant[pos] = static_cast<char>(variant[pos] ^ 0x01);
+      names.push_back(variant);
+    }
+    std::set<uint64_t> hashes;
+    for (const std::string& name : names) {
+      hashes.insert(common::HashUnitName(name));
+    }
+    EXPECT_EQ(hashes.size(), names.size()) << "len=" << len;
+    const common::UnitIndex index = MakeUnitIndex(names);
+    for (size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(FindExact(index, names[i]), i) << "len=" << len << " i=" << i;
+    }
+  }
+}
+
+TEST(UnitIndex, NearMissesAreNotFound) {
+  const common::UnitIndex index =
+      MakeUnitIndex({"z00001", "10001", "a-unit-name-longer-than-16-bytes"});
+  std::string embedded_nul = "z000";
+  embedded_nul.push_back('\0');
+  embedded_nul += "01";
+  std::string trailing_nul = "z00001";
+  trailing_nul.push_back('\0');
+  for (const std::string& missing :
+       {std::string(), std::string("z0000"), std::string("00001"),
+        std::string("z00002"), std::string("10002"), std::string("1001"),
+        std::string("a-unit-name-longer-than-16-byteS"),
+        std::string("a-unit-name-longer-than-16-bytes-"), embedded_nul,
+        trailing_nul}) {
+    EXPECT_EQ(FindExact(index, missing), common::UnitIndex::kNotFound)
+        << "'" << missing << "' (" << missing.size() << " bytes)";
+  }
+  EXPECT_EQ(MakeUnitIndex({}).Find("z00001"), common::UnitIndex::kNotFound);
+  EXPECT_EQ(MakeUnitIndex({""}).Find(""), 0u);
+}
+
+TEST(UnitIndex, DuplicateNamesAreReported) {
+  Result<common::UnitIndex> repeated =
+      common::UnitIndex::Create({"a", "b", "b", "a"}, "source");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(repeated.status().message(), "duplicate source unit name 'b'");
+  Result<common::UnitIndex> empty_names =
+      common::UnitIndex::Create({"", ""}, "target");
+  ASSERT_FALSE(empty_names.ok());
+  EXPECT_EQ(empty_names.status().message(), "duplicate target unit name ''");
 }
 
 TEST(Stopwatch, MeasuresNonNegativeTime) {

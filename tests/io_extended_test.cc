@@ -223,6 +223,27 @@ TEST(CrosswalkIo, AggregatesFromTable) {
       io::AggregatesFromTable(table, "unit", "value", {"a", "b", "a"});
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.status().message(), "duplicate aggregate unit name 'a'");
+  // A negative or non-finite cell is rejected rather than summed into
+  // its unit, where it would hide (these would read a = 2, NaN, NaN).
+  for (const char* csv : {"unit,value\na,-1\na,3\nb,1\n",
+                          "unit,value\na,nan\n",
+                          "unit,value\na,inf\na,-inf\n"}) {
+    auto bad = std::move(io::ParseCsv(csv)).ValueOrDie();
+    Result<linalg::Vector> rejected =
+        io::AggregatesFromTable(bad, "unit", "value", {"a", "b"});
+    ASSERT_FALSE(rejected.ok()) << csv;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << csv;
+    EXPECT_EQ(rejected.status().message(),
+              "aggregate row 0: negative or non-finite value")
+        << csv;
+  }
+  // The row's unit name is resolved before its value is checked.
+  auto unknown_first =
+      std::move(io::ParseCsv("unit,value\nzz,-1\n")).ValueOrDie();
+  Result<linalg::Vector> unknown =
+      io::AggregatesFromTable(unknown_first, "unit", "value", {"a"});
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().message(), "aggregate row 0: unknown unit 'zz'");
 }
 
 core::ReferenceAttribute DenseRef(const char* name,
