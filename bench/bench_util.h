@@ -1,6 +1,8 @@
 #ifndef GEOALIGN_BENCH_BENCH_UTIL_H_
 #define GEOALIGN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -8,6 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "geom/voronoi.h"
+#include "partition/polygon_partition.h"
 #include "synth/universe.h"
 
 namespace geoalign::bench {
@@ -42,6 +47,54 @@ inline const synth::Universe& GetUniverse(
   cache.emplace_back(Key{id, suite_key}, std::make_unique<synth::Universe>(
                                              std::move(built).value()));
   return *cache.back().second;
+}
+
+/// About `n_units` jittered quads on a square grid over
+/// [0, world]²: each cell holds one quad whose corners are pulled in
+/// by a random fraction (up to 8%) of the cell size.
+inline partition::PolygonPartition MakeGridLayer(Rng& rng, size_t n_units,
+                                                 double world) {
+  size_t nx = std::max<size_t>(
+      2, static_cast<size_t>(std::lround(std::sqrt(
+             static_cast<double>(n_units)))));
+  double d = world / static_cast<double>(nx);
+  std::vector<geom::Polygon> polys;
+  polys.reserve(nx * nx);
+  for (size_t gy = 0; gy < nx; ++gy) {
+    for (size_t gx = 0; gx < nx; ++gx) {
+      double x0 = static_cast<double>(gx) * d;
+      double y0 = static_cast<double>(gy) * d;
+      double j = rng.Uniform(0.0, 0.08 * d);
+      polys.emplace_back(geom::Ring{{x0 + j, y0},
+                                    {x0 + d, y0 + j},
+                                    {x0 + d - j, y0 + d},
+                                    {x0, y0 + d - j}});
+    }
+  }
+  return std::move(partition::PolygonPartition::Create(std::move(polys)))
+      .ValueOrDie();
+}
+
+/// The Voronoi cells of `n_units` uniform sites, clipped to
+/// [0, world]².
+inline partition::PolygonPartition MakeVoronoiLayer(Rng& rng, size_t n_units,
+                                                    double world) {
+  std::vector<geom::Point> sites;
+  sites.reserve(n_units);
+  for (size_t i = 0; i < n_units; ++i) {
+    sites.push_back({rng.Uniform(0.01 * world, 0.99 * world),
+                     rng.Uniform(0.01 * world, 0.99 * world)});
+  }
+  auto rings = std::move(geom::VoronoiCells(
+                             sites, geom::BBox(0, 0, world, world)))
+                   .ValueOrDie();
+  std::vector<geom::Polygon> polys;
+  polys.reserve(rings.size());
+  for (auto& r : rings) {
+    if (r.size() >= 3) polys.emplace_back(std::move(r));
+  }
+  return std::move(partition::PolygonPartition::Create(std::move(polys)))
+      .ValueOrDie();
 }
 
 }  // namespace geoalign::bench

@@ -20,6 +20,7 @@
 #include "geom/voronoi.h"
 #include "linalg/nnls.h"
 #include "linalg/simplex_ls.h"
+#include "partition/disaggregation.h"
 #include "partition/overlay.h"
 #include "spatial/rtree.h"
 #include "sparse/coo_builder.h"
@@ -30,6 +31,7 @@
 #include "core/batch.h"
 #include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
+#include "synth/point_process.h"
 #include "synth/universe.h"
 
 namespace geoalign {
@@ -158,6 +160,48 @@ void BM_RTreeQuery(benchmark::State& state) {
   benchmark::DoNotOptimize(hit_count);
 }
 BENCHMARK(BM_RTreeQuery)->Arg(10000)->Arg(100000);
+
+// Point location in the DM build: DmFromPoints + AggregatePoints of
+// 10k Gaussian-mixture points over overlay_scale's large universe, a
+// 30k-quad grid source and a 3k-cell Voronoi target, built once.
+// points_per_s counts each point once per call, as perfbench's
+// partition.points_per_s does (20k points per iteration, 30k locates).
+void BM_LocatePoints(benchmark::State& state) {
+  struct Inputs {
+    partition::PolygonPartition source;
+    partition::PolygonPartition target;
+    std::vector<geom::Point> points;
+  };
+  static const Inputs inputs = [] {
+    Rng rng(20180610);
+    partition::PolygonPartition source =
+        bench::MakeGridLayer(rng, 30000, 100.0);
+    partition::PolygonPartition target =
+        bench::MakeVoronoiLayer(rng, 3000, 100.0);
+    std::vector<synth::GaussianCluster> mixture;
+    for (int c = 0; c < 6; ++c) {
+      mixture.push_back({{rng.Uniform(10.0, 90.0), rng.Uniform(10.0, 90.0)},
+                         rng.Uniform(3.0, 12.0), rng.Uniform(0.5, 2.0)});
+    }
+    std::vector<geom::Point> points = synth::SampleGaussianMixture(
+        geom::BBox(0.1, 0.1, 99.9, 99.9), mixture, 10000, rng);
+    return Inputs{std::move(source), std::move(target), std::move(points)};
+  }();
+  const linalg::Vector weights(inputs.points.size(), 1.0);
+  for (auto _ : state) {
+    auto dm = partition::DmFromPoints(inputs.source, inputs.target,
+                                      inputs.points, weights);
+    linalg::Vector sums =
+        partition::AggregatePoints(inputs.source, inputs.points, weights);
+    benchmark::DoNotOptimize(dm);
+    benchmark::DoNotOptimize(sums);
+  }
+  state.counters["points_per_s"] = benchmark::Counter(
+      2.0 * static_cast<double>(inputs.points.size()) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LocatePoints)->Unit(benchmark::kMillisecond);
 
 void BM_PolygonIntersectionArea(benchmark::State& state) {
   int verts = static_cast<int>(state.range(0));

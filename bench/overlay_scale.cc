@@ -13,17 +13,16 @@
 //   GEOALIGN_BENCH_REPS    timing repetitions   (default 3)
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/float_eq.h"
 #include "common/random.h"
 #include "eval/report.h"
-#include "geom/voronoi.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/timer.h"
@@ -32,61 +31,11 @@
 namespace geoalign {
 namespace {
 
-double BenchScale() {
-  const char* env = std::getenv("GEOALIGN_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  double v = std::atof(env);
-  return v > 0.0 ? v : 1.0;
-}
-
 size_t Reps() {
   const char* env = std::getenv("GEOALIGN_BENCH_REPS");
   if (env == nullptr) return 3;
   long v = std::atol(env);
   return v > 0 ? static_cast<size_t>(v) : 3;
-}
-
-partition::PolygonPartition MakeGridLayer(Rng& rng, size_t n_units,
-                                          double world) {
-  size_t nx = std::max<size_t>(
-      2, static_cast<size_t>(std::lround(std::sqrt(
-             static_cast<double>(n_units)))));
-  double d = world / static_cast<double>(nx);
-  std::vector<geom::Polygon> polys;
-  polys.reserve(nx * nx);
-  for (size_t gy = 0; gy < nx; ++gy) {
-    for (size_t gx = 0; gx < nx; ++gx) {
-      double x0 = static_cast<double>(gx) * d;
-      double y0 = static_cast<double>(gy) * d;
-      double j = rng.Uniform(0.0, 0.08 * d);
-      polys.emplace_back(geom::Ring{{x0 + j, y0},
-                                    {x0 + d, y0 + j},
-                                    {x0 + d - j, y0 + d},
-                                    {x0, y0 + d - j}});
-    }
-  }
-  return std::move(partition::PolygonPartition::Create(std::move(polys)))
-      .ValueOrDie();
-}
-
-partition::PolygonPartition MakeVoronoiLayer(Rng& rng, size_t n_units,
-                                             double world) {
-  std::vector<geom::Point> sites;
-  sites.reserve(n_units);
-  for (size_t i = 0; i < n_units; ++i) {
-    sites.push_back({rng.Uniform(0.01 * world, 0.99 * world),
-                     rng.Uniform(0.01 * world, 0.99 * world)});
-  }
-  auto rings = std::move(geom::VoronoiCells(
-                             sites, geom::BBox(0, 0, world, world)))
-                   .ValueOrDie();
-  std::vector<geom::Polygon> polys;
-  polys.reserve(rings.size());
-  for (auto& r : rings) {
-    if (r.size() >= 3) polys.emplace_back(std::move(r));
-  }
-  return std::move(partition::PolygonPartition::Create(std::move(polys)))
-      .ValueOrDie();
 }
 
 struct UniverseResult {
@@ -120,9 +69,9 @@ UniverseResult RunUniverse(const char* name, size_t source_units,
   r.name = name;
   Rng rng(seed);
   partition::PolygonPartition source =
-      MakeGridLayer(rng, source_units, 100.0);
+      bench::MakeGridLayer(rng, source_units, 100.0);
   partition::PolygonPartition target =
-      MakeVoronoiLayer(rng, target_units, 100.0);
+      bench::MakeVoronoiLayer(rng, target_units, 100.0);
   r.source_units = source.NumUnits();
   r.target_units = target.NumUnits();
 
@@ -170,7 +119,7 @@ int main(int argc, char** argv) {
   const char* out_path =
       argc > 1 ? argv[1] : "BENCH_overlay_construction.json";
   obs::SetEnabled(true);
-  double scale = BenchScale();
+  double scale = bench::BenchScale();
 
   struct Config {
     const char* name;

@@ -19,16 +19,6 @@ void BBox::Expand(const BBox& other) {
   max_y = std::max(max_y, other.max_y);
 }
 
-bool BBox::Contains(const Point& p) const {
-  return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
-}
-
-bool BBox::Intersects(const BBox& other) const {
-  if (Empty() || other.Empty()) return false;
-  return min_x <= other.max_x && other.min_x <= max_x &&
-         min_y <= other.max_y && other.min_y <= max_y;
-}
-
 BBox BBox::Intersection(const BBox& other) const {
   BBox out;
   out.min_x = std::max(min_x, other.min_x);

@@ -27,10 +27,16 @@ struct BBox {
   void Expand(const BBox& other);
 
   /// Closed-interval containment.
-  bool Contains(const Point& p) const;
+  bool Contains(const Point& p) const {
+    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
+  }
 
   /// True when the closed boxes share at least one point.
-  bool Intersects(const BBox& other) const;
+  bool Intersects(const BBox& other) const {
+    if (Empty() || other.Empty()) return false;
+    return min_x <= other.max_x && other.min_x <= max_x &&
+           min_y <= other.max_y && other.min_y <= max_y;
+  }
 
   /// Geometric intersection (may be empty).
   BBox Intersection(const BBox& other) const;

@@ -20,42 +20,38 @@ bool PointOnSegment(const Point& p, const Point& a, const Point& b,
 
 namespace {
 
-// Crossing-number core; boundary handled by the callers.
-bool CrossingNumberOdd(const Point& p, const Ring& ring) {
+enum class RingSide { kOutside, kBoundary, kInside };
+
+// One pass over the edges: each edge first takes the boundary test
+// (PointOnSegment at 1e-12), then the crossing-number toggle. Any
+// boundary edge decides at once, so the answer is the same as a full
+// boundary scan followed by a full crossing count.
+RingSide ClassifyPointInRing(const Point& p, const Ring& ring) {
   bool inside = false;
   size_t n = ring.size();
   for (size_t i = 0, j = n - 1; i < n; j = i++) {
     const Point& a = ring[i];
     const Point& b = ring[j];
+    if (PointOnSegment(p, b, a, 1e-12)) return RingSide::kBoundary;
     // Half-open rule on y avoids double-counting vertices.
     if ((a.y > p.y) != (b.y > p.y)) {
       double x_cross = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
       if (p.x < x_cross) inside = !inside;
     }
   }
-  return inside;
-}
-
-bool OnBoundary(const Point& p, const Ring& ring) {
-  size_t n = ring.size();
-  for (size_t i = 0, j = n - 1; i < n; j = i++) {
-    if (PointOnSegment(p, ring[j], ring[i], 1e-12)) return true;
-  }
-  return false;
+  return inside ? RingSide::kInside : RingSide::kOutside;
 }
 
 }  // namespace
 
 bool PointInRing(const Point& p, const Ring& ring) {
   if (ring.size() < 3) return false;
-  if (OnBoundary(p, ring)) return true;
-  return CrossingNumberOdd(p, ring);
+  return ClassifyPointInRing(p, ring) != RingSide::kOutside;
 }
 
 bool PointStrictlyInRing(const Point& p, const Ring& ring) {
   if (ring.size() < 3) return false;
-  if (OnBoundary(p, ring)) return false;
-  return CrossingNumberOdd(p, ring);
+  return ClassifyPointInRing(p, ring) == RingSide::kInside;
 }
 
 std::optional<Point> SegmentIntersection(const Point& a, const Point& b,

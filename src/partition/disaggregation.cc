@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "obs/trace.h"
 #include "sparse/coo_builder.h"
 #include "common/float_eq.h"
 
@@ -38,6 +39,7 @@ Result<sparse::CsrMatrix> DmFromPoints(const PolygonPartition& source,
                                        const std::vector<geom::Point>& points,
                                        const linalg::Vector& weights,
                                        size_t* dropped_points) {
+  GEOALIGN_TRACE_SPAN("dm.from_points");
   if (points.size() != weights.size()) {
     return Status::InvalidArgument("DmFromPoints: weight count mismatch");
   }
@@ -60,6 +62,7 @@ linalg::Vector AggregatePoints(const PolygonPartition& layer,
                                const std::vector<geom::Point>& points,
                                const linalg::Vector& weights,
                                size_t* dropped_points) {
+  GEOALIGN_TRACE_SPAN("dm.aggregate_points");
   GEOALIGN_CHECK(points.size() == weights.size())
       << "AggregatePoints: weight count mismatch";
   linalg::Vector out(layer.NumUnits(), 0.0);

@@ -36,6 +36,7 @@ bool CellLess(const IntersectionCell& a, const IntersectionCell& b) {
 }  // namespace
 
 sparse::CsrMatrix OverlayResult::MeasureDm() const {
+  GEOALIGN_TRACE_SPAN("dm.measure");
   sparse::CooBuilder builder(num_source, num_target);
   for (const IntersectionCell& c : cells) {
     builder.Add(c.source, c.target, c.measure);

@@ -1,5 +1,7 @@
 #include "partition/polygon_partition.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 #include "geom/boolean_ops.h"
 
@@ -42,9 +44,7 @@ double PolygonPartition::TotalMeasure() const {
 Result<size_t> PolygonPartition::Locate(const geom::Point& p) const {
   size_t found = units_.size();
   rtree_->Visit(geom::BBox(p.x, p.y, p.x, p.y), [&](uint32_t id) {
-    if (units_[id].Contains(p)) {
-      if (id < found) found = id;
-    }
+    if (id < found && units_[id].Contains(p)) found = id;
     return true;
   });
   if (found == units_.size()) {
@@ -67,6 +67,9 @@ Status PolygonPartition::ValidateDisjoint(double tol) const {
   std::vector<uint32_t> cands;
   for (uint32_t i = 0; i < units_.size(); ++i) {
     rtree_->Query(units_[i].Bounds(), &cands);
+    // Ascending, so the message names the lowest overlapping j
+    // whatever the tree's shape.
+    std::sort(cands.begin(), cands.end());
     for (uint32_t j : cands) {
       if (j <= i) continue;
       double inter = geom::IntersectionArea(units_[i], units_[j]);

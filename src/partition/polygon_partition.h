@@ -36,8 +36,10 @@ class PolygonPartition {
   /// Bounding box of the whole layer.
   const geom::BBox& Bounds() const { return bounds_; }
 
-  /// Unit containing p (boundary points resolve to the lowest-index
-  /// unit). NotFound when p is in no unit.
+  /// The lowest-index unit i whose unit(i).Contains(p) holds: a point
+  /// on a shared boundary, or inside units that overlap, resolves to
+  /// the lowest such index whatever the R-tree's shape. NotFound when
+  /// p is in no unit (a NaN point never is).
   Result<size_t> Locate(const geom::Point& p) const;
 
   /// Units whose bounding box intersects `query`.

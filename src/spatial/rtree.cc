@@ -2,134 +2,123 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
 namespace geoalign::spatial {
+
+namespace {
+
+// Sort-Tile-Recursive tiling of one level: reorders `order` (indices
+// into `boxes`) by center x, cuts it into ceil(sqrt(tiles)) vertical
+// strips, sorts each strip by center y, and returns the end offset of
+// every tile: at most `cap` consecutive entries, never spanning two
+// strips. An empty box has a NaN center; it sorts last, which keeps
+// the comparison a strict weak order.
+std::vector<size_t> StrTile(const std::vector<geom::BBox>& boxes, size_t cap,
+                            std::vector<uint32_t>* order) {
+  std::vector<double> key(boxes.size());
+  auto set_keys = [&](double geom::Point::*axis) {
+    for (uint32_t i : *order) {
+      double v = boxes[i].Center().*axis;
+      key[i] = std::isnan(v) ? std::numeric_limits<double>::infinity() : v;
+    }
+  };
+  auto by_key = [&key](uint32_t a, uint32_t b) { return key[a] < key[b]; };
+  set_keys(&geom::Point::x);
+  std::sort(order->begin(), order->end(), by_key);
+  set_keys(&geom::Point::y);
+
+  const size_t n = order->size();
+  const size_t tiles = (n + cap - 1) / cap;
+  const size_t strips = static_cast<size_t>(
+      std::ceil(std::sqrt(static_cast<double>(tiles))));
+  const size_t per_strip = (n + strips - 1) / strips;
+  std::vector<size_t> ends;
+  for (size_t begin = 0; begin < n; begin += per_strip) {
+    const size_t end = std::min(begin + per_strip, n);
+    std::sort(order->begin() + begin, order->begin() + end, by_key);
+    for (size_t i = begin; i < end; i += cap) {
+      ends.push_back(std::min(i + cap, end));
+    }
+  }
+  return ends;
+}
+
+}  // namespace
 
 RTree::RTree(const std::vector<geom::BBox>& boxes,
              size_t max_entries_per_node) {
   item_count_ = boxes.size();
-  item_boxes_ = boxes;
   if (boxes.empty()) return;
-  size_t cap = std::max<size_t>(2, max_entries_per_node);
+  const size_t cap =
+      std::clamp<size_t>(max_entries_per_node, 2, kMaxEntriesPerNode);
 
-  // STR packing: sort by center-x, slice into vertical strips, sort
-  // each strip by center-y, chunk into leaves.
-  std::vector<uint32_t> order(boxes.size());
-  for (uint32_t i = 0; i < boxes.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return boxes[a].Center().x < boxes[b].Center().x;
-  });
-
-  size_t n = boxes.size();
-  size_t leaf_count = (n + cap - 1) / cap;
-  size_t strips = static_cast<size_t>(
-      std::ceil(std::sqrt(static_cast<double>(leaf_count))));
-  size_t per_strip = (n + strips - 1) / strips;
-
-  items_.reserve(n);
-  // Current level under construction: node indices.
-  std::vector<Node> level_nodes;
-  for (size_t s = 0; s < strips; ++s) {
-    size_t begin = s * per_strip;
-    if (begin >= n) break;
-    size_t end = std::min(begin + per_strip, n);
-    std::sort(order.begin() + begin, order.begin() + end,
-              [&](uint32_t a, uint32_t b) {
-                return boxes[a].Center().y < boxes[b].Center().y;
-              });
-    for (size_t i = begin; i < end; i += cap) {
-      Node leaf;
-      leaf.leaf = true;
-      leaf.first = static_cast<uint32_t>(items_.size());
-      size_t chunk_end = std::min(i + cap, end);
-      for (size_t k = i; k < chunk_end; ++k) {
-        items_.push_back(order[k]);
-        leaf.box.Expand(boxes[order[k]]);
-      }
-      leaf.count = static_cast<uint32_t>(chunk_end - i);
-      level_nodes.push_back(leaf);
-    }
+  // Leaves: the items in STR order, one leaf per tile.
+  items_.resize(boxes.size());
+  std::iota(items_.begin(), items_.end(), 0u);
+  std::vector<size_t> ends = StrTile(boxes, cap, &items_);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  leaf_boxes_.reserve(items_.size());
+  for (uint32_t id : items_) {
+    leaf_boxes_.push_back(boxes[id].Empty() ? geom::BBox(kNaN, kNaN, kNaN, kNaN)
+                                            : boxes[id]);
   }
-  height_ = 1;
+  std::vector<std::vector<Node>> levels(1);
+  for (size_t t = 0, begin = 0; t < ends.size(); begin = ends[t++]) {
+    Node leaf;
+    leaf.first = static_cast<uint32_t>(begin);
+    leaf.count = static_cast<uint32_t>(ends[t] - begin);
+    for (size_t i = begin; i < ends[t]; ++i) leaf.box.Expand(boxes[items_[i]]);
+    levels[0].push_back(leaf);
+  }
 
-  // Pack upper levels until a single root remains. Nodes are appended
-  // level by level; children of each internal node are contiguous.
-  // We build bottom-up into a temporary list, then reverse levels so
-  // the root lands at index 0.
-  std::vector<std::vector<Node>> levels;
-  levels.push_back(std::move(level_nodes));
+  // Upper levels, bottom-up until one root remains: tile the level
+  // below, store it in tile order, and give each tile one parent whose
+  // children are that contiguous run.
   while (levels.back().size() > 1) {
-    const std::vector<Node>& below = levels.back();
+    std::vector<Node>& below = levels.back();
+    std::vector<geom::BBox> below_boxes;
+    below_boxes.reserve(below.size());
+    for (const Node& node : below) below_boxes.push_back(node.box);
+    std::vector<uint32_t> order(below.size());
+    std::iota(order.begin(), order.end(), 0u);
+    ends = StrTile(below_boxes, cap, &order);
+    std::vector<Node> tiled;
+    tiled.reserve(below.size());
+    for (uint32_t i : order) tiled.push_back(below[i]);
+    below = std::move(tiled);
+
     std::vector<Node> above;
-    for (size_t i = 0; i < below.size(); i += cap) {
+    for (size_t t = 0, begin = 0; t < ends.size(); begin = ends[t++]) {
       Node internal;
       internal.leaf = false;
-      internal.first = static_cast<uint32_t>(i);
-      internal.count =
-          static_cast<uint32_t>(std::min(cap, below.size() - i));
-      for (uint32_t k = 0; k < internal.count; ++k) {
-        internal.box.Expand(below[i + k].box);
-      }
+      internal.first = static_cast<uint32_t>(begin);
+      internal.count = static_cast<uint32_t>(ends[t] - begin);
+      for (size_t i = begin; i < ends[t]; ++i) internal.box.Expand(below[i].box);
       above.push_back(internal);
     }
     levels.push_back(std::move(above));
-    ++height_;
   }
+  height_ = levels.size();
 
-  // Flatten: root level first. Child indices are offset by the start
-  // of the level below.
-  nodes_.clear();
-  size_t offset = 0;
-  for (size_t li = levels.size(); li-- > 0;) {
-    offset += levels[li].size();
-  }
-  nodes_.reserve(offset);
+  // Flatten, root level first; child indices of internal nodes are
+  // offset by the start of the level below.
   std::vector<size_t> level_start(levels.size());
   size_t pos = 0;
   for (size_t li = levels.size(); li-- > 0;) {
     level_start[li] = pos;
     pos += levels[li].size();
   }
-  nodes_.resize(pos);
+  nodes_.reserve(pos);
   for (size_t li = levels.size(); li-- > 0;) {
-    for (size_t k = 0; k < levels[li].size(); ++k) {
-      Node node = levels[li][k];
+    for (Node node : levels[li]) {
       if (!node.leaf) {
         node.first += static_cast<uint32_t>(level_start[li - 1]);
       }
-      nodes_[level_start[li] + k] = node;
+      nodes_.push_back(node);
     }
   }
-}
-
-void RTree::VisitNode(uint32_t node_idx, const geom::BBox& query,
-                      const std::function<bool(uint32_t)>& fn,
-                      bool* stop) const {
-  const Node& node = nodes_[node_idx];
-  if (*stop || !node.box.Intersects(query)) return;
-  if (node.leaf) {
-    for (uint32_t k = 0; k < node.count; ++k) {
-      uint32_t item = items_[node.first + k];
-      if (item_boxes_[item].Intersects(query)) {
-        if (!fn(item)) {
-          *stop = true;
-          return;
-        }
-      }
-    }
-    return;
-  }
-  for (uint32_t k = 0; k < node.count; ++k) {
-    VisitNode(node.first + k, query, fn, stop);
-    if (*stop) return;
-  }
-}
-
-void RTree::Visit(const geom::BBox& query,
-                  const std::function<bool(uint32_t)>& fn) const {
-  if (nodes_.empty()) return;
-  bool stop = false;
-  VisitNode(0, query, fn, &stop);
 }
 
 std::vector<uint32_t> RTree::Query(const geom::BBox& query) const {
@@ -162,13 +151,11 @@ void RTree::JoinNodes(const RTree& other, uint32_t ni, uint32_t nj,
   if (!na.box.Intersects(nb.box)) return;
   if (na.leaf && nb.leaf) {
     for (uint32_t k = 0; k < na.count; ++k) {
-      uint32_t item_a = items_[na.first + k];
-      const geom::BBox& box_a = item_boxes_[item_a];
+      const geom::BBox& box_a = leaf_boxes_[na.first + k];
       if (!box_a.Intersects(nb.box)) continue;
       for (uint32_t l = 0; l < nb.count; ++l) {
-        uint32_t item_b = other.items_[nb.first + l];
-        if (box_a.Intersects(other.item_boxes_[item_b])) {
-          out->emplace_back(item_a, item_b);
+        if (box_a.Intersects(other.leaf_boxes_[nb.first + l])) {
+          out->emplace_back(items_[na.first + k], other.items_[nb.first + l]);
         }
       }
     }

@@ -1,5 +1,6 @@
 #include "synth/dataset_suite.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/float_eq.h"
 #include "common/random.h"
@@ -132,6 +133,36 @@ TEST(Predicates, PointInRingBoundaryCounts) {
   EXPECT_FALSE(PointInRing({3, 1}, square));
   EXPECT_FALSE(PointStrictlyInRing({0, 1}, square));
   EXPECT_TRUE(PointStrictlyInRing({1, 1}, square));
+
+  // Horizontal edges never toggle the crossing count; only the
+  // boundary test catches points on them.
+  EXPECT_TRUE(PointInRing({1, 0}, square));
+  EXPECT_TRUE(PointInRing({1, 2}, square));
+  EXPECT_FALSE(PointStrictlyInRing({1, 0}, square));
+  EXPECT_FALSE(PointStrictlyInRing({1, 2}, square));
+
+  // The boundary test allows 1e-12 on the orientation, which on a unit
+  // edge is the distance from it.
+  Ring unit = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+  for (double off : {-0.5e-12, 0.5e-12}) {
+    EXPECT_TRUE(PointInRing({0.5, off}, unit)) << off;
+    EXPECT_FALSE(PointStrictlyInRing({0.5, off}, unit)) << off;
+  }
+  EXPECT_FALSE(PointInRing({0.5, -1e-11}, unit));
+  EXPECT_FALSE(PointStrictlyInRing({0.5, -1e-11}, unit));
+  EXPECT_TRUE(PointInRing({0.5, 1e-11}, unit));
+  EXPECT_TRUE(PointStrictlyInRing({0.5, 1e-11}, unit));
+
+  // Fewer than 3 vertices enclose nothing, not even their own edge.
+  Ring segment = {{0, 0}, {2, 2}};
+  EXPECT_FALSE(PointInRing({1, 1}, segment));
+  EXPECT_FALSE(PointStrictlyInRing({1, 1}, segment));
+  EXPECT_FALSE(PointInRing({0, 0}, Ring{}));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(PointInRing({nan, 1}, square));
+  EXPECT_FALSE(PointInRing({nan, nan}, square));
+  EXPECT_FALSE(PointStrictlyInRing({nan, 1}, square));
 }
 
 TEST(Predicates, PointInConcaveRing) {

@@ -165,6 +165,125 @@ TEST(PolygonPartition, LocateAndMeasure) {
   EXPECT_FALSE(layer.Locate({10.0, 10.0}).ok());
 }
 
+// The definition Locate must reproduce: the lowest-index unit whose
+// Contains holds, or no unit (returned as NumUnits()).
+size_t LowestContainingUnit(const PolygonPartition& layer, const Point& p) {
+  for (size_t i = 0; i < layer.NumUnits(); ++i) {
+    if (layer.unit(i).Contains(p)) return i;
+  }
+  return layer.NumUnits();
+}
+
+// Probes Locate at `random` uniform points over the layer's bounds
+// widened by 10%, at every vertex and every edge midpoint of every
+// ring, outside the layer, on its bounding-box corners, and at NaN.
+void ExpectLocateMatchesLowestContainingUnit(const PolygonPartition& layer,
+                                             size_t random, Rng& rng) {
+  const BBox b = layer.Bounds();
+  const double dx = 0.1 * b.width();
+  const double dy = 0.1 * b.height();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Point> probes = {{b.min_x, b.min_y}, {b.max_x, b.max_y},
+                               {b.min_x - dx, b.min_y - dy},
+                               {b.max_x + dx, b.max_y + dy},
+                               {nan, nan}, {nan, b.min_y}, {b.min_x, nan}};
+  for (size_t k = 0; k < random; ++k) {
+    probes.push_back({rng.Uniform(b.min_x - dx, b.max_x + dx),
+                      rng.Uniform(b.min_y - dy, b.max_y + dy)});
+  }
+  for (size_t i = 0; i < layer.NumUnits(); ++i) {
+    std::vector<geom::Ring> rings = layer.unit(i).holes();
+    rings.push_back(layer.unit(i).outer());
+    for (const geom::Ring& ring : rings) {
+      for (size_t v = 0; v < ring.size(); ++v) {
+        const Point& a = ring[v];
+        const Point& c = ring[(v + 1) % ring.size()];
+        probes.push_back(a);
+        probes.push_back({(a.x + c.x) / 2, (a.y + c.y) / 2});
+      }
+    }
+  }
+  size_t found = 0;
+  for (const Point& p : probes) {
+    const size_t expected = LowestContainingUnit(layer, p);
+    auto got = layer.Locate(p);
+    if (expected == layer.NumUnits()) {
+      EXPECT_FALSE(got.ok()) << "(" << p.x << ", " << p.y << ")";
+    } else if (got.ok()) {
+      ++found;
+      EXPECT_EQ(*got, expected) << "(" << p.x << ", " << p.y << ")";
+    } else {
+      ADD_FAILURE() << "(" << p.x << ", " << p.y << ") not located; unit "
+                    << expected << " contains it";
+    }
+  }
+  // Most probes lie in some unit; the check above is not vacuous.
+  EXPECT_GT(found, probes.size() / 2);
+}
+
+TEST(PolygonPartition, LocateMatchesLowestContainingUnit) {
+  Rng rng(2018);
+  // A 50 x 50 grid of quads whose shared corners are jittered, so the
+  // layer tiles its square exactly and every edge is shared.
+  const size_t nx = 50;
+  std::vector<Point> corners((nx + 1) * (nx + 1));
+  for (size_t gy = 0; gy <= nx; ++gy) {
+    for (size_t gx = 0; gx <= nx; ++gx) {
+      double x = static_cast<double>(gx);
+      double y = static_cast<double>(gy);
+      if (gx != 0 && gx != nx) x += rng.Uniform(-0.25, 0.25);
+      if (gy != 0 && gy != nx) y += rng.Uniform(-0.25, 0.25);
+      corners[gy * (nx + 1) + gx] = {x, y};
+    }
+  }
+  std::vector<Polygon> quads;
+  for (size_t gy = 0; gy < nx; ++gy) {
+    for (size_t gx = 0; gx < nx; ++gx) {
+      const size_t c = gy * (nx + 1) + gx;
+      quads.emplace_back(geom::Ring{corners[c], corners[c + 1],
+                                    corners[c + nx + 2], corners[c + nx + 1]});
+    }
+  }
+  auto grid = std::move(PolygonPartition::Create(std::move(quads))).ValueOrDie();
+  ExpectLocateMatchesLowestContainingUnit(grid, 5000, rng);
+
+  std::vector<Point> sites;
+  for (int i = 0; i < 250; ++i) {
+    sites.push_back({rng.Uniform(0.0, 50.0), rng.Uniform(0.0, 50.0)});
+  }
+  auto cells =
+      std::move(geom::VoronoiCells(sites, BBox(0, 0, 50, 50))).ValueOrDie();
+  std::vector<Polygon> polys;
+  for (auto& ring : cells) {
+    if (ring.size() >= 3) polys.emplace_back(std::move(ring));
+  }
+  auto voronoi =
+      std::move(PolygonPartition::Create(std::move(polys))).ValueOrDie();
+  ExpectLocateMatchesLowestContainingUnit(voronoi, 5000, rng);
+
+  // Hand-built: units 1 and 2 overlap in [2,3] x [0,3]; unit 3 has the
+  // hole [6,8] x [1,3], and unit 0 is an island inside that hole with
+  // a gap around it.
+  std::vector<Polygon> hand = {
+      Polygon::FromBBox(BBox(6.5, 1.5, 7.5, 2.5)),
+      Polygon::FromBBox(BBox(0, 0, 3, 3)),
+      Polygon::FromBBox(BBox(2, 0, 5, 3)),
+      std::move(Polygon::Create(geom::Ring{{5, 0}, {9, 0}, {9, 4}, {5, 4}},
+                                {geom::Ring{{6, 1}, {8, 1}, {8, 3}, {6, 3}}}))
+          .ValueOrDie(),
+  };
+  auto layer = std::move(PolygonPartition::Create(std::move(hand))).ValueOrDie();
+  EXPECT_EQ(*layer.Locate({2.5, 1.5}), 1u);  // overlap: lowest index wins
+  EXPECT_EQ(*layer.Locate({3.0, 1.5}), 1u);  // unit 1's edge inside unit 2
+  EXPECT_EQ(*layer.Locate({4.0, 1.5}), 2u);
+  EXPECT_EQ(*layer.Locate({5.0, 1.5}), 2u);  // shared edge of units 2 and 3
+  EXPECT_EQ(*layer.Locate({6.0, 2.0}), 3u);  // the hole's boundary is unit 3's
+  EXPECT_FALSE(layer.Locate({6.2, 2.0}).ok());  // in the gap around the island
+  EXPECT_EQ(*layer.Locate({6.5, 2.0}), 0u);     // the island's boundary
+  EXPECT_EQ(*layer.Locate({7.0, 2.0}), 0u);
+  ExpectLocateMatchesLowestContainingUnit(layer, 2000, rng);
+}
+
 TEST(PolygonPartition, ValidateDisjointDetectsOverlap) {
   PolygonPartition good = MakeGridLayer(0, 0, 2, 2, 1.0);
   EXPECT_TRUE(good.ValidateDisjoint().ok());
@@ -174,6 +293,20 @@ TEST(PolygonPartition, ValidateDisjointDetectsOverlap) {
   };
   auto layer = std::move(PolygonPartition::Create(bad)).ValueOrDie();
   EXPECT_FALSE(layer.ValidateDisjoint().ok());
+
+  // Unit 0 covers a 6 x 6 grid of units numbered against the x-then-y
+  // order the R-tree packs them in; the message still names the
+  // lowest overlapping unit.
+  std::vector<Polygon> covered = {Polygon::FromBBox(BBox(0, 0, 6, 6))};
+  for (int k = 0; k < 36; ++k) {
+    const double x = 5 - k % 6;
+    const double y = 5 - k / 6;
+    covered.push_back(Polygon::FromBBox(BBox(x, y, x + 1, y + 1)));
+  }
+  auto cover = std::move(PolygonPartition::Create(covered)).ValueOrDie();
+  Status overlap = cover.ValidateDisjoint();
+  EXPECT_NE(overlap.message().find("units 0 and 1 overlap"), std::string::npos)
+      << overlap.message();
 }
 
 TEST(OverlayPolygons, ShiftedGridsProduceQuarterCells) {

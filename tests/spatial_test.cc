@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "common/random.h"
 #include "spatial/grid_index.h"
@@ -49,9 +51,17 @@ TEST(RTree, VisitEarlyStop) {
 
 class RTreeRandomTest : public ::testing::TestWithParam<int> {};
 
+// Instances 0-14 use fanouts 4-16; 15 and 16 use the extremes 2 and
+// 64, where a full leaf reaches bit 63 of the child mask. Every 17th
+// box is inverted and every 23rd is the default empty box: neither
+// may ever be returned.
 TEST_P(RTreeRandomTest, MatchesBruteForce) {
   Rng rng(700 + GetParam());
+  const size_t fanout = GetParam() == 15   ? 2
+                        : GetParam() == 16 ? RTree::kMaxEntriesPerNode
+                                           : 4 + GetParam() % 13;
   size_t n = 1 + rng.UniformInt(uint64_t{500});
+  if (fanout == RTree::kMaxEntriesPerNode) n += 4 * fanout;
   std::vector<BBox> boxes;
   boxes.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -59,12 +69,20 @@ TEST_P(RTreeRandomTest, MatchesBruteForce) {
     double y = rng.Uniform(0.0, 100.0);
     boxes.emplace_back(x, y, x + rng.Uniform(0.0, 10.0),
                        y + rng.Uniform(0.0, 10.0));
+    if (i % 17 == 5) std::swap(boxes.back().min_x, boxes.back().max_x);
+    if (i % 23 == 7) boxes.back() = BBox();
   }
-  RTree tree(boxes, /*max_entries_per_node=*/4 + GetParam() % 13);
+  RTree tree(boxes, fanout);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<BBox> queries = {BBox(-1e9, -1e9, 1e9, 1e9),
+                               BBox(-inf, -inf, inf, inf)};
   for (int q = 0; q < 20; ++q) {
     double x = rng.Uniform(-5.0, 105.0);
     double y = rng.Uniform(-5.0, 105.0);
-    BBox query(x, y, x + rng.Uniform(0.0, 20.0), y + rng.Uniform(0.0, 20.0));
+    queries.emplace_back(x, y, x + rng.Uniform(0.0, 20.0),
+                         y + rng.Uniform(0.0, 20.0));
+  }
+  for (const BBox& query : queries) {
     std::vector<uint32_t> expected;
     for (uint32_t i = 0; i < n; ++i) {
       if (boxes[i].Intersects(query)) expected.push_back(i);
@@ -76,7 +94,7 @@ TEST_P(RTreeRandomTest, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, RTreeRandomTest,
-                         ::testing::Range(0, 15));
+                         ::testing::Range(0, 17));
 
 TEST(RTree, HeightGrowsLogarithmically) {
   std::vector<BBox> boxes;
