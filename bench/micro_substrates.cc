@@ -203,6 +203,44 @@ void BM_LocatePoints(benchmark::State& state) {
 }
 BENCHMARK(BM_LocatePoints)->Unit(benchmark::kMillisecond);
 
+// The overlay engine on overlay_scale's large universe, a 30k-quad
+// grid source and a 3k-cell Voronoi target (BM_LocatePoints' layers),
+// built once, at 1, 2 and 4 threads. overlay_scale times the engine at
+// one thread only, so a scaling defect shows here and not there.
+// cells_per_s counts the overlay's cells per wall-clock second.
+void BM_OverlayPolygons(benchmark::State& state) {
+  struct Layers {
+    partition::PolygonPartition source;
+    partition::PolygonPartition target;
+  };
+  static const Layers layers = [] {
+    Rng rng(20180610);
+    partition::PolygonPartition source =
+        bench::MakeGridLayer(rng, 30000, 100.0);
+    partition::PolygonPartition target =
+        bench::MakeVoronoiLayer(rng, 3000, 100.0);
+    return Layers{std::move(source), std::move(target)};
+  }();
+  partition::OverlayOptions options;
+  options.threads = static_cast<size_t>(state.range(0));
+  size_t cells = 0;
+  for (auto _ : state) {
+    auto overlay =
+        partition::OverlayPolygons(layers.source, layers.target, options);
+    cells = overlay->cells.size();
+    benchmark::DoNotOptimize(overlay);
+  }
+  state.counters["cells_per_s"] = benchmark::Counter(
+      static_cast<double>(cells) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OverlayPolygons)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_PolygonIntersectionArea(benchmark::State& state) {
   int verts = static_cast<int>(state.range(0));
   geom::Polygon a = geom::Polygon::RegularNgon({0.0, 0.0}, 1.0, verts, 0.1);

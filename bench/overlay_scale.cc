@@ -1,11 +1,13 @@
 // National-scale overlay construction benchmark: the legacy path
 // (OverlayPolygonsReference: per-target R-tree queries, per-pair fan
-// recomputation, allocating clippers) against the overlay engine
-// (cached fans + dual-tree join + per-worker scratch) on
-// perturbed-grid × Voronoi universes up to ~30k × 3k units.
+// recomputation) against the overlay engine (candidates in
+// (source, target) order, cached target fans) on perturbed-grid ×
+// Voronoi universes up to ~30k × 3k units. Both run at one thread, so
+// this cannot show a scaling defect; BM_OverlayPolygons in
+// micro_substrates times the engine at 1, 2 and 4 threads.
 //
 // Each universe also checks the engine for BIT-identical cells against
-// the reference and reports the dual-tree candidate count. The binary
+// the reference and reports the engine's candidate count. The binary
 // exits nonzero on any bit difference.
 //
 // Usage: overlay_scale [output.json]

@@ -1,10 +1,12 @@
 #include "geom/boolean_ops.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
-#include "geom/convex_clip.h"
-#include "geom/predicates.h"
 #include "common/float_eq.h"
+#include "common/logging.h"
+#include "geom/predicates.h"
 
 namespace geoalign::geom {
 
@@ -42,54 +44,91 @@ void AppendRingFan(const Ring& ring, double ring_sign,
 
 }  // namespace
 
-std::vector<SignedTriangle> SignedFan(const Polygon& poly) {
-  std::vector<SignedTriangle> out;
-  AppendRingFan(poly.outer(), 1.0, &out);
+void SignedFan(const Polygon& poly, std::vector<SignedTriangle>* out) {
+  AppendRingFan(poly.outer(), 1.0, out);
   for (const Ring& hole : poly.holes()) {
-    AppendRingFan(hole, -1.0, &out);
+    AppendRingFan(hole, -1.0, out);
   }
-  return out;
 }
 
-std::vector<BBox> FanBBoxes(const std::vector<SignedTriangle>& fan) {
-  std::vector<BBox> out;
-  out.reserve(fan.size());
+void FanBBoxes(const std::vector<SignedTriangle>& fan,
+               std::vector<BBox>* out) {
   for (const SignedTriangle& t : fan) {
     BBox box;
     box.Expand(t.a);
     box.Expand(t.b);
     box.Expand(t.c);
-    out.push_back(box);
+    out->push_back(box);
   }
-  return out;
 }
 
-void FanScratch::Reserve(size_t max_vertices) {
-  clip.Reserve(max_vertices);
-  if (tri_a.capacity() < 3) tri_a.reserve(3);
-  if (tri_b.capacity() < 3) tri_b.reserve(3);
+double TriangleIntersectionArea(const SignedTriangle& a,
+                                const SignedTriangle& b) {
+  // One half-plane step emits (#inside + #sign changes) vertices. Each
+  // sign change pairs an inside vertex with an outside one, so that is
+  // at most floor(1.5 n): a triangle grows at most 3 -> 4 -> 6 -> 9.
+  // Both buffers list their first slots, so the compiler fills the
+  // rest with plain stores: a fully default-constructed Point[9]
+  // compiles to `rep stos`, which cost about a tenth of a clip.
+  constexpr size_t kMaxVertices = 9;
+  Point ping[kMaxVertices] = {a.a, a.b, a.c};
+  Point pong[kMaxVertices] = {a.a, a.b, a.c};
+  Point* ring = ping;
+  Point* next = pong;
+  size_t n = 3;
+  const Point clip[3] = {b.a, b.b, b.c};
+  // GEOALIGN_HOT_LOOP_BEGIN (overlay triangle clip: fixed arrays only)
+  for (size_t e = 0; e < 3 && n >= 3; ++e) {
+    // ClipRingToConvex's half-plane of edge pq, then ClipRingToHalfPlane.
+    const Point& p = clip[e];
+    const Point& q = clip[e + 1 < 3 ? e + 1 : 0];
+    const Point normal{q.y - p.y, p.x - q.x};
+    const double offset = Dot(normal, p);
+    const double d0 = Dot(normal, ring[0]) - offset;
+    double dc = d0;
+    size_t m = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const Point& cur = ring[i];
+      const Point& nxt = i + 1 < n ? ring[i + 1] : ring[0];
+      const double dn = i + 1 < n ? Dot(normal, nxt) - offset : d0;
+      const bool cur_in = dc <= 0.0;
+      const bool nxt_in = dn <= 0.0;
+      if (cur_in) next[m++] = cur;
+      if (cur_in != nxt_in) {
+        const double t = dc / (dc - dn);
+        next[m++] = {cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y)};
+      }
+      dc = dn;
+    }
+    GEOALIGN_DCHECK(m <= n + n / 2);
+    std::swap(ring, next);
+    n = m;
+  }
+  // GEOALIGN_HOT_LOOP_END
+  if (n < 3) return 0.0;
+  // RingArea: the shoelace sum from +0.0, halved, then its magnitude.
+  double acc = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const Point& p = ring[i];
+    const Point& q = i + 1 < n ? ring[i + 1] : ring[0];
+    acc += p.x * q.y - q.x * p.y;
+  }
+  return std::fabs(acc * 0.5);
 }
 
 double IntersectionAreaPrepared(const SignedTriangle* fan_a,
                                 const BBox* boxes_a, size_t size_a,
                                 const SignedTriangle* fan_b,
-                                const BBox* boxes_b, size_t size_b,
-                                FanScratch* scratch) {
+                                const BBox* boxes_b, size_t size_b) {
   double acc = 0.0;
-  // GEOALIGN_HOT_LOOP_BEGIN (overlay tri×tri loop: staging rings and
-  // clip rings come Reserved from the FanScratch)
+  // GEOALIGN_HOT_LOOP_BEGIN (overlay tri×tri loop: no heap)
   for (size_t i = 0; i < size_a; ++i) {
     const SignedTriangle& ta = fan_a[i];
     const BBox& ba = boxes_a[i];
     for (size_t j = 0; j < size_b; ++j) {
       if (!ba.Intersects(boxes_b[j])) continue;
       const SignedTriangle& tb = fan_b[j];
-      // assign into the 3-capacity staging rings never grows them.
-      scratch->tri_a.assign({ta.a, ta.b, ta.c});  // NOLINT(geoalign-hot-alloc)
-      scratch->tri_b.assign({tb.a, tb.b, tb.c});  // NOLINT(geoalign-hot-alloc)
-      double inter =
-          ConvexIntersectionAreaWith(scratch->tri_a, scratch->tri_b,
-                                     &scratch->clip);
+      double inter = TriangleIntersectionArea(ta, tb);
       if (inter > 0.0) acc += ta.sign * tb.sign * inter;
     }
   }
@@ -99,14 +138,16 @@ double IntersectionAreaPrepared(const SignedTriangle* fan_a,
 
 double IntersectionArea(const Polygon& a, const Polygon& b) {
   if (!a.Bounds().Intersects(b.Bounds())) return 0.0;
-  std::vector<SignedTriangle> fa = SignedFan(a);
-  std::vector<SignedTriangle> fb = SignedFan(b);
-  std::vector<BBox> ba = FanBBoxes(fa);
-  std::vector<BBox> bb = FanBBoxes(fb);
-  FanScratch scratch;
-  scratch.Reserve(8);
+  std::vector<SignedTriangle> fa;
+  std::vector<SignedTriangle> fb;
+  SignedFan(a, &fa);
+  SignedFan(b, &fb);
+  std::vector<BBox> ba;
+  std::vector<BBox> bb;
+  FanBBoxes(fa, &ba);
+  FanBBoxes(fb, &bb);
   return IntersectionAreaPrepared(fa.data(), ba.data(), fa.size(), fb.data(),
-                                  bb.data(), fb.size(), &scratch);
+                                  bb.data(), fb.size());
 }
 
 double UnionArea(const Polygon& a, const Polygon& b) {

@@ -1,7 +1,8 @@
 #ifndef GEOALIGN_GEOM_BOOLEAN_OPS_H_
 #define GEOALIGN_GEOM_BOOLEAN_OPS_H_
 
-#include "geom/convex_clip.h"
+#include <vector>
+
 #include "geom/polygon.h"
 
 namespace geoalign::geom {
@@ -37,44 +38,38 @@ struct SignedTriangle {
   double sign;    ///< +1 or -1
 };
 
-/// Signed fan decomposition of a polygon (outer ring fans positive,
-/// hole rings negative); degenerate triangles are dropped. Exposed for
-/// testing and reuse.
-std::vector<SignedTriangle> SignedFan(const Polygon& poly);
+/// Appends the signed fan decomposition of `poly` to `*out` (outer
+/// ring fans positive, hole rings negative); degenerate triangles are
+/// dropped. A ring of n vertices adds at most n - 2 triangles.
+void SignedFan(const Polygon& poly, std::vector<SignedTriangle>* out);
 
-/// Bounding boxes of fan triangles, one per triangle, computed with
-/// the same Expand sequence the per-pair path used — so pruning
+/// Appends one bounding box per triangle of `fan` to `*out`, computed
+/// with the same Expand sequence the per-pair path used — so pruning
 /// decisions based on them are bit-identical to recomputing boxes in
 /// the tri×tri loop.
-std::vector<BBox> FanBBoxes(const std::vector<SignedTriangle>& fan);
+void FanBBoxes(const std::vector<SignedTriangle>& fan, std::vector<BBox>* out);
 
-/// Per-worker scratch for the prepared-fan intersection kernel: the
-/// clip ping/pong rings plus the two staging triangle rings. Reserve
-/// once (overlay workers own one each), then IntersectionAreaPrepared
-/// never allocates.
-struct FanScratch {
-  ClipScratch clip;
-  Ring tri_a;
-  Ring tri_b;
-
-  /// Pre-grows the clip rings for subjects of up to `max_vertices`
-  /// vertices (a triangle clipped by a triangle needs 8). Monotonic.
-  void Reserve(size_t max_vertices);
-};
+/// Area of a ∩ b for two CCW triangles (their signs are not read):
+/// Sutherland–Hodgman of `a` against `b`'s three edges on two fixed
+/// Point[9] arrays, so it never touches the heap. It runs
+/// ClipRingToHalfPlane's and RingArea's arithmetic in the same order,
+/// so it equals ConvexIntersectionArea on the two 3-vertex rings bit
+/// for bit.
+double TriangleIntersectionArea(const SignedTriangle& a,
+                                const SignedTriangle& b);
 
 /// The cached-fan core of IntersectionArea: both polygons arrive as
 /// precomputed signed fans with per-triangle bboxes (`SignedFan` +
-/// `FanBBoxes`), and every intermediate ring comes from `scratch`.
-/// Arithmetic, pruning, and accumulation order are exactly those of
-/// IntersectionArea, so the result is bit-identical — the overlay
-/// engine leans on this to cache fans per unit instead of
-/// re-decomposing per candidate pair. Callers are responsible for the
+/// `FanBBoxes`), and every bbox-overlapping triangle pair goes through
+/// TriangleIntersectionArea. Arithmetic, pruning, and accumulation
+/// order are exactly those of IntersectionArea, so the result is
+/// bit-identical — the overlay engine leans on this to reuse fans
+/// across candidate pairs. Callers are responsible for the
 /// polygon-bounds prune that IntersectionArea performs up front.
 double IntersectionAreaPrepared(const SignedTriangle* fan_a,
                                 const BBox* boxes_a, size_t size_a,
                                 const SignedTriangle* fan_b,
-                                const BBox* boxes_b, size_t size_b,
-                                FanScratch* scratch);
+                                const BBox* boxes_b, size_t size_b);
 
 }  // namespace geoalign::geom
 

@@ -24,42 +24,16 @@ struct HalfPlane {
 /// be empty or degenerate; callers should check RingArea.
 Ring ClipRingToHalfPlane(const Ring& subject, const HalfPlane& hp);
 
-/// Allocation-free variant: clears `*out` and appends the clipped
-/// ring. Identical arithmetic (and therefore bit-identical output) to
-/// ClipRingToHalfPlane; reuses out's capacity, growing it only when
-/// the result cannot fit. `out` must not alias `subject`.
-void ClipRingToHalfPlaneInto(const Ring& subject, const HalfPlane& hp,
-                             Ring* out);
-
 /// Sutherland–Hodgman: clips `subject` (any simple ring) against a
 /// CONVEX clip ring given in counter-clockwise order. Exact for convex
 /// `subject`; for non-convex subjects the classic caveat applies
 /// (output may contain zero-width bridges but its area is correct).
 Ring ClipRingToConvex(const Ring& subject, const Ring& convex_clip);
 
-/// Area of the intersection of two CONVEX rings.
+/// Area of the intersection of two CONVEX rings. On two triangles it
+/// is the reference that geom::TriangleIntersectionArea, the overlay's
+/// heap-free kernel, must match bit for bit (tests/geom_test.cc).
 double ConvexIntersectionArea(const Ring& a, const Ring& b);
-
-/// Reusable ping/pong rings for the allocation-free clipping path.
-/// One scratch serves one clip at a time; overlay workers each own one
-/// (inside a FanScratch) and Reserve it once, so steady-state clipping
-/// never touches the heap.
-struct ClipScratch {
-  Ring ping;
-  Ring pong;
-
-  /// Pre-grows both rings for subjects/clips of up to `max_vertices`
-  /// vertices each (a subject of n vertices clipped by m half-planes
-  /// has at most n + m vertices). Monotonic.
-  void Reserve(size_t max_vertices);
-};
-
-/// Allocation-free ConvexIntersectionArea: same arithmetic in the same
-/// order (bit-identical result), with every intermediate ring drawn
-/// from `scratch` instead of freshly allocated. The subject ring `a`
-/// is copied into the scratch, so `a`/`b` may be long-lived geometry.
-double ConvexIntersectionAreaWith(const Ring& a, const Ring& b,
-                                  ClipScratch* scratch);
 
 }  // namespace geoalign::geom
 

@@ -2,8 +2,6 @@
 
 namespace geoalign::geom {
 
-double Dot(const Point& a, const Point& b) { return a.x * b.x + a.y * b.y; }
-
 double Cross(const Point& a, const Point& b) { return a.x * b.y - a.y * b.x; }
 
 double Distance(const Point& a, const Point& b) {

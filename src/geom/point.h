@@ -21,8 +21,11 @@ struct Point {
   bool operator!=(const Point& o) const { return !(*this == o); }
 };
 
-/// Dot product of vectors a and b.
-double Dot(const Point& a, const Point& b);
+/// Dot product of vectors a and b. Inline: the overlay's triangle
+/// clip evaluates it once per vertex per edge.
+inline double Dot(const Point& a, const Point& b) {
+  return a.x * b.x + a.y * b.y;
+}
 
 /// Z-component of the cross product a x b.
 double Cross(const Point& a, const Point& b);

@@ -6,13 +6,13 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/float_eq.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "geom/boolean_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/overlay_prepared.h"
-#include "sparse/coo_builder.h"
 
 namespace geoalign::partition {
 
@@ -37,11 +37,31 @@ bool CellLess(const IntersectionCell& a, const IntersectionCell& b) {
 
 sparse::CsrMatrix OverlayResult::MeasureDm() const {
   GEOALIGN_TRACE_SPAN("dm.measure");
-  sparse::CooBuilder builder(num_source, num_target);
-  for (const IntersectionCell& c : cells) {
-    builder.Add(c.source, c.target, c.measure);
+  // The cells are sorted by (source, target) with unique keys, so they
+  // are already the CSR entries in order. Each value is 0.0 + measure
+  // and exact zeros are dropped: CooBuilder's rule, bit for bit.
+  // FromCsrArrays checks the order again, so a producer that breaks it
+  // fails loudly in release builds too.
+  std::vector<size_t> row_ptr(num_source + 1, 0);
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+  col_idx.reserve(cells.size());
+  values.reserve(cells.size());
+  for (size_t k = 0; k < cells.size(); ++k) {
+    const IntersectionCell& c = cells[k];
+    GEOALIGN_DCHECK(c.source < num_source && c.target < num_target);
+    GEOALIGN_DCHECK(k == 0 || CellLess(cells[k - 1], c));
+    const double value = 0.0 + c.measure;
+    if (ExactlyZero(value)) continue;
+    col_idx.push_back(c.target);
+    values.push_back(value);
+    ++row_ptr[c.source + 1];
   }
-  return builder.Build();
+  for (size_t r = 0; r < num_source; ++r) row_ptr[r + 1] += row_ptr[r];
+  return std::move(sparse::CsrMatrix::FromCsrArrays(
+                       num_source, num_target, std::move(row_ptr),
+                       std::move(col_idx), std::move(values)))
+      .ValueOrDie();
 }
 
 double OverlayResult::TotalMeasure() const {
@@ -151,72 +171,104 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   std::unique_ptr<common::ThreadPool> pool =
       common::MakePoolOrNull(common::ResolveThreadCount(options.threads));
 
-  // Cold section: cache each layer's signed fans and per-triangle
-  // bboxes once — the legacy path re-derived them for every candidate
-  // pair. Allocation is fine here.
-  PreparedOverlayLayer prep_s;
+  // Cold section: cache the target layer's signed fans and per-triangle
+  // bboxes once; every candidate pair clips against them.
   PreparedOverlayLayer prep_t;
   {
     GEOALIGN_TRACE_SPAN("overlay.prepare");
-    prep_s = PreparedOverlayLayer::Build(source);
     prep_t = PreparedOverlayLayer::Build(target);
   }
 
-  // Candidate generation: one simultaneous descent of both R-trees.
-  // Emission order is a pure function of the two tree structures —
-  // never of the thread count — and the set of emitted pairs is
-  // exactly the bbox-intersecting pairs the legacy per-target queries
-  // produced.
+  // Candidate pass, one chunk of source units per task: each unit
+  // queries the target R-tree with its bounds (the closed-box test) and
+  // emits its hits in ascending order. Chunk order is source order, so
+  // the concatenated list is sorted by (source, target) with unique
+  // keys whatever the thread count.
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   {
     GEOALIGN_TRACE_SPAN("overlay.join");
-    source.rtree().DualTreeJoin(target.rtree(), &pairs);
+    constexpr size_t kSourceGrain = 256;
+    std::vector<common::ChunkRange> chunks =
+        common::DeterministicChunks(source.NumUnits(), kSourceGrain);
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunk_pairs(
+        chunks.size());
+    common::ParallelForChunks(pool.get(), chunks.size(), [&](size_t ci) {
+      // Built in locals and moved out once, so concurrent chunks never
+      // write neighboring list headers.
+      std::vector<std::pair<uint32_t, uint32_t>> local;
+      std::vector<uint32_t> hits;
+      for (size_t i = chunks[ci].begin; i < chunks[ci].end; ++i) {
+        target.CandidatesInBox(source.unit(i).Bounds(), &hits);
+        std::sort(hits.begin(), hits.end());
+        for (uint32_t j : hits) local.emplace_back(static_cast<uint32_t>(i), j);
+      }
+      chunk_pairs[ci] = std::move(local);
+    });
+    size_t total = 0;
+    for (const auto& list : chunk_pairs) total += list.size();
+    pairs.reserve(total);
+    for (const auto& list : chunk_pairs) {
+      pairs.insert(pairs.end(), list.begin(), list.end());
+    }
   }
   CandidatePairs().Add(pairs.size());
 
-  // Each chunk of the pair list clips into its own cell list; every
-  // pair is computed wholly inside one chunk, so cell values are
-  // independent of the chunking, and the final unique-key sort makes
-  // the emission order irrelevant: bit-identical at any thread count.
+  // Clip pass, one chunk of the pair list per task: chunking by pairs
+  // keeps a coarse source layer parallel. Each cell is computed wholly
+  // inside one chunk and the chunk lists concatenate in pair order, so
+  // the cells come out sorted and bit-identical at any thread count.
   constexpr size_t kPairGrain = 64;
   std::vector<common::ChunkRange> chunks =
       common::DeterministicChunks(pairs.size(), kPairGrain);
   std::vector<std::vector<IntersectionCell>> chunk_cells(chunks.size());
-  // One scratch per worker slot. ParallelForChunks runs every chunk on
-  // a pool worker when it has a pool and more than one chunk, else all
-  // chunks inline on the calling thread — which may be a worker of some
-  // outer pool, so only a pooled run may key the slot off the index.
-  const bool pooled = pool != nullptr && chunks.size() > 1;
-  std::vector<geom::FanScratch> scratch(pooled ? pool->size() : 1);
-  for (geom::FanScratch& s : scratch) s.Reserve(8);  // triangle × triangle
   auto clip_chunk = [&](size_t ci) {
-    geom::FanScratch& fs =
-        scratch[pooled ? common::ThreadPool::CurrentWorkerIndex() : 0];
-    std::vector<IntersectionCell>& cells = chunk_cells[ci];
-    cells.reserve(chunks[ci].end - chunks[ci].begin);
-    // GEOALIGN_HOT_LOOP_BEGIN (overlay pair loop: fans and bboxes come
-    // cached from the prepared layers, rings from the Reserved scratch)
-    for (size_t k = chunks[ci].begin; k < chunks[ci].end; ++k) {
+    const size_t begin = chunks[ci].begin;
+    const size_t end = chunks[ci].end;
+    // Chunk-local buffers, reused across the chunk's source units; the
+    // cells are moved out once at the end, so workers share no written
+    // cache line while they clip. The chunk's sources are one id range
+    // (pairs are sorted) and a fan has at most VertexCount triangles,
+    // so the fan buffers are sized for the chunk's largest unit here.
+    size_t max_tris = 0;
+    for (uint32_t i = pairs[begin].first; i <= pairs[end - 1].first; ++i) {
+      max_tris = std::max(max_tris, source.unit(i).VertexCount());
+    }
+    std::vector<geom::SignedTriangle> fan;
+    std::vector<geom::BBox> fan_boxes;
+    fan.reserve(max_tris);
+    fan_boxes.reserve(max_tris);
+    std::vector<IntersectionCell> cells;
+    cells.reserve(end - begin);
+    uint32_t fan_unit = 0;
+    // GEOALIGN_HOT_LOOP_BEGIN (overlay pair loop: the source fan is
+    // recomputed into the reserved buffers only when the source
+    // changes, target fans come cached from the prepared layer)
+    for (size_t k = begin; k < end; ++k) {
       const uint32_t i = pairs[k].first;
       const uint32_t j = pairs[k].second;
+      if (k == begin || i != fan_unit) {
+        fan.clear();
+        fan_boxes.clear();
+        geom::SignedFan(source.unit(i), &fan);
+        geom::FanBBoxes(fan, &fan_boxes);
+        fan_unit = i;
+      }
       double inter = geom::IntersectionAreaPrepared(
-          prep_s.fan(i), prep_s.fan_boxes(i), prep_s.fan_size(i),
-          prep_t.fan(j), prep_t.fan_boxes(j), prep_t.fan_size(j), &fs);
+          fan.data(), fan_boxes.data(), fan.size(), prep_t.fan(j),
+          prep_t.fan_boxes(j), prep_t.fan_size(j));
       if (inter > options.min_area) {
         // Reserved above to the chunk's pair count: never grows.
         cells.push_back({i, j, inter});  // NOLINT(geoalign-hot-alloc)
       }
     }
     // GEOALIGN_HOT_LOOP_END
+    chunk_cells[ci] = std::move(cells);
   };
   {
     GEOALIGN_TRACE_SPAN("overlay.clip");
     common::ParallelForChunks(pool.get(), chunks.size(), clip_chunk);
   }
 
-  // The rest of the call: concatenate the chunk cell lists and sort.
-  // Every candidate pair either became a cell or was pruned.
-  GEOALIGN_TRACE_SPAN("overlay.sort");
   size_t total_cells = 0;
   for (const std::vector<IntersectionCell>& cells : chunk_cells) {
     total_cells += cells.size();
@@ -225,7 +277,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   for (const std::vector<IntersectionCell>& cells : chunk_cells) {
     out.cells.insert(out.cells.end(), cells.begin(), cells.end());
   }
-  std::sort(out.cells.begin(), out.cells.end(), CellLess);
+  // Every candidate pair either became a cell or was pruned.
   PairsPruned().Add(pairs.size() - total_cells);
   return out;
 }

@@ -27,7 +27,9 @@ struct OverlayResult {
   uint32_t num_source = 0;
   uint32_t num_target = 0;
 
-  /// Non-empty intersection units, sorted by (source, target).
+  /// Non-empty intersection units, sorted by (source, target) with
+  /// unique keys. Every Overlay* producer guarantees this, and
+  /// MeasureDm relies on it.
   std::vector<IntersectionCell> cells;
 
   /// For cell-partition overlays: atom -> index into `cells`; empty
@@ -36,6 +38,7 @@ struct OverlayResult {
 
   /// The measure (area) disaggregation matrix DM_area[i,j] =
   /// |u^s_i ∩ u^t_j| — the reference the areal weighting method uses.
+  /// One pass over `cells`; the arrays equal a CooBuilder build's.
   sparse::CsrMatrix MeasureDm() const;
 
   /// Sum of cell measures (should equal the universe measure).
@@ -59,31 +62,34 @@ struct OverlayOptions {
   /// Cells with area <= min_area are dropped.
   double min_area = 0.0;
 
-  /// Worker threads for candidate clipping (0 = one per hardware
-  /// thread, 1 = inline). Any thread count produces bit-identical
-  /// cells: the dual-tree candidate join emits a pair list whose order
-  /// is a pure function of the two R-trees, each pair's area is
-  /// computed independently, and the final (source, target) sort has
-  /// unique keys.
+  /// Worker threads for the candidate and clip passes (0 = one per
+  /// hardware thread, 1 = inline). Any thread count produces
+  /// bit-identical cells: each pair's area is computed wholly inside
+  /// one chunk, and output order comes from candidate order alone.
   size_t threads = 1;
 };
 
 /// Geometric 2-D overlay: the exact intersection area of every
 /// bbox-candidate pair of units, bit-identical to
-/// OverlayPolygonsReference. Candidates come from a simultaneous
-/// R-tree×R-tree join (spatial::RTree::DualTreeJoin); per-unit signed
-/// fans and triangle bboxes are cached once per layer
-/// (partition::PreparedOverlayLayer) instead of recomputed per pair,
-/// and every intermediate ring comes from per-worker scratch.
+/// OverlayPolygonsReference. Two fan-outs on one pool: chunks of
+/// source units query the target R-tree and emit their candidates in
+/// (source, target) order, then chunks of that pair list clip each
+/// pair with the heap-free geom::TriangleIntersectionArea. Target fans
+/// and triangle bboxes are cached once (PreparedOverlayLayer); a
+/// chunk recomputes the source fan only when the pair's source
+/// changes. Chunks share no writable cache line, and the concatenated
+/// chunk lists are already the sorted cell list.
 Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
                                       const PolygonPartition& target,
                                       const OverlayOptions& options = {});
 
-/// The pre-engine overlay, kept verbatim as the differential oracle:
-/// per-target R-tree queries + per-pair IntersectionArea, no caching,
-/// no scratch reuse. tests/overlay_engine_test.cc asserts the engine is
-/// bit-identical to this for every universe × thread count;
-/// bench/overlay_scale measures the speedup against it.
+/// The pre-engine overlay, kept as the differential oracle: per-target
+/// R-tree queries + per-pair IntersectionArea, no caching. It shares
+/// the triangle kernel with the engine, so it checks candidates,
+/// fans, pruning and order, not the kernel (geom_test.cc checks that
+/// against ConvexIntersectionArea). tests/overlay_engine_test.cc
+/// asserts the engine is bit-identical to this for every universe ×
+/// thread count; bench/overlay_scale measures the speedup against it.
 Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,
                                                const PolygonPartition& target,
                                                double min_area = 0.0,

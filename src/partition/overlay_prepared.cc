@@ -15,13 +15,13 @@ PreparedOverlayLayer PreparedOverlayLayer::Build(const PolygonPartition& layer) 
 
   out.fan_offsets_.push_back(0);
   for (size_t i = 0; i < n; ++i) {
-    // Same decomposition the per-pair path ran: identical triangles in
+    // Same decomposition the per-pair path runs: identical triangles in
     // identical order, so downstream clipping is bit-identical.
-    std::vector<geom::SignedTriangle> fan = geom::SignedFan(layer.unit(i));
-    out.tris_.insert(out.tris_.end(), fan.begin(), fan.end());
+    geom::SignedFan(layer.unit(i), &out.tris_);
     out.fan_offsets_.push_back(static_cast<uint32_t>(out.tris_.size()));
   }
-  out.tri_boxes_ = geom::FanBBoxes(out.tris_);
+  out.tri_boxes_.reserve(out.tris_.size());
+  geom::FanBBoxes(out.tris_, &out.tri_boxes_);
   return out;
 }
 

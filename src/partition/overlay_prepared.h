@@ -16,7 +16,8 @@ namespace geoalign::partition {
 /// loop). Each unit's fan is a pure function of its polygon, computed
 /// exactly once per overlay — where the legacy path re-derived it per
 /// candidate pair. Build is O(total vertices); the overlay engine
-/// builds one per side and amortizes it over every candidate pair.
+/// builds one for the target layer and amortizes it over every
+/// candidate pair (source fans are derived per pair chunk instead).
 class PreparedOverlayLayer {
  public:
   static PreparedOverlayLayer Build(const PolygonPartition& layer);

@@ -144,59 +144,4 @@ void RTree::QueryPoint(const geom::Point& p,
   Query(geom::BBox(p.x, p.y, p.x, p.y), out);
 }
 
-void RTree::JoinNodes(const RTree& other, uint32_t ni, uint32_t nj,
-                      std::vector<std::pair<uint32_t, uint32_t>>* out) const {
-  const Node& na = nodes_[ni];
-  const Node& nb = other.nodes_[nj];
-  if (!na.box.Intersects(nb.box)) return;
-  if (na.leaf && nb.leaf) {
-    for (uint32_t k = 0; k < na.count; ++k) {
-      const geom::BBox& box_a = leaf_boxes_[na.first + k];
-      if (!box_a.Intersects(nb.box)) continue;
-      for (uint32_t l = 0; l < nb.count; ++l) {
-        if (box_a.Intersects(other.leaf_boxes_[nb.first + l])) {
-          out->emplace_back(items_[na.first + k], other.items_[nb.first + l]);
-        }
-      }
-    }
-    return;
-  }
-  // Testing child boxes here, before recursing, skips the call for
-  // subtree pairs that cannot emit; the surviving calls run in the
-  // same order, so the emitted pair sequence is unchanged.
-  if (na.leaf) {
-    for (uint32_t l = 0; l < nb.count; ++l) {
-      if (na.box.Intersects(other.nodes_[nb.first + l].box)) {
-        JoinNodes(other, ni, nb.first + l, out);
-      }
-    }
-    return;
-  }
-  if (nb.leaf) {
-    for (uint32_t k = 0; k < na.count; ++k) {
-      if (nodes_[na.first + k].box.Intersects(nb.box)) {
-        JoinNodes(other, na.first + k, nj, out);
-      }
-    }
-    return;
-  }
-  for (uint32_t k = 0; k < na.count; ++k) {
-    const geom::BBox& child_a = nodes_[na.first + k].box;
-    if (!child_a.Intersects(nb.box)) continue;
-    for (uint32_t l = 0; l < nb.count; ++l) {
-      if (child_a.Intersects(other.nodes_[nb.first + l].box)) {
-        JoinNodes(other, na.first + k, nb.first + l, out);
-      }
-    }
-  }
-}
-
-void RTree::DualTreeJoin(
-    const RTree& other,
-    std::vector<std::pair<uint32_t, uint32_t>>* out) const {
-  out->clear();
-  if (nodes_.empty() || other.nodes_.empty()) return;
-  JoinNodes(other, 0, 0, out);
-}
-
 }  // namespace geoalign::spatial

@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "geom/bbox.h"
@@ -20,7 +19,8 @@ namespace geoalign::spatial {
 /// one bit of a 64-bit mask per child. Visits run in pre-order, each
 /// node's children in their stored order. Built once over a unit
 /// system's bounding boxes; serves point location and overlay
-/// candidate search.
+/// candidate search (one Query per source unit against the target
+/// layer's tree).
 class RTree {
  public:
   /// Upper bound on `max_entries_per_node`; larger values are clamped.
@@ -47,16 +47,6 @@ class RTree {
 
   /// Buffer-reuse overload of QueryPoint (see Query above).
   void QueryPoint(const geom::Point& p, std::vector<uint32_t>* out) const;
-
-  /// Simultaneous dual-tree candidate join: appends to `*out` (after
-  /// clearing it) every (this item, other item) pair whose boxes
-  /// intersect, by descending both trees at once — internal-node
-  /// rejects prune whole subtree×subtree blocks, and no per-item
-  /// query vector is ever materialized. Emission order is a pure
-  /// function of the two tree structures (never of the caller's
-  /// thread count), so chunking the pair buffer is deterministic.
-  void DualTreeJoin(const RTree& other,
-                    std::vector<std::pair<uint32_t, uint32_t>>* out) const;
 
   /// Calls `fn(id)` for each item whose box intersects `query`, in
   /// tree pre-order, without materializing a vector; `fn` returns
@@ -123,9 +113,6 @@ class RTree {
     }
     return true;
   }
-
-  void JoinNodes(const RTree& other, uint32_t ni, uint32_t nj,
-                 std::vector<std::pair<uint32_t, uint32_t>>* out) const;
 
   std::vector<Node> nodes_;      // root is nodes_[0] when non-empty
   std::vector<uint32_t> items_;  // leaf item ids

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/float_eq.h"
 #include "common/random.h"
@@ -241,8 +243,10 @@ TEST(ConvexClip, SharedEdgeOnlyHasZeroArea) {
 TEST(BooleanOps, SignedFanCoversPolygon) {
   // Non-convex "arrow": fan triangles must sum (signed) to the area.
   Polygon arrow({{0, 0}, {4, 0}, {4, 4}, {2, 1}, {0, 4}});
+  std::vector<SignedTriangle> fan;
+  SignedFan(arrow, &fan);
   double total = 0.0;
-  for (const SignedTriangle& t : SignedFan(arrow)) {
+  for (const SignedTriangle& t : fan) {
     total += t.sign * RingArea({t.a, t.b, t.c});
   }
   EXPECT_NEAR(total, arrow.Area(), 1e-12);
@@ -321,8 +325,10 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, BooleanOpsRandomTest,
 // never accumulated on either path; the nonzero-term order is
 // preserved, so production IntersectionArea must be BIT-identical.
 double NaiveIntersectionArea(const Polygon& a, const Polygon& b) {
-  std::vector<SignedTriangle> fa = SignedFan(a);
-  std::vector<SignedTriangle> fb = SignedFan(b);
+  std::vector<SignedTriangle> fa;
+  std::vector<SignedTriangle> fb;
+  SignedFan(a, &fa);
+  SignedFan(b, &fb);
   double acc = 0.0;
   for (const SignedTriangle& ta : fa) {
     for (const SignedTriangle& tb : fb) {
@@ -401,61 +407,129 @@ TEST(BooleanOps, DegenerateFanTrianglesDropOut) {
   // All-collinear "polygon" (zero area): every fan triangle is
   // degenerate, the fan is empty, and any intersection is 0.
   Polygon flat({{0, 0}, {1, 0}, {2, 0}, {3, 0}});
-  EXPECT_TRUE(SignedFan(flat).empty());
+  std::vector<SignedTriangle> fan;
+  SignedFan(flat, &fan);
+  EXPECT_TRUE(fan.empty());
   Polygon square({{0, 0}, {2, 0}, {2, 2}, {0, 2}});
   EXPECT_DOUBLE_EQ(IntersectionArea(flat, square), 0.0);
 }
 
 TEST(BooleanOps, PreparedPathBitIdenticalToIntersectionArea) {
-  // The overlay engine's cached-fan entry point, fed the same fans +
-  // boxes IntersectionArea derives internally, through one reused
-  // scratch — must be bit-identical pair after pair.
+  // The overlay engine's cached-fan entry point, fed fans + boxes
+  // built into reused buffers, against the ring clipper's sum over the
+  // same triangle pairs in the same order with the same max(acc, 0)
+  // (NaiveIntersectionArea): holed donut × random n-gons, bit for bit.
+  // IntersectionArea runs the same kernel, so it must agree too.
   Rng rng(960);
-  FanScratch scratch;
-  scratch.Reserve(8);
   Ring outer = {{0, 0}, {4, 0}, {4, 4}, {0, 4}};
   Ring hole = {{1, 1}, {3, 1}, {3, 3}, {1, 3}};
   Polygon donut = std::move(Polygon::Create(outer, {hole})).ValueOrDie();
+  std::vector<SignedTriangle> fa;
+  std::vector<SignedTriangle> fb;
+  std::vector<BBox> ba;
+  std::vector<BBox> bb;
+  SignedFan(donut, &fa);
+  FanBBoxes(fa, &ba);
   for (int round = 0; round < 25; ++round) {
     Point c{rng.Uniform(0.0, 4.0), rng.Uniform(0.0, 4.0)};
     Polygon probe = Polygon::RegularNgon(
         c, rng.Uniform(0.3, 2.0),
         3 + static_cast<int>(rng.UniformInt(uint64_t{6})),
         rng.Uniform(0.0, 1.0));
-    std::vector<SignedTriangle> fa = SignedFan(donut);
-    std::vector<SignedTriangle> fb = SignedFan(probe);
-    std::vector<BBox> ba = FanBBoxes(fa);
-    std::vector<BBox> bb = FanBBoxes(fb);
+    fb.clear();
+    bb.clear();
+    SignedFan(probe, &fb);
+    FanBBoxes(fb, &bb);
     double got = donut.Bounds().Intersects(probe.Bounds())
                      ? IntersectionAreaPrepared(fa.data(), ba.data(),
                                                 fa.size(), fb.data(),
-                                                bb.data(), fb.size(),
-                                                &scratch)
+                                                bb.data(), fb.size())
                      : 0.0;
+    EXPECT_TRUE(ExactlyEqual(got, NaiveIntersectionArea(donut, probe)))
+        << "round " << round;
     EXPECT_TRUE(ExactlyEqual(got, IntersectionArea(donut, probe)))
         << "round " << round;
   }
 }
 
-TEST(ConvexClip, ScratchVariantBitIdenticalAndReusable) {
+// The overlay's heap-free kernel against the ring clipper on the same
+// two 3-vertex rings, both argument orders, bit for bit.
+void ExpectKernelMatchesRingClipper(const SignedTriangle& a,
+                                    const SignedTriangle& b,
+                                    const std::string& label) {
+  const Ring ra = {a.a, a.b, a.c};
+  const Ring rb = {b.a, b.b, b.c};
+  const double ab = TriangleIntersectionArea(a, b);
+  const double ba = TriangleIntersectionArea(b, a);
+  EXPECT_TRUE(ExactlyEqual(ab, ConvexIntersectionArea(ra, rb)))
+      << label << ": " << ab << " vs " << ConvexIntersectionArea(ra, rb);
+  EXPECT_TRUE(ExactlyEqual(ba, ConvexIntersectionArea(rb, ra)))
+      << label << " (swapped): " << ba << " vs "
+      << ConvexIntersectionArea(rb, ra);
+}
+
+// A CCW triangle; Orient2d decides which way round b and c go.
+SignedTriangle Ccw(const Point& a, const Point& b, const Point& c) {
+  return Orient2d(a, b, c) >= 0.0 ? SignedTriangle{a, b, c, 1.0}
+                                  : SignedTriangle{a, c, b, 1.0};
+}
+
+TEST(ConvexClip, TriangleKernelBitIdenticalToRingClipper) {
   Rng rng(970);
-  ClipScratch scratch;
-  scratch.Reserve(16);
-  for (int round = 0; round < 40; ++round) {
-    Polygon a = Polygon::RegularNgon(
-        {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)},
-        rng.Uniform(0.4, 1.5),
-        3 + static_cast<int>(rng.UniformInt(uint64_t{8})),
-        rng.Uniform(0.0, 1.0));
-    Polygon b = Polygon::RegularNgon(
-        {rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)},
-        rng.Uniform(0.4, 1.5),
-        3 + static_cast<int>(rng.UniformInt(uint64_t{8})),
-        rng.Uniform(0.0, 1.0));
-    double got = ConvexIntersectionAreaWith(a.outer(), b.outer(), &scratch);
-    EXPECT_TRUE(ExactlyEqual(got, ConvexIntersectionArea(a.outer(),
-                                                         b.outer())))
-        << "round " << round;
+  auto random_point = [&rng] {
+    return Point{rng.Uniform(-1.0, 1.0), rng.Uniform(-1.0, 1.0)};
+  };
+  for (int round = 0; round < 400; ++round) {
+    SignedTriangle a = Ccw(random_point(), random_point(), random_point());
+    SignedTriangle b = Ccw(random_point(), random_point(), random_point());
+    ExpectKernelMatchesRingClipper(a, b, "random " + std::to_string(round));
+    // The same clip triangle with its vertices rotated.
+    ExpectKernelMatchesRingClipper(a, {b.b, b.c, b.a, 1.0},
+                                   "rotated " + std::to_string(round));
+  }
+
+  // Contacts at random coordinates: `a` reuses a vertex or an edge of
+  // `b`, so some signed distances are exactly zero and the on-line
+  // rule (d <= 0 is inside) decides the clip.
+  for (int round = 0; round < 200; ++round) {
+    const SignedTriangle b =
+        Ccw(random_point(), random_point(), random_point());
+    ExpectKernelMatchesRingClipper(
+        Ccw(b.b, random_point(), random_point()), b,
+        "random shared vertex " + std::to_string(round));
+    ExpectKernelMatchesRingClipper(
+        Ccw(b.a, b.b, random_point()), b,
+        "random shared edge " + std::to_string(round));
+  }
+
+  const SignedTriangle t = Ccw({0, 0}, {2, 0}, {0, 2});
+  ExpectKernelMatchesRingClipper(t, t, "identical");
+  ExpectKernelMatchesRingClipper(t, Ccw({2, 0}, {0, 2}, {2, 2}),
+                                 "shared edge");
+  ExpectKernelMatchesRingClipper(t, Ccw({2, 0}, {3, 0}, {3, 1}),
+                                 "shared vertex");
+  ExpectKernelMatchesRingClipper(t, Ccw({1, 0}, {2, -1}, {0, -1}),
+                                 "vertex on the other's edge, outside");
+  ExpectKernelMatchesRingClipper(t, Ccw({1, 0}, {1, 1}, {0.5, 0.5}),
+                                 "vertex on the other's edge, inside");
+  ExpectKernelMatchesRingClipper(t, Ccw({0.2, 0.2}, {0.8, 0.2}, {0.2, 0.8}),
+                                 "one inside the other");
+  // Boxes [0,2]² and [1.5,3]² overlap, the triangles do not.
+  ExpectKernelMatchesRingClipper(t, Ccw({1.5, 1.5}, {3, 1.5}, {3, 3}),
+                                 "boxes touch, triangles do not");
+  // Hexagram: the clip emits the most vertices a convex pair can.
+  ExpectKernelMatchesRingClipper(Ccw({0, 0}, {3, 0}, {1.5, 2.6}),
+                                 Ccw({0, 1.7}, {1.5, -0.9}, {3, 1.7}),
+                                 "hexagram");
+  for (int k = 0; k < 20; ++k) {
+    const double h = 1e-12 * (1.0 + k);
+    const double x = rng.Uniform(-1.0, 1.0);
+    ExpectKernelMatchesRingClipper(
+        Ccw({x, 0}, {x + 1.0, 0}, {x + 0.5, h}), t,
+        "sliver " + std::to_string(k));
+    ExpectKernelMatchesRingClipper(
+        t, Ccw({0.3, 0.7 - h}, {1.1, 0.7 - h}, {0.7, 0.7}),
+        "sliver inside " + std::to_string(k));
   }
 }
 

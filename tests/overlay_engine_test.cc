@@ -2,19 +2,19 @@
 // (partition/overlay.cc): the engine must be BIT-identical to
 // OverlayPolygonsReference (the pre-engine per-target query +
 // per-pair IntersectionArea path) over every universe shape × thread
-// count, and the dual-tree candidate join must agree with the
-// brute-force bbox join.
+// count, and its candidate pairs must be the brute-force bbox join.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/float_eq.h"
 #include "common/random.h"
 #include "geom/voronoi.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "partition/overlay.h"
 #include "spatial/rtree.h"
 
@@ -107,14 +107,19 @@ void ExpectBitIdentical(const OverlayResult& got, const OverlayResult& want,
   }
 }
 
-TEST(OverlayEngineTest, BitIdenticalToReferenceAcrossUniversesAndThreads) {
+struct Universe {
+  const char* name;
+  PolygonPartition source;
+  PolygonPartition target;
+};
+
+// The last two universes reach the engine's chunking: one has enough
+// candidate pairs for both passes to run many chunks, and one has a
+// coarse source whose units' pairs each span several pair chunks, so
+// a source fan is recomputed across a chunk boundary.
+std::vector<Universe> MakeUniverses() {
   Rng rng(9100);
   geom::BBox world(0, 0, 10, 10);
-  struct Universe {
-    const char* name;
-    PolygonPartition source;
-    PolygonPartition target;
-  };
   std::vector<Universe> universes;
   universes.push_back({"voronoi x voronoi", MakeVoronoiLayer(rng, 60, world),
                        MakeVoronoiLayer(rng, 13, world)});
@@ -126,6 +131,48 @@ TEST(OverlayEngineTest, BitIdenticalToReferenceAcrossUniversesAndThreads) {
                        MakeGridLayer(rng, 5, 5, 10.0, /*with_holes=*/false)});
   universes.push_back({"voronoi x islands", MakeVoronoiLayer(rng, 6, world),
                        MakeIslandLayer(rng, 7, 7, 10.0)});
+  universes.push_back({"fine grid x voronoi",
+                       MakeGridLayer(rng, 60, 60, 10.0, /*with_holes=*/false),
+                       MakeVoronoiLayer(rng, 300, world)});
+  universes.push_back({"coarse voronoi x holey grid",
+                       MakeVoronoiLayer(rng, 8, world),
+                       MakeGridLayer(rng, 32, 32, 10.0, /*with_holes=*/true)});
+  return universes;
+}
+
+// Candidate pairs per source unit by brute force: the unit pairs whose
+// closed bounding boxes meet, the set the engine must clip.
+std::vector<size_t> BruteForceCandidatesPerSource(
+    const PolygonPartition& source, const PolygonPartition& target) {
+  std::vector<size_t> counts(source.NumUnits(), 0);
+  for (size_t i = 0; i < source.NumUnits(); ++i) {
+    for (size_t j = 0; j < target.NumUnits(); ++j) {
+      if (source.unit(i).Bounds().Intersects(target.unit(j).Bounds())) {
+        ++counts[i];
+      }
+    }
+  }
+  return counts;
+}
+
+size_t Sum(const std::vector<size_t>& v) {
+  size_t total = 0;
+  for (size_t x : v) total += x;
+  return total;
+}
+
+TEST(OverlayEngineTest, BitIdenticalToReferenceAcrossUniversesAndThreads) {
+  std::vector<Universe> universes = MakeUniverses();
+  // The chunking universes have the shapes they are named for.
+  const std::vector<size_t> fine =
+      BruteForceCandidatesPerSource(universes[4].source, universes[4].target);
+  EXPECT_GT(Sum(fine), 5000u);
+  const Universe& coarse = universes[5];
+  EXPECT_LE(coarse.source.NumUnits(), 10u);
+  EXPECT_GE(coarse.target.NumUnits(), 1000u);
+  const std::vector<size_t> per_source =
+      BruteForceCandidatesPerSource(coarse.source, coarse.target);
+  EXPECT_GT(*std::max_element(per_source.begin(), per_source.end()), 128u);
 
   for (const Universe& u : universes) {
     OverlayResult ref = std::move(OverlayPolygonsReference(
@@ -143,55 +190,24 @@ TEST(OverlayEngineTest, BitIdenticalToReferenceAcrossUniversesAndThreads) {
   }
 }
 
-TEST(OverlayEngineTest, DualTreeJoinMatchesBruteForceAndPerItemQueries) {
-  Rng rng(9500);
-  for (int round = 0; round < 5; ++round) {
-    auto make_boxes = [&](size_t n) {
-      std::vector<geom::BBox> boxes;
-      for (size_t i = 0; i < n; ++i) {
-        double x = rng.Uniform(0.0, 50.0);
-        double y = rng.Uniform(0.0, 50.0);
-        boxes.emplace_back(x, y, x + rng.Uniform(0.1, 6.0),
-                           y + rng.Uniform(0.1, 6.0));
-      }
-      return boxes;
-    };
-    std::vector<geom::BBox> boxes_a = make_boxes(1 + rng.UniformInt(
-                                                         uint64_t{120}));
-    std::vector<geom::BBox> boxes_b = make_boxes(1 + rng.UniformInt(
-                                                         uint64_t{120}));
-    spatial::RTree tree_a(boxes_a);
-    spatial::RTree tree_b(boxes_b);
-
-    std::vector<std::pair<uint32_t, uint32_t>> joined;
-    tree_a.DualTreeJoin(tree_b, &joined);
-
-    std::vector<std::pair<uint32_t, uint32_t>> brute;
-    for (uint32_t i = 0; i < boxes_a.size(); ++i) {
-      for (uint32_t j = 0; j < boxes_b.size(); ++j) {
-        if (boxes_a[i].Intersects(boxes_b[j])) brute.emplace_back(i, j);
-      }
+TEST(OverlayEngineTest, CandidatePairsEqualBruteForceBboxJoin) {
+  const bool saved_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter& candidates =
+      obs::MetricsRegistry::Global().GetCounter("overlay.candidate_pairs");
+  for (const Universe& u : MakeUniverses()) {
+    const size_t want =
+        Sum(BruteForceCandidatesPerSource(u.source, u.target));
+    for (size_t threads : {size_t{1}, size_t{3}}) {
+      const uint64_t before = candidates.Value();
+      OverlayOptions opts;
+      opts.threads = threads;
+      ASSERT_TRUE(OverlayPolygons(u.source, u.target, opts).ok()) << u.name;
+      EXPECT_EQ(candidates.Value() - before, want)
+          << u.name << " threads " << threads;
     }
-    std::vector<std::pair<uint32_t, uint32_t>> sorted = joined;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, brute) << "round " << round;
-
-    // The join's pair set restricted to one query box equals Query's.
-    std::vector<uint32_t> hits;
-    tree_a.Query(boxes_b[0], &hits);
-    std::vector<uint32_t> from_join;
-    for (const auto& [i, j] : joined) {
-      if (j == 0) from_join.push_back(i);
-    }
-    std::sort(hits.begin(), hits.end());
-    std::sort(from_join.begin(), from_join.end());
-    EXPECT_EQ(hits, from_join) << "round " << round;
-
-    // Join emission order is deterministic: a second run is identical.
-    std::vector<std::pair<uint32_t, uint32_t>> joined_again;
-    tree_a.DualTreeJoin(tree_b, &joined_again);
-    EXPECT_EQ(joined, joined_again);
   }
+  obs::SetEnabled(saved_enabled);
 }
 
 TEST(OverlayEngineTest, QueryBufferOverloadsMatchReturningOverloads) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/random.h"
 #include "geom/voronoi.h"
@@ -414,6 +416,79 @@ TEST(OverlayCells, RequiresSharedAtomSpace) {
   auto s = std::move(CellPartition::Create(&a1, {0, 1}, 2)).ValueOrDie();
   auto t = std::move(CellPartition::Create(&a2, {0, 1}, 2)).ValueOrDie();
   EXPECT_FALSE(OverlayCells(s, t).ok());
+}
+
+// MeasureDm's one-pass CSR build against a CooBuilder build of the
+// same cells (which sorts, merges and drops exact zeros): the three
+// arrays must match, the values bit for bit.
+void ExpectMeasureDmMatchesCooBuilder(const OverlayResult& ov,
+                                      const char* label) {
+  sparse::CooBuilder builder(ov.num_source, ov.num_target);
+  for (const IntersectionCell& c : ov.cells) {
+    builder.Add(c.source, c.target, c.measure);
+  }
+  const sparse::CsrMatrix want = builder.Build();
+  const sparse::CsrMatrix got = ov.MeasureDm();
+  ASSERT_EQ(got.rows(), want.rows()) << label;
+  ASSERT_EQ(got.cols(), want.cols()) << label;
+  EXPECT_TRUE(got.row_ptr() == want.row_ptr()) << label;
+  EXPECT_TRUE(got.col_idx() == want.col_idx()) << label;
+  ASSERT_EQ(got.nnz(), want.nnz()) << label;
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        got.nnz() * sizeof(double)),
+            0)
+      << label;
+}
+
+TEST(OverlayResult, MeasureDmMatchesCooBuilderBuild) {
+  auto narrow = std::move(IntervalPartition::Create({0, 10, 20, 30, 40, 60}))
+                    .ValueOrDie();
+  auto wide = std::move(IntervalPartition::Create({0, 25, 60})).ValueOrDie();
+  ExpectMeasureDmMatchesCooBuilder(
+      std::move(OverlayIntervals(narrow, wide)).ValueOrDie(), "intervals");
+
+  auto sx = std::move(IntervalPartition::Create({0, 3, 10})).ValueOrDie();
+  auto sy = std::move(IntervalPartition::Create({0, 5, 7, 10})).ValueOrDie();
+  auto tx = std::move(IntervalPartition::Create({0, 6, 10})).ValueOrDie();
+  auto ty = std::move(IntervalPartition::Create({0, 2, 10})).ValueOrDie();
+  auto sb = std::move(BoxPartition::Create({sx, sy})).ValueOrDie();
+  auto tb = std::move(BoxPartition::Create({tx, ty})).ValueOrDie();
+  ExpectMeasureDmMatchesCooBuilder(
+      std::move(OverlayBoxes(sb, tb)).ValueOrDie(), "boxes");
+
+  AtomSpace atoms;
+  atoms.measures = {1.0, 2.5, 0.75, 4.0, 0.5, 3.0};
+  auto sc = std::move(CellPartition::Create(&atoms, {0, 0, 1, 1, 2, 2}, 3))
+                .ValueOrDie();
+  auto tc = std::move(CellPartition::Create(&atoms, {0, 1, 1, 1, 1, 0}, 2))
+                .ValueOrDie();
+  ExpectMeasureDmMatchesCooBuilder(
+      std::move(OverlayCells(sc, tc)).ValueOrDie(), "cells");
+
+  Rng rng(72);
+  std::vector<Point> sites;
+  for (int i = 0; i < 25; ++i) {
+    sites.push_back({rng.Uniform(0.0, 8.0), rng.Uniform(0.0, 8.0)});
+  }
+  auto rings = std::move(geom::VoronoiCells(sites, BBox(0, 0, 8, 8)))
+                   .ValueOrDie();
+  std::vector<Polygon> polys;
+  for (auto& ring : rings) {
+    if (ring.size() >= 3) polys.emplace_back(std::move(ring));
+  }
+  auto vor = std::move(PolygonPartition::Create(std::move(polys))).ValueOrDie();
+  PolygonPartition grid = MakeGridLayer(0.3, 0.1, 5, 5, 1.6);
+  ExpectMeasureDmMatchesCooBuilder(
+      std::move(OverlayPolygons(vor, grid, {.threads = 3})).ValueOrDie(),
+      "polygons");
+
+  // Hand-made cells with exact zeros of both signs: both builds drop
+  // them, and a row left empty keeps an empty CSR row.
+  OverlayResult zeros;
+  zeros.num_source = 3;
+  zeros.num_target = 2;
+  zeros.cells = {{0, 0, 0.0}, {0, 1, 1e-300}, {1, 0, -0.0}, {2, 1, 2.0}};
+  ExpectMeasureDmMatchesCooBuilder(zeros, "exact zeros");
 }
 
 TEST(Disaggregation, DmFromAtomValuesIsExact) {

@@ -10,9 +10,11 @@
 #           only ever being compared against itself
 #   overlay overlay engine smoke: the OverlayEngineTest differential
 #           suite (engine vs reference bit-identity across universes
-#           and thread counts, dual-tree join oracle) out of the plain
-#           build, then bench/overlay_scale at tiny scale — the binary
-#           exits nonzero on any engine-vs-reference bit difference
+#           and thread counts, candidate count vs brute force) and the
+#           ConvexClip/BooleanOps kernel tests (the triangle clip vs
+#           the ring clipper) out of the plain build, then
+#           bench/overlay_scale at tiny scale — the binary exits
+#           nonzero on any engine-vs-reference bit difference
 #   tsan    rebuild with GEOALIGN_SANITIZE=thread, full ctest
 #   asan    rebuild with GEOALIGN_SANITIZE=address (ASan+UBSan) and
 #           run the full ctest with ASAN_OPTIONS=detect_leaks=1, so
@@ -236,14 +238,16 @@ benchdiff_gate() {
       "$fresh_overlay"
 }
 
-# Overlay engine smoke: the differential suite out of the plain build,
-# then the scale benchmark tiny — overlay_scale itself exits nonzero
-# on a bit difference, so the bit-identity contract gates CI even at
-# smoke scale.
+# Overlay engine smoke: the differential suite and the kernel tests
+# out of the plain build (the engine and its reference share the
+# triangle kernel, so the kernel's own differential test carries its
+# half of the bit contract), then the scale benchmark tiny —
+# overlay_scale itself exits nonzero on a bit difference, so the
+# bit-identity contract gates CI even at smoke scale.
 overlay_gate() {
   cmake --build "$BUILD_DIR" -j "$JOBS" --target overlay_scale || return 1
   "$BUILD_DIR/tests/geoalign_tests" --gtest_brief=1 \
-    --gtest_filter='OverlayEngineTest.*' &&
+    --gtest_filter='OverlayEngineTest.*:ConvexClip.*:BooleanOps.*' &&
     env GEOALIGN_BENCH_SCALE=0.02 GEOALIGN_BENCH_REPS=2 \
       "$BUILD_DIR/bench/overlay_scale" \
       "$BUILD_DIR/BENCH_overlay_construction_smoke.json"
