@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <map>
 #include <optional>
 
 #include "bench_util.h"
@@ -22,7 +24,7 @@
 #include "linalg/simplex_ls.h"
 #include "partition/disaggregation.h"
 #include "partition/overlay.h"
-#include "spatial/rtree.h"
+#include "spatial/grid_index.h"
 #include "sparse/coo_builder.h"
 #include "sparse/prepared_reference.h"
 #include "sparse/sparse_ops.h"
@@ -138,7 +140,9 @@ void BM_OverlayCells(benchmark::State& state) {
 BENCHMARK(BM_OverlayCells)->Arg(10)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-void BM_RTreeQuery(benchmark::State& state) {
+// The box grid's query (ascending unique ids into a reused buffer) of
+// a 5 x 5 box over 10k and 100k random 2 x 2 boxes.
+void BM_BoxGridQuery(benchmark::State& state) {
   Rng rng(3);
   std::vector<geom::BBox> boxes;
   size_t n = static_cast<size_t>(state.range(0));
@@ -147,25 +151,27 @@ void BM_RTreeQuery(benchmark::State& state) {
     double y = rng.Uniform(0.0, 1000.0);
     boxes.emplace_back(x, y, x + 2.0, y + 2.0);
   }
-  spatial::RTree tree(boxes);
+  spatial::BoxGridIndex index(boxes);
+  std::vector<uint32_t> hits;
   size_t hit_count = 0;
   for (auto _ : state) {
     double x = rng.Uniform(0.0, 995.0);
     double y = rng.Uniform(0.0, 995.0);
-    tree.Visit(geom::BBox(x, y, x + 5.0, y + 5.0), [&](uint32_t) {
-      ++hit_count;
-      return true;
-    });
+    index.Query(geom::BBox(x, y, x + 5.0, y + 5.0), &hits);
+    hit_count += hits.size();
   }
   benchmark::DoNotOptimize(hit_count);
 }
-BENCHMARK(BM_RTreeQuery)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_BoxGridQuery)->Arg(10000)->Arg(100000);
 
 // Point location in the DM build: DmFromPoints + AggregatePoints of
 // 10k Gaussian-mixture points over overlay_scale's large universe, a
 // 30k-quad grid source and a 3k-cell Voronoi target, built once.
 // points_per_s counts each point once per call, as perfbench's
 // partition.points_per_s does (20k points per iteration, 30k locates).
+// The argument k warps the source layer's coordinates by t^k over the
+// world (t = coordinate / world), the same points: at k = 3 units
+// crowd the origin corner, so the cost of density skew is on record.
 void BM_LocatePoints(benchmark::State& state) {
   struct Inputs {
     partition::PolygonPartition source;
@@ -187,12 +193,30 @@ void BM_LocatePoints(benchmark::State& state) {
         geom::BBox(0.1, 0.1, 99.9, 99.9), mixture, 10000, rng);
     return Inputs{std::move(source), std::move(target), std::move(points)};
   }();
+  static std::map<int64_t, partition::PolygonPartition> warped;
+  const int64_t k = state.range(0);
+  if (k != 1 && warped.count(k) == 0) {
+    std::vector<geom::Polygon> quads;
+    for (size_t i = 0; i < inputs.source.NumUnits(); ++i) {
+      geom::Ring ring = inputs.source.unit(i).outer();  // quads: no holes
+      for (geom::Point& v : ring) {
+        v = {100.0 * std::pow(v.x / 100.0, static_cast<double>(k)),
+             100.0 * std::pow(v.y / 100.0, static_cast<double>(k))};
+      }
+      quads.emplace_back(std::move(ring));
+    }
+    warped.emplace(k, std::move(partition::PolygonPartition::Create(
+                                    std::move(quads)))
+                          .ValueOrDie());
+  }
+  const partition::PolygonPartition& source =
+      k == 1 ? inputs.source : warped.at(k);
   const linalg::Vector weights(inputs.points.size(), 1.0);
   for (auto _ : state) {
-    auto dm = partition::DmFromPoints(inputs.source, inputs.target,
-                                      inputs.points, weights);
+    auto dm = partition::DmFromPoints(source, inputs.target, inputs.points,
+                                      weights);
     linalg::Vector sums =
-        partition::AggregatePoints(inputs.source, inputs.points, weights);
+        partition::AggregatePoints(source, inputs.points, weights);
     benchmark::DoNotOptimize(dm);
     benchmark::DoNotOptimize(sums);
   }
@@ -201,7 +225,7 @@ void BM_LocatePoints(benchmark::State& state) {
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LocatePoints)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LocatePoints)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 // The overlay engine on overlay_scale's large universe, a 30k-quad
 // grid source and a 3k-cell Voronoi target (BM_LocatePoints' layers),

@@ -1,10 +1,12 @@
 // National-scale overlay construction benchmark: the legacy path
-// (OverlayPolygonsReference: per-target R-tree queries, per-pair fan
-// recomputation) against the overlay engine (candidates in
+// (OverlayPolygonsReference: per-target queries of the source layer's
+// box grid, per-pair fan recomputation) against the overlay engine
+// (per-source queries of the target layer's box grid, in
 // (source, target) order, cached target fans) on perturbed-grid ×
-// Voronoi universes up to ~30k × 3k units. Both run at one thread, so
-// this cannot show a scaling defect; BM_OverlayPolygons in
-// micro_substrates times the engine at 1, 2 and 4 threads.
+// Voronoi universes up to ~30k × 3k units. Both take their candidates
+// from spatial::BoxGridIndex and run at one thread, so this cannot
+// show a scaling defect; BM_OverlayPolygons in micro_substrates times
+// the engine at 1, 2 and 4 threads.
 //
 // Each universe also checks the engine for BIT-identical cells against
 // the reference and reports the engine's candidate count. The binary

@@ -2,8 +2,6 @@
 
 namespace geoalign::geom {
 
-double Cross(const Point& a, const Point& b) { return a.x * b.y - a.y * b.x; }
-
 double Distance(const Point& a, const Point& b) {
   return std::sqrt(DistanceSquared(a, b));
 }

@@ -27,8 +27,11 @@ inline double Dot(const Point& a, const Point& b) {
   return a.x * b.x + a.y * b.y;
 }
 
-/// Z-component of the cross product a x b.
-double Cross(const Point& a, const Point& b);
+/// Z-component of the cross product a x b. Inline: the point-in-ring
+/// test evaluates it once per edge.
+inline double Cross(const Point& a, const Point& b) {
+  return a.x * b.y - a.y * b.x;
+}
 
 /// Euclidean distance.
 double Distance(const Point& a, const Point& b);

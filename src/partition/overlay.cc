@@ -180,8 +180,8 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   }
 
   // Candidate pass, one chunk of source units per task: each unit
-  // queries the target R-tree with its bounds (the closed-box test) and
-  // emits its hits in ascending order. Chunk order is source order, so
+  // queries the target grid with its bounds (the closed-box test),
+  // which returns its hits ascending. Chunk order is source order, so
   // the concatenated list is sorted by (source, target) with unique
   // keys whatever the thread count.
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
@@ -199,7 +199,6 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
       std::vector<uint32_t> hits;
       for (size_t i = chunks[ci].begin; i < chunks[ci].end; ++i) {
         target.CandidatesInBox(source.unit(i).Bounds(), &hits);
-        std::sort(hits.begin(), hits.end());
         for (uint32_t j : hits) local.emplace_back(static_cast<uint32_t>(i), j);
       }
       chunk_pairs[ci] = std::move(local);
@@ -291,7 +290,7 @@ Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,
   out.num_target = static_cast<uint32_t>(target.NumUnits());
 
   // Each chunk of target units gathers its candidate pairs through the
-  // (read-only) source R-tree and clips them into a private cell list;
+  // (read-only) source grid and clips them into a private cell list;
   // chunk-order concatenation reproduces the sequential j-loop order,
   // and the final (source, target) sort has unique keys, so any thread
   // count produces the identical overlay.
@@ -303,9 +302,11 @@ Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,
   std::vector<std::vector<IntersectionCell>> chunk_cells(chunks.size());
   common::ParallelForChunks(pool.get(), chunks.size(), [&](size_t ci) {
     std::vector<IntersectionCell>& cells = chunk_cells[ci];
+    std::vector<uint32_t> hits;
     for (size_t j = chunks[ci].begin; j < chunks[ci].end; ++j) {
       const geom::Polygon& tp = target.unit(j);
-      for (uint32_t i : source.CandidatesInBox(tp.Bounds())) {
+      source.CandidatesInBox(tp.Bounds(), &hits);
+      for (uint32_t i : hits) {
         double inter = geom::IntersectionArea(source.unit(i), tp);
         if (inter > min_area) {
           cells.push_back({i, static_cast<uint32_t>(j), inter});

@@ -72,8 +72,9 @@ struct OverlayOptions {
 /// Geometric 2-D overlay: the exact intersection area of every
 /// bbox-candidate pair of units, bit-identical to
 /// OverlayPolygonsReference. Two fan-outs on one pool: chunks of
-/// source units query the target R-tree and emit their candidates in
-/// (source, target) order, then chunks of that pair list clip each
+/// source units query the target layer's box grid and emit their
+/// candidates in (source, target) order, then chunks of that pair
+/// list clip each
 /// pair with the heap-free geom::TriangleIntersectionArea. Target fans
 /// and triangle bboxes are cached once (PreparedOverlayLayer); a
 /// chunk recomputes the source fan only when the pair's source
@@ -84,7 +85,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
                                       const OverlayOptions& options = {});
 
 /// The pre-engine overlay, kept as the differential oracle: per-target
-/// R-tree queries + per-pair IntersectionArea, no caching. It shares
+/// candidate queries + per-pair IntersectionArea, no caching. It shares
 /// the triangle kernel with the engine, so it checks candidates,
 /// fans, pruning and order, not the kernel (geom_test.cc checks that
 /// against ConvexIntersectionArea). tests/overlay_engine_test.cc

@@ -7,16 +7,23 @@
 
 namespace geoalign::partition {
 
+namespace {
+
+std::vector<geom::BBox> UnitBounds(const std::vector<geom::Polygon>& units) {
+  std::vector<geom::BBox> boxes;
+  boxes.reserve(units.size());
+  for (const geom::Polygon& p : units) boxes.push_back(p.Bounds());
+  return boxes;
+}
+
+}  // namespace
+
 PolygonPartition::PolygonPartition(std::vector<geom::Polygon> units,
                                    std::vector<std::string> names)
-    : units_(std::move(units)), names_(std::move(names)) {
-  std::vector<geom::BBox> boxes;
-  boxes.reserve(units_.size());
-  for (const geom::Polygon& p : units_) {
-    boxes.push_back(p.Bounds());
-    bounds_.Expand(p.Bounds());
-  }
-  rtree_ = std::make_unique<spatial::RTree>(boxes);
+    : units_(std::move(units)),
+      names_(std::move(names)),
+      index_(UnitBounds(units_)) {
+  for (const geom::Polygon& p : units_) bounds_.Expand(p.Bounds());
 }
 
 Result<PolygonPartition> PolygonPartition::Create(
@@ -42,34 +49,24 @@ double PolygonPartition::TotalMeasure() const {
 }
 
 Result<size_t> PolygonPartition::Locate(const geom::Point& p) const {
-  size_t found = units_.size();
-  rtree_->Visit(geom::BBox(p.x, p.y, p.x, p.y), [&](uint32_t id) {
-    if (id < found && units_[id].Contains(p)) found = id;
-    return true;
-  });
+  const size_t found = index_.FirstContaining(
+      p, [&](uint32_t id) { return units_[id].Contains(p); });
   if (found == units_.size()) {
     return Status::NotFound("PolygonPartition: point in no unit");
   }
   return found;
 }
 
-std::vector<uint32_t> PolygonPartition::CandidatesInBox(
-    const geom::BBox& query) const {
-  return rtree_->Query(query);
-}
-
 void PolygonPartition::CandidatesInBox(const geom::BBox& query,
                                        std::vector<uint32_t>* out) const {
-  rtree_->Query(query, out);
+  index_.Query(query, out);
 }
 
 Status PolygonPartition::ValidateDisjoint(double tol) const {
   std::vector<uint32_t> cands;
   for (uint32_t i = 0; i < units_.size(); ++i) {
-    rtree_->Query(units_[i].Bounds(), &cands);
-    // Ascending, so the message names the lowest overlapping j
-    // whatever the tree's shape.
-    std::sort(cands.begin(), cands.end());
+    // Ascending, so the message names the lowest overlapping j.
+    index_.Query(units_[i].Bounds(), &cands);
     for (uint32_t j : cands) {
       if (j <= i) continue;
       double inter = geom::IntersectionArea(units_[i], units_[j]);

@@ -1,20 +1,20 @@
 #ifndef GEOALIGN_PARTITION_POLYGON_PARTITION_H_
 #define GEOALIGN_PARTITION_POLYGON_PARTITION_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "geom/polygon.h"
-#include "spatial/rtree.h"
+#include "spatial/grid_index.h"
 
 namespace geoalign::partition {
 
 /// 2-D unit system: a set of pairwise-disjoint simple polygons (a GIS
 /// "feature layer", e.g. the zip-code or county polygons of paper
-/// Fig. 2). An R-tree over unit bounding boxes accelerates point
-/// location and overlay candidate search.
+/// Fig. 2). A uniform grid over unit bounding boxes
+/// (spatial::BoxGridIndex) serves point location and overlay candidate
+/// search.
 class PolygonPartition {
  public:
   /// Builds from the unit polygons; optional names (e.g. FIPS codes)
@@ -38,24 +38,19 @@ class PolygonPartition {
 
   /// The lowest-index unit i whose unit(i).Contains(p) holds: a point
   /// on a shared boundary, or inside units that overlap, resolves to
-  /// the lowest such index whatever the R-tree's shape. NotFound when
-  /// p is in no unit (a NaN point never is).
+  /// the lowest such index. NotFound when p is in no unit (a NaN point
+  /// never is).
   Result<size_t> Locate(const geom::Point& p) const;
 
-  /// Units whose bounding box intersects `query`.
-  std::vector<uint32_t> CandidatesInBox(const geom::BBox& query) const;
-
-  /// Buffer-reuse overload: clears `*out` and appends the same hits in
-  /// the same order, reusing its capacity across calls (no per-query
-  /// vector allocation — see spatial::RTree::Query).
+  /// Clears `*out` and fills it with the ascending ids of the units
+  /// whose bounding box meets the closed box `query`, each once,
+  /// reusing its capacity across calls.
   void CandidatesInBox(const geom::BBox& query,
                        std::vector<uint32_t>* out) const;
 
   /// Verifies pairwise interior-disjointness: any two units whose
   /// intersection area exceeds `tol * min(area_i, area_j)` fail.
   Status ValidateDisjoint(double tol = 1e-9) const;
-
-  const spatial::RTree& rtree() const { return *rtree_; }
 
  private:
   PolygonPartition(std::vector<geom::Polygon> units,
@@ -64,7 +59,7 @@ class PolygonPartition {
   std::vector<geom::Polygon> units_;
   std::vector<std::string> names_;
   geom::BBox bounds_;
-  std::unique_ptr<spatial::RTree> rtree_;
+  spatial::BoxGridIndex index_;
 };
 
 }  // namespace geoalign::partition

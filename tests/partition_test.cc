@@ -17,6 +17,7 @@
 #include "partition/interval_partition.h"
 #include "partition/overlay.h"
 #include "partition/polygon_partition.h"
+#include "spatial/grid_index.h"
 #include "sparse/coo_builder.h"
 
 namespace geoalign::partition {
@@ -284,6 +285,62 @@ TEST(PolygonPartition, LocateMatchesLowestContainingUnit) {
   EXPECT_EQ(*layer.Locate({6.5, 2.0}), 0u);     // the island's boundary
   EXPECT_EQ(*layer.Locate({7.0, 2.0}), 0u);
   ExpectLocateMatchesLowestContainingUnit(layer, 2000, rng);
+
+  // Density skew: a 40 x 40 quad grid whose corners are warped by t^3,
+  // so 144 units crowd the uniform grid's corner cell.
+  const size_t nw = 40;
+  auto warp = [nw](size_t g) {
+    const double t = static_cast<double>(g) / static_cast<double>(nw);
+    return 50.0 * t * t * t;
+  };
+  std::vector<Polygon> warped;
+  for (size_t gy = 0; gy < nw; ++gy) {
+    for (size_t gx = 0; gx < nw; ++gx) {
+      warped.push_back(Polygon::FromBBox(
+          BBox(warp(gx), warp(gy), warp(gx + 1), warp(gy + 1))));
+    }
+  }
+  auto skewed =
+      std::move(PolygonPartition::Create(std::move(warped))).ValueOrDie();
+  ExpectLocateMatchesLowestContainingUnit(skewed, 5000, rng);
+
+  // The unit square cut into bands parallel to a diagonal: the middle
+  // bands' boxes span most of the square, so at one cell per item the
+  // lists would hold O(n^2) entries. The index must stay within its
+  // bound per item and still locate exactly.
+  const size_t bands = 300;
+  auto on_line = [](double c, bool low_end) {
+    // The ends of x + y = c inside the square: low_end is the end on
+    // the bottom or right edge.
+    if (c <= 1.0) return low_end ? Point{c, 0.0} : Point{0.0, c};
+    return low_end ? Point{1.0, c - 1.0} : Point{c - 1.0, 1.0};
+  };
+  std::vector<Polygon> band_units;
+  for (size_t k = 0; k < bands; ++k) {
+    const double c0 = 2.0 * static_cast<double>(k) / bands;
+    const double c1 = 2.0 * static_cast<double>(k + 1) / bands;
+    geom::Ring ring;
+    auto push = [&ring](const Point& v) {
+      if (ring.empty() || ring.back() != v) ring.push_back(v);
+    };
+    push(on_line(c0, true));
+    if (c0 < 1.0 && 1.0 < c1) push({1.0, 0.0});
+    push(on_line(c1, true));
+    push(on_line(c1, false));
+    if (c0 < 1.0 && 1.0 < c1) push({0.0, 1.0});
+    push(on_line(c0, false));
+    if (ring.front() == ring.back()) ring.pop_back();
+    band_units.emplace_back(std::move(ring));
+  }
+  std::vector<BBox> band_boxes;
+  for (const Polygon& u : band_units) band_boxes.push_back(u.Bounds());
+  const spatial::BoxGridIndex band_index(band_boxes);
+  EXPECT_LE(band_index.num_entries(),
+            spatial::BoxGridIndex::kMaxEntriesPerItem * bands);
+  auto banded =
+      std::move(PolygonPartition::Create(std::move(band_units))).ValueOrDie();
+  EXPECT_NEAR(banded.TotalMeasure(), 1.0, 1e-12);
+  ExpectLocateMatchesLowestContainingUnit(banded, 2000, rng);
 }
 
 TEST(PolygonPartition, ValidateDisjointDetectsOverlap) {
@@ -296,9 +353,8 @@ TEST(PolygonPartition, ValidateDisjointDetectsOverlap) {
   auto layer = std::move(PolygonPartition::Create(bad)).ValueOrDie();
   EXPECT_FALSE(layer.ValidateDisjoint().ok());
 
-  // Unit 0 covers a 6 x 6 grid of units numbered against the x-then-y
-  // order the R-tree packs them in; the message still names the
-  // lowest overlapping unit.
+  // Unit 0 covers a 6 x 6 grid of units numbered from the top right;
+  // the message still names the lowest overlapping unit.
   std::vector<Polygon> covered = {Polygon::FromBBox(BBox(0, 0, 6, 6))};
   for (int k = 0; k < 36; ++k) {
     const double x = 5 - k % 6;

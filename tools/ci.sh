@@ -10,9 +10,12 @@
 #           only ever being compared against itself
 #   overlay overlay engine smoke: the OverlayEngineTest differential
 #           suite (engine vs reference bit-identity across universes
-#           and thread counts, candidate count vs brute force) and the
+#           and thread counts, candidate count vs brute force), the
 #           ConvexClip/BooleanOps kernel tests (the triangle clip vs
-#           the ring clipper) out of the plain build, then
+#           the ring clipper), and the box grid the candidates come
+#           from (PolygonPartition.*, and the RTree /
+#           RTreeRandomTest suites, which check spatial::BoxGridIndex
+#           against brute force) out of the plain build, then
 #           bench/overlay_scale at tiny scale — the binary exits
 #           nonzero on any engine-vs-reference bit difference
 #   tsan    rebuild with GEOALIGN_SANITIZE=thread, full ctest
@@ -238,16 +241,17 @@ benchdiff_gate() {
       "$fresh_overlay"
 }
 
-# Overlay engine smoke: the differential suite and the kernel tests
-# out of the plain build (the engine and its reference share the
-# triangle kernel, so the kernel's own differential test carries its
-# half of the bit contract), then the scale benchmark tiny —
+# Overlay engine smoke: the differential suite, the kernel tests and
+# the box-grid tests out of the plain build (the engine and its
+# reference share the triangle kernel and the grid's candidate query,
+# so the kernel's and the grid's own tests carry their half of the
+# bit contract), then the scale benchmark tiny —
 # overlay_scale itself exits nonzero on a bit difference, so the
 # bit-identity contract gates CI even at smoke scale.
 overlay_gate() {
   cmake --build "$BUILD_DIR" -j "$JOBS" --target overlay_scale || return 1
   "$BUILD_DIR/tests/geoalign_tests" --gtest_brief=1 \
-    --gtest_filter='OverlayEngineTest.*:ConvexClip.*:BooleanOps.*' &&
+    --gtest_filter='OverlayEngineTest.*:ConvexClip.*:BooleanOps.*:PolygonPartition.*:RTree.*:*/RTreeRandomTest.*' &&
     env GEOALIGN_BENCH_SCALE=0.02 GEOALIGN_BENCH_REPS=2 \
       "$BUILD_DIR/bench/overlay_scale" \
       "$BUILD_DIR/BENCH_overlay_construction_smoke.json"
