@@ -143,8 +143,7 @@ int geoalign_plan_compile(const geoalign_reference* references,
   }
   *out_plan = nullptr;
   if (references == nullptr || num_references == 0) {
-    return Fail(GEOALIGN_ERR_INVALID_ARGUMENT,
-                "geoalign: no reference attributes");
+    return Fail(GEOALIGN_ERR_INVALID_ARGUMENT, "no reference attributes");
   }
   try {
     Result<std::vector<geoalign::core::ReferenceAttributeView>> views =

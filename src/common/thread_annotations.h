@@ -18,7 +18,7 @@
 // forwarding shims, so the annotations never change codegen.
 //
 // Deliberately header-only and standard-library-only: src/obs/ sits
-// below common in the link graph (thread_pool and logging are
+// below common in the link graph (parallel_for and logging are
 // themselves instrumented) yet guards its registries with these
 // wrappers, so this header must behave like <mutex> itself — no
 // logging, no status, no link dependency on geoalign_common.
@@ -155,7 +155,9 @@ class GEOALIGN_SCOPED_CAPABILITY MutexLock {
 /// held (checked); the predicate loop stays at the call site —
 /// `while (!pred()) cv_.Wait(mu_);` — so guarded reads in the
 /// predicate are visible to the analysis instead of hidden inside a
-/// lambda it cannot attribute.
+/// lambda it cannot attribute. No library code waits on one today;
+/// the tsa fixtures (tests/tsa_fixtures/) still exercise it, so the
+/// annotated wait protocol stays checked for the next user.
 class CondVar {
  public:
   CondVar() = default;

@@ -1,9 +1,7 @@
 #include "core/batch.h"
 
-#include <memory>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
@@ -51,13 +49,12 @@ Result<std::vector<BatchCrosswalk::BatchResult>> BatchCrosswalk::Run(
     if (objective.source.size() != plan_.num_source_units()) break;
     columns.push_back(objective.source);
   }
-  std::unique_ptr<common::ThreadPool> pool = common::MakePoolOrNull(
-      common::ResolveThreadCount(plan_.options().threads));
   // BatchResult never carries the DM, so every column takes the
   // aggregates-only lane.
   GEOALIGN_ASSIGN_OR_RETURN(
       std::vector<CrosswalkResult> full,
-      plan_.ExecuteMany(columns, pool.get(), ExecuteOutput::kAggregatesOnly));
+      plan_.ExecuteMany(columns, plan_.options().threads,
+                        ExecuteOutput::kAggregatesOnly));
   if (columns.size() < objectives.size()) {
     return Status::InvalidArgument("BatchCrosswalk: objective '" +
                                    objectives[columns.size()].name +

@@ -48,8 +48,8 @@ class BatchCrosswalk {
   };
 
   /// Realigns every objective; results are index-aligned with input.
-  /// A thin wrapper over CrosswalkPlan::ExecuteMany (aggregates-only)
-  /// on a pool of `options.threads`: the independent objectives (or
+  /// A thin wrapper over CrosswalkPlan::ExecuteMany(columns,
+  /// options.threads, kAggregatesOnly): the independent objectives (or
   /// their column panels, on aligned plans) run concurrently — the
   /// paper-§6 portal shape, every column of every table realigned at
   /// once. Outputs are bit-identical to the sequential order for any

@@ -9,7 +9,7 @@ namespace geoalign::core {
 
 Status CrosswalkInput::Validate(double consistency_tol) const {
   if (references.empty()) {
-    return Status::InvalidArgument("CrosswalkInput: no reference attributes");
+    return Status::InvalidArgument("no reference attributes");
   }
   const size_t num_source = references[0].disaggregation.rows();
   const size_t num_target = references[0].disaggregation.cols();

@@ -6,12 +6,12 @@
 #include <utility>
 
 #include "common/float_eq.h"
+#include "common/parallel_for.h"
 #include "sparse/simd/panel_kernels.h"
 #include "linalg/nnls.h"
 #include "linalg/qr.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/request_context.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "sparse/coo_builder.h"
@@ -213,7 +213,7 @@ Result<CrosswalkPlan> CrosswalkPlan::CompileViews(
   // The legacy path's up-front checks, in its order and with its
   // messages; every reference check is Prepare's.
   if (references.empty()) {
-    return Status::InvalidArgument("GeoAlign: no reference attributes");
+    return Status::InvalidArgument("no reference attributes");
   }
   if (options.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
       options.fallback_dm == nullptr) {
@@ -544,12 +544,8 @@ void CrosswalkPlan::ExecutePanelWith(
 }
 
 Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
-    common::ConstSpan<common::ColumnView> objectives,
-    common::ThreadPool* pool, ExecuteOutput output) const {
-  // Pool workers start with an empty request context; every task
-  // re-establishes the caller's, so the spans and audit records of the
-  // fan-out stay attributed to the request.
-  const obs::RequestToken request = obs::CurrentRequest();
+    common::ConstSpan<common::ColumnView> objectives, size_t threads,
+    ExecuteOutput output) const {
   const size_t n = objectives.size();
   // Aligned aggregates-only columns share one traversal per panel;
   // every other shape is one column per task.
@@ -558,26 +554,18 @@ Result<std::vector<CrosswalkResult>> CrosswalkPlan::ExecuteMany(
   const size_t width = panels ? panel_width() : 1;
   const size_t num_tasks = (n + width - 1) / width;
 
-  // Several tasks on a pool fan out; otherwise they run in order on
-  // the calling thread.
-  const bool fan_out = pool != nullptr && pool->size() > 1 && num_tasks > 1;
-
-  // One workspace per worker slot, sized once from the compiled spec
-  // so steady-state tasks grow nothing. A fan-out runs every task on a
-  // worker of `pool`, so the worker index picks the slot; in-order
-  // tasks run on the calling thread, which may be a worker of some
-  // outer pool, so they share the one slot.
-  std::vector<ExecuteWorkspace> bank(fan_out ? pool->size() : 1);
+  // One workspace per worker, sized once from the compiled spec so
+  // steady-state tasks grow nothing.
+  std::vector<ExecuteWorkspace> bank(
+      common::ParallelWorkers(threads, num_tasks));
   for (ExecuteWorkspace& ws : bank) {
     ws.Prepare(workspace_spec_);
     if (panels) ws.PreparePanel(workspace_spec_, std::min(width, n));
   }
 
   std::vector<std::optional<Result<CrosswalkResult>>> results(n);
-  common::ParallelForChunks(fan_out ? pool : nullptr, num_tasks, [&](size_t t) {
-    obs::RequestScope request_scope(request);
-    ExecuteWorkspace& ws =
-        bank[fan_out ? common::ThreadPool::CurrentWorkerIndex() : 0];
+  common::ParallelFor(threads, num_tasks, [&](size_t t, size_t worker) {
+    ExecuteWorkspace& ws = bank[worker];
     if (panels) {
       const size_t begin = t * width;
       const size_t count = std::min(width, n - begin);

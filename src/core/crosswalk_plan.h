@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/crosswalk_input.h"
 #include "core/execute_workspace.h"
 #include "core/geoalign_options.h"
@@ -143,15 +142,14 @@ class CrosswalkPlan {
   ///
   /// Aligned kAggregatesOnly columns run as panels of panel_width()
   /// (ExecutePanelWith), one task per panel; every other shape runs
-  /// one task per column. With a `pool` of more than one thread and
-  /// more than one task, the tasks fan out across the pool; otherwise
-  /// they run in order on the calling thread. Each task runs on one
-  /// thread. Each pool worker keeps one ExecuteWorkspace sized once
-  /// from workspace_spec(), and every task runs under the caller's
-  /// request (obs::CurrentRequest()).
+  /// one task per column. The tasks fan out over common::ParallelFor
+  /// on `threads` (0 = every hardware thread); with one thread or one
+  /// task they run in order on the calling thread. Each task runs on
+  /// one thread, with its worker's ExecuteWorkspace, sized once from
+  /// workspace_spec().
   Result<std::vector<CrosswalkResult>> ExecuteMany(
-      common::ConstSpan<common::ColumnView> objectives,
-      common::ThreadPool* pool, ExecuteOutput output) const;
+      common::ConstSpan<common::ColumnView> objectives, size_t threads,
+      ExecuteOutput output) const;
 
   /// The serving panel width (columns per ExecutePanelWith call),
   /// derived at execute time from the active SIMD ISA. Deliberately

@@ -28,7 +28,7 @@ struct ExecuteWorkspaceSpec {
 /// Reusable per-execute buffers for `CrosswalkPlan::Execute`: the
 /// effective-weight and denominator vectors plus the fused kernel's
 /// arena. One workspace serves one execute at a time;
-/// `CrosswalkPlan::ExecuteMany` keeps one per worker slot and reuses it
+/// `CrosswalkPlan::ExecuteMany` keeps one per worker and reuses it
 /// across objective columns so steady-state executes never grow a
 /// buffer.
 ///

@@ -11,7 +11,7 @@ namespace geoalign::core {
 namespace {
 
 // Builds the normalized design matrix A (columns = a'^s_rk) and b
-// (= a'^s_o) of Eq. 15.
+// (= a'^s_o) of Eq. 15, for the oracle below.
 Result<std::pair<linalg::Matrix, linalg::Vector>> BuildNormalizedSystem(
     const CrosswalkInput& input) {
   std::vector<linalg::Vector> cols;
@@ -26,15 +26,28 @@ Result<std::pair<linalg::Matrix, linalg::Vector>> BuildNormalizedSystem(
   return std::make_pair(linalg::Matrix::FromColumns(cols), std::move(b));
 }
 
+// Compiles a plan that dies within the caller's call, so it borrows
+// `input`'s arrays through the view Compile instead of copying them.
+Result<CrosswalkPlan> CompileBorrowed(const CrosswalkInput& input,
+                                      const GeoAlignOptions& options) {
+  std::vector<ReferenceAttributeView> views;
+  views.reserve(input.references.size());
+  for (const ReferenceAttribute& ref : input.references) {
+    views.push_back({ref.name, ref.source_aggregates,
+                     ref.disaggregation.Borrow(), nullptr});
+  }
+  return CrosswalkPlan::Compile(std::move(views), options);
+}
+
 }  // namespace
 
 GeoAlign::GeoAlign(GeoAlignOptions options) : options_(std::move(options)) {}
 
 Result<linalg::Vector> GeoAlign::LearnWeights(
     const CrosswalkInput& input) const {
-  GEOALIGN_ASSIGN_OR_RETURN(auto system, BuildNormalizedSystem(input));
-  return internal::SolveWeightsForDesign(system.first, system.second,
-                                         options_);
+  GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
+                            CompileBorrowed(input, options_));
+  return plan.LearnWeights(input.objective_source);
 }
 
 Result<CrosswalkPlan> GeoAlign::Compile(const CrosswalkInput& input) const {
@@ -52,23 +65,15 @@ Result<CrosswalkResult> GeoAlign::Crosswalk(
   // compilation (what the legacy path redid inline anyway); repeated
   // callers should hold the plan. Bit-identical to CrosswalkUncompiled
   // by the CrosswalkPlan contract, which plan_equivalence_test pins.
-  // The plan dies with this call, so it borrows `input`'s arrays
-  // through the view Compile instead of copying them.
-  std::vector<ReferenceAttributeView> views;
-  views.reserve(input.references.size());
-  for (const ReferenceAttribute& ref : input.references) {
-    views.push_back({ref.name, ref.source_aggregates,
-                     ref.disaggregation.Borrow(), nullptr});
-  }
   GEOALIGN_ASSIGN_OR_RETURN(CrosswalkPlan plan,
-                            CrosswalkPlan::Compile(std::move(views), options_));
+                            CompileBorrowed(input, options_));
   return plan.Execute(input.objective_source);
 }
 
 Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
                                             const GeoAlignOptions& options) {
   if (input.references.empty()) {
-    return Status::InvalidArgument("GeoAlign: no reference attributes");
+    return Status::InvalidArgument("no reference attributes");
   }
   if (options.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
       options.fallback_dm == nullptr) {

@@ -49,8 +49,10 @@ class GeoAlign : public Interpolator {
   Result<CrosswalkPlan> Compile(
       const std::vector<ReferenceAttribute>& references) const;
 
-  /// Runs only step 1 and returns β. Exposed for experiments that
-  /// inspect weights (e.g. §4.4.2 reference-selection analysis).
+  /// Runs only step 1 and returns β, through the same plan compile as
+  /// Crosswalk (so the same reference checks and messages). Exposed
+  /// for experiments that inspect weights (e.g. §4.4.2
+  /// reference-selection analysis).
   Result<linalg::Vector> LearnWeights(const CrosswalkInput& input) const;
 
   const GeoAlignOptions& options() const { return options_; }

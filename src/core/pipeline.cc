@@ -3,7 +3,7 @@
 #include <memory>
 #include <optional>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
 #include "obs/trace.h"
@@ -46,7 +46,7 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     return Status::InvalidArgument("CrosswalkPipeline: empty unit lists");
   }
   if (references.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: no references");
+    return Status::InvalidArgument("no reference attributes");
   }
   for (const ReferenceAttribute& ref : references) {
     GEOALIGN_RETURN_IF_ERROR(sparse::CheckReferenceShape(
@@ -132,18 +132,14 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
     const std::vector<Column>& objectives, size_t threads,
     ExecuteOutput output) const {
   obs::EnsureRequestScope ensure_request;
-  // Pool workers start with an empty request context; the per-call
-  // tasks below re-establish this token (ExecuteMany does the same).
-  const obs::RequestToken request = obs::CurrentRequest();
   GEOALIGN_TRACE_SPAN("realign.batch");
   ColumnsPerBatch().Record(static_cast<double>(objectives.size()));
   ColumnsTotal().Add(objectives.size());
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(threads));
 
-  // Names resolve on the pool, into columns this thread allocates (so
-  // they live in its malloc arena, not in the pool workers'). Without
-  // a plan, each task then runs the per-call method on its column.
+  // Names resolve one column per task, into columns this thread
+  // allocates (so they live in its malloc arena, not in the fan-out
+  // threads'). Without a plan, each task then runs the per-call method
+  // on its column.
   const size_t n = objectives.size();
   std::vector<linalg::Vector> resolved(n);
   for (linalg::Vector& column : resolved) column.reserve(source_index_.size());
@@ -152,11 +148,10 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
       plan_ == nullptr ? n : 0);
   {
     GEOALIGN_TRACE_SPAN("realign.resolve");
-    common::ParallelForChunks(pool.get(), n, [&](size_t i) {
+    common::ParallelFor(threads, n, [&](size_t i, size_t) {
       resolve_status[i] = ResolveColumn(objectives[i], source_index_,
                                         &resolved[i]);
       if (plan_ != nullptr || !resolve_status[i].ok()) return;
-      obs::RequestScope request_scope(request);
       per_call[i].emplace(RealignPerCall(std::move(resolved[i])));
     });
   }
@@ -169,7 +164,7 @@ Result<std::vector<CrosswalkResult>> CrosswalkPipeline::RealignMany(
     std::vector<common::ColumnView> columns(resolved.begin(),
                                             resolved.begin() + valid);
     Result<std::vector<CrosswalkResult>> out =
-        plan_->ExecuteMany(columns, pool.get(), output);
+        plan_->ExecuteMany(columns, threads, output);
     if (!out.ok() || valid == n) return out;
     return resolve_status[valid];
   }

@@ -58,10 +58,11 @@ class CrosswalkPipeline {
   /// looping over Realign for every thread count; on error the
   /// lowest-index failing column's status is returned.
   ///
-  /// Column names resolve on a pool of `threads`; the resolved columns
-  /// then execute through CrosswalkPlan::ExecuteMany on the same pool,
-  /// which owns the lane choice, the column panels and the scheduling
-  /// rule. Without a compiled plan each column runs the per-call
+  /// Column names resolve one column per task over `threads`
+  /// (common::ParallelFor); the resolved columns then execute through
+  /// CrosswalkPlan::ExecuteMany(columns, threads, output), which owns
+  /// the lane choice, the column panels and the scheduling rule.
+  /// Without a compiled plan each column runs the per-call
   /// method instead. `output` selects the result shape:
   /// ExecuteOutput::kAggregatesOnly serves each column through the
   /// fused zero-materialization lane (results carry an empty

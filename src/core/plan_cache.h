@@ -55,7 +55,8 @@ struct PlanCacheKey {
 /// `GeoAlignOptions::threads` is deliberately excluded: execution
 /// results are bit-identical for every thread count (one column runs
 /// on one thread), so plans are shared across thread configurations;
-/// pass a pool to `ExecuteMany` to fan columns out.
+/// pass a thread count to `ExecuteMany(objectives, threads, output)`
+/// to fan columns out.
 ///
 /// Compilation runs outside the cache lock; when two threads miss the
 /// same key concurrently, both compile and the first insert wins (the

@@ -9,7 +9,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <utility>
 
+#include "common/thread_annotations.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 
@@ -39,10 +42,19 @@ void InitPathFromEnvOnce() {
 }
 
 /// The last metrics line rendered by DumpToFile, kept for the signal
-/// path (which cannot snapshot the registry). Previous lines are
-/// intentionally leaked: dumps are rare and a signal-time reader may
-/// still hold the old pointer.
+/// path (which cannot snapshot the registry).
 std::atomic<const char*> g_metrics_cache{nullptr};
+
+/// Keeps `line` for the life of the process and returns its bytes. A
+/// signal-time reader may still hold an older line, so no line is ever
+/// freed; dumps are rare, and the list keeps every line reachable.
+const char* KeepMetricsLine(std::string line) {
+  static common::Mutex mu;
+  static auto* lines = new std::deque<std::string>();  // never destroyed
+  common::MutexLock lock(mu);
+  lines->push_back(std::move(line));  // never moves older elements
+  return lines->back().c_str();
+}
 
 void AppendEscapedJson(std::string& out, const char* s) {
   out.push_back('"');
@@ -276,11 +288,9 @@ bool FlightRecorder::DumpToFile(const std::string& path, const char* reason,
   metrics_line += "}\n";
   out += metrics_line;
 
-  // Refresh the signal path's cached metrics line (the old line is
-  // leaked on purpose; see g_metrics_cache).
-  char* cached = new char[metrics_line.size() + 1];
-  std::memcpy(cached, metrics_line.c_str(), metrics_line.size() + 1);
-  g_metrics_cache.store(cached, std::memory_order_release);
+  // Refresh the signal path's cached metrics line.
+  g_metrics_cache.store(KeepMetricsLine(std::move(metrics_line)),
+                        std::memory_order_release);
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

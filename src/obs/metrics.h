@@ -16,7 +16,7 @@
 namespace geoalign::obs {
 
 /// Monotonic counter, sharded across cache-line-padded atomics so
-/// concurrent increments from pool workers never contend on one line.
+/// concurrent increments from fan-out threads never contend on one line.
 /// Totals are exact: every Add lands in exactly one shard and Value()
 /// sums all shards (tests/obs_test.cc hammers this under TSan with
 /// exact-total assertions). All operations are lock-free.
@@ -59,7 +59,7 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Instantaneous signed value (queue depths, pool sizes).
+/// Instantaneous signed value (e.g. `execute.isa`, the active ISA).
 class Gauge {
  public:
   Gauge() = default;

@@ -37,7 +37,7 @@ struct RequestToken {
 ///   obs::RequestScope scope;              // generated id "req-<n>"
 ///   obs::RequestScope scope("tenant-42"); // caller-supplied id
 ///   obs::RequestScope scope(token);       // re-establish a request on
-///                                         // a pool worker thread
+///                                         // a fan-out thread
 ///
 /// Originating scopes (the first two forms) additionally register the
 /// request in a fixed-size in-flight table that the flight recorder
@@ -52,7 +52,7 @@ class RequestScope {
   /// RequestToken::kMaxIdLength bytes; empty means "generate one").
   explicit RequestScope(std::string_view id);
   /// Re-establishes an existing request on this thread (cross-thread
-  /// propagation into pool workers). A zero token is a no-op scope.
+  /// propagation into fan-out threads). A zero token is a no-op scope.
   explicit RequestScope(const RequestToken& token);
   ~RequestScope();
 

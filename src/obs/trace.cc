@@ -64,14 +64,30 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 TraceBuffer& TraceRecorder::LocalBuffer() {
-  thread_local std::shared_ptr<TraceBuffer> local;
-  if (local == nullptr) {
+  // The calling thread's buffer; the registry keeps it alive. Thread
+  // exit hands it back to the free list.
+  struct Holder {
+    TraceRecorder* owner = nullptr;
+    TraceBuffer* buffer = nullptr;
+    ~Holder() {
+      if (owner == nullptr) return;
+      common::MutexLock lock(owner->mu_);
+      owner->free_.push_back(buffer->thread_index());
+    }
+  };
+  thread_local Holder local;
+  if (local.buffer == nullptr) {
     common::MutexLock lock(mu_);
-    local = std::make_shared<TraceBuffer>(
-        static_cast<uint32_t>(buffers_.size()));
-    buffers_.push_back(local);
+    if (free_.empty()) {
+      free_.push_back(static_cast<uint32_t>(buffers_.size()));
+      buffers_.push_back(std::make_shared<TraceBuffer>(free_.back()));
+      free_.reserve(buffers_.size());  // so ~Holder never allocates
+    }
+    local.buffer = buffers_[free_.back()].get();
+    free_.pop_back();
+    local.owner = this;
   }
-  return *local;
+  return *local.buffer;
 }
 
 void TraceRecorder::Record(const SpanEvent& event) {

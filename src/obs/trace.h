@@ -22,7 +22,7 @@ struct SpanEvent {
   const char* name = nullptr;
   int64_t start_ticks = 0;
   int64_t end_ticks = 0;
-  uint32_t thread_index = 0;  ///< stable small id, first-use order
+  uint32_t thread_index = 0;  ///< recording buffer's id (see TraceRecorder)
   uint32_t depth = 0;         ///< nesting depth at record time (1 = top)
   uint64_t request_seq = 0;   ///< RequestToken::seq at span open (0 = none)
 };
@@ -60,9 +60,14 @@ class TraceBuffer {
       GEOALIGN_GUARDED_BY(mu_) = 0;  ///< events overwritten after wrap
 };
 
-/// Process-wide trace sink: owns one TraceBuffer per thread that ever
-/// recorded a span (buffers outlive their threads so short-lived pool
-/// workers' spans survive into the export).
+/// Process-wide trace sink: owns the TraceBuffers that threads record
+/// spans into, numbered in creation order (SpanEvent::thread_index).
+/// A buffer outlives its thread, so a short-lived fan-out thread's
+/// spans survive into the export. When a thread exits, its buffer goes
+/// on a free list, and the next thread to record takes a free buffer
+/// (keeping its spans and its index) before a new one is created. The
+/// registry thus holds at most the peak number of live threads that
+/// have recorded a span.
 class TraceRecorder {
  public:
   static TraceRecorder& Global();
@@ -71,7 +76,7 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Records into the calling thread's buffer (created on first use).
+  /// Records into the calling thread's buffer (taken on first use).
   void Record(const SpanEvent& event);
 
   /// All buffered spans across all threads, sorted by start time.
@@ -98,6 +103,8 @@ class TraceRecorder {
   mutable common::Mutex mu_;
   std::vector<std::shared_ptr<TraceBuffer>> buffers_
       GEOALIGN_GUARDED_BY(mu_);
+  /// Indices into buffers_ of the buffers no live thread holds.
+  std::vector<uint32_t> free_ GEOALIGN_GUARDED_BY(mu_);
 };
 
 namespace internal {

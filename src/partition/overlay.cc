@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include "common/float_eq.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "geom/boolean_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -167,9 +166,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   OverlayResult out;
   out.num_source = static_cast<uint32_t>(source.NumUnits());
   out.num_target = static_cast<uint32_t>(target.NumUnits());
-
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(options.threads));
+  const size_t threads = options.threads;
 
   // Cold section: cache the target layer's signed fans and per-triangle
   // bboxes once; every candidate pair clips against them.
@@ -192,7 +189,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
         common::DeterministicChunks(source.NumUnits(), kSourceGrain);
     std::vector<std::vector<std::pair<uint32_t, uint32_t>>> chunk_pairs(
         chunks.size());
-    common::ParallelForChunks(pool.get(), chunks.size(), [&](size_t ci) {
+    common::ParallelFor(threads, chunks.size(), [&](size_t ci, size_t) {
       // Built in locals and moved out once, so concurrent chunks never
       // write neighboring list headers.
       std::vector<std::pair<uint32_t, uint32_t>> local;
@@ -220,7 +217,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   std::vector<common::ChunkRange> chunks =
       common::DeterministicChunks(pairs.size(), kPairGrain);
   std::vector<std::vector<IntersectionCell>> chunk_cells(chunks.size());
-  auto clip_chunk = [&](size_t ci) {
+  auto clip_chunk = [&](size_t ci, size_t) {
     const size_t begin = chunks[ci].begin;
     const size_t end = chunks[ci].end;
     // Chunk-local buffers, reused across the chunk's source units; the
@@ -265,7 +262,7 @@ Result<OverlayResult> OverlayPolygons(const PolygonPartition& source,
   };
   {
     GEOALIGN_TRACE_SPAN("overlay.clip");
-    common::ParallelForChunks(pool.get(), chunks.size(), clip_chunk);
+    common::ParallelFor(threads, chunks.size(), clip_chunk);
   }
 
   size_t total_cells = 0;
@@ -295,12 +292,10 @@ Result<OverlayResult> OverlayPolygonsReference(const PolygonPartition& source,
   // and the final (source, target) sort has unique keys, so any thread
   // count produces the identical overlay.
   constexpr size_t kTargetGrain = 16;
-  std::unique_ptr<common::ThreadPool> pool =
-      common::MakePoolOrNull(common::ResolveThreadCount(threads));
   std::vector<common::ChunkRange> chunks =
       common::DeterministicChunks(target.NumUnits(), kTargetGrain);
   std::vector<std::vector<IntersectionCell>> chunk_cells(chunks.size());
-  common::ParallelForChunks(pool.get(), chunks.size(), [&](size_t ci) {
+  common::ParallelFor(threads, chunks.size(), [&](size_t ci, size_t) {
     std::vector<IntersectionCell>& cells = chunk_cells[ci];
     std::vector<uint32_t> hits;
     for (size_t j = chunks[ci].begin; j < chunks[ci].end; ++j) {

@@ -71,7 +71,7 @@ struct OverlayOptions {
 
 /// Geometric 2-D overlay: the exact intersection area of every
 /// bbox-candidate pair of units, bit-identical to
-/// OverlayPolygonsReference. Two fan-outs on one pool: chunks of
+/// OverlayPolygonsReference. Two fan-outs (common::ParallelFor): chunks of
 /// source units query the target layer's box grid and emit their
 /// candidates in (source, target) order, then chunks of that pair
 /// list clip each

@@ -157,8 +157,7 @@ Result<linalg::Vector> CheckReference(const std::string& name,
 Result<PreparedReferenceSet> PreparedReferenceSet::Prepare(
     std::vector<ReferenceDataView> references) {
   if (references.empty()) {
-    return Status::InvalidArgument(
-        "PreparedReferenceSet: no reference attributes");
+    return Status::InvalidArgument("no reference attributes");
   }
 
   GEOALIGN_TRACE_SPAN("compile.prepare_references");

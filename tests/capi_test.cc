@@ -172,13 +172,6 @@ TEST(CapiTest, CompileErrorsAreReported) {
   CWorld w;
   geoalign_plan* plan = nullptr;
 
-  // No references.
-  EXPECT_EQ(geoalign_plan_compile(nullptr, 0, &plan),
-            GEOALIGN_ERR_INVALID_ARGUMENT);
-  EXPECT_EQ(plan, nullptr);
-  EXPECT_NE(std::string(geoalign_error_message()).find("no reference"),
-            std::string::npos);
-
   // NULL out_plan.
   const geoalign_csr csr_a = w.CsrA();
   geoalign_reference ref = CsrRef("a", w.agg_a, &csr_a);
@@ -236,6 +229,8 @@ TEST(CapiTest, CompileErrorsAreReported) {
         {"Compile(views)",
          core::CrosswalkPlan::Compile(std::move(views), {}).status()},
         {"Crosswalk", core::GeoAlign().Crosswalk(input_of(refs)).status()},
+        {"LearnWeights",
+         core::GeoAlign().LearnWeights(input_of(refs)).status()},
         {"GetOrCompile", cache.GetOrCompile(refs, {}).status()},
         {"BatchCrosswalk::Create", core::BatchCrosswalk::Create(refs).status()},
         {"CrosswalkPipeline",
@@ -245,6 +240,19 @@ TEST(CapiTest, CompileErrorsAreReported) {
              : pipeline.status()},
     };
   };
+
+  // No references: one message on every entry point, the oracle too.
+  for (const auto& [entry, status] : compile_paths({})) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << entry;
+    EXPECT_EQ(status.message(), "no reference attributes") << entry;
+  }
+  EXPECT_EQ(input_of({}).Validate().message(), "no reference attributes");
+  EXPECT_EQ(core::CrosswalkUncompiled(input_of({}), {}).status().message(),
+            "no reference attributes");
+  EXPECT_EQ(geoalign_plan_compile(nullptr, 0, &plan),
+            GEOALIGN_ERR_INVALID_ARGUMENT);
+  EXPECT_EQ(plan, nullptr);
+  EXPECT_EQ(std::string(geoalign_error_message()), "no reference attributes");
 
   // Rejected with one message on every entry point: CSR structure by
   // CsrMatrix::FromCsrArrays, shapes and values by

@@ -222,7 +222,7 @@ TEST_F(ObsExportTest, RequestScopeTruncatesLongIds) {
             long_id.substr(0, obs::RequestToken::kMaxIdLength));
 }
 
-// A propagated scope (pool-worker pattern) carries the originating
+// A propagated scope (fan-out thread pattern) carries the originating
 // identity but does not add a second in-flight registration.
 TEST_F(ObsExportTest, RequestScopePropagationSharesOneInFlightSlot) {
   obs::RequestScope origin("propagated-req");
@@ -368,6 +368,40 @@ TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {
   }
   EXPECT_TRUE(saw_audit);
   std::remove(path.c_str());
+}
+
+// Every DumpToFile renders a fresh metrics line for the signal path,
+// which must then read the newest one. A signal-time reader may still
+// hold an older line, so no line is freed, and none may be orphaned
+// either: under LeakSanitizer this test fails if a replaced line leaks.
+TEST_F(ObsExportTest, RepeatedDumpsHandTheSignalPathTheNewestMetrics) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  obs::Counter& dumps =
+      obs::MetricsRegistry::Global().GetCounter("obs_export_test.dumps");
+  const std::string path = TestTempPath(".jsonl");
+  std::string error;
+  for (int i = 0; i < 2; ++i) {
+    dumps.Add(1);
+    ASSERT_TRUE(recorder.DumpToFile(path, "demand", &error)) << error;
+  }
+
+  const std::string signal_path = TestTempPath(".signal.jsonl");
+  std::FILE* f = std::fopen(signal_path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  recorder.DumpToFdSignalSafe(fileno(f));
+  std::fclose(f);
+  const std::vector<std::string> lines =
+      SplitLines(ReadFileOrDie(signal_path));
+  ASSERT_FALSE(lines.empty());
+  auto metrics = io::ParseJson(lines.back());
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ((*metrics->Get("type"))->AsString().value(), "metrics");
+  const io::JsonValue& counters =
+      **(*metrics->Get("snapshot"))->Get("counters");
+  EXPECT_EQ((*counters.Get("obs_export_test.dumps"))->AsNumber().value(),
+            2.0);
+  std::remove(path.c_str());
+  std::remove(signal_path.c_str());
 }
 
 // Death test: a GEOALIGN_CHECK failure must leave a parseable dump

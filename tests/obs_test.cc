@@ -8,10 +8,12 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/batch.h"
 #include "core/geoalign.h"
 #include "io/json.h"
 #include "obs/metrics.h"
@@ -343,6 +345,38 @@ TEST_F(ObsTest, CrosswalkEmitsServingPathSpansAndCounters) {
   EXPECT_TRUE(has_span("execute.weight_solve"));
   EXPECT_TRUE(has_span("execute.eq14_disaggregate"));
   EXPECT_TRUE(has_span("execute.eq17_reaggregate"));
+}
+
+// Fan-out threads live for one call. Each returns its trace buffer on
+// exit and the next call's threads take those buffers, so repeated
+// fan-outs at 4 threads record under at most 4 buffer ids — the
+// calling thread's and 3 reused ones.
+TEST_F(ObsTest, FanOutsReuseTraceBuffers) {
+  // Two references on one DM structure: the plan is aligned, so each
+  // Run fans its column panels out.
+  std::vector<core::ReferenceAttribute> references =
+      MakeSmallInput().references;
+  references[1].disaggregation = references[0].disaggregation;
+  references[1].source_aggregates = references[0].source_aggregates;
+  for (double& v : references[1].source_aggregates) v *= 2.0;
+  core::GeoAlignOptions options;
+  options.threads = 4;
+  auto batch = core::BatchCrosswalk::Create(references, options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_TRUE(batch->plan().references().aligned());
+  std::vector<core::BatchCrosswalk::Objective> objectives;
+  for (int c = 0; c < 64; ++c) {
+    objectives.push_back({"col" + std::to_string(c),
+                          {30.0 + c, 12.0, 0.0, 7.0 + c}});
+  }
+  for (int call = 0; call < 200; ++call) {
+    ASSERT_TRUE(batch->Run(objectives).ok());
+  }
+  std::set<uint32_t> ids;
+  for (const obs::SpanEvent& s : obs::TraceRecorder::Global().Collect()) {
+    ids.insert(s.thread_index);
+  }
+  EXPECT_LE(ids.size(), 4u);
 }
 
 TEST_F(ObsTest, SummaryTableMentionsRecordedMetrics) {

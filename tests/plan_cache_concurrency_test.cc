@@ -3,7 +3,7 @@
 // GetOrCompile traffic. Phase one replays a deterministic access
 // sequence single-threaded against a ten-line reference LRU simulator
 // and demands counter equality after every access; phase two hammers
-// one cache from a pool of threads and asserts the accounting
+// one cache from several threads and asserts the accounting
 // identities that must hold for any interleaving:
 //
 //   hits + misses == total GetOrCompile calls
@@ -21,13 +21,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <future>
 #include <list>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "core/geoalign.h"
 #include "core/plan_cache.h"
 #include "synth/universe.h"
@@ -145,32 +144,23 @@ TEST(PlanCacheConcurrencyTest, ConcurrentHammerKeepsExactAccounting) {
   opts.threads = 1;
 
   core::PlanCache cache(kCapacity);
-  // plans[t][k]: last plan thread t obtained for key k (null if never
-  // requested). Per-thread slots — no cross-thread writes.
+  // plans[t][k]: last plan task t obtained for key k (null if never
+  // requested). Per-task slots — no cross-thread writes.
   std::vector<std::vector<std::shared_ptr<const core::CrosswalkPlan>>> plans(
       kThreads,
       std::vector<std::shared_ptr<const core::CrosswalkPlan>>(kKeys));
 
-  {
-    common::ThreadPool pool(kThreads);
-    std::vector<std::future<void>> done;
-    done.reserve(kThreads);
-    for (size_t t = 0; t < kThreads; ++t) {
-      done.push_back(pool.Submit([&, t] {
-        for (size_t i = 0; i < kOpsPerThread; ++i) {
-          // Each thread walks the key space with a different stride so
-          // threads collide on some keys and diverge on others.
-          const size_t key = (i * (t + 3) + t) % kKeys;
-          auto plan =
-              std::move(cache.GetOrCompile(variants[key].references, opts))
-                  .ValueOrDie();
-          ASSERT_NE(plan, nullptr);
-          plans[t][key] = std::move(plan);
-        }
-      }));
+  common::ParallelFor(kThreads, kThreads, [&](size_t t, size_t) {
+    for (size_t i = 0; i < kOpsPerThread; ++i) {
+      // Each thread walks the key space with a different stride so
+      // threads collide on some keys and diverge on others.
+      const size_t key = (i * (t + 3) + t) % kKeys;
+      auto plan = std::move(cache.GetOrCompile(variants[key].references, opts))
+                      .ValueOrDie();
+      ASSERT_NE(plan, nullptr);
+      plans[t][key] = std::move(plan);
     }
-    for (auto& f : done) f.get();  // re-throws any worker failure
-  }
+  });
 
   const core::PlanCacheStats stats = cache.stats();
   constexpr size_t kTotalOps = kThreads * kOpsPerThread;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/batch.h"
 #include "core/geoalign.h"
 #include "core/pipeline.h"
@@ -494,11 +493,10 @@ TEST(PlanEquivalenceTest, PlanIsReusableAndOutlivesInput) {
     auto got = std::move(plan->Execute(objective)).ValueOrDie();
     ExpectBitIdentical(got, want);
   }
-  // Fanning columns out over a pool is a pure scheduling choice on the
-  // shared immutable plan.
-  std::unique_ptr<common::ThreadPool> pool = common::MakePoolOrNull(4);
+  // Fanning columns out over threads is a pure scheduling choice on
+  // the shared immutable plan.
   const std::vector<common::ColumnView> columns = {objective, objective};
-  auto threaded = std::move(plan->ExecuteMany(columns, pool.get(),
+  auto threaded = std::move(plan->ExecuteMany(columns, 4,
                                               core::ExecuteOutput::kFullDm))
                       .ValueOrDie();
   ASSERT_EQ(threaded.size(), 2u);

@@ -13,7 +13,7 @@ namespace geoalign::tsa_fixture {
 
 class Queue {
  public:
-  // RAII acquisition + guarded predicate loop (the thread_pool idiom).
+  // RAII acquisition + guarded predicate loop (a work-queue idiom).
   int Pop() {
     common::MutexLock lock(mu_);
     while (!stopping_ && items_.empty()) cv_.Wait(mu_);

@@ -13,7 +13,7 @@
 #include <cmath>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "linalg/simplex_ls.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
@@ -78,8 +78,8 @@ TEST(UbsanRegression, DivideRowsOrZeroAllZeroAndEmpty) {
   EXPECT_TRUE(none.empty());
 }
 
-// DivideRowsOrZero runs on whichever thread calls it; copies run from
-// pool workers by a task fan-out must agree with the calling-thread
+// DivideRowsOrZero runs on whichever thread calls it; copies run by
+// the workers of a task fan-out must agree with the calling-thread
 // run on the degenerate inputs too, not only on the benchmark shapes.
 TEST(UbsanRegression, DivideRowsOrZeroParallelMatchesSequential) {
   Vector denom = {2.0, 0.0, 1e-30};
@@ -92,10 +92,9 @@ TEST(UbsanRegression, DivideRowsOrZeroParallelMatchesSequential) {
   EXPECT_DOUBLE_EQ(seq.At(0, 1), 2.0);
 
   constexpr size_t kTasks = 8;
-  common::ThreadPool pool(4);
   std::vector<CsrMatrix> par(kTasks, Dense3x2());
   std::vector<std::vector<size_t>> par_zero(kTasks);
-  common::ParallelForChunks(&pool, kTasks, [&](size_t t) {
+  common::ParallelFor(4, kTasks, [&](size_t t, size_t) {
     sparse::DivideRowsOrZero(par[t], denom, 1e-12, &par_zero[t]);
   });
 

@@ -22,7 +22,11 @@
 #   asan    rebuild with GEOALIGN_SANITIZE=address (ASan+UBSan) and
 #           run the full ctest with ASAN_OPTIONS=detect_leaks=1, so
 #           the leak checker covers every test — the address/leak leg
-#           of the sanitizer matrix
+#           of the sanitizer matrix — then the Obs* suites again in
+#           one process, where process-wide telemetry state that one
+#           test replaces and a later one renders anew must stay
+#           reachable (ctest runs one test per process and cannot see
+#           such a leak)
 #   ubsan   rebuild with GEOALIGN_SANITIZE=undefined
 #           (-fno-sanitize-recover=all), full ctest
 #   tidy    tools/run_clang_tidy.sh over the compile database; FAILS
@@ -86,7 +90,7 @@
 #   TSA_DIR       clang thread-safety tree  (default: build-tsa)
 #   CLANGXX       clang++ binary for the tsa gate (default: clang++)
 #   CTEST_FILTER  optional ctest -R regex applied to every test run;
-#                 e.g. CTEST_FILTER='ThreadPool|Parallel' for a quick
+#                 e.g. CTEST_FILTER='Parallel|Concurrency' for a quick
 #                 concurrency-only smoke.
 #   SKIP_TSAN=1 SKIP_ASAN=1 SKIP_UBSAN=1 SKIP_TIDY=1 SKIP_TSA=1
 #   SKIP_LINT=1 SKIP_OBS=1 SKIP_SIMD=1 SKIP_OVERLAY=1 SKIP_CAPI=1
@@ -287,10 +291,18 @@ run_suite() {
 # ASan + LSan leg: GEOALIGN_SANITIZE=address compiles with
 # -fsanitize=address,undefined; detect_leaks=1 arms LeakSanitizer for
 # every test in the run (a leaked plan/workspace in a steady-state
-# serving path is a production outage, not a nit).
+# serving path is a production outage, not a nit). ctest gives every
+# test its own process, so the Obs* suites then run again in one:
+# a global that a later test replaces (the flight recorder's cached
+# metrics line) leaks only there. That step runs whatever ctest
+# reported, so one failing test cannot hide a leak.
 asan_gate() {
+  local rc=0
   ASAN_OPTIONS="detect_leaks=1" \
-    run_suite "$ASAN_DIR" -DGEOALIGN_SANITIZE=address
+    run_suite "$ASAN_DIR" -DGEOALIGN_SANITIZE=address || rc=1
+  ASAN_OPTIONS="detect_leaks=1" "$ASAN_DIR/tests/geoalign_tests" \
+    --gtest_brief=1 --gtest_filter='Obs*' || rc=1
+  return "$rc"
 }
 
 # Compile-time concurrency contracts (docs/static_analysis.md): a

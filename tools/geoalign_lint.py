@@ -98,13 +98,13 @@ documented in docs/static_analysis.md:
       everywhere at once. See docs/observability.md.
 
   geoalign-kernel-pool
-      No `ThreadPool` under src/sparse/ or src/linalg/. A kernel that
+      No `ParallelFor` under src/sparse/ or src/linalg/. A kernel that
       serves one column runs on the calling thread and sums in
-      ascending row order; pools fan out independent tasks (columns,
-      panels, name resolution, overlay pair chunks) above the kernels.
-      A pool inside a kernel would add a second level of parallelism
-      and tie a column's addition order to its chunking
-      (docs/parallelism.md).
+      ascending row order; common::ParallelFor fans out independent
+      tasks (columns, panels, name resolution, overlay pair chunks)
+      above the kernels. A fan-out inside a kernel would add a second
+      level of parallelism and tie a column's addition order to its
+      chunking (docs/parallelism.md).
 
   geoalign-capi-abi
       The public C ABI headers (capi/*.h) must stay C99-clean: no
@@ -205,9 +205,9 @@ RAW_MUTEX_RE = re.compile(
 # itself (and tests) may call the snapshot methods; everything else
 # must go through FormatMetricsSnapshot / WriteMetricsFile.
 METRICS_EXPORT_RE = re.compile(r"(?:\.|->)\s*To(?:Text|Json)\s*\(")
-# A thread pool in the single-column kernel directories.
+# A task fan-out in the single-column kernel directories.
 KERNEL_POOL_DIRS = ("src/sparse/", "src/linalg/")
-KERNEL_POOL_RE = re.compile(r"\bThreadPool\b")
+KERNEL_POOL_RE = re.compile(r"\bParallelFor\b")
 RAW_INTRINSIC_RE = re.compile(
     r"#\s*include\s*<(?:immintrin|x86intrin|arm_neon)\.h>"
     r"|\b_mm(?:256|512)?_[a-z0-9_]+\s*\("
@@ -482,7 +482,7 @@ class Linter:
         for m in KERNEL_POOL_RE.finditer(stripped):
             self.report(
                 path, line_of(m.start(), stripped), "geoalign-kernel-pool",
-                "ThreadPool in a single-column kernel directory; a kernel "
+                "ParallelFor in a single-column kernel directory; a kernel "
                 "runs on the calling thread and sums in row order — fan "
                 "out independent tasks above it instead", raw_lines)
 
