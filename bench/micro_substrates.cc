@@ -1,8 +1,9 @@
 // Microbenchmarks for the substrate libraries: the constrained
 // least-squares solvers, sparse kernels, overlay construction, spatial
 // indexes, polygon clipping, the aggregates-only execute lanes, the
-// two compile ingest paths and unit-name resolution. These are the
-// building blocks whose costs the scaling study (Fig. 6) aggregates.
+// two compile ingest paths, the general execute lane and unit-name
+// resolution. These are the building blocks whose costs the scaling
+// study (Fig. 6) aggregates.
 // GEOALIGN_BENCH_SCALE rescales the US universe the lane and ingest
 // benchmarks run on.
 
@@ -445,6 +446,37 @@ void BM_CompileIngest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// CrosswalkPlan::Execute of the 9-reference US leave-one-out input 0
+// with its own objective and the real β: the general (non-aligned)
+// lane of Eq. 14, one row pass. 0 = ExecuteOutput::kFullDm, 1 =
+// kAggregatesOnly (the same pass, DM̂_o dropped after Eq. 17).
+void BM_ExecuteGeneralLane(benchmark::State& state) {
+  const bool aggregates_only = state.range(0) != 0;
+  const core::CrosswalkInput input =
+      std::move(UsUniverse().MakeLeaveOneOutInput(0)).ValueOrDie();
+  auto plan = core::CrosswalkPlan::Compile(input, core::GeoAlignOptions{});
+  plan.status().CheckOK();
+  if (plan->references().aligned()) {
+    state.SkipWithError("US leave-one-out references are aligned");
+    return;
+  }
+  const core::ExecuteOutput output = aggregates_only
+                                         ? core::ExecuteOutput::kAggregatesOnly
+                                         : core::ExecuteOutput::kFullDm;
+  state.SetLabel(aggregates_only ? "aggregates_only" : "full_dm");
+  core::ExecuteWorkspace ws;
+  ws.Prepare(plan->workspace_spec());
+  for (auto _ : state) {
+    auto res = plan->Execute(input.objective_source, output, &ws);
+    res.status().CheckOK();
+    benchmark::DoNotOptimize(res->target_estimates.data());
+  }
+}
+BENCHMARK(BM_ExecuteGeneralLane)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // Resolves one full US source column, all 30,831 zip names in shuffled
 // order, through common::UnitIndex: the loop CrosswalkPipeline runs per

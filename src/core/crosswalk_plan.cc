@@ -225,23 +225,35 @@ Result<CrosswalkPlan> CrosswalkPlan::CompileViews(
       sparse::PreparedReferenceSet::Prepare(std::move(references)));
   CrosswalkPlan plan(std::move(prepared), options);
 
-  {
-    // Eq. 15 design matrix: the same normalized columns the legacy
-    // BuildNormalizedSystem assembles per call.
+  // Eq. 15's columns, viewed where Prepare normalized them.
+  const size_t num_refs = plan.prepared_.size();
+  plan.columns_.reserve(num_refs);
+  for (size_t k = 0; k < num_refs; ++k) {
+    plan.columns_.push_back(plan.prepared_.reference(k).normalized_aggregates);
+  }
+  if (plan.options_.solver == WeightSolver::kNnlsNormalized ||
+      plan.options_.solver == WeightSolver::kClampedLs) {
+    // The row-major design matrix the NNLS and QR solvers read: the
+    // same normalized columns the legacy BuildNormalizedSystem
+    // assembles per call.
     GEOALIGN_TRACE_SPAN("compile.design");
     std::vector<linalg::Vector> cols;
-    cols.reserve(plan.prepared_.size());
-    for (size_t k = 0; k < plan.prepared_.size(); ++k) {
+    cols.reserve(num_refs);
+    for (size_t k = 0; k < num_refs; ++k) {
       cols.push_back(plan.prepared_.reference(k).normalized_aggregates);
     }
     plan.design_ = linalg::Matrix::FromColumns(cols);
+  } else {
+    // No solver reads rows here; kUniform reads only the width.
+    plan.design_ = linalg::Matrix(0, num_refs);
   }
   if (plan.options_.solver == WeightSolver::kSimplex) {
     // SolveSimplexLeastSquares(a, b) is literally
     // SolveSimplexLsFromNormalEquations(a.Gram(), a.MatTVec(b), b·b),
-    // so hoisting the Gram matrix reproduces the legacy bits exactly.
+    // and the column kernels give a.Gram() and a.MatTVec(b) bit for
+    // bit, so the hoisted Gram matrix reproduces the legacy bits.
     GEOALIGN_TRACE_SPAN("compile.gram");
-    plan.gram_ = plan.design_.Gram();
+    plan.gram_ = linalg::GramOfColumns(plan.columns_);
   }
 
   // The plan-compiled workspace spec: every scratch size an execute
@@ -281,7 +293,7 @@ Result<linalg::Vector> CrosswalkPlan::SolveWeightsNormalized(
     GEOALIGN_ASSIGN_OR_RETURN(
         linalg::SimplexLsSolution sol,
         linalg::SolveSimplexLsFromNormalEquations(
-            gram_, design_.MatTVec(b_normalized),
+            gram_, linalg::ColumnsTVec(columns_, b_normalized),
             linalg::Dot(b_normalized, b_normalized),
             options_.solver_options));
     return sol.beta;
@@ -403,31 +415,41 @@ Status CrosswalkPlan::ExecuteMaterializing(
     size_t num_refs = prepared_.size();
     const linalg::Vector& effective = EffectiveWeights(beta, ws);
 
-    Result<sparse::CsrMatrix> summed =
-        prepared_.aligned()
-            ? sparse::WeightedSumAligned(prepared_.dms(), effective)
-            : sparse::WeightedSum(prepared_.dms(), effective);
-    GEOALIGN_ASSIGN_OR_RETURN(sparse::CsrMatrix numerator, std::move(summed));
-
-    linalg::Vector row_sums;
-    const linalg::Vector* denom;
-    if (options_.denominator == DenominatorMode::kFromDmRowSums) {
-      row_sums = numerator.RowSums();
-      denom = &row_sums;
-    } else {
+    // kFromDmRowSums leaves `denominators` null: the numerator's own
+    // row sums divide it.
+    const linalg::Vector* denominators = nullptr;
+    if (options_.denominator == DenominatorMode::kFromAggregates) {
       linalg::Vector& agg = ws->Denominators(prepared_.num_source());
       for (size_t k = 0; k < num_refs; ++k) {
         if (ExactlyZero(effective[k])) continue;
         linalg::Axpy(effective[k], prepared_.reference(k).source_aggregates,
                      agg);
       }
-      denom = &agg;
+      denominators = &agg;
     }
 
-    sparse::DivideRowsOrZero(numerator, *denom, options_.zero_tolerance,
-                             &zero_rows);
-    numerator.ScaleRows(objective_source);
-    estimated = std::move(numerator);
+    if (prepared_.aligned()) {
+      GEOALIGN_ASSIGN_OR_RETURN(
+          sparse::CsrMatrix numerator,
+          sparse::WeightedSumAligned(prepared_.dms(), effective));
+      linalg::Vector row_sums;
+      if (denominators == nullptr) {
+        row_sums = numerator.RowSums();
+        denominators = &row_sums;
+      }
+      sparse::DivideRowsOrZero(numerator, *denominators,
+                               options_.zero_tolerance, &zero_rows);
+      numerator.ScaleRows(objective_source);
+      estimated = std::move(numerator);
+    } else {
+      // The general lane: merge, denominator, divide, prune and scale
+      // in one pass per row.
+      GEOALIGN_ASSIGN_OR_RETURN(
+          estimated,
+          sparse::DisaggregateRows(prepared_.dms(), effective, denominators,
+                                   options_.zero_tolerance, objective_source,
+                                   &zero_rows));
+    }
 
     if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
         !zero_rows.empty()) {

@@ -28,10 +28,10 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 }  // namespace internal
 
 /// The compiled, objective-independent half of a GeoAlign crosswalk
-/// (Algorithm 1): prepared references, the normalized design matrix of
-/// Eq. 15 (plus its Gram matrix for the simplex solver), and a
-/// snapshot of the zero-row fallback DM. Compile once, then Execute
-/// for any number of objective columns.
+/// (Algorithm 1): prepared references, the normalized columns of
+/// Eq. 15 with their Gram matrix (simplex solver) or row-major design
+/// matrix (NNLS, clamped LS), and a snapshot of the zero-row fallback
+/// DM. Compile once, then Execute for any number of objective columns.
 ///
 /// Bit-identity contract: for every objective vector and every
 /// {ScaleMode, WeightSolver, DenominatorMode, ZeroRowFallback} ×
@@ -44,13 +44,18 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 /// the rest possible:
 ///  - the simplex solve goes through SolveSimplexLsFromNormalEquations,
 ///    which is the literal tail of SolveSimplexLeastSquares, so a
-///    precomputed Gram matrix changes nothing;
+///    precomputed Gram matrix changes nothing, and the column kernels
+///    (linalg::GramOfColumns, ColumnsTVec) sum each entry in row order
+///    as Matrix::Gram and MatTVec do;
 ///  - DMs stay raw with a scalar normalizer folded into the per-execute
 ///    effective weights, exactly as the legacy loop does (pre-scaling
 ///    the matrix values would reorder IEEE divisions);
 ///  - the structure-sharing WeightedSumAligned kernel accumulates per
 ///    entry in operand order from 0.0, the same addition sequence as
-///    the general scatter-gather kernel.
+///    the general scatter-gather kernel;
+///  - on private structures sparse::DisaggregateRows runs WeightedSum
+///    → RowSums → DivideRowsOrZero → ScaleRows as one row pass with
+///    the same operations per entry.
 ///
 /// Immutable after Compile and safe to share across threads: Execute
 /// is const and touches no mutable state. Move-only (the prepared set
@@ -184,8 +189,10 @@ class CrosswalkPlan {
                 GeoAlignOptions options);
 
   /// The one Compile body behind every public overload: up-front
-  /// checks, Prepare, design matrix, Gram, workspace spec, fallback
-  /// snapshot. The public entries open the `compile` span.
+  /// checks, Prepare, column views, then the Gram matrix (kSimplex)
+  /// or the row-major design matrix (kNnlsNormalized, kClampedLs; no
+  /// other solver reads rows, so none gets one), workspace spec,
+  /// fallback snapshot. The public entries open the `compile` span.
   static Result<CrosswalkPlan> CompileViews(
       std::vector<ReferenceAttributeView> references,
       const GeoAlignOptions& options);
@@ -199,9 +206,11 @@ class CrosswalkPlan {
   const linalg::Vector& EffectiveWeights(const linalg::Vector& beta,
                                          ExecuteWorkspace* ws) const;
 
-  /// The materializing lane: WeightedSum → DivideRowsOrZero →
-  /// ScaleRows → [fallback rebuild] → ColSums; fills result's
-  /// estimated_dm / target_estimates / zero_rows.
+  /// The materializing lane: Eq. 14 → [fallback rebuild] → ColSums;
+  /// fills result's estimated_dm / target_estimates / zero_rows.
+  /// Eq. 14 is sparse::DisaggregateRows, one pass per row, on private
+  /// structures, and WeightedSumAligned → DivideRowsOrZero →
+  /// ScaleRows on a shared one.
   Status ExecuteMaterializing(common::ColumnView objective_source,
                               const linalg::Vector& beta,
                               ExecuteWorkspace* ws,
@@ -223,8 +232,14 @@ class CrosswalkPlan {
 
   sparse::PreparedReferenceSet prepared_;
   GeoAlignOptions options_;
-  linalg::Matrix design_;  ///< Eq. 15 design A (normalized columns)
-  linalg::Matrix gram_;    ///< A^T A; populated for kSimplex only
+  /// Eq. 15's columns A (one normalized aggregate column per
+  /// reference), viewed in prepared_: the simplex solve forms A^T b
+  /// from them at every execute.
+  std::vector<linalg::VectorView> columns_;
+  /// Row-major A, built only for the solvers that read it
+  /// (kNnlsNormalized, kClampedLs); otherwise 0 rows x n columns.
+  linalg::Matrix design_;
+  linalg::Matrix gram_;  ///< A^T A from columns_; kSimplex only
   /// Owned snapshot of options.fallback_dm (kFallbackDm only); after
   /// Compile, options_.fallback_dm points here, never at caller memory.
   std::shared_ptr<const sparse::CsrMatrix> fallback_dm_;

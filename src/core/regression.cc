@@ -12,7 +12,7 @@ RegressionBaseline::RegressionBaseline(RegressionOptions options)
 Result<CrosswalkResult> RegressionBaseline::Crosswalk(
     const CrosswalkInput& input) const {
   if (input.references.empty()) {
-    return Status::InvalidArgument("Regression: no references");
+    return Status::InvalidArgument("no reference attributes");
   }
   size_t ns = input.NumSourceUnits();
   size_t nt = input.NumTargetUnits();

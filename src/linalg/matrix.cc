@@ -1,11 +1,90 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
 
 namespace geoalign::linalg {
+
+namespace {
+
+// Rows per block of the column kernels: one block of every column
+// stays in L1 while the register tiles sweep it.
+constexpr size_t kRowBlock = 128;
+
+// Adds rows [begin, end) of the products left[i][r] · right[j][r] into
+// the I x J running sums at sums[i * stride + j]. Each sum stays in a
+// register for the whole block and takes its rows in order, so every
+// entry is the same row-order sum the row-major kernels accumulate.
+template <size_t I, size_t J>
+void AddProductTile(const VectorView* left, const VectorView* right,
+                    size_t begin, size_t end, double* sums, size_t stride) {
+  const double* l[I];
+  const double* rt[J];
+  double s[I][J];
+#pragma GCC unroll 8
+  for (size_t i = 0; i < I; ++i) {
+    l[i] = left[i].data();
+#pragma GCC unroll 4
+    for (size_t j = 0; j < J; ++j) s[i][j] = sums[i * stride + j];
+  }
+#pragma GCC unroll 4
+  for (size_t j = 0; j < J; ++j) rt[j] = right[j].data();
+  for (size_t r = begin; r < end; ++r) {
+#pragma GCC unroll 8
+    for (size_t i = 0; i < I; ++i) {
+      const double x = l[i][r];
+#pragma GCC unroll 4
+      for (size_t j = 0; j < J; ++j) s[i][j] += x * rt[j][r];
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t i = 0; i < I; ++i) {
+#pragma GCC unroll 4
+    for (size_t j = 0; j < J; ++j) sums[i * stride + j] = s[i][j];
+  }
+}
+
+// The Gram tiles: up to 2 left by up to 4 right columns.
+void AddGramTile(size_t ni, size_t nj, const VectorView* left,
+                 const VectorView* right, size_t begin, size_t end,
+                 double* sums, size_t stride) {
+  switch (ni * 4 + nj) {
+    case 5: return AddProductTile<1, 1>(left, right, begin, end, sums, stride);
+    case 6: return AddProductTile<1, 2>(left, right, begin, end, sums, stride);
+    case 7: return AddProductTile<1, 3>(left, right, begin, end, sums, stride);
+    case 8: return AddProductTile<1, 4>(left, right, begin, end, sums, stride);
+    case 9: return AddProductTile<2, 1>(left, right, begin, end, sums, stride);
+    case 10: return AddProductTile<2, 2>(left, right, begin, end, sums, stride);
+    case 11: return AddProductTile<2, 3>(left, right, begin, end, sums, stride);
+    default: return AddProductTile<2, 4>(left, right, begin, end, sums, stride);
+  }
+}
+
+// The Aᵀb tiles: up to 8 columns against b.
+void AddTVecTile(size_t ni, const VectorView* cols, const VectorView* b,
+                 size_t begin, size_t end, double* sums) {
+  switch (ni) {
+    case 1: return AddProductTile<1, 1>(cols, b, begin, end, sums, 1);
+    case 2: return AddProductTile<2, 1>(cols, b, begin, end, sums, 1);
+    case 3: return AddProductTile<3, 1>(cols, b, begin, end, sums, 1);
+    case 4: return AddProductTile<4, 1>(cols, b, begin, end, sums, 1);
+    case 5: return AddProductTile<5, 1>(cols, b, begin, end, sums, 1);
+    case 6: return AddProductTile<6, 1>(cols, b, begin, end, sums, 1);
+    case 7: return AddProductTile<7, 1>(cols, b, begin, end, sums, 1);
+    default: return AddProductTile<8, 1>(cols, b, begin, end, sums, 1);
+  }
+}
+
+void CheckColumnLengths(common::ConstSpan<VectorView> cols, size_t rows) {
+  for (VectorView col : cols) {
+    GEOALIGN_CHECK(col.size() == rows) << "column kernels: ragged cols";
+  }
+}
+
+}  // namespace
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   if (rows.empty()) return Matrix();
@@ -96,6 +175,43 @@ Matrix Matrix::Gram() const {
   }
   for (size_t i = 0; i < cols_; ++i) {
     for (size_t j = 0; j < i; ++j) out(i, j) = out(j, i);
+  }
+  return out;
+}
+
+Matrix GramOfColumns(common::ConstSpan<VectorView> cols) {
+  const size_t n = cols.size();
+  Matrix out(n, n);
+  if (n == 0) return out;
+  const size_t rows = cols[0].size();
+  CheckColumnLengths(cols, rows);
+  // Tiles cover the upper triangle (and the one entry under each
+  // diagonal tile, which the mirror below overwrites).
+  for (size_t begin = 0; begin < rows; begin += kRowBlock) {
+    const size_t end = std::min(rows, begin + kRowBlock);
+    for (size_t i = 0; i < n; i += 2) {
+      for (size_t j = i; j < n; j += 4) {
+        AddGramTile(std::min<size_t>(2, n - i), std::min<size_t>(4, n - j),
+                    &cols[i], &cols[j], begin, end, &out(i, j), n);
+      }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) out(i, j) = out(j, i);
+  }
+  return out;
+}
+
+Vector ColumnsTVec(common::ConstSpan<VectorView> cols, VectorView b) {
+  const size_t n = cols.size();
+  Vector out(n, 0.0);
+  CheckColumnLengths(cols, b.size());
+  for (size_t begin = 0; begin < b.size(); begin += kRowBlock) {
+    const size_t end = std::min(b.size(), begin + kRowBlock);
+    for (size_t i = 0; i < n; i += 8) {
+      AddTVecTile(std::min<size_t>(8, n - i), &cols[i], &b, begin, end,
+                  &out[i]);
+    }
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/span.h"
 #include "linalg/vector_ops.h"
 
 namespace geoalign::linalg {
@@ -67,6 +68,18 @@ class Matrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Aᵀ A for A = Matrix::FromColumns(cols) without forming A: entry
+/// (i, j) is the row-order sum from +0.0 of cols[i][r] · cols[j][r],
+/// so the result carries exactly the bits of `A.Gram()`. Every column
+/// must have the same length. Rows run in blocks that stay in cache
+/// while each pass carries a 2 x 4 tile of entries in registers.
+Matrix GramOfColumns(common::ConstSpan<VectorView> cols);
+
+/// Aᵀ b for the same A: entry c is the row-order sum from +0.0 of
+/// cols[c][r] · b[r], exactly the bits of `A.MatTVec(b)`. Each pass
+/// over a row block carries up to 8 entries in registers.
+Vector ColumnsTVec(common::ConstSpan<VectorView> cols, VectorView b);
 
 }  // namespace geoalign::linalg
 

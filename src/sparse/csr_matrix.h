@@ -128,7 +128,13 @@ class CsrMatrix {
   }
 
  private:
+  // Builders whose output is valid by construction write the arrays
+  // directly, without FromCsrArrays' validation pass.
   friend class CooBuilder;
+  friend Result<CsrMatrix> DisaggregateRows(
+      const std::vector<const CsrMatrix*>& mats, const linalg::Vector& weights,
+      const linalg::Vector* denominators, double zero_tol,
+      common::ConstSpan<double> row_scale, std::vector<size_t>* zero_rows);
 
   /// FromBorrowed minus the validation.
   static CsrMatrix BorrowUnchecked(const CsrView& view,

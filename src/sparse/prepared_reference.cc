@@ -165,12 +165,17 @@ Result<PreparedReferenceSet> PreparedReferenceSet::Prepare(
   set.num_source_ = references[0].disaggregation.rows();
   set.num_target_ = references[0].disaggregation.cols();
   set.refs_.reserve(references.size());
+  ContentHash hash = BeginReferenceSetHash(references.size(), set.num_source_,
+                                           set.num_target_);
   for (ReferenceDataView& ref : references) {
     PreparedReference prepared;
     GEOALIGN_ASSIGN_OR_RETURN(
         prepared.normalized_aggregates,
         CheckReference(ref.name, ref.source_aggregates, ref.disaggregation,
                        set.num_source_, set.num_target_));
+    // The check just read these arrays: hash them while they are in
+    // cache.
+    MixReference(ref, hash);
     // NormalizeByMax succeeded, so entries are non-negative with at
     // least one positive: the max is a valid positive normalizer.
     prepared.normalizer = linalg::Max(ref.source_aggregates);
@@ -180,10 +185,7 @@ Result<PreparedReferenceSet> PreparedReferenceSet::Prepare(
     prepared.disaggregation = std::move(ref.disaggregation);
     set.refs_.push_back(std::move(prepared));
   }
-  {
-    GEOALIGN_TRACE_SPAN("compile.fingerprint");
-    set.fingerprint_ = HashReferenceSet(set.refs_).Finish().lo;
-  }
+  set.fingerprint_ = hash.Finish().lo;
 
   set.dms_.reserve(set.refs_.size());
   for (const PreparedReference& ref : set.refs_) {

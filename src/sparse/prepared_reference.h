@@ -147,26 +147,43 @@ struct PreparedReference {
   double normalizer = 1.0;               ///< max_i a^s_r[i]
 };
 
-/// Hashes a reference set's content: the reference count and the DM
-/// shape, then each reference's name, aggregates and CSR arrays, in
-/// reference order. This is the one definition behind
-/// PreparedReferenceSet::fingerprint() and the reference half of
-/// core::PlanCache keys, so both agree by construction. `Reference` is
-/// any type with `name`, `source_aggregates` and `disaggregation`
-/// members. Returns the unfinished hash so callers can mix more in.
+/// The head of a reference set's hash stream: the reference count and
+/// the DM shape (`rows` x `cols`, the first reference's).
+inline ContentHash BeginReferenceSetHash(size_t count, size_t rows,
+                                         size_t cols) {
+  ContentHash hash;
+  hash.MixSize(count);
+  hash.MixSize(rows);
+  hash.MixSize(cols);
+  return hash;
+}
+
+/// One reference's part of the stream: its name, aggregates and CSR
+/// arrays. `Reference` is any type with `name`, `source_aggregates`
+/// and `disaggregation` members. PreparedReferenceSet::Prepare mixes
+/// each reference right after checking it, while its arrays are still
+/// in cache; HashReferenceSet mixes them in one loop.
+template <typename Reference>
+void MixReference(const Reference& ref, ContentHash& hash) {
+  hash.MixString(ref.name);
+  hash.MixDoubles(ref.source_aggregates);
+  hash.MixSizes(ref.disaggregation.row_ptr());
+  hash.MixSizes(ref.disaggregation.col_idx());
+  hash.MixDoubles(ref.disaggregation.values());
+}
+
+/// Hashes a reference set's content: BeginReferenceSetHash, then
+/// MixReference for each reference in order. PreparedReferenceSet's
+/// fingerprint() and the reference half of core::PlanCache keys are
+/// this one stream, so both agree by construction. Returns the
+/// unfinished hash so callers can mix more in.
 template <typename Reference>
 ContentHash HashReferenceSet(const std::vector<Reference>& references) {
-  ContentHash hash;
-  hash.MixSize(references.size());
-  hash.MixSize(references.empty() ? 0 : references[0].disaggregation.rows());
-  hash.MixSize(references.empty() ? 0 : references[0].disaggregation.cols());
-  for (const Reference& ref : references) {
-    hash.MixString(ref.name);
-    hash.MixDoubles(ref.source_aggregates);
-    hash.MixSizes(ref.disaggregation.row_ptr());
-    hash.MixSizes(ref.disaggregation.col_idx());
-    hash.MixDoubles(ref.disaggregation.values());
-  }
+  ContentHash hash = BeginReferenceSetHash(
+      references.size(),
+      references.empty() ? 0 : references[0].disaggregation.rows(),
+      references.empty() ? 0 : references[0].disaggregation.cols());
+  for (const Reference& ref : references) MixReference(ref, hash);
   return hash;
 }
 
@@ -183,7 +200,8 @@ class PreparedReferenceSet {
  public:
   /// Checks every reference with CheckReference, which also
   /// max-normalizes its aggregates (the ScaleMode::kNormalized /
-  /// Eq. 15 preprocessing), and hashes the whole set once.
+  /// Eq. 15 preprocessing), and mixes it into the set's hash right
+  /// after its check (the HashReferenceSet stream).
   ///
   /// Zero-copy contract: the aggregate views and any borrowed DM
   /// arrays are referenced, never duplicated — the prepared set reads

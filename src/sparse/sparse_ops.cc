@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
@@ -142,6 +143,120 @@ void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
     }
   }
   m.Prune(0.0);
+}
+
+Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
+                                   const linalg::Vector& weights,
+                                   const linalg::Vector* denominators,
+                                   double zero_tol,
+                                   common::ConstSpan<double> row_scale,
+                                   std::vector<size_t>* zero_rows) {
+  if (mats.empty()) {
+    return Status::InvalidArgument("DisaggregateRows: no matrices");
+  }
+  if (mats.size() != weights.size()) {
+    return Status::InvalidArgument("DisaggregateRows: weight count mismatch");
+  }
+  const size_t rows = mats[0]->rows();
+  const size_t cols = mats[0]->cols();
+  for (const CsrMatrix* m : mats) {
+    if (m->rows() != rows || m->cols() != cols) {
+      return Status::InvalidArgument("DisaggregateRows: shape mismatch");
+    }
+  }
+  if (row_scale.size() != rows ||
+      (denominators != nullptr && denominators->size() != rows)) {
+    return Status::InvalidArgument("DisaggregateRows: vector length mismatch");
+  }
+
+  // The operands WeightedSum reads: exact-zero weights are skipped.
+  struct Operand {
+    const size_t* row_ptr;
+    const size_t* cols;
+    const double* values;
+    double weight;
+  };
+  std::vector<Operand> ops;
+  size_t max_nnz = 0;
+  for (size_t mi = 0; mi < mats.size(); ++mi) {
+    if (ExactlyZero(weights[mi])) continue;
+    const CsrMatrix& m = *mats[mi];
+    ops.push_back({m.row_ptr().data(), m.col_idx().data(), m.values().data(),
+                   weights[mi]});
+    max_nnz += m.nnz();
+  }
+  const size_t num_ops = ops.size();
+  std::vector<size_t> cursor(num_ops);
+  std::vector<size_t> stop(num_ops);
+
+  // The merge emits ascending in-range columns, so the arrays are
+  // written in place, unvalidated. Capacity only: pages are touched as
+  // entries are written.
+  CsrMatrix out(rows, cols);
+  std::vector<size_t>& out_cols = out.col_idx_;
+  std::vector<double>& out_vals = out.values_;
+  out_cols.reserve(max_nnz);
+  out_vals.reserve(max_nnz);
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  for (size_t r = 0; r < rows; ++r) {
+    // The weighted merge of the operands' sorted rows: each step takes
+    // the smallest unmerged column and adds its operands in ascending
+    // order from +0.0, WeightedSum's sequence per entry. An exact-zero
+    // sum (never -0.0 from a +0.0 start) leaves the row sum as it is
+    // and divides to ±0.0 or NaN below, so the prune drops it there,
+    // as WeightedSum drops it here.
+    const size_t begin = out_cols.size();
+    size_t next = kNone;
+    for (size_t k = 0; k < num_ops; ++k) {
+      cursor[k] = ops[k].row_ptr[r];
+      stop[k] = ops[k].row_ptr[r + 1];
+      if (cursor[k] < stop[k]) next = std::min(next, ops[k].cols[cursor[k]]);
+    }
+    while (next != kNone) {
+      const size_t c = next;
+      next = kNone;
+      double acc = 0.0;
+      for (size_t k = 0; k < num_ops; ++k) {
+        if (cursor[k] == stop[k]) continue;
+        if (ops[k].cols[cursor[k]] == c) {
+          acc += ops[k].weight * ops[k].values[cursor[k]];
+          if (++cursor[k] == stop[k]) continue;
+        }
+        next = std::min(next, ops[k].cols[cursor[k]]);
+      }
+      out_cols.push_back(c);
+      out_vals.push_back(acc);
+    }
+    const size_t end = out_cols.size();
+
+    double denom;
+    if (denominators != nullptr) {
+      denom = (*denominators)[r];
+    } else {
+      denom = 0.0;  // RowSums; a zero sum adds nothing
+      for (size_t k = begin; k < end; ++k) denom += out_vals[k];
+    }
+    size_t kept = begin;
+    if (std::fabs(denom) <= zero_tol) {
+      // Every v · 0.0 is ±0.0 or NaN, which Prune(0.0) drops.
+      if (zero_rows != nullptr) zero_rows->push_back(r);
+    } else {
+      // DivideRowsOrZero's v · (1/d), its Prune(0.0), then ScaleRows,
+      // compacting in place without a branch.
+      const double inv = 1.0 / denom;
+      const double scale = row_scale[r];
+      for (size_t k = begin; k < end; ++k) {
+        const double q = out_vals[k] * inv;
+        out_cols[kept] = out_cols[k];
+        out_vals[kept] = q * scale;
+        kept += std::fabs(q) > 0.0 ? 1 : 0;
+      }
+    }
+    out_cols.resize(kept);
+    out_vals.resize(kept);
+    out.row_ptr_[r + 1] = kept;
+  }
+  return out;
 }
 
 }  // namespace geoalign::sparse

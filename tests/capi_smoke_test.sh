@@ -10,11 +10,17 @@
 #   3. run geoalign_cli --method geoalign --output aggregates on the
 #      same crosswalk expressed as CSVs;
 #   4. byte-diff the two outputs (%.12g CSV) — any drift fails.
-# Usage: capi_smoke_test.sh <repo_root> <build_dir>
+# Usage: capi_smoke_test.sh <repo_root> <build_dir> [-fsanitize=<list>]
+# The optional third argument is the sanitizer flag the build tree was
+# compiled with (tests/CMakeLists.txt passes it in sanitizer trees);
+# the embedder is compiled and linked with it, so a sanitized
+# libgeoalign_c.so finds its runtime first in the library list.
 set -uo pipefail
 
-ROOT="${1:?usage: capi_smoke_test.sh <repo_root> <build_dir>}"
-BUILD="${2:?usage: capi_smoke_test.sh <repo_root> <build_dir>}"
+USAGE="usage: capi_smoke_test.sh <repo_root> <build_dir> [-fsanitize=<list>]"
+ROOT="${1:?$USAGE}"
+BUILD="${2:?$USAGE}"
+SANITIZE="${3:-}"
 CC_BIN="${CC:-cc}"
 
 if ! command -v "$CC_BIN" >/dev/null 2>&1; then
@@ -26,7 +32,7 @@ dir=$(mktemp -d) || exit 1
 trap 'rm -rf "$dir"' EXIT
 
 # 1. Pure-C compile. -I"$ROOT" resolves #include "capi/geoalign_c.h".
-"$CC_BIN" -std=c99 -Wall -Wextra -Werror -I"$ROOT" \
+"$CC_BIN" -std=c99 -Wall -Wextra -Werror ${SANITIZE:+"$SANITIZE"} -I"$ROOT" \
   -o "$dir/capi_smoke" "$ROOT/examples/capi_smoke.c" \
   -L"$BUILD/capi" -lgeoalign_c || {
   echo "capi smoke: C99 compile of examples/capi_smoke.c failed" >&2

@@ -20,6 +20,7 @@
 #include "core/geoalign.h"
 #include "core/pipeline.h"
 #include "core/plan_cache.h"
+#include "core/regression.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "sparse/csr_matrix.h"
@@ -249,6 +250,9 @@ TEST(CapiTest, CompileErrorsAreReported) {
   EXPECT_EQ(input_of({}).Validate().message(), "no reference attributes");
   EXPECT_EQ(core::CrosswalkUncompiled(input_of({}), {}).status().message(),
             "no reference attributes");
+  EXPECT_EQ(
+      core::RegressionBaseline().Crosswalk(input_of({})).status().message(),
+      "no reference attributes");
   EXPECT_EQ(geoalign_plan_compile(nullptr, 0, &plan),
             GEOALIGN_ERR_INVALID_ARGUMENT);
   EXPECT_EQ(plan, nullptr);

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "linalg/lu.h"
@@ -110,6 +111,45 @@ TEST(Matrix, GramIsAtA) {
   Matrix g = m.Gram();
   Matrix expected = m.Transposed().MatMul(m);
   EXPECT_TRUE(g.AllClose(expected, 1e-12));
+}
+
+// The column kernels behind the simplex solve's normal equations carry
+// exactly Matrix::Gram's and MatTVec's bits, for every column count
+// (so every register-tile remainder runs) and every row count up to
+// past one row block.
+TEST(Matrix, ColumnKernelsMatchRowMajorBitForBit) {
+  Rng rng(29);
+  auto draw = [&rng] {
+    return rng.Uniform(-1.0, 1.0) *
+           std::ldexp(1.0, static_cast<int>(rng.UniformInt(uint64_t{61})) - 30);
+  };
+  std::vector<size_t> row_counts;
+  for (size_t rows = 0; rows <= 67; ++rows) row_counts.push_back(rows);
+  for (size_t rows : {127, 128, 129, 300}) row_counts.push_back(rows);
+  auto same_bits = [](const Vector& a, const Vector& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+  };
+  for (size_t n = 1; n <= 13; ++n) {
+    for (size_t rows : row_counts) {
+      SCOPED_TRACE(::testing::Message() << n << " columns x " << rows << " rows");
+      std::vector<Vector> cols(n, Vector(rows));
+      for (Vector& col : cols) {
+        for (double& v : col) v = draw();
+      }
+      Vector b(rows);
+      for (double& v : b) v = draw();
+      const std::vector<VectorView> views(cols.begin(), cols.end());
+      const Matrix a = Matrix::FromColumns(cols);
+
+      const Matrix gram = GramOfColumns(views);
+      ASSERT_EQ(gram.rows(), n);
+      ASSERT_EQ(gram.cols(), n);
+      EXPECT_TRUE(same_bits(gram.data(), a.Gram().data()));
+      EXPECT_TRUE(same_bits(ColumnsTVec(views, b), a.MatTVec(b)));
+    }
+  }
 }
 
 TEST(Matrix, IdentityAndFrobenius) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -198,6 +199,44 @@ TEST(PlanEquivalenceTest, AllOptionCombosBitIdentical) {
   sparse::CsrMatrix fallback = MakeDenseFallback(
       input.NumSourceUnits(), input.NumTargetUnits());
   SweepAllOptions(input, fallback);
+}
+
+// The general (non-aligned) lane on the suite crosswalk_oneshot
+// serves: the US universe at scale 0.1, each of its 10 leave-one-out
+// inputs (9 references, each DM with its own structure), through
+// Execute(kFullDm) and Execute(kAggregatesOnly) against the oracle.
+TEST(PlanEquivalenceTest, UsLeaveOneOutGeneralLaneBitIdentical) {
+  synth::UniverseOptions opts;
+  opts.seed = 2018;
+  opts.scale = 0.1;
+  opts.suite = synth::SuiteKind::kUnitedStates;
+  const synth::Universe universe =
+      std::move(synth::BuildUniverse(synth::UniverseId::kUnitedStates, opts))
+          .ValueOrDie();
+  ASSERT_EQ(universe.datasets.size(), 10u);
+  for (size_t t = 0; t < universe.datasets.size(); ++t) {
+    SCOPED_TRACE(universe.datasets[t].name);
+    const core::CrosswalkInput input =
+        std::move(universe.MakeLeaveOneOutInput(t)).ValueOrDie();
+    const core::CrosswalkResult oracle =
+        std::move(core::CrosswalkUncompiled(input, {})).ValueOrDie();
+    const core::CrosswalkPlan plan =
+        std::move(core::CrosswalkPlan::Compile(input, {})).ValueOrDie();
+    ASSERT_FALSE(plan.references().aligned());
+
+    const core::CrosswalkResult full =
+        std::move(plan.Execute(input.objective_source)).ValueOrDie();
+    ExpectBitIdentical(full, oracle);
+    const common::ConstSpan<double> got = full.estimated_dm.values();
+    const common::ConstSpan<double> want = oracle.estimated_dm.values();
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0);
+    ExpectAggregatesOnly(
+        std::move(plan.Execute(input.objective_source,
+                               core::ExecuteOutput::kAggregatesOnly))
+            .ValueOrDie(),
+        oracle);
+  }
 }
 
 TEST(PlanEquivalenceTest, NoisyAggregatesBitIdentical) {

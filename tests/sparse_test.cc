@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/random.h"
@@ -210,6 +212,155 @@ TEST(SparseOps, DivideRowsZeroToleranceZeroesTinyDenominators) {
   // denominator 1.0; row 1 simply stores no entries).
   ASSERT_EQ(zero_rows.size(), 1u);
   EXPECT_EQ(zero_rows[0], 0u);
+}
+
+// Values that stress the one-pass Eq. 14 kernel's drop rules:
+// explicit ±0.0, the smallest subnormal (its quotient underflows to
+// 0), tiny magnitudes, and ordinary ones of both signs.
+double Eq14Value(Rng& rng) {
+  switch (rng.UniformInt(uint64_t{8})) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return std::numeric_limits<double>::denorm_min();
+    case 3:
+      return rng.Uniform(1e-30, 1e-20);
+    case 4:
+      return -rng.Uniform(0.5, 10.0);
+    default:
+      return rng.Uniform(0.5, 10.0);
+  }
+}
+
+// A random operand with a private structure and explicit zeros (built
+// from raw arrays: CooBuilder would drop them). With `negate`, rows
+// 0 mod 3 are `negate`'s rows negated, so equal weights cancel them
+// exactly; without it, rows 0 mod 6 stay empty unless `fill_all`.
+CsrMatrix Eq14Operand(Rng& rng, size_t rows, size_t cols,
+                      const CsrMatrix* negate, bool fill_all) {
+  std::vector<size_t> row_ptr = {0};
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+  for (size_t r = 0; r < rows; ++r) {
+    if (negate != nullptr && r % 3 == 0) {
+      CsrMatrix::RowView row = negate->Row(r);
+      for (size_t k = 0; k < row.size; ++k) {
+        col_idx.push_back(row.cols[k]);
+        values.push_back(-row.values[k]);
+      }
+    } else if (fill_all || negate != nullptr || r % 6 != 0) {
+      for (size_t c = 0; c < cols; ++c) {
+        if (rng.UniformInt(uint64_t{4}) != 0) continue;
+        col_idx.push_back(c);
+        values.push_back(Eq14Value(rng));
+      }
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  return std::move(CsrMatrix::FromCsrArrays(rows, cols, std::move(row_ptr),
+                                            std::move(col_idx),
+                                            std::move(values)))
+      .ValueOrDie();
+}
+
+bool SameBits(common::ConstSpan<double> a, common::ConstSpan<double> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// DisaggregateRows against the four steps it fuses, on random
+// non-aligned operands: exact-zero weights, explicit ±0.0 entries,
+// empty rows and rows whose operands cancel to 0, zero tolerances
+// above 0, zero row scales (their explicit zeros stay), quotients
+// that underflow to 0, and both denominator modes.
+TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
+  const size_t rows = 72;
+  const size_t cols = 11;
+  // The last operand always weighs 0 and holds ±Inf and NaN, so any
+  // read of it would show.
+  const std::vector<Vector> weight_sets = {
+      {0.5, 0.5, 0.0, 1.25, 0.0, 0.0},
+      {1.0, 0.25, 2.0, 0.0, 0.125, 0.0},
+      {0.0, 0.0, 0.0, 3.0, 0.0, 0.0},
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed, 41);
+    std::vector<CsrMatrix> mats;
+    mats.push_back(Eq14Operand(rng, rows, cols, nullptr, true));
+    mats.push_back(Eq14Operand(rng, rows, cols, &mats[0], false));
+    for (int k = 0; k < 3; ++k) {
+      mats.push_back(Eq14Operand(rng, rows, cols, nullptr, false));
+    }
+    CsrMatrix poisoned = Eq14Operand(rng, rows, cols, nullptr, true);
+    for (double& v : poisoned.mutable_values()) {
+      const double picks[] = {HUGE_VAL, -HUGE_VAL, std::nan(""), v};
+      v = picks[rng.UniformInt(uint64_t{4})];
+    }
+    mats.push_back(std::move(poisoned));
+    std::vector<const CsrMatrix*> ptrs;
+    for (const CsrMatrix& m : mats) ptrs.push_back(&m);
+    Vector row_scale(rows);
+    Vector given(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      row_scale[r] = r % 5 == 0 ? 0.0 : rng.Uniform(0.5, 100.0);
+      const double picks[] = {0.0, 1e-4, 1e300, -2.0, rng.Uniform(0.5, 10.0)};
+      given[r] = picks[rng.UniformInt(uint64_t{5})];
+    }
+    for (const Vector& weights : weight_sets) {
+      for (double tol : {0.0, 1e-3}) {
+        for (const Vector* denominators : {static_cast<const Vector*>(nullptr),
+                                           static_cast<const Vector*>(&given)}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " w0 " << weights[0] << " tol "
+                       << tol << (denominators ? " given" : " row sums"));
+          CsrMatrix want = std::move(WeightedSum(ptrs, weights)).ValueOrDie();
+          const Vector denom =
+              denominators != nullptr ? *denominators : want.RowSums();
+          std::vector<size_t> want_zero = {999};
+          DivideRowsOrZero(want, denom, tol, &want_zero);
+          want.ScaleRows(row_scale);
+
+          std::vector<size_t> got_zero = {999};
+          CsrMatrix got = std::move(DisaggregateRows(ptrs, weights,
+                                                     denominators, tol,
+                                                     row_scale, &got_zero))
+                              .ValueOrDie();
+          EXPECT_EQ(got.rows(), rows);
+          EXPECT_EQ(got.cols(), cols);
+          EXPECT_EQ(got.row_ptr(), want.row_ptr());
+          EXPECT_EQ(got.col_idx(), want.col_idx());
+          EXPECT_TRUE(SameBits(got.values(), want.values()));
+          EXPECT_EQ(got_zero, want_zero);
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseOps, DisaggregateRowsValidatesInputs) {
+  CsrMatrix a(2, 2);
+  CsrMatrix b(2, 3);
+  const Vector scale = {1.0, 1.0};
+  EXPECT_FALSE(DisaggregateRows({}, {}, nullptr, 0.0, scale, nullptr).ok());
+  EXPECT_FALSE(
+      DisaggregateRows({&a}, {1.0, 2.0}, nullptr, 0.0, scale, nullptr).ok());
+  EXPECT_FALSE(
+      DisaggregateRows({&a, &b}, {1.0, 1.0}, nullptr, 0.0, scale, nullptr)
+          .ok());
+  EXPECT_FALSE(
+      DisaggregateRows({&a}, {1.0}, nullptr, 0.0, {1.0}, nullptr).ok());
+  const Vector short_denominators = {1.0};
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, &short_denominators, 0.0, scale,
+                                nullptr)
+                   .ok());
+  EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, nullptr).ok());
 }
 
 // Every value the DM-entry check must accept or reject, one entry at a
