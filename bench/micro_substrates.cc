@@ -1,7 +1,7 @@
 // Microbenchmarks for the substrate libraries: the constrained
 // least-squares solvers, sparse kernels, overlay construction, spatial
 // indexes, polygon clipping, the aggregates-only execute lanes, the
-// two compile ingest paths, the general execute lane and unit-name
+// two compile ingest paths, the one-column execute and unit-name
 // resolution. These are the building blocks whose costs the scaling
 // study (Fig. 6) aggregates.
 // GEOALIGN_BENCH_SCALE rescales the US universe the lane and ingest
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <string>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -344,14 +345,9 @@ const synth::Universe& UsUniverse() {
                             synth::SuiteKind::kUnitedStates);
 }
 
-// The aggregates-only execute lanes over the five aligned dense US
-// layers that perfbench's portal_us serves, 64 perturbed suite
-// columns per iteration. Width 0 is the single-column fused
-// Execute(kAggregatesOnly); widths 1..16 run ExecutePanelWith in panels
-// of that width. range(1) = 1 forces scalar dispatch, 0 runs the
-// native ISA. Items are columns.
-void BM_AggregatesLane(benchmark::State& state) {
-  const size_t width = static_cast<size_t>(state.range(0));
+// The five dense US layers that perfbench's portal_us serves: their
+// DMs cover every overlay cell, so they share one CSR structure.
+std::vector<core::ReferenceAttribute> DenseUsLayers() {
   const synth::Universe& uni = UsUniverse();
   std::vector<core::ReferenceAttribute> refs;
   for (const char* name : {"Population", "USPS Residential Address",
@@ -360,7 +356,20 @@ void BM_AggregatesLane(benchmark::State& state) {
     const synth::Dataset& d = uni.datasets[uni.FindDataset(name).value()];
     refs.push_back({d.name, d.source, d.dm});
   }
-  auto plan = core::CrosswalkPlan::Compile(refs, core::GeoAlignOptions{});
+  return refs;
+}
+
+// The aggregates-only execute over the five aligned dense US layers,
+// 64 perturbed suite columns per iteration. Width 0 is the
+// single-column Execute(kAggregatesOnly), the row kernel
+// (sparse::DisaggregateRows); widths 1..16 run ExecutePanelWith in
+// panels of that width. range(1) = 1 forces scalar dispatch, 0 runs
+// the native ISA. Items are columns.
+void BM_AggregatesLane(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  const synth::Universe& uni = UsUniverse();
+  auto plan =
+      core::CrosswalkPlan::Compile(DenseUsLayers(), core::GeoAlignOptions{});
   plan.status().CheckOK();
   if (!plan->references().aligned()) {
     state.SkipWithError("dense US layers are not aligned");
@@ -447,24 +456,35 @@ void BM_CompileIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// CrosswalkPlan::Execute of the 9-reference US leave-one-out input 0
-// with its own objective and the real β: the general (non-aligned)
-// lane of Eq. 14, one row pass. 0 = ExecuteOutput::kFullDm, 1 =
-// kAggregatesOnly (the same pass, DM̂_o dropped after Eq. 17).
-void BM_ExecuteGeneralLane(benchmark::State& state) {
-  const bool aggregates_only = state.range(0) != 0;
-  const core::CrosswalkInput input =
-      std::move(UsUniverse().MakeLeaveOneOutInput(0)).ValueOrDie();
+// One CrosswalkPlan::Execute with the real β: the row kernel
+// (sparse::DisaggregateRows) on both reference structures. range(0) =
+// 0 is US leave-one-out input 0 (9 references, each DM with its own
+// structure) with its own objective; 1 is the five aligned dense
+// layers (one shared structure) with the suite's "Cemeteries" column,
+// which none of them is. range(1) = 0 is ExecuteOutput::kFullDm, 1 is
+// kAggregatesOnly.
+void BM_ExecuteColumn(benchmark::State& state) {
+  const bool aligned = state.range(0) != 0;
+  const bool aggregates_only = state.range(1) != 0;
+  const synth::Universe& uni = UsUniverse();
+  core::CrosswalkInput input =
+      std::move(uni.MakeLeaveOneOutInput(0)).ValueOrDie();
+  if (aligned) {
+    input.references = DenseUsLayers();
+    input.objective_source =
+        uni.datasets[uni.FindDataset("Cemeteries").value()].source;
+  }
   auto plan = core::CrosswalkPlan::Compile(input, core::GeoAlignOptions{});
   plan.status().CheckOK();
-  if (plan->references().aligned()) {
-    state.SkipWithError("US leave-one-out references are aligned");
+  if (plan->references().aligned() != aligned) {
+    state.SkipWithError("unexpected reference structure");
     return;
   }
   const core::ExecuteOutput output = aggregates_only
                                          ? core::ExecuteOutput::kAggregatesOnly
                                          : core::ExecuteOutput::kFullDm;
-  state.SetLabel(aggregates_only ? "aggregates_only" : "full_dm");
+  state.SetLabel(std::string(aligned ? "aligned/" : "private/") +
+                 (aggregates_only ? "aggregates_only" : "full_dm"));
   core::ExecuteWorkspace ws;
   ws.Prepare(plan->workspace_spec());
   for (auto _ : state) {
@@ -473,9 +493,8 @@ void BM_ExecuteGeneralLane(benchmark::State& state) {
     benchmark::DoNotOptimize(res->target_estimates.data());
   }
 }
-BENCHMARK(BM_ExecuteGeneralLane)
-    ->Arg(0)
-    ->Arg(1)
+BENCHMARK(BM_ExecuteColumn)
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 // Resolves one full US source column, all 30,831 zip names in shuffled

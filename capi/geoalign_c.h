@@ -105,7 +105,8 @@ GEOALIGN_C_EXPORT int geoalign_plan_compile(
 
 /* Executes the plan for one objective column (`objective_len` must
  * equal geoalign_plan_num_source_units; NaN, infinite or negative
- * entries are refused with GEOALIGN_ERR_INVALID_ARGUMENT). Writes the
+ * entries and an all-zero column are refused with
+ * GEOALIGN_ERR_INVALID_ARGUMENT and the C++ paths' message). Writes the
  * realigned target aggregates into out_target
  * (geoalign_plan_num_target_units entries) and, if out_weights is
  * non-NULL, the learned reference weights (num_references entries).

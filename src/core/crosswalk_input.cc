@@ -1,6 +1,6 @@
 #include "core/crosswalk_input.h"
 
-#include <cmath>
+#include <string>
 
 #include "common/string_util.h"
 #include "partition/disaggregation.h"
@@ -22,23 +22,29 @@ Status CrosswalkInput::Validate(double consistency_tol) const {
   if (num_target == 0) {
     return Status::InvalidArgument("CrosswalkInput: zero target units");
   }
-  if (objective_source.size() != num_source) {
-    return Status::InvalidArgument(
-        StrFormat("CrosswalkInput: objective has %zu entries, expected %zu",
-                  objective_source.size(), num_source));
-  }
-  for (double v : objective_source) {
-    if (v < 0.0 || !std::isfinite(v)) {
-      return Status::InvalidArgument(
-          "CrosswalkInput: objective aggregates must be finite and >= 0");
-    }
-  }
+  GEOALIGN_RETURN_IF_ERROR(
+      CheckObjective(objective_source, num_source).status());
   for (const ReferenceAttribute& ref : references) {
     Status consistent = partition::CheckDmConsistency(
         ref.disaggregation, ref.source_aggregates, consistency_tol);
     if (!consistent.ok()) return sparse::ReferenceError(ref.name, consistent);
   }
   return Status::OK();
+}
+
+Result<linalg::Vector> CheckObjective(common::ColumnView objective,
+                                      size_t num_source) {
+  if (objective.size() != num_source) {
+    return Status::InvalidArgument(
+        StrFormat("objective: source vector has %zu entries, expected %zu",
+                  objective.size(), num_source));
+  }
+  Result<linalg::Vector> normalized = linalg::NormalizeByMax(objective);
+  if (!normalized.ok()) {
+    return Status(normalized.status().code(),
+                  "objective: " + std::string(normalized.status().message()));
+  }
+  return normalized;
 }
 
 Result<size_t> CrosswalkInput::FindReference(const std::string& name) const {

@@ -47,8 +47,8 @@ struct CrosswalkInput {
   ///  - at least one reference;
   ///  - every reference passes sparse::CheckReference, the check every
   ///    compile path runs (same messages);
-  ///  - the objective has one finite, non-negative entry per source
-  ///    unit;
+  ///  - the objective passes CheckObjective, the check every execute
+  ///    path runs (same messages);
   ///  - each DM_r's rows sum to a^s_r within `consistency_tol`
   ///    (relative; partition::CheckDmConsistency), the precondition
   ///    for exact volume preservation. Compile does not check this.
@@ -62,6 +62,18 @@ struct CrosswalkInput {
   Result<CrosswalkInput> WithReferenceSubset(
       const std::vector<size_t>& keep) const;
 };
+
+/// The library's one objective check, run by CrosswalkInput::Validate,
+/// CrosswalkPlan::LearnWeights and Execute (so by every serving path,
+/// the C ABI included) and CrosswalkUncompiled, so each fault reads one
+/// message everywhere. Fails with InvalidArgument, prefixed
+/// "objective: ", when `objective` does not have `num_source` entries,
+/// or an entry is NaN, ±Inf or negative, or all entries are zero. On
+/// success returns the max-normalized objective (Eq. 15's b): the
+/// value check is the normalization pass itself, as in
+/// sparse::CheckReference.
+Result<linalg::Vector> CheckObjective(common::ColumnView objective,
+                                      size_t num_source);
 
 /// Zero-copy flavor of ReferenceAttribute: the aggregate column is a
 /// borrowed view (optionally guarded by a keepalive) and the DM is

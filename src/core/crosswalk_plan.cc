@@ -260,6 +260,7 @@ Result<CrosswalkPlan> CrosswalkPlan::CompileViews(
   // needs, resolved once here so serving loops never re-derive it.
   plan.workspace_spec_.num_references = plan.prepared_.size();
   plan.workspace_spec_.num_source = plan.prepared_.num_source();
+  plan.workspace_spec_.num_target = plan.prepared_.num_target();
   plan.workspace_spec_.aligned = plan.prepared_.aligned();
   if (plan.workspace_spec_.aligned) {
     plan.workspace_spec_.fused = sparse::FusedWorkspace::ComputeSpec(
@@ -303,12 +304,9 @@ Result<linalg::Vector> CrosswalkPlan::SolveWeightsNormalized(
 
 Result<linalg::Vector> CrosswalkPlan::LearnWeights(
     common::ColumnView objective_source) const {
-  if (objective_source.size() != prepared_.num_source()) {
-    return Status::InvalidArgument(
-        "CrosswalkPlan: objective length does not match source units");
-  }
-  GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector b,
-                            linalg::NormalizeByMax(objective_source));
+  GEOALIGN_ASSIGN_OR_RETURN(
+      linalg::Vector b,
+      CheckObjective(objective_source, prepared_.num_source()));
   return SolveWeightsNormalized(b);
 }
 
@@ -318,8 +316,7 @@ Result<CrosswalkResult> CrosswalkPlan::Execute(
   // A wrong-length column fails before the execute span opens, so it
   // leaves no audit record.
   if (objective_source.size() != prepared_.num_source()) {
-    return Status::InvalidArgument(
-        "CrosswalkPlan: objective length does not match source units");
+    return CheckObjective(objective_source, prepared_.num_source()).status();
   }
   GEOALIGN_TRACE_SPAN("execute");
   obs::Stopwatch execute_watch;
@@ -338,25 +335,39 @@ Result<CrosswalkResult> CrosswalkPlan::Execute(
                               LearnWeights(objective_source));
 
     // Steps 2+3: disaggregation (Eq. 14) + re-aggregation (Eq. 17),
-    // through one of two bit-identical lanes. The fused lane needs the
-    // shared-structure invariant; a non-aligned prepared set asked for
-    // aggregates only goes through the materializing lane and drops the
-    // DM at the end.
+    // one row pass of sparse::DisaggregateRows on any structure. The
+    // output alone picks what that pass writes.
     ExecuteWorkspace local_workspace;
     ExecuteWorkspace* ws =
         workspace != nullptr ? workspace : &local_workspace;
     const uint64_t allocs_before = ws->alloc_events();
 
-    if (output == ExecuteOutput::kAggregatesOnly && prepared_.aligned()) {
-      audit_mode = "fused";
-      GEOALIGN_RETURN_IF_ERROR(
-          ExecuteFusedAggregates(objective_source, beta, ws, &result));
-    } else {
+    const bool fallback =
+        options_.zero_row_fallback == ZeroRowFallback::kFallbackDm;
+    if (output == ExecuteOutput::kFullDm) {
       GEOALIGN_RETURN_IF_ERROR(
           ExecuteMaterializing(objective_source, beta, ws, &result));
-      if (output == ExecuteOutput::kAggregatesOnly) {
-        result.estimated_dm = sparse::CsrMatrix();
+    } else {
+      // Each kept entry goes straight into â^t_o; DM̂_o is never built.
+      audit_mode = "fused";
+      GEOALIGN_TRACE_SPAN("execute.fused");
+      const linalg::Vector& effective = EffectiveWeights(beta, ws);
+      const bool use_fallback = fallback && fallback_shape_ok_;
+      GEOALIGN_RETURN_IF_ERROR(sparse::DisaggregateRows(
+          prepared_.dms(), effective, Denominators(effective, ws),
+          options_.zero_tolerance, objective_source,
+          use_fallback ? fallback_dm_.get() : nullptr,
+          use_fallback ? &fallback_row_sums_ : nullptr,
+          &result.target_estimates, &result.zero_rows, &ws->rows()));
+    }
+    // A fallback DM whose shape failed at compile is never used: the
+    // executes that hit a zero row fail here, on either output, with
+    // the oracle's rebuild error.
+    if (fallback && !result.zero_rows.empty()) {
+      if (!fallback_shape_ok_) {
+        return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
       }
+      FallbackRebuilds().Add(1);
     }
 
     result.weights = std::move(beta);
@@ -405,6 +416,20 @@ const linalg::Vector& CrosswalkPlan::EffectiveWeights(
   return effective;
 }
 
+const linalg::Vector* CrosswalkPlan::Denominators(
+    const linalg::Vector& effective, ExecuteWorkspace* ws) const {
+  if (options_.denominator != DenominatorMode::kFromAggregates) {
+    return nullptr;
+  }
+  linalg::Vector& denominators = ws->Denominators(prepared_.num_source());
+  for (size_t k = 0; k < prepared_.size(); ++k) {
+    if (ExactlyZero(effective[k])) continue;
+    linalg::Axpy(effective[k], prepared_.reference(k).source_aggregates,
+                 denominators);
+  }
+  return &denominators;
+}
+
 Status CrosswalkPlan::ExecuteMaterializing(
     common::ColumnView objective_source, const linalg::Vector& beta,
     ExecuteWorkspace* ws, CrosswalkResult* result) const {
@@ -412,52 +437,17 @@ Status CrosswalkPlan::ExecuteMaterializing(
   std::vector<size_t> zero_rows;
   {
     GEOALIGN_TRACE_SPAN("execute.eq14_disaggregate");
-    size_t num_refs = prepared_.size();
     const linalg::Vector& effective = EffectiveWeights(beta, ws);
-
-    // kFromDmRowSums leaves `denominators` null: the numerator's own
-    // row sums divide it.
-    const linalg::Vector* denominators = nullptr;
-    if (options_.denominator == DenominatorMode::kFromAggregates) {
-      linalg::Vector& agg = ws->Denominators(prepared_.num_source());
-      for (size_t k = 0; k < num_refs; ++k) {
-        if (ExactlyZero(effective[k])) continue;
-        linalg::Axpy(effective[k], prepared_.reference(k).source_aggregates,
-                     agg);
-      }
-      denominators = &agg;
-    }
-
-    if (prepared_.aligned()) {
-      GEOALIGN_ASSIGN_OR_RETURN(
-          sparse::CsrMatrix numerator,
-          sparse::WeightedSumAligned(prepared_.dms(), effective));
-      linalg::Vector row_sums;
-      if (denominators == nullptr) {
-        row_sums = numerator.RowSums();
-        denominators = &row_sums;
-      }
-      sparse::DivideRowsOrZero(numerator, *denominators,
-                               options_.zero_tolerance, &zero_rows);
-      numerator.ScaleRows(objective_source);
-      estimated = std::move(numerator);
-    } else {
-      // The general lane: merge, denominator, divide, prune and scale
-      // in one pass per row.
-      GEOALIGN_ASSIGN_OR_RETURN(
-          estimated,
-          sparse::DisaggregateRows(prepared_.dms(), effective, denominators,
-                                   options_.zero_tolerance, objective_source,
-                                   &zero_rows));
-    }
+    GEOALIGN_ASSIGN_OR_RETURN(
+        estimated,
+        sparse::DisaggregateRows(prepared_.dms(), effective,
+                                 Denominators(effective, ws),
+                                 options_.zero_tolerance, objective_source,
+                                 &zero_rows));
 
     if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-        !zero_rows.empty()) {
-      if (!fallback_shape_ok_) {
-        return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
-      }
+        fallback_shape_ok_ && !zero_rows.empty()) {
       GEOALIGN_TRACE_SPAN("execute.fallback_rebuild");
-      FallbackRebuilds().Add(1);
       const sparse::CsrMatrix& fb = *fallback_dm_;
       const linalg::Vector& fb_sums = fallback_row_sums_;
       std::vector<bool> is_zero_row(estimated.rows(), false);
@@ -490,49 +480,6 @@ Status CrosswalkPlan::ExecuteMaterializing(
 
   result->estimated_dm = std::move(estimated);
   result->zero_rows = std::move(zero_rows);
-  return Status::OK();
-}
-
-Status CrosswalkPlan::ExecuteFusedAggregates(
-    common::ColumnView objective_source, const linalg::Vector& beta,
-    ExecuteWorkspace* ws, CrosswalkResult* result) const {
-  GEOALIGN_TRACE_SPAN("execute.fused");
-  const linalg::Vector& effective = EffectiveWeights(beta, ws);
-
-  sparse::FusedAggregatesInputs in;
-  in.mats = &prepared_.dms();
-  in.weights = &effective;
-  if (options_.denominator == DenominatorMode::kFromAggregates) {
-    linalg::Vector& denom = ws->Denominators(prepared_.num_source());
-    for (size_t k = 0; k < prepared_.size(); ++k) {
-      if (ExactlyZero(effective[k])) continue;
-      linalg::Axpy(effective[k], prepared_.reference(k).source_aggregates,
-                   denom);
-    }
-    in.denominators = &denom;
-  }  // kFromDmRowSums: the kernel derives the denominators in-pass.
-  in.zero_tolerance = options_.zero_tolerance;
-  in.row_scale = objective_source;
-  // A fallback DM whose shape never validated is withheld from the
-  // kernel; the error below fires on exactly the executes where the
-  // materializing lane's rebuild would have failed (zero rows hit).
-  const bool use_fallback =
-      options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      fallback_shape_ok_;
-  in.fallback_dm = use_fallback ? fallback_dm_.get() : nullptr;
-  in.fallback_row_sums = use_fallback ? &fallback_row_sums_ : nullptr;
-
-  GEOALIGN_RETURN_IF_ERROR(sparse::FusedAggregatesAligned(
-      in, workspace_spec_.fused, &result->target_estimates,
-      &result->zero_rows, &ws->fused()));
-
-  if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      !result->zero_rows.empty()) {
-    if (!fallback_shape_ok_) {
-      return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
-    }
-    FallbackRebuilds().Add(1);
-  }
   return Status::OK();
 }
 

@@ -50,12 +50,13 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
 ///  - DMs stay raw with a scalar normalizer folded into the per-execute
 ///    effective weights, exactly as the legacy loop does (pre-scaling
 ///    the matrix values would reorder IEEE divisions);
-///  - the structure-sharing WeightedSumAligned kernel accumulates per
-///    entry in operand order from 0.0, the same addition sequence as
-///    the general scatter-gather kernel;
-///  - on private structures sparse::DisaggregateRows runs WeightedSum
-///    → RowSums → DivideRowsOrZero → ScaleRows as one row pass with
-///    the same operations per entry.
+///  - sparse::DisaggregateRows runs WeightedSum → RowSums →
+///    DivideRowsOrZero → ScaleRows as one row pass with the same
+///    operations per entry, on private and shared structures alike;
+///    its aggregates output adds each kept entry into â^t_o in the
+///    order ColSums would;
+///  - the panel kernel (shared structures only) replays that pass per
+///    lane.
 ///
 /// Immutable after Compile and safe to share across threads: Execute
 /// is const and touches no mutable state. Move-only (the prepared set
@@ -98,9 +99,11 @@ class CrosswalkPlan {
   /// re-aggregation (Eq. 17) for one objective column on the calling
   /// thread. Objective columns are borrowed views (a `linalg::Vector`
   /// converts implicitly) valid for the duration of the call only.
-  /// `output` selects the result shape: ExecuteOutput::kAggregatesOnly
-  /// takes the fused Eq. 14+17 lane (aligned reference structures) and
-  /// never materializes DM̂_o.
+  /// `output` selects the result shape, and nothing else does: both
+  /// outputs run the one row kernel, sparse::DisaggregateRows, on any
+  /// reference structure; ExecuteOutput::kAggregatesOnly adds its kept
+  /// entries straight into `target_estimates` and never materializes
+  /// DM̂_o.
   ///
   /// `workspace` is an optional reusable arena (sized per
   /// workspace_spec(); grown only if needed, so steady-state executes
@@ -131,8 +134,9 @@ class CrosswalkPlan {
   /// the reusable per-slot arena (nullptr uses a per-call local one).
   /// ExecuteMany slices its columns into panels of panel_width() and
   /// runs one call per panel; counts above simd::kMaxPanelWidth are
-  /// split internally. Non-aligned prepared sets fall back to
-  /// per-column Execute.
+  /// split internally. The panel kernel needs one shared structure, so
+  /// on a non-aligned prepared set each column runs
+  /// Execute(kAggregatesOnly) instead.
   void ExecutePanelWith(const common::ColumnView* objectives,
                         std::optional<Result<CrosswalkResult>>* const* results,
                         size_t count, ExecuteWorkspace* workspace) const;
@@ -164,7 +168,9 @@ class CrosswalkPlan {
   /// into cached state (no serving surface takes a caller width).
   size_t panel_width() const;
 
-  /// Weight learning only (Eq. 15) — β for one objective column.
+  /// Weight learning only (Eq. 15) — β for one objective column. A
+  /// column CheckObjective rejects fails with its message, as it does
+  /// in Execute and every serving path.
   Result<linalg::Vector> LearnWeights(
       common::ColumnView objective_source) const;
 
@@ -201,27 +207,25 @@ class CrosswalkPlan {
   Result<linalg::Vector> SolveWeightsNormalized(
       const linalg::Vector& b_normalized) const;
 
-  /// Eq. 14+15-effective-weight prologue shared by both lanes: fills
+  /// Eq. 14's weights for one column, shared by both outputs: fills
   /// the workspace's effective-weight buffer with β_k / normalizer_k.
   const linalg::Vector& EffectiveWeights(const linalg::Vector& beta,
                                          ExecuteWorkspace* ws) const;
 
-  /// The materializing lane: Eq. 14 → [fallback rebuild] → ColSums;
-  /// fills result's estimated_dm / target_estimates / zero_rows.
-  /// Eq. 14 is sparse::DisaggregateRows, one pass per row, on private
-  /// structures, and WeightedSumAligned → DivideRowsOrZero →
-  /// ScaleRows on a shared one.
+  /// Eq. 14's denominators under kFromAggregates: Σ_k effective[k] ·
+  /// a^s_k in the workspace, operands in ascending order with exact
+  /// zero weights skipped. Null under kFromDmRowSums, where the row
+  /// kernel sums each row itself.
+  const linalg::Vector* Denominators(const linalg::Vector& effective,
+                                     ExecuteWorkspace* ws) const;
+
+  /// The kFullDm output: Eq. 14 (sparse::DisaggregateRows) →
+  /// [fallback rebuild] → ColSums; fills result's estimated_dm /
+  /// target_estimates / zero_rows.
   Status ExecuteMaterializing(common::ColumnView objective_source,
                               const linalg::Vector& beta,
                               ExecuteWorkspace* ws,
                               CrosswalkResult* result) const;
-
-  /// The fused aggregates-only lane (aligned structures only):
-  /// sparse::FusedAggregatesAligned straight into target_estimates.
-  Status ExecuteFusedAggregates(common::ColumnView objective_source,
-                                const linalg::Vector& beta,
-                                ExecuteWorkspace* ws,
-                                CrosswalkResult* result) const;
 
   /// One panel (count <= simd::kMaxPanelWidth) of the panel lane:
   /// per-column weight solves, lane-major weight staging, one

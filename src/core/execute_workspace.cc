@@ -5,7 +5,7 @@ namespace geoalign::core {
 void ExecuteWorkspace::Prepare(const ExecuteWorkspaceSpec& spec, size_t) {
   Reset(effective_weights_, spec.num_references);
   Reset(denominators_, spec.num_source);
-  if (spec.aligned) fused_.Prepare(spec.fused);
+  rows_.Prepare(spec.num_references, spec.num_source, spec.num_target);
 }
 
 void ExecuteWorkspace::PreparePanel(const ExecuteWorkspaceSpec& spec,

@@ -21,8 +21,10 @@ Result<std::pair<linalg::Matrix, linalg::Vector>> BuildNormalizedSystem(
                               linalg::NormalizeByMax(ref.source_aggregates));
     cols.push_back(std::move(norm));
   }
-  GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector b,
-                            linalg::NormalizeByMax(input.objective_source));
+  GEOALIGN_ASSIGN_OR_RETURN(
+      linalg::Vector b,
+      CheckObjective(input.objective_source,
+                     input.references[0].disaggregation.rows()));
   return std::make_pair(linalg::Matrix::FromColumns(cols), std::move(b));
 }
 

@@ -67,7 +67,7 @@ Vector Add(VectorView a, VectorView b) {
   return out;
 }
 
-Result<Vector> NormalizeByMax(VectorView a) {
+Result<Vector> NormalizeByMax(VectorView a, double* max) {
   if (a.empty()) return Status::InvalidArgument("NormalizeByMax: empty");
   double mx = 0.0;
   for (double v : a) {
@@ -84,6 +84,7 @@ Result<Vector> NormalizeByMax(VectorView a) {
   if (ExactlyZero(mx)) {
     return Status::InvalidArgument("NormalizeByMax: all-zero vector");
   }
+  if (max != nullptr) *max = mx;
   Vector out(a.begin(), a.end());
   Scale(out, 1.0 / mx);
   return out;

@@ -54,7 +54,9 @@ Vector Add(VectorView a, VectorView b);
 /// Divides by the maximum entry, the normalization GeoAlign applies to
 /// reference/objective aggregate vectors (paper §3.4). Returns an error
 /// if any entry is NaN, ±Inf or negative, or if all entries are zero.
-Result<Vector> NormalizeByMax(VectorView a);
+/// When `max` is non-null it receives that maximum (Max(a), found by
+/// the same pass that checks the entries).
+Result<Vector> NormalizeByMax(VectorView a, double* max = nullptr);
 
 /// True when every |a[i]-b[i]| <= tol.
 bool AllClose(VectorView a, VectorView b, double tol);

@@ -43,7 +43,9 @@ struct AuditRecord {
   uint64_t request_seq = 0;  ///< RequestToken::seq active at Record time
   char request_id[RequestToken::kMaxIdLength + 1] = {0};
   uint64_t plan_fingerprint = 0;
-  char mode[16] = {0};     ///< "fused", "materializing", or "panel"
+  /// "fused" (a single-column aggregates-only execute, any structure),
+  /// "materializing" (kFullDm) or "panel".
+  char mode[16] = {0};
   uint32_t panel_width = 0;  ///< 0 outside the panel lane
   uint32_t isa = 0;          ///< sparse::simd ISA ordinal (panel lane)
   uint64_t rows = 0;         ///< source units touched

@@ -10,17 +10,16 @@
 
 namespace geoalign::sparse {
 
-/// Reusable buffers for FusedAggregatesAligned and FusedAggregatesPanel:
-/// the row scratch, the zero-row list, the active-operand staging
-/// arrays, and the panel arenas. One workspace serves one execute at a
-/// time; serving loops keep one per worker slot and reuse it across
-/// columns so the steady-state kernel never touches the heap.
+/// Reusable buffers for FusedAggregatesPanel: the active-operand
+/// staging arrays and the panel arenas. One workspace serves one panel
+/// at a time; serving loops keep one per worker slot and reuse it
+/// across panels so the steady-state kernel never touches the heap.
 ///
-/// Prepare() grows buffers monotonically and counts every buffer that
-/// actually grew in alloc_events() — the source of the
+/// PreparePanel() grows buffers monotonically and counts every buffer
+/// that actually grew in alloc_events() — a source of the
 /// `execute.hot_path_allocs` counter (docs/observability.md). A
-/// workspace prepared once for a plan's Spec reports zero further
-/// events for every later execute of that plan.
+/// workspace prepared once for a plan's Spec and panel width reports
+/// zero further events for every later panel of that plan.
 class FusedWorkspace {
  public:
   /// Sizing for one shared CSR structure, computable once at plan
@@ -42,25 +41,18 @@ class FusedWorkspace {
   FusedWorkspace(FusedWorkspace&&) = default;
   FusedWorkspace& operator=(FusedWorkspace&&) = default;
 
-  /// Ensures every single-column buffer covers `spec`. Monotonic:
-  /// buffers never shrink.
-  void Prepare(const Spec& spec);
-
   /// Ensures the column-panel buffers cover `spec` at panel width
-  /// `width` (clamped to [1, simd::kMaxPanelWidth]). Monotonic like
-  /// Prepare; the panel arenas are sized cols × width and
+  /// `width` (clamped to [1, simd::kMaxPanelWidth]). Monotonic: buffers
+  /// never shrink. The panel arenas are sized cols × width and
   /// max_row_nnz × width doubles, so serving loops prepare once at the
   /// plan's panel width and every later panel execute is growth-free.
   void PreparePanel(const Spec& spec, size_t width);
 
-  /// Cumulative count of buffer growth events across every Prepare.
+  /// Cumulative count of buffer growth events across every
+  /// PreparePanel.
   uint64_t alloc_events() const { return alloc_events_; }
 
  private:
-  friend Status FusedAggregatesAligned(
-      const struct FusedAggregatesInputs& in, const Spec& spec,
-      linalg::Vector* target_estimates, std::vector<size_t>* zero_rows,
-      FusedWorkspace* workspace);
   friend Status FusedAggregatesPanel(const struct FusedPanelInputs& in,
                                      const Spec& spec, simd::Isa isa,
                                      linalg::Vector* const* target_estimates,
@@ -74,13 +66,8 @@ class FusedWorkspace {
     uint64_t lanes = 0;
   };
 
-  std::vector<double> row_scratch_;  ///< max_row_nnz numerators
-  std::vector<size_t> zero_rows_;    ///< reserved to spec.rows
-
-  // Active-operand staging (value arrays + weights of the operands the
-  // materializing kernel would keep).
+  // Value arrays of the operands live in at least one lane.
   std::vector<const double*> active_values_;
-  std::vector<double> active_weights_;
 
   // --- Column-panel arenas (PreparePanel; lane-major layout: the
   // doubles of one logical cell's `width` lanes are contiguous).
@@ -95,60 +82,6 @@ class FusedWorkspace {
   uint64_t alloc_events_ = 0;
 };
 
-/// Inputs of the fused Eq. 14 + Eq. 17 pass. All pointers are borrowed
-/// and must outlive the call; `mats` must be non-empty matrices
-/// sharing one CSR structure (the PreparedReferenceSet "aligned"
-/// case).
-struct FusedAggregatesInputs {
-  /// Aligned operand matrices (the raw reference DMs).
-  const std::vector<const CsrMatrix*>* mats = nullptr;
-  /// Effective per-operand weights β_k / normalizer_k (exact zeros are
-  /// skipped, as in WeightedSumAligned).
-  const linalg::Vector* weights = nullptr;
-  /// Per-row Eq. 14 denominators (DenominatorMode::kFromAggregates);
-  /// null means "row sums of the weighted numerator"
-  /// (DenominatorMode::kFromDmRowSums).
-  const linalg::Vector* denominators = nullptr;
-  /// Rows with |denominator| <= zero_tolerance are zero rows.
-  double zero_tolerance = 0.0;
-  /// Per-row scale a^s_o (the objective column), as a borrowed view —
-  /// caller memory flows straight into the kernel. Required (a
-  /// default-constructed view is rejected).
-  common::ColumnView row_scale;
-  /// Optional zero-row fallback DM (same shape as the operands) and
-  /// its precomputed row sums; both set or both null. Zero rows with
-  /// positive fallback support scatter row_scale[r]/fallback_sums[r]
-  /// times the fallback row instead of vanishing.
-  const CsrMatrix* fallback_dm = nullptr;
-  const linalg::Vector* fallback_row_sums = nullptr;
-};
-
-/// One fused pass over the shared structure on the calling thread:
-/// accumulates the β-weighted numerator per entry (Eq. 14 numerator),
-/// applies the per-row denominator and the objective row scale, and
-/// scatters straight into `target_estimates` in ascending row order
-/// (Eq. 17) — without ever materializing the estimated DM.
-///
-/// Bit-identity contract: `target_estimates` and `zero_rows` carry
-/// exactly the bits of the materializing pipeline
-///   WeightedSumAligned → RowSums/denominators → DivideRowsOrZero →
-///   ScaleRows → [zero-row fallback rebuild] → CsrMatrix::ColSums
-/// because every per-entry/per-row operation replays the materializing
-/// kernels' arithmetic, and each target adds its terms in the same
-/// ascending row order as ColSums' storage-order walk. (Entries those
-/// kernels prune are exact ±0.0 here; adding them to a target that
-/// accumulates from +0.0 can never flip a bit, so skipping the
-/// materialization is bit-neutral.)
-///
-/// `spec` is the plan-compiled sizing (FusedWorkspace::ComputeSpec of
-/// the shared structure); `workspace` must be non-null and is prepared
-/// (grown only if needed) internally.
-Status FusedAggregatesAligned(const FusedAggregatesInputs& in,
-                              const FusedWorkspace::Spec& spec,
-                              linalg::Vector* target_estimates,
-                              std::vector<size_t>* zero_rows,
-                              FusedWorkspace* workspace);
-
 /// Inputs of the column-panel fused pass: `width` objective columns
 /// (1..simd::kMaxPanelWidth) executed against one shared CSR traversal.
 /// All pointers are borrowed and must outlive the call.
@@ -157,8 +90,8 @@ struct FusedPanelInputs {
   const std::vector<const CsrMatrix*>* mats = nullptr;
   /// Lane-major effective weights: lane_weights[mi * width + p] is
   /// operand mi's β_p / normalizer for panel lane p. Operands whose
-  /// weight is exactly zero in EVERY lane are skipped (the
-  /// WeightedSumAligned filter); a lane-local exact zero contributes
+  /// weight is exactly zero in EVERY lane are skipped (the row
+  /// kernel's filter); a lane-local exact zero contributes
   /// ±0.0 to that lane's +0.0-seeded accumulator, which is bit-neutral.
   const double* lane_weights = nullptr;
   /// Panel width (lane count), 1..simd::kMaxPanelWidth.
@@ -175,22 +108,25 @@ struct FusedPanelInputs {
   const common::ColumnView* operand_aggregates = nullptr;
   /// Rows with |denominator| <= zero_tolerance are zero rows (per lane).
   double zero_tolerance = 0.0;
-  /// Optional zero-row fallback DM + row sums, as in
-  /// FusedAggregatesInputs; applied per lane.
+  /// Optional zero-row fallback DM and its row sums, both set or both
+  /// null; applied per lane. A zero row with a positive fallback row
+  /// sum scatters row_scales[p][r] / fallback_row_sums[r] times its
+  /// fallback row instead of vanishing.
   const CsrMatrix* fallback_dm = nullptr;
   const linalg::Vector* fallback_row_sums = nullptr;
 };
 
-/// The cache-blocked multi-column form of FusedAggregatesAligned: one
-/// traversal of the shared structure serves `in.width` objective
+/// The multi-column form of DisaggregateRows' aggregates output, for
+/// operands that share one CSR structure: one traversal of that
+/// structure serves `in.width` objective
 /// columns, with the per-entry accumulate/scatter vectorized across
 /// panel lanes by the `isa` kernel table (sparse/simd/). Runs inline
 /// on the calling thread — serving loops parallelize across panels,
 /// not within one.
 ///
 /// Bit-identity contract: lane p's `target_estimates[p]` /
-/// `zero_rows[p]` carry exactly the bits of a single-column
-/// FusedAggregatesAligned call (and therefore of the materializing
+/// `zero_rows[p]` carry exactly the bits of the aggregates output of
+/// sparse::DisaggregateRows (and therefore of the materializing
 /// pipeline) for column p, at every panel width and ISA. Structurally
 /// guaranteed: each lane performs the scalar sequence of its own
 /// column (lane-wise kernels, fixed in-lane order, no FMA) and

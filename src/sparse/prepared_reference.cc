@@ -129,13 +129,14 @@ Status CheckReferenceShape(const std::string& name,
 Result<linalg::Vector> CheckReference(const std::string& name,
                                       common::ColumnView aggregates,
                                       const CsrMatrix& dm, size_t rows,
-                                      size_t cols) {
+                                      size_t cols, double* normalizer) {
   GEOALIGN_RETURN_IF_ERROR(
       CheckReferenceShape(name, aggregates, dm, rows, cols));
   // The normalization the legacy per-call BuildNormalizedSystem makes
   // is the aggregate check: it fails on NaN, ±Inf, negative and
   // all-zero columns.
-  Result<linalg::Vector> normalized = linalg::NormalizeByMax(aggregates);
+  Result<linalg::Vector> normalized =
+      linalg::NormalizeByMax(aggregates, normalizer);
   if (!normalized.ok()) return ReferenceError(name, normalized.status());
   // One branch-free pass over the DM values. `+ 0.0` turns -0.0 into
   // +0.0 and leaves every other value as it is; then the sign bit of
@@ -169,16 +170,16 @@ Result<PreparedReferenceSet> PreparedReferenceSet::Prepare(
                                            set.num_target_);
   for (ReferenceDataView& ref : references) {
     PreparedReference prepared;
+    // The check's pass also finds the normalizer, max_i a^s_r[i]:
+    // positive, since the check rejects negative and all-zero columns.
     GEOALIGN_ASSIGN_OR_RETURN(
         prepared.normalized_aggregates,
         CheckReference(ref.name, ref.source_aggregates, ref.disaggregation,
-                       set.num_source_, set.num_target_));
+                       set.num_source_, set.num_target_,
+                       &prepared.normalizer));
     // The check just read these arrays: hash them while they are in
     // cache.
     MixReference(ref, hash);
-    // NormalizeByMax succeeded, so entries are non-negative with at
-    // least one positive: the max is a valid positive normalizer.
-    prepared.normalizer = linalg::Max(ref.source_aggregates);
     prepared.name = std::move(ref.name);
     prepared.source_aggregates = ref.source_aggregates;
     prepared.aggregates_keepalive = std::move(ref.keepalive);

@@ -105,12 +105,14 @@ struct ReferenceDataView {
 ///  - an aggregate is NaN, ±Inf or negative, or all of them are zero;
 ///  - a DM entry is NaN, ±Inf or negative.
 /// On success returns the max-normalized aggregates (the Eq. 15
-/// column): the aggregate check is the normalization pass itself.
+/// column) and, when `normalizer` is non-null, stores their maximum
+/// there: the aggregate check is the normalization pass itself.
 /// Row sums are not checked here; see partition::CheckDmConsistency.
 Result<linalg::Vector> CheckReference(const std::string& name,
                                       common::ColumnView aggregates,
                                       const CsrMatrix& dm, size_t rows,
-                                      size_t cols);
+                                      size_t cols,
+                                      double* normalizer = nullptr);
 
 /// The shape half of CheckReference: `dm` is `rows` x `cols` and
 /// `aggregates` has `rows` entries. core::CrosswalkPipeline::Create
@@ -191,7 +193,7 @@ ContentHash HashReferenceSet(const std::vector<Reference>& references) {
 /// half of a compiled CrosswalkPlan. Detects once whether every
 /// reference DM shares one column-index structure (the common case
 /// when all DMs come from the same overlay), which lets the executor
-/// use the structure-sharing weighted-sum kernel.
+/// serve many columns through the structure-sharing panel kernel.
 ///
 /// Move-only: the cached DM pointer vector aliases the prepared
 /// references, which stay valid across moves of the owning vector but
@@ -226,10 +228,14 @@ class PreparedReferenceSet {
   const PreparedReference& reference(size_t k) const { return refs_[k]; }
 
   /// Pointers to every reference's raw DM, in reference order — the
-  /// operand list for sparse::WeightedSum / WeightedSumAligned.
+  /// operand list of sparse::DisaggregateRows (and of WeightedSum in
+  /// the oracle) on any structure, and of FusedAggregatesPanel when
+  /// aligned().
   const std::vector<const CsrMatrix*>& dms() const { return dms_; }
 
-  /// True when all DMs share identical row_ptr/col_idx arrays.
+  /// True when all DMs share identical row_ptr/col_idx arrays: the
+  /// precondition of the panel lane (FusedAggregatesPanel). The row
+  /// kernel serves both cases; single-column executes never read it.
   bool aligned() const { return aligned_; }
 
   /// Content fingerprint: the low half of the set's HashReferenceSet

@@ -32,11 +32,6 @@ struct PanelKernels {
   /// value broadcast against the per-lane effective weights.
   void (*axpy_broadcast)(double* dst, const double* w, double v, size_t n);
 
-  /// dst[i] += w * src[i] — the elementwise value lane of
-  /// WeightedSumAligned: one operand's weight broadcast over a span of
-  /// shared-structure entry values.
-  void (*axpy_scalar)(double* dst, double w, const double* src, size_t n);
-
   /// sum[p] += acc[p] for lanes where acc[p] is not exactly ±0.0 — the
   /// kFromDmRowSums row-sum update (pruned entries excluded).
   void (*masked_add)(double* sum, const double* acc, size_t n);

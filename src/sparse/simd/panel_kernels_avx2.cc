@@ -39,17 +39,6 @@ void AxpyBroadcastAvx2(double* dst, const double* w, double v, size_t n) {
   for (; p < n; ++p) dst[p] += w[p] * v;
 }
 
-void AxpyScalarAvx2(double* dst, double w, const double* src, size_t n) {
-  const __m256d wv = _mm256_set1_pd(w);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d d = _mm256_loadu_pd(dst + i);
-    __m256d prod = _mm256_mul_pd(wv, _mm256_loadu_pd(src + i));
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(d, prod));
-  }
-  for (; i < n; ++i) dst[i] += w * src[i];
-}
-
 void MaskedAddAvx2(double* sum, const double* acc, size_t n) {
   const __m256d zero = _mm256_setzero_pd();
   size_t p = 0;
@@ -128,8 +117,8 @@ namespace internal {
 
 const PanelKernels& Avx2Kernels() {
   static const PanelKernels table{
-      AxpyBroadcastAvx2, AxpyScalarAvx2, MaskedAddAvx2,
-      ScatterScaledAvx2, ZeroMaskAvx2,   ReciprocalAvx2,
+      AxpyBroadcastAvx2, MaskedAddAvx2,  ScatterScaledAvx2,
+      ZeroMaskAvx2,      ReciprocalAvx2,
   };
   return table;
 }

@@ -28,16 +28,6 @@ void AxpyBroadcastNeon(double* dst, const double* w, double v, size_t n) {
   for (; p < n; ++p) dst[p] += w[p] * v;
 }
 
-void AxpyScalarNeon(double* dst, double w, const double* src, size_t n) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t prod = vmulq_f64(wv, vld1q_f64(src + i));
-    vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), prod));
-  }
-  for (; i < n; ++i) dst[i] += w * src[i];
-}
-
 void MaskedAddNeon(double* sum, const double* acc, size_t n) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   size_t p = 0;
@@ -108,8 +98,8 @@ namespace internal {
 
 const PanelKernels& NeonKernels() {
   static const PanelKernels table{
-      AxpyBroadcastNeon, AxpyScalarNeon, MaskedAddNeon,
-      ScatterScaledNeon, ZeroMaskNeon,   ReciprocalNeon,
+      AxpyBroadcastNeon, MaskedAddNeon,  ScatterScaledNeon,
+      ZeroMaskNeon,      ReciprocalNeon,
   };
   return table;
 }

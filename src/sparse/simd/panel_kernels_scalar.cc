@@ -18,10 +18,6 @@ void AxpyBroadcastScalar(double* dst, const double* w, double v, size_t n) {
   for (size_t p = 0; p < n; ++p) dst[p] += w[p] * v;
 }
 
-void AxpyScalarScalar(double* dst, double w, const double* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] += w * src[i];
-}
-
 void MaskedAddScalar(double* sum, const double* acc, size_t n) {
   for (size_t p = 0; p < n; ++p) {
     if (!ExactlyZero(acc[p])) sum[p] += acc[p];
@@ -54,8 +50,8 @@ namespace internal {
 
 const PanelKernels& ScalarKernels() {
   static const PanelKernels table{
-      AxpyBroadcastScalar, AxpyScalarScalar, MaskedAddScalar,
-      ScatterScaledScalar, ZeroMaskScalar,   ReciprocalScalar,
+      AxpyBroadcastScalar, MaskedAddScalar, ScatterScaledScalar,
+      ZeroMaskScalar,      ReciprocalScalar,
   };
   return table;
 }

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/float_eq.h"
-#include "sparse/simd/panel_kernels.h"
 
 namespace geoalign::sparse {
 
@@ -64,64 +63,6 @@ Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
                                   std::move(out_cols), std::move(out_vals));
 }
 
-Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
-                                     const linalg::Vector& weights) {
-  if (mats.empty()) {
-    return Status::InvalidArgument("WeightedSumAligned: no matrices");
-  }
-  if (mats.size() != weights.size()) {
-    return Status::InvalidArgument(
-        "WeightedSumAligned: weight count mismatch");
-  }
-  size_t rows = mats[0]->rows();
-  size_t cols = mats[0]->cols();
-  for (const CsrMatrix* m : mats) {
-    if (m->rows() != rows || m->cols() != cols) {
-      return Status::InvalidArgument("WeightedSumAligned: shape mismatch");
-    }
-    // Full structure equality is the caller's precondition (checked
-    // once at plan-compile time); re-verify only in debug builds.
-    GEOALIGN_DCHECK(m->row_ptr() == mats[0]->row_ptr() &&
-                    m->col_idx() == mats[0]->col_idx())
-        << "WeightedSumAligned: sparsity structures differ";
-  }
-
-  common::ConstSpan<size_t> row_ptr = mats[0]->row_ptr();
-  common::ConstSpan<size_t> col_idx = mats[0]->col_idx();
-  const size_t nnz = row_ptr[rows];
-  // The value lane is elementwise over the shared entry span, so it
-  // dispatches to the vectorized simd kernels: per entry the operands
-  // still accumulate in ascending order from 0.0 (the operand loop is
-  // outer, the entry loop inner — a pure loop interchange), which
-  // keeps every entry bit-identical to the scatter-gather kernel at
-  // every ISA (tests/simd_kernel_test.cc). Operands with an exact-zero
-  // weight are skipped, as the scatter-gather path skips them.
-  const simd::PanelKernels& kern = simd::KernelsFor(simd::ActiveIsa());
-  std::vector<double> vals(nnz, 0.0);
-  for (size_t mi = 0; mi < mats.size(); ++mi) {
-    if (ExactlyZero(weights[mi])) continue;
-    kern.axpy_scalar(vals.data(), weights[mi], mats[mi]->values().data(),
-                     nnz);
-  }
-  // Drop exact-zero sums, compacting the values in place.
-  std::vector<size_t> out_rowptr(rows + 1, 0);
-  std::vector<size_t> out_cols(nnz);
-  size_t out = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      if (ExactlyZero(vals[k])) continue;
-      out_cols[out] = col_idx[k];
-      vals[out] = vals[k];
-      ++out;
-    }
-    out_rowptr[r + 1] = out;
-  }
-  out_cols.resize(out);
-  vals.resize(out);
-  return CsrMatrix::FromCsrArrays(rows, cols, std::move(out_rowptr),
-                                  std::move(out_cols), std::move(vals));
-}
-
 void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
                       double zero_tol, std::vector<size_t>* zero_rows) {
   GEOALIGN_CHECK(denom.size() == m.rows())
@@ -145,12 +86,13 @@ void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
   m.Prune(0.0);
 }
 
-Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
-                                   const linalg::Vector& weights,
-                                   const linalg::Vector* denominators,
-                                   double zero_tol,
-                                   common::ConstSpan<double> row_scale,
-                                   std::vector<size_t>* zero_rows) {
+namespace {
+
+// The checks both outputs of DisaggregateRows share.
+Status CheckRowPassInputs(const std::vector<const CsrMatrix*>& mats,
+                          const linalg::Vector& weights,
+                          const linalg::Vector* denominators,
+                          common::ConstSpan<double> row_scale) {
   if (mats.empty()) {
     return Status::InvalidArgument("DisaggregateRows: no matrices");
   }
@@ -158,9 +100,8 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
     return Status::InvalidArgument("DisaggregateRows: weight count mismatch");
   }
   const size_t rows = mats[0]->rows();
-  const size_t cols = mats[0]->cols();
   for (const CsrMatrix* m : mats) {
-    if (m->rows() != rows || m->cols() != cols) {
+    if (m->rows() != rows || m->cols() != mats[0]->cols()) {
       return Status::InvalidArgument("DisaggregateRows: shape mismatch");
     }
   }
@@ -168,50 +109,73 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
       (denominators != nullptr && denominators->size() != rows)) {
     return Status::InvalidArgument("DisaggregateRows: vector length mismatch");
   }
+  return Status::OK();
+}
 
+}  // namespace
+
+void RowScratch::Prepare(size_t num_operands, size_t rows, size_t cols) {
+  if (ops_.capacity() < num_operands || cursor_.size() < num_operands ||
+      stop_.size() < num_operands) {
+    ++alloc_events_;
+    ops_.reserve(num_operands);
+    cursor_.resize(std::max(cursor_.size(), num_operands));
+    stop_.resize(std::max(stop_.size(), num_operands));
+  }
+  if (row_cols_.size() < cols || row_values_.size() < cols) {
+    ++alloc_events_;
+    row_cols_.resize(std::max(row_cols_.size(), cols));
+    row_values_.resize(std::max(row_values_.size(), cols));
+  }
+  // Each row contributes at most one zero-row entry.
+  if (zero_list_.capacity() < rows) {
+    ++alloc_events_;
+    zero_list_.reserve(rows);
+  }
+}
+
+template <typename Keep, typename FinishRow>
+void RowScratch::RowPass(const std::vector<const CsrMatrix*>& mats,
+                         const linalg::Vector& weights,
+                         const linalg::Vector* denominators, double zero_tol,
+                         common::ConstSpan<double> row_scale, Keep keep,
+                         FinishRow finish_row) {
   // The operands WeightedSum reads: exact-zero weights are skipped.
-  struct Operand {
-    const size_t* row_ptr;
-    const size_t* cols;
-    const double* values;
-    double weight;
-  };
-  std::vector<Operand> ops;
-  size_t max_nnz = 0;
+  // Prepare reserved one slot per operand.
+  ops_.clear();
   for (size_t mi = 0; mi < mats.size(); ++mi) {
     if (ExactlyZero(weights[mi])) continue;
     const CsrMatrix& m = *mats[mi];
-    ops.push_back({m.row_ptr().data(), m.col_idx().data(), m.values().data(),
-                   weights[mi]});
-    max_nnz += m.nnz();
+    ops_.push_back({m.row_ptr().data(), m.col_idx().data(), m.values().data(),
+                    weights[mi]});
   }
-  const size_t num_ops = ops.size();
-  std::vector<size_t> cursor(num_ops);
-  std::vector<size_t> stop(num_ops);
-
-  // The merge emits ascending in-range columns, so the arrays are
-  // written in place, unvalidated. Capacity only: pages are touched as
-  // entries are written.
-  CsrMatrix out(rows, cols);
-  std::vector<size_t>& out_cols = out.col_idx_;
-  std::vector<double>& out_vals = out.values_;
-  out_cols.reserve(max_nnz);
-  out_vals.reserve(max_nnz);
+  const size_t num_ops = ops_.size();
+  const Operand* ops = ops_.data();
+  size_t* cursor = cursor_.data();
+  size_t* stop = stop_.data();
+  size_t* row_cols = row_cols_.data();
+  double* row_values = row_values_.data();
+  const size_t rows = mats[0]->rows();
   constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+  // GEOALIGN_HOT_LOOP_BEGIN
+  // Eq. 14, one row at a time: every buffer was sized by Prepare. (The
+  // kFullDm output's callbacks, outside this region, grow DM̂_o's
+  // arrays: that output builds its result.)
   for (size_t r = 0; r < rows; ++r) {
     // The weighted merge of the operands' sorted rows: each step takes
     // the smallest unmerged column and adds its operands in ascending
     // order from +0.0, WeightedSum's sequence per entry. An exact-zero
     // sum (never -0.0 from a +0.0 start) leaves the row sum as it is
-    // and divides to ±0.0 or NaN below, so the prune drops it there,
-    // as WeightedSum drops it here.
-    const size_t begin = out_cols.size();
+    // and divides to ±0.0 or NaN below, so the keep rule drops it
+    // there, as WeightedSum drops it here.
     size_t next = kNone;
     for (size_t k = 0; k < num_ops; ++k) {
       cursor[k] = ops[k].row_ptr[r];
       stop[k] = ops[k].row_ptr[r + 1];
       if (cursor[k] < stop[k]) next = std::min(next, ops[k].cols[cursor[k]]);
     }
+    size_t n = 0;
     while (next != kNone) {
       const size_t c = next;
       next = kNone;
@@ -224,39 +188,129 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
         }
         next = std::min(next, ops[k].cols[cursor[k]]);
       }
-      out_cols.push_back(c);
-      out_vals.push_back(acc);
+      row_cols[n] = c;
+      row_values[n] = acc;
+      ++n;
     }
-    const size_t end = out_cols.size();
 
     double denom;
     if (denominators != nullptr) {
       denom = (*denominators)[r];
     } else {
       denom = 0.0;  // RowSums; a zero sum adds nothing
-      for (size_t k = begin; k < end; ++k) denom += out_vals[k];
+      for (size_t k = 0; k < n; ++k) denom += row_values[k];
     }
-    size_t kept = begin;
     if (std::fabs(denom) <= zero_tol) {
       // Every v · 0.0 is ±0.0 or NaN, which Prune(0.0) drops.
-      if (zero_rows != nullptr) zero_rows->push_back(r);
-    } else {
-      // DivideRowsOrZero's v · (1/d), its Prune(0.0), then ScaleRows,
-      // compacting in place without a branch.
-      const double inv = 1.0 / denom;
-      const double scale = row_scale[r];
-      for (size_t k = begin; k < end; ++k) {
-        const double q = out_vals[k] * inv;
-        out_cols[kept] = out_cols[k];
-        out_vals[kept] = q * scale;
-        kept += std::fabs(q) > 0.0 ? 1 : 0;
-      }
+      finish_row(r, true);
+      continue;
     }
-    out_cols.resize(kept);
-    out_vals.resize(kept);
-    out.row_ptr_[r + 1] = kept;
+    // DivideRowsOrZero's v · (1/d), kept where its Prune(0.0) keeps it,
+    // then ScaleRows.
+    const double inv = 1.0 / denom;
+    const double scale = row_scale[r];
+    for (size_t k = 0; k < n; ++k) {
+      const double q = row_values[k] * inv;
+      if (std::fabs(q) > 0.0) keep(row_cols[k], q * scale);
+    }
+    finish_row(r, false);
   }
+  // GEOALIGN_HOT_LOOP_END
+}
+
+Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
+                                   const linalg::Vector& weights,
+                                   const linalg::Vector* denominators,
+                                   double zero_tol,
+                                   common::ConstSpan<double> row_scale,
+                                   std::vector<size_t>* zero_rows) {
+  GEOALIGN_RETURN_IF_ERROR(
+      CheckRowPassInputs(mats, weights, denominators, row_scale));
+  const size_t cols = mats[0]->cols();
+  RowScratch scratch;
+  scratch.Prepare(mats.size(), 0, cols);
+  size_t max_nnz = 0;
+  for (size_t mi = 0; mi < mats.size(); ++mi) {
+    if (!ExactlyZero(weights[mi])) max_nnz += mats[mi]->nnz();
+  }
+
+  // The row pass emits ascending in-range columns, so the arrays are
+  // written in place, unvalidated. Capacity only: pages are touched as
+  // entries are written.
+  CsrMatrix out(mats[0]->rows(), cols);
+  std::vector<size_t>& out_cols = out.col_idx_;
+  std::vector<double>& out_vals = out.values_;
+  out_cols.reserve(max_nnz);
+  out_vals.reserve(max_nnz);
+  scratch.RowPass(
+      mats, weights, denominators, zero_tol, row_scale,
+      [&](size_t c, double v) {
+        out_cols.push_back(c);
+        out_vals.push_back(v);
+      },
+      [&](size_t r, bool zero) {
+        if (zero && zero_rows != nullptr) zero_rows->push_back(r);
+        out.row_ptr_[r + 1] = out_cols.size();
+      });
   return out;
+}
+
+Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
+                        const linalg::Vector& weights,
+                        const linalg::Vector* denominators, double zero_tol,
+                        common::ConstSpan<double> row_scale,
+                        const CsrMatrix* fallback_dm,
+                        const linalg::Vector* fallback_row_sums,
+                        linalg::Vector* target_estimates,
+                        std::vector<size_t>* zero_rows, RowScratch* scratch) {
+  if (target_estimates == nullptr || zero_rows == nullptr ||
+      scratch == nullptr) {
+    return Status::InvalidArgument("DisaggregateRows: null argument");
+  }
+  GEOALIGN_RETURN_IF_ERROR(
+      CheckRowPassInputs(mats, weights, denominators, row_scale));
+  const size_t rows = mats[0]->rows();
+  const size_t cols = mats[0]->cols();
+  if ((fallback_dm == nullptr) != (fallback_row_sums == nullptr)) {
+    return Status::InvalidArgument(
+        "DisaggregateRows: fallback DM and row sums must be set together");
+  }
+  if (fallback_dm != nullptr &&
+      (fallback_dm->rows() != rows || fallback_dm->cols() != cols ||
+       fallback_row_sums->size() != rows)) {
+    return Status::InvalidArgument("DisaggregateRows: fallback shape mismatch");
+  }
+
+  scratch->Prepare(mats.size(), rows, cols);
+  std::vector<size_t>& zeros = scratch->zero_list_;
+  zeros.clear();
+  target_estimates->assign(cols, 0.0);
+  double* target = target_estimates->data();
+  // GEOALIGN_HOT_LOOP_BEGIN
+  // Eq. 17 scattered from the row pass: rows run in ascending order,
+  // so each target adds its terms in ColSums' storage order.
+  scratch->RowPass(
+      mats, weights, denominators, zero_tol, row_scale,
+      [target](size_t c, double v) { target[c] += v; },
+      [&](size_t r, bool zero) {
+        if (!zero) return;
+        // Capacity was reserved to `rows` by Prepare.
+        zeros.push_back(r);  // NOLINT(geoalign-hot-alloc)
+        // The fallback rebuild's row, scattered straight into the
+        // targets at this row's turn; without positive fallback
+        // support the row stays empty.
+        if (fallback_dm == nullptr) return;
+        const double fb_sum = (*fallback_row_sums)[r];
+        if (!(fb_sum > 0.0)) return;
+        const double fb_scale = row_scale[r] / fb_sum;
+        const CsrMatrix::RowView fb_row = fallback_dm->Row(r);
+        for (size_t k = 0; k < fb_row.size; ++k) {
+          target[fb_row.cols[k]] += fb_row.values[k] * fb_scale;
+        }
+      });
+  // GEOALIGN_HOT_LOOP_END
+  zero_rows->assign(zeros.begin(), zeros.end());
+  return Status::OK();
 }
 
 }  // namespace geoalign::sparse

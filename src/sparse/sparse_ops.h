@@ -1,6 +1,7 @@
 #ifndef GEOALIGN_SPARSE_SPARSE_OPS_H_
 #define GEOALIGN_SPARSE_SPARSE_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/span.h"
@@ -13,25 +14,14 @@ Result<CsrMatrix> Add(const CsrMatrix& a, const CsrMatrix& b,
                       double alpha = 1.0, double beta = 1.0);
 
 /// Weighted sum  sum_k weights[k] * mats[k]  of same-shaped matrices.
-/// This is the "Σ β_k DM_rk" inner step of paper Eq. 14 (the plan's
-/// general lane runs it inside DisaggregateRows; the uncompiled oracle
-/// calls it); implemented as one row-merge pass over all operands
+/// This is the "Σ β_k DM_rk" inner step of paper Eq. 14 (the plan
+/// runs it inside DisaggregateRows; the uncompiled oracle calls it);
+/// implemented as one row-merge pass over all operands
 /// rather than repeated pairwise adds. Every entry accumulates its
 /// operands in ascending order from 0.0, and exact-zero sums are
 /// dropped.
 Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
                               const linalg::Vector& weights);
-
-/// WeightedSum for matrices that share one sparsity structure
-/// (identical row_ptr/col_idx arrays — the PreparedReferenceSet
-/// "aligned" case, e.g. every reference DM derived from the same
-/// overlay). Skips the scatter-gather accumulator and walks the shared
-/// structure directly. Structure equality is a precondition verified
-/// by the caller (checked here only in debug builds); shapes and
-/// weight count are still validated. Bit-identical to WeightedSum on
-/// any aligned input.
-Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
-                                     const linalg::Vector& weights);
 
 /// Divides every entry of row r by denom[r]. Rows whose denominator is
 /// (absolutely) below `zero_tol` are set entirely to zero and appended
@@ -39,6 +29,66 @@ Result<CsrMatrix> WeightedSumAligned(const std::vector<const CsrMatrix*>& mats,
 /// "otherwise 0" branch of Eq. 14.
 void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
                       double zero_tol, std::vector<size_t>* zero_rows);
+
+/// Reusable buffers of DisaggregateRows: the active operands, the
+/// merge cursors, one merged row (at most `cols` entries, since a
+/// row's merged columns are unique) and the aggregates output's
+/// zero-row list (at most `rows` entries). core::ExecuteWorkspace
+/// prepares one from the plan-compiled spec, so the aggregates output
+/// runs without touching the heap.
+class RowScratch {
+ public:
+  /// Grows the buffers to serve up to `num_operands` operands of
+  /// `rows` x `cols` matrices. Monotonic; each buffer that grew counts
+  /// one alloc_events() event.
+  void Prepare(size_t num_operands, size_t rows, size_t cols);
+
+  /// Cumulative count of buffer growth events across every Prepare.
+  uint64_t alloc_events() const { return alloc_events_; }
+
+ private:
+  friend Result<CsrMatrix> DisaggregateRows(
+      const std::vector<const CsrMatrix*>& mats, const linalg::Vector& weights,
+      const linalg::Vector* denominators, double zero_tol,
+      common::ConstSpan<double> row_scale, std::vector<size_t>* zero_rows);
+  friend Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
+                                 const linalg::Vector& weights,
+                                 const linalg::Vector* denominators,
+                                 double zero_tol,
+                                 common::ConstSpan<double> row_scale,
+                                 const CsrMatrix* fallback_dm,
+                                 const linalg::Vector* fallback_row_sums,
+                                 linalg::Vector* target_estimates,
+                                 std::vector<size_t>* zero_rows,
+                                 RowScratch* scratch);
+
+  /// The one Eq. 14 row loop behind both outputs (sparse_ops.cc):
+  /// merge, denominator, zero-row rule and keep rule. It calls
+  /// `keep(c, v)` for each kept entry of a row in column order, then
+  /// `finish_row(r, zero)`, where `zero` marks a zero row.
+  template <typename Keep, typename FinishRow>
+  void RowPass(const std::vector<const CsrMatrix*>& mats,
+               const linalg::Vector& weights,
+               const linalg::Vector* denominators, double zero_tol,
+               common::ConstSpan<double> row_scale, Keep keep,
+               FinishRow finish_row);
+
+  /// One operand with a nonzero weight, as the row loop reads it.
+  struct Operand {
+    const size_t* row_ptr;
+    const size_t* cols;
+    const double* values;
+    double weight;
+  };
+
+  std::vector<Operand> ops_;
+  std::vector<size_t> cursor_;
+  std::vector<size_t> stop_;
+  std::vector<size_t> row_cols_;
+  std::vector<double> row_values_;
+  std::vector<size_t> zero_list_;
+  uint64_t alloc_events_ = 0;
+};
 
 /// Eq. 14 for operands of any sparsity structure, in one pass per row
 /// on the calling thread: diag(row_scale) · diag(1/d) · Σ_k weights[k]
@@ -55,12 +105,39 @@ void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
 /// the kept entries in column order, and a quotient v · (1/d) is kept
 /// only where Prune(0.0) keeps it (|q| > 0, so ±0.0 and NaN go) before
 /// row_scale[r] multiplies it. The final arrays are written once.
+/// Operands that share one structure (PreparedReferenceSet::aligned())
+/// take the same merge; every entry then adds every active operand.
 Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
                                    const linalg::Vector& weights,
                                    const linalg::Vector* denominators,
                                    double zero_tol,
                                    common::ConstSpan<double> row_scale,
                                    std::vector<size_t>* zero_rows);
+
+/// The aggregates output of the same row pass (Eq. 14 + Eq. 17
+/// without DM̂_o): each kept entry q · row_scale[r] is added into
+/// `target_estimates[c]` in ascending row order, and a zero row whose
+/// fallback row sum is positive adds row_scale[r] / fallback_row_sums[r]
+/// times its row of `fallback_dm` instead (pass both null for none).
+/// `zero_rows` receives the zero rows in ascending order.
+///
+/// Bit-identical to ColSums of the materializing output after the
+/// zero-row fallback rebuild (CooBuilder over the kept rows and the
+/// scaled fallback rows): every target adds the same terms in the same
+/// ascending row order from +0.0. The entries that rebuild drops are
+/// exact zeros, and adding ±0.0 to a sum that started at +0.0 changes
+/// no bit. One exception: a zero row whose fallback row sum is NaN,
+/// which the rebuild scatters and this output (like the panel kernel)
+/// skips. `scratch` is prepared here if it is short, so a scratch
+/// prepared for the plan makes the pass allocation-free.
+Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
+                        const linalg::Vector& weights,
+                        const linalg::Vector* denominators, double zero_tol,
+                        common::ConstSpan<double> row_scale,
+                        const CsrMatrix* fallback_dm,
+                        const linalg::Vector* fallback_row_sums,
+                        linalg::Vector* target_estimates,
+                        std::vector<size_t>* zero_rows, RowScratch* scratch);
 
 }  // namespace geoalign::sparse
 

@@ -348,6 +348,69 @@ TEST(CapiTest, CompileErrorsAreReported) {
             std::string::npos);
 }
 
+// A bad objective column fails with one message on every entry point
+// that reads one: CrosswalkInput::Validate, the one-shot and
+// weights-only C++ calls, both execute outputs, ExecuteMany, the
+// oracle and geoalign_plan_execute.
+TEST(CapiTest, ObjectiveErrorsAreReported) {
+  CWorld w;
+  const core::CrosswalkInput world = w.Owning();
+  const core::CrosswalkPlan plan =
+      std::move(core::CrosswalkPlan::Compile(world, {})).ValueOrDie();
+  const geoalign_csr csr_a = w.CsrA();
+  const geoalign_csr csr_b = w.CsrB();
+  geoalign_reference refs[2] = {CsrRef("a", w.agg_a, &csr_a),
+                                CsrRef("b", w.agg_b, &csr_b)};
+  geoalign_plan* c_plan = nullptr;
+  ASSERT_EQ(geoalign_plan_compile(refs, 2, &c_plan), GEOALIGN_OK);
+
+  const struct {
+    std::vector<double> objective;
+    const char* message;
+  } cases[] = {
+      {{10.0, 20.0}, "objective: source vector has 2 entries, expected 3"},
+      {{10.0, std::nan(""), 30.0},
+       "objective: NormalizeByMax: non-finite aggregate encountered"},
+      {{10.0, HUGE_VAL, 30.0},
+       "objective: NormalizeByMax: non-finite aggregate encountered"},
+      {{10.0, -1.0, 30.0},
+       "objective: NormalizeByMax: negative aggregate encountered"},
+      {{0.0, 0.0, 0.0}, "objective: NormalizeByMax: all-zero vector"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    core::CrosswalkInput input = world;
+    input.objective_source = c.objective;
+    const std::vector<common::ColumnView> column = {c.objective};
+    const std::pair<std::string, Status> entries[] = {
+        {"Validate", input.Validate()},
+        {"Crosswalk", core::GeoAlign().Crosswalk(input).status()},
+        {"LearnWeights", core::GeoAlign().LearnWeights(input).status()},
+        {"Execute(kFullDm)", plan.Execute(c.objective).status()},
+        {"Execute(kAggregatesOnly)",
+         plan.Execute(c.objective, core::ExecuteOutput::kAggregatesOnly)
+             .status()},
+        {"ExecuteMany(kFullDm)",
+         plan.ExecuteMany(column, 1, core::ExecuteOutput::kFullDm).status()},
+        {"ExecuteMany(kAggregatesOnly)",
+         plan.ExecuteMany(column, 1, core::ExecuteOutput::kAggregatesOnly)
+             .status()},
+        {"CrosswalkUncompiled",
+         core::CrosswalkUncompiled(input, {}).status()},
+    };
+    for (const auto& [entry, status] : entries) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << entry;
+      EXPECT_EQ(status.message(), c.message) << entry;
+    }
+    double target[2];
+    EXPECT_EQ(geoalign_plan_execute(c_plan, c.objective.data(),
+                                    c.objective.size(), target, nullptr),
+              GEOALIGN_ERR_INVALID_ARGUMENT);
+    EXPECT_EQ(std::string(geoalign_error_message()), c.message);
+  }
+  geoalign_plan_destroy(c_plan);
+}
+
 TEST(CapiTest, ExecuteErrorsAreReported) {
   CWorld w;
   const geoalign_csr csr_a = w.CsrA();

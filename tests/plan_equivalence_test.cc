@@ -4,8 +4,8 @@
 // `GeoAlign::Crosswalk` wrapper must produce exactly the bits of the
 // preserved legacy oracle `CrosswalkUncompiled` — no tolerances — and
 // Eq. 17's target estimates must be exactly the row-order column sums
-// of the returned DM̂_o. The sweep is a four-way oracle: the fused
-// aggregates-only lane (ExecuteOutput::kAggregatesOnly through a reused
+// of the returned DM̂_o. The sweep is a four-way oracle: the
+// aggregates-only output (ExecuteOutput::kAggregatesOnly through a reused
 // ExecuteWorkspace) and the SIMD column-panel lane (ExecutePanelWith,
 // every lane of a replicated panel) must carry the same bits while
 // never materializing DM̂_o. Also covers plan reuse/immutability, the PlanCache (including
@@ -55,7 +55,7 @@ core::CrosswalkInput MakeWorldInput(double scale = 0.08) {
 // The world input restricted to its dense layers. Poisson layers drop
 // zero cells, so their DMs have private structures; the dense layers
 // cover every overlay cell and therefore share one CSR structure —
-// the aligned regime where the fused execute kernel engages
+// the aligned regime where the panel lane engages
 // (FusedLaneRunsOnAlignedWorld asserts the plan sees it as aligned).
 core::CrosswalkInput MakeAlignedDenseInput(double scale = 0.08) {
   core::CrosswalkInput input = MakeWorldInput(scale);
@@ -151,11 +151,9 @@ void SweepAllOptions(const core::CrosswalkInput& input,
             ASSERT_EQ(executed.target_estimates,
                       executed.estimated_dm.ColSums());
 
-            // Third oracle leg: the fused aggregates-only lane, twice
+            // Third oracle leg: the aggregates-only output, twice
             // through one reused workspace so the steady-state
-            // (zero-growth) path is on the hook too. On non-aligned
-            // reference sets this exercises the materializing
-            // fallback with the DM dropped — same contract.
+            // (zero-growth) path is on the hook too.
             core::ExecuteWorkspace workspace;
             workspace.Prepare(plan.workspace_spec());
             for (int rep = 0; rep < 2; ++rep) {
@@ -319,7 +317,7 @@ TEST(PlanEquivalenceTest, ZeroRowWorldBitIdentical) {
 
 // Like MakeZeroRowWorld, but both references share one CSR structure
 // (identical coordinates, different values) so the compiled plan is
-// aligned and kAggregatesOnly goes through the fused kernel — with
+// aligned and ExecutePanelWith runs the panel kernel — with
 // source row 1 empty in both references (a zero-denominator row under
 // both DenominatorModes: no DM support and zero aggregates).
 ZeroRowWorld MakeAlignedZeroRowWorld() {
@@ -359,8 +357,8 @@ ZeroRowWorld MakeAlignedZeroRowWorld() {
 
 TEST(PlanEquivalenceTest, FusedLaneRunsOnAlignedWorld) {
   // Guards the test premises: the dense world and the hand-built
-  // zero-row world must compile as aligned (fused kernel engages), the
-  // full world must not (materializing fallback lane).
+  // zero-row world must compile as aligned (the panel lane engages),
+  // the full world must not.
   core::CrosswalkInput dense = MakeAlignedDenseInput();
   ASSERT_EQ(dense.references.size(), 4u);
   auto dense_plan =
@@ -405,13 +403,13 @@ TEST(PlanEquivalenceTest, LargeAlignedWorldBitIdentical) {
 }
 
 TEST(PlanEquivalenceTest, AlignedZeroRowWorldBitIdentical) {
-  // The fused kernel's zero-row and fallback-scatter paths, against
-  // the same legacy oracle (kFallbackDm iterations of the sweep scatter
-  // fallback rows inside the fused pass).
+  // The zero-row and fallback-scatter paths of the aggregates-only and
+  // panel outputs, against the same legacy oracle (kFallbackDm
+  // iterations of the sweep scatter fallback rows inside the pass).
   ZeroRowWorld w = MakeAlignedZeroRowWorld();
   SweepAllOptions(w.input, w.fallback);
 
-  // Semantics spot-check through the fused lane itself.
+  // Semantics spot-check through the aggregates-only output itself.
   core::GeoAlignOptions opts;
   opts.zero_row_fallback = core::ZeroRowFallback::kFallbackDm;
   opts.fallback_dm = &w.fallback;
@@ -429,16 +427,29 @@ TEST(PlanEquivalenceTest, PreparedWorkspaceServesWithZeroHotPathAllocs) {
   // The steady-state serving promise: once a workspace is Prepared
   // from the plan-compiled spec, repeat executes grow nothing
   // (execute.hot_path_allocs stays flat) and each one counts as a
-  // workspace reuse.
+  // workspace reuse — on one shared structure (the dense layers) and
+  // on private ones (a US-shaped leave-one-out input).
   bool saved_enabled = obs::Enabled();
   obs::SetEnabled(true);
-  {
-    core::CrosswalkInput input = MakeAlignedDenseInput();
+  synth::UniverseOptions us_opts;
+  us_opts.seed = 2018;
+  us_opts.scale = 0.1;
+  us_opts.suite = synth::SuiteKind::kUnitedStates;
+  const synth::Universe us =
+      std::move(synth::BuildUniverse(synth::UniverseId::kUnitedStates,
+                                     us_opts))
+          .ValueOrDie();
+  const std::pair<core::CrosswalkInput, bool> worlds[] = {
+      {MakeAlignedDenseInput(), true},
+      {std::move(us.MakeLeaveOneOutInput(0)).ValueOrDie(), false},
+  };
+  for (const auto& [input, aligned] : worlds) {
+    SCOPED_TRACE(aligned ? "aligned dense layers" : "US leave-one-out");
     core::GeoAlignOptions opts;
     opts.threads = 1;
     auto plan = std::move(core::CrosswalkPlan::Compile(input, opts))
                     .ValueOrDie();
-    ASSERT_TRUE(plan.references().aligned());
+    ASSERT_EQ(plan.references().aligned(), aligned);
     core::ExecuteWorkspace workspace;
     workspace.Prepare(plan.workspace_spec());
 
@@ -494,10 +505,9 @@ TEST(PlanEquivalenceTest, FallbackErrorParity) {
     EXPECT_EQ(executed.status().code(), legacy.status().code());
   }
 
-  // The fused aggregates-only lane surfaces the identical error when a
-  // zero row actually needs the mismatched fallback (aligned world, so
-  // the fused kernel — not the materializing fallback lane — detects
-  // it).
+  // The aggregates-only output, which withholds the mismatched
+  // fallback from the row kernel, surfaces the identical error when a
+  // zero row actually needs it (on the aligned world too).
   {
     ZeroRowWorld aligned = MakeAlignedZeroRowWorld();
     auto legacy = core::CrosswalkUncompiled(aligned.input, opts);

@@ -15,7 +15,8 @@
 //     rows) at panel widths 1..64 including ragged tails, for every
 //     DenominatorMode × ZeroRowFallback combination — each ISA against
 //     the scalar panel, and every lane of the scalar panel against a
-//     per-column FusedAggregatesAligned oracle.
+//     per-column oracle: the aggregates output of the row kernel,
+//     sparse::DisaggregateRows.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@
 #include "sparse/fused_execute.h"
 #include "sparse/simd/isa.h"
 #include "sparse/simd/panel_kernels.h"
+#include "sparse/sparse_ops.h"
 
 namespace geoalign {
 namespace {
@@ -115,17 +117,6 @@ TEST_P(SimdKernelTest, MicroKernelsMatchScalarReferenceBitForBit) {
         kern.axpy_broadcast(got.data(), w.data(), v, n);
         ref.axpy_broadcast(want.data(), w.data(), v, n);
         ExpectBitsEqual(got.data(), want.data(), n, "axpy_broadcast");
-      }
-
-      // axpy_scalar: dst[i] += w * src[i]
-      {
-        double w = TrickyDouble(rng);
-        std::vector<double> src = TrickyArray(rng, n);
-        std::vector<double> got = TrickyArray(rng, n);
-        std::vector<double> want = got;
-        kern.axpy_scalar(got.data(), w, src.data(), n);
-        ref.axpy_scalar(want.data(), w, src.data(), n);
-        ExpectBitsEqual(got.data(), want.data(), n, "axpy_scalar");
       }
 
       // masked_add: sum[p] += acc[p] unless acc[p] is exactly ±0.0
@@ -378,9 +369,9 @@ void RunPanel(const PanelWorld& w, size_t width, simd::Isa isa,
                   .ok());
 }
 
-// The single-column oracle for lane p: FusedAggregatesAligned with the
-// lane's weight vector and (for kFromAggregates) denominators hoisted
-// by the same skip-zero Axpy loop the plan uses.
+// The single-column oracle for lane p: the row kernel's aggregates
+// output with the lane's weight vector and (for kFromAggregates)
+// denominators hoisted by the same skip-zero Axpy loop the plan uses.
 void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
                            bool from_aggregates, bool with_fallback,
                            double tol, linalg::Vector* target,
@@ -390,9 +381,6 @@ void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
     weights[mi] = w.weight_grid[mi * simd::kMaxPanelWidth + p];
   }
   (void)width;
-  sparse::FusedAggregatesInputs in;
-  in.mats = &w.mat_ptrs;
-  in.weights = &weights;
   linalg::Vector denom(w.rows, 0.0);
   if (from_aggregates) {
     for (size_t mi = 0; mi < w.mats.size(); ++mi) {
@@ -401,19 +389,16 @@ void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
         denom[r] += weights[mi] * w.aggs[mi][r];
       }
     }
-    in.denominators = &denom;
   }
-  in.zero_tolerance = tol;
-  in.row_scale = w.objectives[p];
-  if (with_fallback) {
-    in.fallback_dm = &w.fallback;
-    in.fallback_row_sums = &w.fallback_sums;
-  }
-  sparse::FusedWorkspace ws;
+  sparse::RowScratch scratch;
   target->clear();
   zeros->clear();
-  ASSERT_TRUE(
-      sparse::FusedAggregatesAligned(in, w.spec, target, zeros, &ws).ok());
+  ASSERT_TRUE(sparse::DisaggregateRows(
+                  w.mat_ptrs, weights, from_aggregates ? &denom : nullptr,
+                  tol, w.objectives[p], with_fallback ? &w.fallback : nullptr,
+                  with_fallback ? &w.fallback_sums : nullptr, target, zeros,
+                  &scratch)
+                  .ok());
 }
 
 // Panel widths: 1 (degenerate), every vector-lane multiple, and ragged

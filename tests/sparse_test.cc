@@ -265,6 +265,71 @@ CsrMatrix Eq14Operand(Rng& rng, size_t rows, size_t cols,
       .ValueOrDie();
 }
 
+// An operand on `structure`'s CSR structure, with Eq14Value values or,
+// in rows 0 mod 3, `negate`'s values negated: a set built from one
+// structure is aligned (PreparedReferenceSet::aligned()).
+CsrMatrix Eq14AlignedOperand(Rng& rng, const CsrMatrix& structure,
+                             const CsrMatrix* negate) {
+  const common::ConstSpan<size_t> row_ptr = structure.row_ptr();
+  std::vector<double> values(structure.nnz());
+  for (size_t r = 0; r < structure.rows(); ++r) {
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      values[k] = negate != nullptr && r % 3 == 0 ? -negate->values()[k]
+                                                  : Eq14Value(rng);
+    }
+  }
+  return std::move(CsrMatrix::FromCsrArrays(
+                       structure.rows(), structure.cols(),
+                       {row_ptr.begin(), row_ptr.end()},
+                       {structure.col_idx().begin(), structure.col_idx().end()},
+                       std::move(values)))
+      .ValueOrDie();
+}
+
+// A zero-row fallback DM whose rows have no support (rows 0 mod 4 are
+// empty, rows 1 mod 4 hold explicit zeros) or positive support.
+CsrMatrix Eq14Fallback(Rng& rng, size_t rows, size_t cols) {
+  std::vector<size_t> row_ptr = {0};
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+  for (size_t r = 0; r < rows; ++r) {
+    if (r % 4 != 0) {
+      for (size_t c = r % 3; c < cols; c += 3) {
+        col_idx.push_back(c);
+        values.push_back(r % 4 == 1 ? 0.0 : rng.Uniform(0.5, 10.0));
+      }
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  return std::move(CsrMatrix::FromCsrArrays(rows, cols, std::move(row_ptr),
+                                            std::move(col_idx),
+                                            std::move(values)))
+      .ValueOrDie();
+}
+
+// The zero-row fallback rebuild of the plan's kFullDm output: kept rows
+// as they are, each zero row with a positive fallback row sum replaced
+// by its fallback row times row_scale[r] / sum.
+CsrMatrix RebuildZeroRows(const CsrMatrix& m,
+                          const std::vector<size_t>& zero_rows,
+                          const CsrMatrix& fallback, const Vector& fb_sums,
+                          const Vector& row_scale) {
+  std::vector<bool> is_zero_row(m.rows(), false);
+  for (size_t r : zero_rows) is_zero_row[r] = true;
+  CooBuilder builder(m.rows(), m.cols());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    const bool replace = is_zero_row[r];
+    if (replace && fb_sums[r] <= 0.0) continue;
+    const CsrMatrix::RowView row = replace ? fallback.Row(r) : m.Row(r);
+    const double scale = replace ? row_scale[r] / fb_sums[r] : 1.0;
+    for (size_t k = 0; k < row.size; ++k) {
+      builder.Add(r, row.cols[k], replace ? row.values[k] * scale
+                                          : row.values[k]);
+    }
+  }
+  return builder.Build();
+}
+
 bool SameBits(common::ConstSpan<double> a, common::ConstSpan<double> b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -276,10 +341,13 @@ bool SameBits(common::ConstSpan<double> a, common::ConstSpan<double> b) {
 }
 
 // DisaggregateRows against the four steps it fuses, on random
-// non-aligned operands: exact-zero weights, explicit ±0.0 entries,
-// empty rows and rows whose operands cancel to 0, zero tolerances
-// above 0, zero row scales (their explicit zeros stay), quotients
-// that underflow to 0, and both denominator modes.
+// operands with private structures and on aligned ones (one shared
+// structure): exact-zero weights, explicit ±0.0 entries, empty rows
+// and rows whose operands cancel to 0, zero tolerances above 0, zero
+// row scales (their explicit zeros stay), quotients that underflow to
+// 0, and both denominator modes. The aggregates output must match
+// ColSums of the four-step form, after the zero-row fallback rebuild
+// when a fallback DM is given.
 TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
   const size_t rows = 72;
   const size_t cols = 11;
@@ -290,6 +358,7 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
       {1.0, 0.25, 2.0, 0.0, 0.125, 0.0},
       {0.0, 0.0, 0.0, 3.0, 0.0, 0.0},
   };
+  RowScratch scratch;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed, 41);
     std::vector<CsrMatrix> mats;
@@ -299,13 +368,23 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
       mats.push_back(Eq14Operand(rng, rows, cols, nullptr, false));
     }
     CsrMatrix poisoned = Eq14Operand(rng, rows, cols, nullptr, true);
-    for (double& v : poisoned.mutable_values()) {
-      const double picks[] = {HUGE_VAL, -HUGE_VAL, std::nan(""), v};
-      v = picks[rng.UniformInt(uint64_t{4})];
+    std::vector<CsrMatrix> aligned;
+    aligned.push_back(Eq14AlignedOperand(rng, mats[2], nullptr));
+    aligned.push_back(Eq14AlignedOperand(rng, mats[2], &aligned[0]));
+    for (int k = 0; k < 3; ++k) {
+      aligned.push_back(Eq14AlignedOperand(rng, mats[2], nullptr));
+    }
+    CsrMatrix aligned_poisoned = Eq14AlignedOperand(rng, mats[2], nullptr);
+    for (CsrMatrix* m : {&poisoned, &aligned_poisoned}) {
+      for (double& v : m->mutable_values()) {
+        const double picks[] = {HUGE_VAL, -HUGE_VAL, std::nan(""), v};
+        v = picks[rng.UniformInt(uint64_t{4})];
+      }
     }
     mats.push_back(std::move(poisoned));
-    std::vector<const CsrMatrix*> ptrs;
-    for (const CsrMatrix& m : mats) ptrs.push_back(&m);
+    aligned.push_back(std::move(aligned_poisoned));
+    const CsrMatrix fallback = Eq14Fallback(rng, rows, cols);
+    const Vector fb_sums = fallback.RowSums();
     Vector row_scale(rows);
     Vector given(rows);
     for (size_t r = 0; r < rows; ++r) {
@@ -313,31 +392,60 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
       const double picks[] = {0.0, 1e-4, 1e300, -2.0, rng.Uniform(0.5, 10.0)};
       given[r] = picks[rng.UniformInt(uint64_t{5})];
     }
-    for (const Vector& weights : weight_sets) {
-      for (double tol : {0.0, 1e-3}) {
-        for (const Vector* denominators : {static_cast<const Vector*>(nullptr),
-                                           static_cast<const Vector*>(&given)}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "seed " << seed << " w0 " << weights[0] << " tol "
-                       << tol << (denominators ? " given" : " row sums"));
-          CsrMatrix want = std::move(WeightedSum(ptrs, weights)).ValueOrDie();
-          const Vector denom =
-              denominators != nullptr ? *denominators : want.RowSums();
-          std::vector<size_t> want_zero = {999};
-          DivideRowsOrZero(want, denom, tol, &want_zero);
-          want.ScaleRows(row_scale);
+    for (const std::vector<CsrMatrix>* set : {&mats, &aligned}) {
+      std::vector<const CsrMatrix*> ptrs;
+      for (const CsrMatrix& m : *set) ptrs.push_back(&m);
+      for (const Vector& weights : weight_sets) {
+        for (double tol : {0.0, 1e-3}) {
+          for (const Vector* denominators :
+               {static_cast<const Vector*>(nullptr),
+                static_cast<const Vector*>(&given)}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed
+                         << (set == &aligned ? " aligned" : " private")
+                         << " w0 " << weights[0] << " tol " << tol
+                         << (denominators ? " given" : " row sums"));
+            CsrMatrix want =
+                std::move(WeightedSum(ptrs, weights)).ValueOrDie();
+            const Vector denom =
+                denominators != nullptr ? *denominators : want.RowSums();
+            std::vector<size_t> want_zero = {999};
+            DivideRowsOrZero(want, denom, tol, &want_zero);
+            want.ScaleRows(row_scale);
 
-          std::vector<size_t> got_zero = {999};
-          CsrMatrix got = std::move(DisaggregateRows(ptrs, weights,
-                                                     denominators, tol,
-                                                     row_scale, &got_zero))
-                              .ValueOrDie();
-          EXPECT_EQ(got.rows(), rows);
-          EXPECT_EQ(got.cols(), cols);
-          EXPECT_EQ(got.row_ptr(), want.row_ptr());
-          EXPECT_EQ(got.col_idx(), want.col_idx());
-          EXPECT_TRUE(SameBits(got.values(), want.values()));
-          EXPECT_EQ(got_zero, want_zero);
+            std::vector<size_t> got_zero = {999};
+            CsrMatrix got = std::move(DisaggregateRows(ptrs, weights,
+                                                       denominators, tol,
+                                                       row_scale, &got_zero))
+                                .ValueOrDie();
+            EXPECT_EQ(got.rows(), rows);
+            EXPECT_EQ(got.cols(), cols);
+            EXPECT_EQ(got.row_ptr(), want.row_ptr());
+            EXPECT_EQ(got.col_idx(), want.col_idx());
+            EXPECT_TRUE(SameBits(got.values(), want.values()));
+            EXPECT_EQ(got_zero, want_zero);
+
+            // The aggregates output, without and with the fallback.
+            want_zero.erase(want_zero.begin());
+            for (const CsrMatrix* fb : {static_cast<const CsrMatrix*>(nullptr),
+                                        &fallback}) {
+              const Vector want_targets =
+                  fb == nullptr ? want.ColSums()
+                                : RebuildZeroRows(want, want_zero, fallback,
+                                                  fb_sums, row_scale)
+                                      .ColSums();
+              Vector got_targets = {999.0};
+              std::vector<size_t> got_agg_zero = {999};
+              ASSERT_TRUE(DisaggregateRows(
+                              ptrs, weights, denominators, tol, row_scale, fb,
+                              fb == nullptr ? nullptr : &fb_sums,
+                              &got_targets, &got_agg_zero, &scratch)
+                              .ok());
+              EXPECT_TRUE(SameBits(got_targets, want_targets))
+                  << (fb == nullptr ? "no fallback" : "fallback");
+              EXPECT_EQ(got_agg_zero, want_zero);
+            }
+          }
         }
       }
     }
@@ -361,6 +469,28 @@ TEST(SparseOps, DisaggregateRowsValidatesInputs) {
                                 nullptr)
                    .ok());
   EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, nullptr).ok());
+
+  // The aggregates output also needs its outputs, and a fallback DM
+  // with row sums of its shape.
+  RowScratch scratch;
+  Vector targets;
+  std::vector<size_t> zeros;
+  const Vector sums = {0.0, 0.0};
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, nullptr,
+                                nullptr, nullptr, &zeros, &scratch)
+                   .ok());
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, &a,
+                                nullptr, &targets, &zeros, &scratch)
+                   .ok());
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, &b, &sums,
+                                &targets, &zeros, &scratch)
+                   .ok());
+  EXPECT_FALSE(DisaggregateRows({}, {}, nullptr, 0.0, scale, nullptr, nullptr,
+                                &targets, &zeros, &scratch)
+                   .ok());
+  EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, &a, &sums,
+                               &targets, &zeros, &scratch)
+                  .ok());
 }
 
 // Every value the DM-entry check must accept or reject, one entry at a
