@@ -19,9 +19,6 @@ Status CrosswalkInput::Validate(double consistency_tol) const {
                                ref.disaggregation, num_source, num_target)
             .status());
   }
-  if (num_target == 0) {
-    return Status::InvalidArgument("CrosswalkInput: zero target units");
-  }
   GEOALIGN_RETURN_IF_ERROR(
       CheckObjective(objective_source, num_source).status());
   for (const ReferenceAttribute& ref : references) {

@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
-#include "sparse/coo_builder.h"
 #include "sparse/sparse_ops.h"
 
 namespace geoalign::core {
@@ -40,7 +39,8 @@ obs::Counter& ZeroRowsTotal() {
       obs::MetricsRegistry::Global().GetCounter("execute.zero_rows");
   return c;
 }
-obs::Counter& FallbackRebuilds() {
+// Executes whose zero rows took the fallback DM.
+obs::Counter& FallbackExecutes() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("execute.fallback_rebuilds");
   return c;
@@ -163,6 +163,21 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
   return Status::Internal("unknown weight solver");
 }
 
+Status CheckFallbackOption(const GeoAlignOptions& options) {
+  if (options.zero_row_fallback != ZeroRowFallback::kFallbackDm) {
+    return Status::OK();
+  }
+  if (options.fallback_dm == nullptr) {
+    return Status::InvalidArgument(
+        "GeoAlign: kFallbackDm requires options.fallback_dm");
+  }
+  if (!sparse::FiniteNonNegative(options.fallback_dm->values())) {
+    return Status::InvalidArgument(
+        "GeoAlign: fallback DM has a negative or non-finite entry");
+  }
+  return Status::OK();
+}
+
 }  // namespace internal
 
 CrosswalkPlan::CrosswalkPlan(sparse::PreparedReferenceSet prepared,
@@ -215,11 +230,7 @@ Result<CrosswalkPlan> CrosswalkPlan::CompileViews(
   if (references.empty()) {
     return Status::InvalidArgument("no reference attributes");
   }
-  if (options.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      options.fallback_dm == nullptr) {
-    return Status::InvalidArgument(
-        "GeoAlign: kFallbackDm requires options.fallback_dm");
-  }
+  GEOALIGN_RETURN_IF_ERROR(internal::CheckFallbackOption(options));
   GEOALIGN_ASSIGN_OR_RETURN(
       sparse::PreparedReferenceSet prepared,
       sparse::PreparedReferenceSet::Prepare(std::move(references)));
@@ -273,11 +284,13 @@ Result<CrosswalkPlan> CrosswalkPlan::CompileViews(
     plan.fallback_dm_ = std::make_shared<const sparse::CsrMatrix>(
         *plan.options_.fallback_dm);
     plan.options_.fallback_dm = plan.fallback_dm_.get();
-    plan.fallback_shape_ok_ =
+    if (plan.options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
         plan.fallback_dm_->rows() == plan.prepared_.num_source() &&
-        plan.fallback_dm_->cols() == plan.prepared_.num_target();
-    if (plan.fallback_shape_ok_) {
-      plan.fallback_row_sums_ = plan.fallback_dm_->RowSums();
+        plan.fallback_dm_->cols() == plan.prepared_.num_target()) {
+      plan.fallback_row_sums_ = std::make_shared<const linalg::Vector>(
+          plan.fallback_dm_->RowSums());
+      plan.row_fallback_ = {plan.fallback_dm_.get(),
+                            plan.fallback_row_sums_.get()};
     }
   }
   CompileCount().Add(1);
@@ -335,40 +348,38 @@ Result<CrosswalkResult> CrosswalkPlan::Execute(
                               LearnWeights(objective_source));
 
     // Steps 2+3: disaggregation (Eq. 14) + re-aggregation (Eq. 17),
-    // one row pass of sparse::DisaggregateRows on any structure. The
-    // output alone picks what that pass writes.
+    // one row pass of sparse::DisaggregateRows on any structure, zero
+    // rows' fallback rows included. The output alone picks what that
+    // pass writes.
     ExecuteWorkspace local_workspace;
     ExecuteWorkspace* ws =
         workspace != nullptr ? workspace : &local_workspace;
     const uint64_t allocs_before = ws->alloc_events();
 
-    const bool fallback =
-        options_.zero_row_fallback == ZeroRowFallback::kFallbackDm;
     if (output == ExecuteOutput::kFullDm) {
-      GEOALIGN_RETURN_IF_ERROR(
-          ExecuteMaterializing(objective_source, beta, ws, &result));
+      {
+        GEOALIGN_TRACE_SPAN("execute.eq14_disaggregate");
+        const linalg::Vector& effective = EffectiveWeights(beta, ws);
+        GEOALIGN_ASSIGN_OR_RETURN(
+            result.estimated_dm,
+            sparse::DisaggregateRows(prepared_.dms(), effective,
+                                     Denominators(effective, ws),
+                                     options_.zero_tolerance, objective_source,
+                                     row_fallback_, &result.zero_rows));
+      }
+      GEOALIGN_TRACE_SPAN("execute.eq17_reaggregate");
+      result.target_estimates = result.estimated_dm.ColSums();
     } else {
       // Each kept entry goes straight into â^t_o; DM̂_o is never built.
       audit_mode = "fused";
       GEOALIGN_TRACE_SPAN("execute.fused");
       const linalg::Vector& effective = EffectiveWeights(beta, ws);
-      const bool use_fallback = fallback && fallback_shape_ok_;
       GEOALIGN_RETURN_IF_ERROR(sparse::DisaggregateRows(
           prepared_.dms(), effective, Denominators(effective, ws),
-          options_.zero_tolerance, objective_source,
-          use_fallback ? fallback_dm_.get() : nullptr,
-          use_fallback ? &fallback_row_sums_ : nullptr,
+          options_.zero_tolerance, objective_source, row_fallback_,
           &result.target_estimates, &result.zero_rows, &ws->rows()));
     }
-    // A fallback DM whose shape failed at compile is never used: the
-    // executes that hit a zero row fail here, on either output, with
-    // the oracle's rebuild error.
-    if (fallback && !result.zero_rows.empty()) {
-      if (!fallback_shape_ok_) {
-        return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
-      }
-      FallbackRebuilds().Add(1);
-    }
+    GEOALIGN_RETURN_IF_ERROR(CountFallback(result.zero_rows));
 
     result.weights = std::move(beta);
     ZeroRowsTotal().Add(result.zero_rows.size());
@@ -389,10 +400,7 @@ Result<CrosswalkResult> CrosswalkPlan::Execute(
   if (outcome.ok()) {
     audit.zero_rows = outcome->zero_rows.size();
     audit.fallback =
-        options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-                !outcome->zero_rows.empty()
-            ? 1
-            : 0;
+        row_fallback_.dm != nullptr && !outcome->zero_rows.empty();
   } else {
     audit.ok = 0;
   }
@@ -430,56 +438,17 @@ const linalg::Vector* CrosswalkPlan::Denominators(
   return &denominators;
 }
 
-Status CrosswalkPlan::ExecuteMaterializing(
-    common::ColumnView objective_source, const linalg::Vector& beta,
-    ExecuteWorkspace* ws, CrosswalkResult* result) const {
-  sparse::CsrMatrix estimated;
-  std::vector<size_t> zero_rows;
-  {
-    GEOALIGN_TRACE_SPAN("execute.eq14_disaggregate");
-    const linalg::Vector& effective = EffectiveWeights(beta, ws);
-    GEOALIGN_ASSIGN_OR_RETURN(
-        estimated,
-        sparse::DisaggregateRows(prepared_.dms(), effective,
-                                 Denominators(effective, ws),
-                                 options_.zero_tolerance, objective_source,
-                                 &zero_rows));
-
-    if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-        fallback_shape_ok_ && !zero_rows.empty()) {
-      GEOALIGN_TRACE_SPAN("execute.fallback_rebuild");
-      const sparse::CsrMatrix& fb = *fallback_dm_;
-      const linalg::Vector& fb_sums = fallback_row_sums_;
-      std::vector<bool> is_zero_row(estimated.rows(), false);
-      for (size_t r : zero_rows) is_zero_row[r] = true;
-      sparse::CooBuilder builder(estimated.rows(), estimated.cols());
-      for (size_t r = 0; r < estimated.rows(); ++r) {
-        if (!is_zero_row[r]) {
-          sparse::CsrMatrix::RowView row = estimated.Row(r);
-          for (size_t k = 0; k < row.size; ++k) {
-            builder.Add(r, row.cols[k], row.values[k]);
-          }
-          continue;
-        }
-        if (fb_sums[r] <= 0.0) continue;  // no fallback support either
-        double scale = objective_source[r] / fb_sums[r];
-        sparse::CsrMatrix::RowView row = fb.Row(r);
-        for (size_t k = 0; k < row.size; ++k) {
-          builder.Add(r, row.cols[k], row.values[k] * scale);
-        }
-      }
-      estimated = builder.Build();
-    }
+Status CrosswalkPlan::CountFallback(
+    const std::vector<size_t>& zero_rows) const {
+  if (options_.zero_row_fallback != ZeroRowFallback::kFallbackDm ||
+      zero_rows.empty()) {
+    return Status::OK();
   }
-
-  {
-    // Step 3: re-aggregation (Eq. 17).
-    GEOALIGN_TRACE_SPAN("execute.eq17_reaggregate");
-    result->target_estimates = estimated.ColSums();
+  // A fallback DM whose shape failed at compile is never used.
+  if (row_fallback_.dm == nullptr) {
+    return Status::InvalidArgument("GeoAlign: fallback DM shape mismatch");
   }
-
-  result->estimated_dm = std::move(estimated);
-  result->zero_rows = std::move(zero_rows);
+  FallbackExecutes().Add(1);
   return Status::OK();
 }
 
@@ -627,11 +596,7 @@ void CrosswalkPlan::ExecuteOnePanel(
     in.operand_aggregates = ps.operand_aggregates.data();
   }
   in.zero_tolerance = options_.zero_tolerance;
-  const bool use_fallback =
-      options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      fallback_shape_ok_;
-  in.fallback_dm = use_fallback ? fallback_dm_.get() : nullptr;
-  in.fallback_row_sums = use_fallback ? &fallback_row_sums_ : nullptr;
+  in.fallback = row_fallback_;
 
   Status st = sparse::FusedAggregatesPanel(in, workspace_spec_.fused, isa,
                                            ps.targets.data(),
@@ -655,19 +620,12 @@ void CrosswalkPlan::ExecuteOnePanel(
   }
   for (size_t li = 0; li < width; ++li) {
     CrosswalkResult& res = (*results[ps.lanes[li]])->value();
-    if (options_.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-        !res.zero_rows.empty()) {
-      if (!fallback_shape_ok_) {
-        // Error parity with the materializing rebuild: exactly the
-        // columns whose zero rows would have needed the bad-shape
-        // fallback fail.
-        results[ps.lanes[li]]->emplace(Status::InvalidArgument(
-            "GeoAlign: fallback DM shape mismatch"));
-        continue;
-      }
-      FallbackRebuilds().Add(1);
-      ++audit.fallback;
+    const Status counted = CountFallback(res.zero_rows);
+    if (!counted.ok()) {
+      results[ps.lanes[li]]->emplace(counted);
+      continue;
     }
+    audit.fallback += row_fallback_.dm != nullptr && !res.zero_rows.empty();
     audit.zero_rows += res.zero_rows.size();
     ZeroRowsTotal().Add(res.zero_rows.size());
     ExecuteCount().Add(1);

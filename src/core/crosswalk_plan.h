@@ -25,6 +25,11 @@ Result<linalg::Vector> SolveWeightsForDesign(const linalg::Matrix& a,
                                              const linalg::Vector& b,
                                              const GeoAlignOptions& options);
 
+/// The compile-time fallback check of the plan and the legacy path:
+/// under ZeroRowFallback::kFallbackDm the fallback DM must be set and
+/// its entries finite and non-negative (sparse::FiniteNonNegative).
+Status CheckFallbackOption(const GeoAlignOptions& options);
+
 }  // namespace internal
 
 /// The compiled, objective-independent half of a GeoAlign crosswalk
@@ -65,11 +70,12 @@ class CrosswalkPlan {
  public:
   /// Compiles the objective-independent work for `input.references`
   /// (the objective column in `input` is ignored). Fails on no
-  /// references and on a missing fallback DM under
-  /// ZeroRowFallback::kFallbackDm, with the legacy path's messages,
-  /// then on the first reference that sparse::CheckReference rejects.
-  /// A DM whose rows do not sum to its aggregates still compiles. When
-  /// a fallback DM is supplied it is snapshotted, so the plan never
+  /// references and on a fallback DM internal::CheckFallbackOption
+  /// rejects, with the legacy path's messages, then on the first
+  /// reference that sparse::CheckReference rejects. A DM whose rows do
+  /// not sum to its aggregates still compiles, and so does a fallback
+  /// DM of the wrong shape: it fails the executes that hit a zero row.
+  /// When a fallback DM is supplied it is snapshotted, so the plan never
   /// dangles on the caller's pointer.
   static Result<CrosswalkPlan> Compile(const CrosswalkInput& input,
                                        const GeoAlignOptions& options);
@@ -101,9 +107,10 @@ class CrosswalkPlan {
   /// converts implicitly) valid for the duration of the call only.
   /// `output` selects the result shape, and nothing else does: both
   /// outputs run the one row kernel, sparse::DisaggregateRows, on any
-  /// reference structure; ExecuteOutput::kAggregatesOnly adds its kept
-  /// entries straight into `target_estimates` and never materializes
-  /// DM̂_o.
+  /// reference structure, and it applies a zero row's fallback row at
+  /// that row's turn. ExecuteOutput::kFullDm writes DM̂_o and takes its
+  /// column sums; ExecuteOutput::kAggregatesOnly adds its kept entries
+  /// straight into `target_estimates` and never materializes DM̂_o.
   ///
   /// `workspace` is an optional reusable arena (sized per
   /// workspace_spec(); grown only if needed, so steady-state executes
@@ -219,13 +226,10 @@ class CrosswalkPlan {
   const linalg::Vector* Denominators(const linalg::Vector& effective,
                                      ExecuteWorkspace* ws) const;
 
-  /// The kFullDm output: Eq. 14 (sparse::DisaggregateRows) →
-  /// [fallback rebuild] → ColSums; fills result's estimated_dm /
-  /// target_estimates / zero_rows.
-  Status ExecuteMaterializing(common::ColumnView objective_source,
-                              const linalg::Vector& beta,
-                              ExecuteWorkspace* ws,
-                              CrosswalkResult* result) const;
+  /// Under kFallbackDm, a column that hit zero rows took the fallback
+  /// DM (counted), or fails with the oracle's error when that DM is not
+  /// of the plan's shape. OK for every other column.
+  Status CountFallback(const std::vector<size_t>& zero_rows) const;
 
   /// One panel (count <= simd::kMaxPanelWidth) of the panel lane:
   /// per-column weight solves, lane-major weight staging, one
@@ -244,11 +248,13 @@ class CrosswalkPlan {
   /// (kNnlsNormalized, kClampedLs); otherwise 0 rows x n columns.
   linalg::Matrix design_;
   linalg::Matrix gram_;  ///< A^T A from columns_; kSimplex only
-  /// Owned snapshot of options.fallback_dm (kFallbackDm only); after
-  /// Compile, options_.fallback_dm points here, never at caller memory.
+  /// Owned snapshot of options.fallback_dm; after Compile,
+  /// options_.fallback_dm points here, never at caller memory.
   std::shared_ptr<const sparse::CsrMatrix> fallback_dm_;
-  linalg::Vector fallback_row_sums_;  ///< row sums of *fallback_dm_
-  bool fallback_shape_ok_ = false;
+  /// Under kFallbackDm with a fallback DM of the plan's shape, its row
+  /// sums, and both as the row kernels take them; otherwise null.
+  std::shared_ptr<const linalg::Vector> fallback_row_sums_;
+  sparse::FallbackRows row_fallback_;
   ExecuteWorkspaceSpec workspace_spec_;  ///< scratch sizing, see accessor
 };
 

@@ -77,11 +77,7 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
   if (input.references.empty()) {
     return Status::InvalidArgument("no reference attributes");
   }
-  if (options.zero_row_fallback == ZeroRowFallback::kFallbackDm &&
-      options.fallback_dm == nullptr) {
-    return Status::InvalidArgument(
-        "GeoAlign: kFallbackDm requires options.fallback_dm");
-  }
+  GEOALIGN_RETURN_IF_ERROR(internal::CheckFallbackOption(options));
   CrosswalkResult result;
 
   // Step 1: weight learning (Eq. 15).

@@ -87,7 +87,9 @@ struct GeoAlignOptions {
   /// Row denominators with |d| <= zero_tolerance take the fallback.
   double zero_tolerance = 0.0;
   /// Required when zero_row_fallback == kFallbackDm: a consistent DM
-  /// (e.g. the measure/area DM) used for unsupported rows. Not owned;
+  /// (e.g. the measure/area DM) used for unsupported rows, with finite,
+  /// non-negative entries (checked at compile under kFallbackDm; its
+  /// shape is checked at the first zero row, at execute). Not owned;
   /// must outlive the interpolator. (CrosswalkPlan::Compile snapshots
   /// the pointee, so a compiled plan does NOT require the original to
   /// stay alive.)

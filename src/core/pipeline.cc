@@ -42,8 +42,8 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     std::vector<std::string> target_units,
     std::vector<ReferenceAttribute> references,
     std::shared_ptr<const Interpolator> method) {
-  if (source_units.empty() || target_units.empty()) {
-    return Status::InvalidArgument("CrosswalkPipeline: empty unit lists");
+  if (source_units.empty()) {
+    return Status::InvalidArgument("CrosswalkPipeline: empty source unit list");
   }
   if (references.empty()) {
     return Status::InvalidArgument("no reference attributes");

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/trace.h"
+
 namespace geoalign::io {
 
 namespace {
@@ -79,6 +81,7 @@ void AppendField(std::string* out, const std::string& field) {
 }  // namespace
 
 Result<Table> ParseCsv(const std::string& text) {
+  GEOALIGN_TRACE_SPAN("io.parse_csv");
   size_t pos = 0;
   if (text.empty()) return Status::InvalidArgument("CSV: empty input");
   GEOALIGN_ASSIGN_OR_RETURN(std::vector<std::string> header,

@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "io/json.h"
+#include "obs/trace.h"
 
 namespace geoalign::io {
 
@@ -136,6 +137,7 @@ JsonValue PolygonCoords(const geom::Polygon& poly) {
 }  // namespace
 
 Result<FeatureCollection> ParseGeoJson(const std::string& text) {
+  GEOALIGN_TRACE_SPAN("io.parse_geojson");
   GEOALIGN_ASSIGN_OR_RETURN(JsonValue root, ParseJson(text));
   GEOALIGN_ASSIGN_OR_RETURN(const JsonValue* type_v, root.Get("type"));
   GEOALIGN_ASSIGN_OR_RETURN(std::string type, type_v->AsString());

@@ -51,7 +51,7 @@ struct AuditRecord {
   uint64_t rows = 0;         ///< source units touched
   uint64_t latency_us = 0;
   uint64_t zero_rows = 0;
-  uint32_t fallback = 0;  ///< DM fallback rebuilds triggered
+  uint32_t fallback = 0;  ///< columns whose zero rows took the fallback DM
   uint32_t ok = 1;
 };
 // A ring slot holds a record as whole atomic words.

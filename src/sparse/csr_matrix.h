@@ -11,6 +11,8 @@
 
 namespace geoalign::sparse {
 
+struct FallbackRows;  // sparse_ops.h
+
 /// Borrowed CSR arrays, as handed over by an embedding host (Arrow
 /// buffers, numpy arrays, the C ABI). Plain views — no lifetime.
 struct CsrView {
@@ -134,7 +136,8 @@ class CsrMatrix {
   friend Result<CsrMatrix> DisaggregateRows(
       const std::vector<const CsrMatrix*>& mats, const linalg::Vector& weights,
       const linalg::Vector* denominators, double zero_tol,
-      common::ConstSpan<double> row_scale, std::vector<size_t>* zero_rows);
+      common::ConstSpan<double> row_scale, const FallbackRows& fallback,
+      std::vector<size_t>* zero_rows);
 
   /// FromBorrowed minus the validation.
   static CsrMatrix BorrowUnchecked(const CsrView& view,

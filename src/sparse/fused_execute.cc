@@ -95,17 +95,8 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
       }
     }
   }
-  if ((in.fallback_dm == nullptr) != (in.fallback_row_sums == nullptr)) {
-    return Status::InvalidArgument(
-        "FusedAggregatesPanel: fallback DM and row sums must be set "
-        "together");
-  }
-  if (in.fallback_dm != nullptr &&
-      (in.fallback_dm->rows() != rows || in.fallback_dm->cols() != cols ||
-       in.fallback_row_sums->size() != rows)) {
-    return Status::InvalidArgument(
-        "FusedAggregatesPanel: fallback shape mismatch");
-  }
+  GEOALIGN_RETURN_IF_ERROR(
+      in.fallback.Check("FusedAggregatesPanel", rows, cols));
   if (spec.rows != rows || spec.cols != cols ||
       spec.max_operands < mats.size()) {
     return Status::InvalidArgument(
@@ -222,17 +213,9 @@ Status FusedAggregatesPanel(const FusedPanelInputs& in,
         FusedWorkspace::PanelZeroRow{r, zmask});
     for (size_t p = 0; p < width; ++p) {
       if ((zmask >> p) & 1u) {
-        if (in.fallback_dm != nullptr) {
-          double fb_sum = (*in.fallback_row_sums)[r];
-          if (fb_sum > 0.0) {
-            double fb_scale = rscale[p] / fb_sum;
-            CsrMatrix::RowView fb_row = in.fallback_dm->Row(r);
-            for (size_t k = 0; k < fb_row.size; ++k) {
-              accum[fb_row.cols[k] * width + p] +=
-                  fb_row.values[k] * fb_scale;
-            }
-          }
-        }
+        in.fallback.EmitRow(r, rscale[p], [&](size_t c, double v) {
+          accum[c * width + p] += v;
+        });
         continue;
       }
       const double lane_inv = 1.0 / denom[p];

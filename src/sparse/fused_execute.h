@@ -7,6 +7,7 @@
 #include "common/span.h"
 #include "sparse/csr_matrix.h"
 #include "sparse/simd/isa.h"
+#include "sparse/sparse_ops.h"
 
 namespace geoalign::sparse {
 
@@ -108,12 +109,9 @@ struct FusedPanelInputs {
   const common::ColumnView* operand_aggregates = nullptr;
   /// Rows with |denominator| <= zero_tolerance are zero rows (per lane).
   double zero_tolerance = 0.0;
-  /// Optional zero-row fallback DM and its row sums, both set or both
-  /// null; applied per lane. A zero row with a positive fallback row
-  /// sum scatters row_scales[p][r] / fallback_row_sums[r] times its
-  /// fallback row instead of vanishing.
-  const CsrMatrix* fallback_dm = nullptr;
-  const linalg::Vector* fallback_row_sums = nullptr;
+  /// The zero-row fallback, applied per lane by FallbackRows::EmitRow
+  /// with row_scales[p][r] as the row's scale.
+  FallbackRows fallback;
 };
 
 /// The multi-column form of DisaggregateRows' aggregates output, for

@@ -1,6 +1,5 @@
 #include "sparse/prepared_reference.h"
 
-#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -123,6 +122,10 @@ Status CheckReferenceShape(const std::string& name,
         StrFormat("reference '%s': source vector has %zu entries, expected %zu",
                   name.c_str(), aggregates.size(), rows));
   }
+  if (cols == 0) {
+    return Status::InvalidArgument(StrFormat(
+        "reference '%s': DM has zero target units", name.c_str()));
+  }
   return Status::OK();
 }
 
@@ -138,17 +141,7 @@ Result<linalg::Vector> CheckReference(const std::string& name,
   Result<linalg::Vector> normalized =
       linalg::NormalizeByMax(aggregates, normalizer);
   if (!normalized.ok()) return ReferenceError(name, normalized.status());
-  // One branch-free pass over the DM values. `+ 0.0` turns -0.0 into
-  // +0.0 and leaves every other value as it is; then the sign bit of
-  // `bits | (bits + 2^52)` is set exactly for a negative value (its
-  // own sign bit) or ±Inf and NaN (adding 1 to their all-ones exponent
-  // carries into the sign bit).
-  uint64_t flags = 0;
-  for (double v : dm.values()) {
-    const uint64_t bits = std::bit_cast<uint64_t>(v + 0.0);
-    flags |= bits | (bits + (uint64_t{1} << 52));
-  }
-  if (flags >> 63 != 0) {
+  if (!FiniteNonNegative(dm.values())) {
     return Status::InvalidArgument(StrFormat(
         "reference '%s': negative or non-finite DM entry", name.c_str()));
   }

@@ -1,6 +1,7 @@
 #ifndef GEOALIGN_SPARSE_PREPARED_REFERENCE_H_
 #define GEOALIGN_SPARSE_PREPARED_REFERENCE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -95,6 +96,21 @@ struct ReferenceDataView {
   std::shared_ptr<const void> keepalive;
 };
 
+/// True when every value is finite and non-negative (-0.0 passes), in
+/// one branch-free pass: the rule for reference and fallback DMs.
+inline bool FiniteNonNegative(common::ConstSpan<double> values) {
+  // `+ 0.0` turns -0.0 into +0.0 and leaves every other value as it
+  // is; then the sign bit of `bits | (bits + 2^52)` is set exactly for
+  // a negative value (its own sign bit) or ±Inf and NaN (adding 1 to
+  // their all-ones exponent carries into the sign bit).
+  uint64_t flags = 0;
+  for (double v : values) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v + 0.0);
+    flags |= bits | (bits + (uint64_t{1} << 52));
+  }
+  return flags >> 63 == 0;
+}
+
 /// Decides whether one reference is usable: the library's one
 /// reference check, run by PreparedReferenceSet::Prepare (so by every
 /// compile path, the C ABI included) and by
@@ -103,7 +119,7 @@ struct ReferenceDataView {
 ///  - the shape is off (CheckReferenceShape against `rows` x `cols`,
 ///    the first reference's DM shape);
 ///  - an aggregate is NaN, ±Inf or negative, or all of them are zero;
-///  - a DM entry is NaN, ±Inf or negative.
+///  - a DM entry is NaN, ±Inf or negative (FiniteNonNegative).
 /// On success returns the max-normalized aggregates (the Eq. 15
 /// column) and, when `normalizer` is non-null, stores their maximum
 /// there: the aggregate check is the normalization pass itself.
@@ -114,9 +130,10 @@ Result<linalg::Vector> CheckReference(const std::string& name,
                                       size_t cols,
                                       double* normalizer = nullptr);
 
-/// The shape half of CheckReference: `dm` is `rows` x `cols` and
-/// `aggregates` has `rows` entries. core::CrosswalkPipeline::Create
-/// runs it against its unit lists for every method.
+/// The shape half of CheckReference: `dm` is `rows` x `cols`,
+/// `aggregates` has `rows` entries, and there is at least one target
+/// unit (`cols` > 0). core::CrosswalkPipeline::Create runs it against
+/// its unit lists for every method.
 Status CheckReferenceShape(const std::string& name,
                            common::ColumnView aggregates, const CsrMatrix& dm,
                            size_t rows, size_t cols);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
@@ -92,7 +93,8 @@ namespace {
 Status CheckRowPassInputs(const std::vector<const CsrMatrix*>& mats,
                           const linalg::Vector& weights,
                           const linalg::Vector* denominators,
-                          common::ConstSpan<double> row_scale) {
+                          common::ConstSpan<double> row_scale,
+                          const FallbackRows& fallback) {
   if (mats.empty()) {
     return Status::InvalidArgument("DisaggregateRows: no matrices");
   }
@@ -109,10 +111,24 @@ Status CheckRowPassInputs(const std::vector<const CsrMatrix*>& mats,
       (denominators != nullptr && denominators->size() != rows)) {
     return Status::InvalidArgument("DisaggregateRows: vector length mismatch");
   }
-  return Status::OK();
+  return fallback.Check("DisaggregateRows", rows, mats[0]->cols());
 }
 
 }  // namespace
+
+Status FallbackRows::Check(const char* caller, size_t rows,
+                           size_t cols) const {
+  if ((dm == nullptr) != (row_sums == nullptr)) {
+    return Status::InvalidArgument(
+        std::string(caller) + ": fallback DM and row sums must be set together");
+  }
+  if (dm != nullptr && (dm->rows() != rows || dm->cols() != cols ||
+                        row_sums->size() != rows)) {
+    return Status::InvalidArgument(std::string(caller) +
+                                   ": fallback shape mismatch");
+  }
+  return Status::OK();
+}
 
 void RowScratch::Prepare(size_t num_operands, size_t rows, size_t cols) {
   if (ops_.capacity() < num_operands || cursor_.size() < num_operands ||
@@ -138,7 +154,8 @@ template <typename Keep, typename FinishRow>
 void RowScratch::RowPass(const std::vector<const CsrMatrix*>& mats,
                          const linalg::Vector& weights,
                          const linalg::Vector* denominators, double zero_tol,
-                         common::ConstSpan<double> row_scale, Keep keep,
+                         common::ConstSpan<double> row_scale,
+                         const FallbackRows& fallback, Keep keep,
                          FinishRow finish_row) {
   // The operands WeightedSum reads: exact-zero weights are skipped.
   // Prepare reserved one slot per operand.
@@ -202,6 +219,7 @@ void RowScratch::RowPass(const std::vector<const CsrMatrix*>& mats,
     }
     if (std::fabs(denom) <= zero_tol) {
       // Every v · 0.0 is ±0.0 or NaN, which Prune(0.0) drops.
+      fallback.EmitRow(r, row_scale[r], keep);
       finish_row(r, true);
       continue;
     }
@@ -223,13 +241,15 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
                                    const linalg::Vector* denominators,
                                    double zero_tol,
                                    common::ConstSpan<double> row_scale,
+                                   const FallbackRows& fallback,
                                    std::vector<size_t>* zero_rows) {
   GEOALIGN_RETURN_IF_ERROR(
-      CheckRowPassInputs(mats, weights, denominators, row_scale));
+      CheckRowPassInputs(mats, weights, denominators, row_scale, fallback));
+  const size_t rows = mats[0]->rows();
   const size_t cols = mats[0]->cols();
   RowScratch scratch;
   scratch.Prepare(mats.size(), 0, cols);
-  size_t max_nnz = 0;
+  size_t max_nnz = fallback.dm != nullptr ? fallback.dm->nnz() : 0;
   for (size_t mi = 0; mi < mats.size(); ++mi) {
     if (!ExactlyZero(weights[mi])) max_nnz += mats[mi]->nnz();
   }
@@ -237,21 +257,39 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
   // The row pass emits ascending in-range columns, so the arrays are
   // written in place, unvalidated. Capacity only: pages are touched as
   // entries are written.
-  CsrMatrix out(mats[0]->rows(), cols);
+  CsrMatrix out(rows, cols);
   std::vector<size_t>& out_cols = out.col_idx_;
   std::vector<double>& out_vals = out.values_;
+  std::vector<size_t>& out_rows = out.row_ptr_;
   out_cols.reserve(max_nnz);
   out_vals.reserve(max_nnz);
+  bool any_zero = false;
   scratch.RowPass(
-      mats, weights, denominators, zero_tol, row_scale,
+      mats, weights, denominators, zero_tol, row_scale, fallback,
       [&](size_t c, double v) {
         out_cols.push_back(c);
         out_vals.push_back(v);
       },
       [&](size_t r, bool zero) {
         if (zero && zero_rows != nullptr) zero_rows->push_back(r);
-        out.row_ptr_[r + 1] = out_cols.size();
+        any_zero |= zero;
+        out_rows[r + 1] = out_cols.size();
       });
+  if (fallback.dm == nullptr || !any_zero) return out;
+
+  // The oracle's rebuild: CooBuilder::Build drops exact zeros (NaN is
+  // not one) and passes every other value through as 0.0 + v == v.
+  size_t kept = 0;
+  for (size_t r = 0, k = 0; r < rows; ++r) {
+    for (; k < out_rows[r + 1]; ++k) {
+      if (ExactlyZero(out_vals[k])) continue;
+      out_cols[kept] = out_cols[k];
+      out_vals[kept++] = out_vals[k];
+    }
+    out_rows[r + 1] = kept;
+  }
+  out_cols.resize(kept);
+  out_vals.resize(kept);
   return out;
 }
 
@@ -259,8 +297,7 @@ Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
                         const linalg::Vector& weights,
                         const linalg::Vector* denominators, double zero_tol,
                         common::ConstSpan<double> row_scale,
-                        const CsrMatrix* fallback_dm,
-                        const linalg::Vector* fallback_row_sums,
+                        const FallbackRows& fallback,
                         linalg::Vector* target_estimates,
                         std::vector<size_t>* zero_rows, RowScratch* scratch) {
   if (target_estimates == nullptr || zero_rows == nullptr ||
@@ -268,19 +305,9 @@ Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
     return Status::InvalidArgument("DisaggregateRows: null argument");
   }
   GEOALIGN_RETURN_IF_ERROR(
-      CheckRowPassInputs(mats, weights, denominators, row_scale));
+      CheckRowPassInputs(mats, weights, denominators, row_scale, fallback));
   const size_t rows = mats[0]->rows();
   const size_t cols = mats[0]->cols();
-  if ((fallback_dm == nullptr) != (fallback_row_sums == nullptr)) {
-    return Status::InvalidArgument(
-        "DisaggregateRows: fallback DM and row sums must be set together");
-  }
-  if (fallback_dm != nullptr &&
-      (fallback_dm->rows() != rows || fallback_dm->cols() != cols ||
-       fallback_row_sums->size() != rows)) {
-    return Status::InvalidArgument("DisaggregateRows: fallback shape mismatch");
-  }
-
   scratch->Prepare(mats.size(), rows, cols);
   std::vector<size_t>& zeros = scratch->zero_list_;
   zeros.clear();
@@ -290,23 +317,11 @@ Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
   // Eq. 17 scattered from the row pass: rows run in ascending order,
   // so each target adds its terms in ColSums' storage order.
   scratch->RowPass(
-      mats, weights, denominators, zero_tol, row_scale,
+      mats, weights, denominators, zero_tol, row_scale, fallback,
       [target](size_t c, double v) { target[c] += v; },
       [&](size_t r, bool zero) {
-        if (!zero) return;
         // Capacity was reserved to `rows` by Prepare.
-        zeros.push_back(r);  // NOLINT(geoalign-hot-alloc)
-        // The fallback rebuild's row, scattered straight into the
-        // targets at this row's turn; without positive fallback
-        // support the row stays empty.
-        if (fallback_dm == nullptr) return;
-        const double fb_sum = (*fallback_row_sums)[r];
-        if (!(fb_sum > 0.0)) return;
-        const double fb_scale = row_scale[r] / fb_sum;
-        const CsrMatrix::RowView fb_row = fallback_dm->Row(r);
-        for (size_t k = 0; k < fb_row.size; ++k) {
-          target[fb_row.cols[k]] += fb_row.values[k] * fb_scale;
-        }
+        if (zero) zeros.push_back(r);  // NOLINT(geoalign-hot-alloc)
       });
   // GEOALIGN_HOT_LOOP_END
   zero_rows->assign(zeros.begin(), zeros.end());

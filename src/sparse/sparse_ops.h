@@ -30,6 +30,30 @@ Result<CsrMatrix> WeightedSum(const std::vector<const CsrMatrix*>& mats,
 void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
                       double zero_tol, std::vector<size_t>* zero_rows);
 
+/// A zero-row fallback DM and its row sums, as the row kernels take
+/// them: both null (zero rows stay empty) or both set.
+struct FallbackRows {
+  const CsrMatrix* dm = nullptr;
+  const linalg::Vector* row_sums = nullptr;
+
+  /// The zero-row fallback rule of every output and kernel: zero row r
+  /// emits emit(c, v · row_scale / (*row_sums)[r]) for each entry
+  /// (c, v) of its `dm` row when that sum is positive, else nothing.
+  template <typename Fn>
+  void EmitRow(size_t r, double row_scale, Fn&& emit) const {
+    if (dm == nullptr || !((*row_sums)[r] > 0.0)) return;
+    const double scale = row_scale / (*row_sums)[r];
+    const CsrMatrix::RowView row = dm->Row(r);
+    for (size_t k = 0; k < row.size; ++k) {
+      emit(row.cols[k], row.values[k] * scale);
+    }
+  }
+
+  /// OK when both are null, or `dm` is `rows` x `cols` with `rows` row
+  /// sums; otherwise InvalidArgument, its message prefixed by `caller`.
+  Status Check(const char* caller, size_t rows, size_t cols) const;
+};
+
 /// Reusable buffers of DisaggregateRows: the active operands, the
 /// merge cursors, one merged row (at most `cols` entries, since a
 /// row's merged columns are unique) and the aggregates output's
@@ -50,28 +74,29 @@ class RowScratch {
   friend Result<CsrMatrix> DisaggregateRows(
       const std::vector<const CsrMatrix*>& mats, const linalg::Vector& weights,
       const linalg::Vector* denominators, double zero_tol,
-      common::ConstSpan<double> row_scale, std::vector<size_t>* zero_rows);
+      common::ConstSpan<double> row_scale, const FallbackRows& fallback,
+      std::vector<size_t>* zero_rows);
   friend Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
                                  const linalg::Vector& weights,
                                  const linalg::Vector* denominators,
                                  double zero_tol,
                                  common::ConstSpan<double> row_scale,
-                                 const CsrMatrix* fallback_dm,
-                                 const linalg::Vector* fallback_row_sums,
+                                 const FallbackRows& fallback,
                                  linalg::Vector* target_estimates,
                                  std::vector<size_t>* zero_rows,
                                  RowScratch* scratch);
 
   /// The one Eq. 14 row loop behind both outputs (sparse_ops.cc):
-  /// merge, denominator, zero-row rule and keep rule. It calls
-  /// `keep(c, v)` for each kept entry of a row in column order, then
-  /// `finish_row(r, zero)`, where `zero` marks a zero row.
+  /// merge, denominator, zero-row rule, fallback rule and keep rule.
+  /// It calls `keep(c, v)` for each kept (or fallback) entry of a row
+  /// in column order, then `finish_row(r, zero)`, where `zero` marks a
+  /// zero row.
   template <typename Keep, typename FinishRow>
   void RowPass(const std::vector<const CsrMatrix*>& mats,
                const linalg::Vector& weights,
                const linalg::Vector* denominators, double zero_tol,
-               common::ConstSpan<double> row_scale, Keep keep,
-               FinishRow finish_row);
+               common::ConstSpan<double> row_scale,
+               const FallbackRows& fallback, Keep keep, FinishRow finish_row);
 
   /// One operand with a nonzero weight, as the row loop reads it.
   struct Operand {
@@ -94,8 +119,9 @@ class RowScratch {
 /// on the calling thread: diag(row_scale) · diag(1/d) · Σ_k weights[k]
 /// · mats[k], where d is `*denominators`, or, when `denominators` is
 /// null (DenominatorMode::kFromDmRowSums), each row's sum of the
-/// weighted merge. Rows with |d| <= zero_tol are left empty and
-/// appended to `zero_rows` (when non-null) in ascending order.
+/// weighted merge. Rows with |d| <= zero_tol are appended to
+/// `zero_rows` (when non-null) in ascending order and filled by
+/// fallback.EmitRow.
 ///
 /// Bit-identical, in every CSR array and in `zero_rows`, to the four
 /// steps WeightedSum → [RowSums] → DivideRowsOrZero →
@@ -107,35 +133,32 @@ class RowScratch {
 /// row_scale[r] multiplies it. The final arrays are written once.
 /// Operands that share one structure (PreparedReferenceSet::aligned())
 /// take the same merge; every entry then adds every active operand.
+/// When a fallback DM is given and a zero row occurred, one in-place
+/// pass then drops every exact-zero entry (NaN stays), as the oracle's
+/// CooBuilder rebuild of the fallback rows does.
 Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
                                    const linalg::Vector& weights,
                                    const linalg::Vector* denominators,
                                    double zero_tol,
                                    common::ConstSpan<double> row_scale,
+                                   const FallbackRows& fallback,
                                    std::vector<size_t>* zero_rows);
 
 /// The aggregates output of the same row pass (Eq. 14 + Eq. 17
-/// without DM̂_o): each kept entry q · row_scale[r] is added into
-/// `target_estimates[c]` in ascending row order, and a zero row whose
-/// fallback row sum is positive adds row_scale[r] / fallback_row_sums[r]
-/// times its row of `fallback_dm` instead (pass both null for none).
-/// `zero_rows` receives the zero rows in ascending order.
+/// without DM̂_o): each entry the pass keeps or takes from the
+/// fallback DM is added into `target_estimates[c]` in ascending row
+/// order. `zero_rows` receives the zero rows in ascending order.
 ///
-/// Bit-identical to ColSums of the materializing output after the
-/// zero-row fallback rebuild (CooBuilder over the kept rows and the
-/// scaled fallback rows): every target adds the same terms in the same
-/// ascending row order from +0.0. The entries that rebuild drops are
-/// exact zeros, and adding ±0.0 to a sum that started at +0.0 changes
-/// no bit. One exception: a zero row whose fallback row sum is NaN,
-/// which the rebuild scatters and this output (like the panel kernel)
-/// skips. `scratch` is prepared here if it is short, so a scratch
-/// prepared for the plan makes the pass allocation-free.
+/// Bit-identical to ColSums of the matrix output: every target adds
+/// the same terms in the same ascending row order from +0.0, and the
+/// exact zeros that output drops change no bit of such a sum.
+/// `scratch` is prepared here if it is short, so a scratch prepared
+/// for the plan makes the pass allocation-free.
 Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
                         const linalg::Vector& weights,
                         const linalg::Vector* denominators, double zero_tol,
                         common::ConstSpan<double> row_scale,
-                        const CsrMatrix* fallback_dm,
-                        const linalg::Vector* fallback_row_sums,
+                        const FallbackRows& fallback,
                         linalg::Vector* target_estimates,
                         std::vector<size_t>* zero_rows, RowScratch* scratch);
 

@@ -15,11 +15,9 @@
 #include <vector>
 
 #include "capi/geoalign_c.h"
-#include "core/batch.h"
+#include "compile_entry_points.h"
 #include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
-#include "core/pipeline.h"
-#include "core/plan_cache.h"
 #include "core/regression.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -216,30 +214,7 @@ TEST(CapiTest, CompileErrorsAreReported) {
     return input;
   };
   auto compile_paths = [&](const std::vector<core::ReferenceAttribute>& refs) {
-    std::vector<core::ReferenceAttributeView> views;
-    for (const core::ReferenceAttribute& ref : refs) {
-      views.push_back({ref.name, ref.source_aggregates,
-                       ref.disaggregation.Borrow(), nullptr});
-    }
-    core::PlanCache cache;
-    // The pipeline defers a compile error to Realign.
-    Result<core::CrosswalkPipeline> pipeline = core::CrosswalkPipeline::Create(
-        {"s0", "s1", "s2"}, {"t0", "t1"}, refs);
-    return std::vector<std::pair<std::string, Status>>{
-        {"Compile", core::CrosswalkPlan::Compile(refs, {}).status()},
-        {"Compile(views)",
-         core::CrosswalkPlan::Compile(std::move(views), {}).status()},
-        {"Crosswalk", core::GeoAlign().Crosswalk(input_of(refs)).status()},
-        {"LearnWeights",
-         core::GeoAlign().LearnWeights(input_of(refs)).status()},
-        {"GetOrCompile", cache.GetOrCompile(refs, {}).status()},
-        {"BatchCrosswalk::Create", core::BatchCrosswalk::Create(refs).status()},
-        {"CrosswalkPipeline",
-         pipeline.ok()
-             ? pipeline->Realign({{"s0", 10.0}, {"s1", 20.0}, {"s2", 30.0}})
-                   .status()
-             : pipeline.status()},
-    };
+    return CompileEntryPoints(input_of(refs));
   };
 
   // No references: one message on every entry point, the oracle too.
@@ -321,6 +296,34 @@ TEST(CapiTest, CompileErrorsAreReported) {
               GEOALIGN_ERR_INVALID_ARGUMENT);
     EXPECT_EQ(plan, nullptr);
     EXPECT_EQ(std::string(geoalign_error_message()), m.message);
+  }
+
+  // Zero target units (two 2 x 0 DMs): rejected by the shape check,
+  // with one message on every entry point.
+  {
+    const char* kNoTargets = "reference 'a': DM has zero target units";
+    const std::vector<size_t> no_entries = {0, 0, 0};
+    const std::vector<double> ones = {1.0, 1.0};
+    const sparse::CsrMatrix no_targets =
+        std::move(sparse::CsrMatrix::FromCsrArrays(2, 0, no_entries, {}, {}))
+            .ValueOrDie();
+    core::CrosswalkInput input;
+    input.objective_source = {10.0, 20.0};
+    input.references = {{"a", ones, no_targets}, {"b", ones, no_targets}};
+    for (const auto& [entry, status] : CompileEntryPoints(input)) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << entry;
+      EXPECT_EQ(status.message(), kNoTargets) << entry;
+    }
+    const Status validated = input.Validate();
+    EXPECT_EQ(validated.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(validated.message(), kNoTargets);
+    const geoalign_csr csr = {2, 0, no_entries.data(), nullptr, nullptr};
+    geoalign_reference refs[2] = {CsrRef("a", ones, &csr),
+                                  CsrRef("b", ones, &csr)};
+    EXPECT_EQ(geoalign_plan_compile(refs, 2, &plan),
+              GEOALIGN_ERR_INVALID_ARGUMENT);
+    EXPECT_EQ(plan, nullptr);
+    EXPECT_EQ(std::string(geoalign_error_message()), kNoTargets);
   }
 
   // Aggregates that contradict the matrix row sums: every compile path

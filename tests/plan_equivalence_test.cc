@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "compile_entry_points.h"
 #include "core/batch.h"
 #include "core/geoalign.h"
 #include "core/pipeline.h"
@@ -313,6 +314,26 @@ TEST(PlanEquivalenceTest, ZeroRowWorldBitIdentical) {
   EXPECT_DOUBLE_EQ(linalg::Sum(fb.target_estimates), 5.0 + 7.0 + 9.0);
   EXPECT_DOUBLE_EQ(fb.estimated_dm.At(1, 1), 7.0 * 3.0 / 7.0);
   EXPECT_DOUBLE_EQ(fb.estimated_dm.At(1, 3), 7.0 * 4.0 / 7.0);
+
+  // Objective 0 on row 0, which has reference support: Eq. 14 gives it
+  // +0.0 entries, which the four steps keep. Under kFallbackDm row 1's
+  // zero row makes the oracle rebuild DM̂_o through CooBuilder, which
+  // drops them, and the kFullDm output must drop exactly those.
+  w.input.objective_source = {0.0, 7.0, 9.0};
+  SweepAllOptions(w.input, w.fallback);
+  opts.zero_row_fallback = core::ZeroRowFallback::kZero;
+  zero = std::move(core::GeoAlign(opts).Crosswalk(w.input)).ValueOrDie();
+  const sparse::CsrMatrix::RowView kept = zero.estimated_dm.Row(0);
+  ASSERT_GT(kept.size, 0u);
+  for (size_t k = 0; k < kept.size; ++k) {
+    EXPECT_EQ(std::signbit(kept.values[k]), false);
+    EXPECT_EQ(kept.values[k], 0.0);
+  }
+  opts.zero_row_fallback = core::ZeroRowFallback::kFallbackDm;
+  fb = std::move(core::GeoAlign(opts).Crosswalk(w.input)).ValueOrDie();
+  EXPECT_EQ(fb.estimated_dm.Row(0).size, 0u);
+  EXPECT_EQ(fb.estimated_dm.Row(1).size, 2u);
+  EXPECT_EQ(fb.estimated_dm.nnz(), zero.estimated_dm.nnz() - kept.size + 2);
 }
 
 // Like MakeZeroRowWorld, but both references share one CSR structure
@@ -503,6 +524,33 @@ TEST(PlanEquivalenceTest, FallbackErrorParity) {
     ASSERT_FALSE(executed.ok());
     EXPECT_EQ(executed.status().message(), legacy.status().message());
     EXPECT_EQ(executed.status().code(), legacy.status().code());
+  }
+
+  // A NaN, +Inf or negative entry in the zero row's fallback row: the
+  // plan's compile and the oracle run the reference DMs' entry check
+  // on the fallback DM, so every entry point rejects it up front with
+  // one code and one message.
+  for (double poison : {std::nan(""), HUGE_VAL, -1.0}) {
+    SCOPED_TRACE(poison);
+    sparse::CooBuilder builder(3, 4);
+    builder.Add(0, 0, 5.0);
+    builder.Add(1, 1, poison);
+    builder.Add(1, 3, 4.0);
+    builder.Add(2, 2, 9.0);
+    const sparse::CsrMatrix poisoned = builder.Build();
+    core::GeoAlignOptions poisoned_opts = opts;
+    poisoned_opts.fallback_dm = &poisoned;
+    const char* kMessage =
+        "GeoAlign: fallback DM has a negative or non-finite entry";
+    for (const auto& [entry, status] :
+         CompileEntryPoints(w.input, poisoned_opts)) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << entry;
+      EXPECT_EQ(status.message(), kMessage) << entry;
+    }
+    const Status legacy =
+        core::CrosswalkUncompiled(w.input, poisoned_opts).status();
+    EXPECT_EQ(legacy.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(legacy.message(), kMessage);
   }
 
   // The aggregates-only output, which withholds the mismatched

@@ -360,10 +360,7 @@ void RunPanel(const PanelWorld& w, size_t width, simd::Isa isa,
   in.row_scales = row_scales.data();
   if (from_aggregates) in.operand_aggregates = w.agg_views.data();
   in.zero_tolerance = tol;
-  if (with_fallback) {
-    in.fallback_dm = &w.fallback;
-    in.fallback_row_sums = &w.fallback_sums;
-  }
+  if (with_fallback) in.fallback = {&w.fallback, &w.fallback_sums};
   ASSERT_TRUE(sparse::FusedAggregatesPanel(in, w.spec, isa, target_ptrs.data(),
                                            zero_ptrs.data(), ws)
                   .ok());
@@ -395,9 +392,11 @@ void RunSingleColumnOracle(const PanelWorld& w, size_t p, size_t width,
   zeros->clear();
   ASSERT_TRUE(sparse::DisaggregateRows(
                   w.mat_ptrs, weights, from_aggregates ? &denom : nullptr,
-                  tol, w.objectives[p], with_fallback ? &w.fallback : nullptr,
-                  with_fallback ? &w.fallback_sums : nullptr, target, zeros,
-                  &scratch)
+                  tol, w.objectives[p],
+                  with_fallback
+                      ? sparse::FallbackRows{&w.fallback, &w.fallback_sums}
+                      : sparse::FallbackRows{},
+                  target, zeros, &scratch)
                   .ok());
 }
 
@@ -571,8 +570,7 @@ TEST(FusedPanelDifferentialTest, RejectsMalformedInputs) {
 
   // A fallback DM without its row sums (or vice versa) is rejected.
   bad = in;
-  bad.fallback_dm = &w.fallback;
-  bad.fallback_row_sums = nullptr;
+  bad.fallback = {&w.fallback, nullptr};
   EXPECT_FALSE(sparse::FusedAggregatesPanel(bad, w.spec, simd::Isa::kScalar,
                                             &target_ptr, &zero_ptr, &ws)
                    .ok());

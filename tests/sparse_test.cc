@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
+#include "common/float_eq.h"
 #include "common/random.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
@@ -287,7 +289,8 @@ CsrMatrix Eq14AlignedOperand(Rng& rng, const CsrMatrix& structure,
 }
 
 // A zero-row fallback DM whose rows have no support (rows 0 mod 4 are
-// empty, rows 1 mod 4 hold explicit zeros) or positive support.
+// empty, rows 1 mod 4 hold explicit zeros) or positive support (rows
+// 3 mod 4 lead with an explicit zero, which the rebuild drops).
 CsrMatrix Eq14Fallback(Rng& rng, size_t rows, size_t cols) {
   std::vector<size_t> row_ptr = {0};
   std::vector<size_t> col_idx;
@@ -295,8 +298,9 @@ CsrMatrix Eq14Fallback(Rng& rng, size_t rows, size_t cols) {
   for (size_t r = 0; r < rows; ++r) {
     if (r % 4 != 0) {
       for (size_t c = r % 3; c < cols; c += 3) {
+        const bool zero = r % 4 == 1 || (r % 4 == 3 && c == r % 3);
         col_idx.push_back(c);
-        values.push_back(r % 4 == 1 ? 0.0 : rng.Uniform(0.5, 10.0));
+        values.push_back(zero ? 0.0 : rng.Uniform(0.5, 10.0));
       }
     }
     row_ptr.push_back(col_idx.size());
@@ -307,9 +311,10 @@ CsrMatrix Eq14Fallback(Rng& rng, size_t rows, size_t cols) {
       .ValueOrDie();
 }
 
-// The zero-row fallback rebuild of the plan's kFullDm output: kept rows
+// The zero-row fallback rebuild of core::CrosswalkUncompiled: kept rows
 // as they are, each zero row with a positive fallback row sum replaced
-// by its fallback row times row_scale[r] / sum.
+// by its fallback row times row_scale[r] / sum, every exact zero
+// dropped.
 CsrMatrix RebuildZeroRows(const CsrMatrix& m,
                           const std::vector<size_t>& zero_rows,
                           const CsrMatrix& fallback, const Vector& fb_sums,
@@ -345,9 +350,12 @@ bool SameBits(common::ConstSpan<double> a, common::ConstSpan<double> b) {
 // structure): exact-zero weights, explicit ±0.0 entries, empty rows
 // and rows whose operands cancel to 0, zero tolerances above 0, zero
 // row scales (their explicit zeros stay), quotients that underflow to
-// 0, and both denominator modes. The aggregates output must match
-// ColSums of the four-step form, after the zero-row fallback rebuild
-// when a fallback DM is given.
+// 0 or overflow to ±Inf (NaN after a zero row scale), and three
+// denominator sources (row sums, given ones with zeros, and all ones,
+// which leave no zero row). With a fallback DM and a
+// zero row, the matrix output must be the four-step form after the
+// oracle's zero-row fallback rebuild, and without a zero row the
+// four-step form itself; the aggregates output must be its ColSums.
 TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
   const size_t rows = 72;
   const size_t cols = 11;
@@ -359,6 +367,9 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
       {0.0, 0.0, 0.0, 3.0, 0.0, 0.0},
   };
   RowScratch scratch;
+  size_t runs_compacting = 0;
+  size_t runs_keeping_nan = 0;
+  size_t runs_without_zero_rows = 0;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed, 41);
     std::vector<CsrMatrix> mats;
@@ -389,9 +400,14 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
     Vector given(rows);
     for (size_t r = 0; r < rows; ++r) {
       row_scale[r] = r % 5 == 0 ? 0.0 : rng.Uniform(0.5, 100.0);
-      const double picks[] = {0.0, 1e-4, 1e300, -2.0, rng.Uniform(0.5, 10.0)};
-      given[r] = picks[rng.UniformInt(uint64_t{5})];
+      // 1 / denorm_min is +Inf, so kept quotients are ±Inf, and NaN
+      // where row_scale[r] is 0.
+      const double picks[] = {0.0,  1e-4, 1e300, -2.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              rng.Uniform(0.5, 10.0)};
+      given[r] = picks[rng.UniformInt(uint64_t{6})];
     }
+    const Vector ones(rows, 1.0);
     for (const std::vector<CsrMatrix>* set : {&mats, &aligned}) {
       std::vector<const CsrMatrix*> ptrs;
       for (const CsrMatrix& m : *set) ptrs.push_back(&m);
@@ -399,50 +415,67 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
         for (double tol : {0.0, 1e-3}) {
           for (const Vector* denominators :
                {static_cast<const Vector*>(nullptr),
-                static_cast<const Vector*>(&given)}) {
+                static_cast<const Vector*>(&given),
+                static_cast<const Vector*>(&ones)}) {
             SCOPED_TRACE(::testing::Message()
                          << "seed " << seed
                          << (set == &aligned ? " aligned" : " private")
                          << " w0 " << weights[0] << " tol " << tol
-                         << (denominators ? " given" : " row sums"));
-            CsrMatrix want =
+                         << (denominators == nullptr ? " row sums"
+                             : denominators == &ones ? " ones"
+                                                     : " given"));
+            CsrMatrix four_step =
                 std::move(WeightedSum(ptrs, weights)).ValueOrDie();
             const Vector denom =
-                denominators != nullptr ? *denominators : want.RowSums();
+                denominators != nullptr ? *denominators : four_step.RowSums();
             std::vector<size_t> want_zero = {999};
-            DivideRowsOrZero(want, denom, tol, &want_zero);
-            want.ScaleRows(row_scale);
-
-            std::vector<size_t> got_zero = {999};
-            CsrMatrix got = std::move(DisaggregateRows(ptrs, weights,
-                                                       denominators, tol,
-                                                       row_scale, &got_zero))
-                                .ValueOrDie();
-            EXPECT_EQ(got.rows(), rows);
-            EXPECT_EQ(got.cols(), cols);
-            EXPECT_EQ(got.row_ptr(), want.row_ptr());
-            EXPECT_EQ(got.col_idx(), want.col_idx());
-            EXPECT_TRUE(SameBits(got.values(), want.values()));
-            EXPECT_EQ(got_zero, want_zero);
-
-            // The aggregates output, without and with the fallback.
+            DivideRowsOrZero(four_step, denom, tol, &want_zero);
+            four_step.ScaleRows(row_scale);
             want_zero.erase(want_zero.begin());
+            const common::ConstSpan<double> values = four_step.values();
+            if (want_zero.empty()) {
+              ++runs_without_zero_rows;
+            } else if (std::any_of(values.begin(), values.end(),
+                                   ExactlyZero)) {
+              ++runs_compacting;
+              runs_keeping_nan +=
+                  std::any_of(values.begin(), values.end(),
+                              [](double v) { return std::isnan(v); });
+            }
+
+            // Both outputs, without and with the fallback.
             for (const CsrMatrix* fb : {static_cast<const CsrMatrix*>(nullptr),
                                         &fallback}) {
-              const Vector want_targets =
-                  fb == nullptr ? want.ColSums()
-                                : RebuildZeroRows(want, want_zero, fallback,
-                                                  fb_sums, row_scale)
-                                      .ColSums();
+              SCOPED_TRACE(fb == nullptr ? "no fallback" : "fallback");
+              const FallbackRows fallback_rows = {
+                  fb, fb == nullptr ? nullptr : &fb_sums};
+              const CsrMatrix want =
+                  fb == nullptr || want_zero.empty()
+                      ? four_step
+                      : RebuildZeroRows(four_step, want_zero, fallback,
+                                        fb_sums, row_scale);
+              std::vector<size_t> got_zero = {999};
+              CsrMatrix got =
+                  std::move(DisaggregateRows(ptrs, weights, denominators, tol,
+                                             row_scale, fallback_rows,
+                                             &got_zero))
+                      .ValueOrDie();
+              EXPECT_EQ(got.rows(), rows);
+              EXPECT_EQ(got.cols(), cols);
+              EXPECT_EQ(got.row_ptr(), want.row_ptr());
+              EXPECT_EQ(got.col_idx(), want.col_idx());
+              EXPECT_TRUE(SameBits(got.values(), want.values()));
+              got_zero.erase(got_zero.begin());
+              EXPECT_EQ(got_zero, want_zero);
+
               Vector got_targets = {999.0};
               std::vector<size_t> got_agg_zero = {999};
-              ASSERT_TRUE(DisaggregateRows(
-                              ptrs, weights, denominators, tol, row_scale, fb,
-                              fb == nullptr ? nullptr : &fb_sums,
-                              &got_targets, &got_agg_zero, &scratch)
+              ASSERT_TRUE(DisaggregateRows(ptrs, weights, denominators, tol,
+                                           row_scale, fallback_rows,
+                                           &got_targets, &got_agg_zero,
+                                           &scratch)
                               .ok());
-              EXPECT_TRUE(SameBits(got_targets, want_targets))
-                  << (fb == nullptr ? "no fallback" : "fallback");
+              EXPECT_TRUE(SameBits(got_targets, want.ColSums()));
               EXPECT_EQ(got_agg_zero, want_zero);
             }
           }
@@ -450,45 +483,61 @@ TEST(SparseOps, DisaggregateRowsMatchesFourStepForm) {
       }
     }
   }
+  // Premises: the matrix output's compaction had exact zeros to drop
+  // and NaN to keep, and a fallback DM met inputs without a zero row.
+  EXPECT_GT(runs_compacting, 0u);
+  EXPECT_GT(runs_keeping_nan, 0u);
+  EXPECT_GT(runs_without_zero_rows, 0u);
 }
 
 TEST(SparseOps, DisaggregateRowsValidatesInputs) {
   CsrMatrix a(2, 2);
   CsrMatrix b(2, 3);
   const Vector scale = {1.0, 1.0};
-  EXPECT_FALSE(DisaggregateRows({}, {}, nullptr, 0.0, scale, nullptr).ok());
+  EXPECT_FALSE(DisaggregateRows({}, {}, nullptr, 0.0, scale, {}, nullptr).ok());
   EXPECT_FALSE(
-      DisaggregateRows({&a}, {1.0, 2.0}, nullptr, 0.0, scale, nullptr).ok());
-  EXPECT_FALSE(
-      DisaggregateRows({&a, &b}, {1.0, 1.0}, nullptr, 0.0, scale, nullptr)
+      DisaggregateRows({&a}, {1.0, 2.0}, nullptr, 0.0, scale, {}, nullptr)
           .ok());
   EXPECT_FALSE(
-      DisaggregateRows({&a}, {1.0}, nullptr, 0.0, {1.0}, nullptr).ok());
+      DisaggregateRows({&a, &b}, {1.0, 1.0}, nullptr, 0.0, scale, {}, nullptr)
+          .ok());
+  EXPECT_FALSE(
+      DisaggregateRows({&a}, {1.0}, nullptr, 0.0, {1.0}, {}, nullptr).ok());
   const Vector short_denominators = {1.0};
   EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, &short_denominators, 0.0, scale,
+                                {}, nullptr)
+                   .ok());
+  EXPECT_TRUE(
+      DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {}, nullptr).ok());
+
+  // Both outputs need a fallback DM with row sums of its shape, and the
+  // aggregates output its outputs.
+  const Vector sums = {0.0, 0.0};
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale,
+                                {&a, nullptr}, nullptr)
+                   .ok());
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {&b, &sums},
                                 nullptr)
                    .ok());
-  EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, nullptr).ok());
-
-  // The aggregates output also needs its outputs, and a fallback DM
-  // with row sums of its shape.
+  EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {&a, &sums},
+                               nullptr)
+                  .ok());
   RowScratch scratch;
   Vector targets;
   std::vector<size_t> zeros;
-  const Vector sums = {0.0, 0.0};
-  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, nullptr,
-                                nullptr, nullptr, &zeros, &scratch)
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {}, nullptr,
+                                &zeros, &scratch)
                    .ok());
-  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, &a,
-                                nullptr, &targets, &zeros, &scratch)
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale,
+                                {&a, nullptr}, &targets, &zeros, &scratch)
                    .ok());
-  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, &b, &sums,
+  EXPECT_FALSE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {&b, &sums},
                                 &targets, &zeros, &scratch)
                    .ok());
-  EXPECT_FALSE(DisaggregateRows({}, {}, nullptr, 0.0, scale, nullptr, nullptr,
-                                &targets, &zeros, &scratch)
+  EXPECT_FALSE(DisaggregateRows({}, {}, nullptr, 0.0, scale, {}, &targets,
+                                &zeros, &scratch)
                    .ok());
-  EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, &a, &sums,
+  EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {&a, &sums},
                                &targets, &zeros, &scratch)
                   .ok());
 }

@@ -51,9 +51,10 @@
 #           and --trace-out under GEOALIGN_TELEMETRY=0 (proving the
 #           output flags implicitly enable telemetry), validate both
 #           outputs parse as JSON (the trace must be Chrome trace-event
-#           shaped, i.e. carry a traceEvents array, and every span name
-#           in it must have a <name>.latency_us histogram counting its
-#           events), then re-run with
+#           shaped, i.e. carry a traceEvents array, hold the CLI's
+#           io.parse_csv span, and every span name in it must have a
+#           <name>.latency_us histogram counting its events), then
+#           re-run with
 #           --metrics-format=prom and --flight-recorder-out and
 #           validate the Prometheus exposition (every histogram's
 #           _count equals its +Inf bucket) and the flight-recorder
@@ -173,6 +174,8 @@ spans = {}
 for event in trace["traceEvents"]:
     spans[event["name"]] = spans.get(event["name"], 0) + 1
 assert spans, "no spans in the trace"
+# The CLI reads its objective and crosswalk CSVs through io::ParseCsv.
+assert spans.get("io.parse_csv", 0) >= 2, sorted(spans)
 for name, count in sorted(spans.items()):
     hist = metrics["histograms"].get(name + ".latency_us")
     assert hist is not None and hist["count"] == count, (name, count, hist)
