@@ -429,9 +429,9 @@ BENCHMARK(BM_AggregatesLane)
     ->Unit(benchmark::kMillisecond);
 
 // Compile of the 9-reference US leave-one-out input 0 through the two
-// ingest paths: 0 = the owning Compile, which copies every array into
-// the plan; 1 = the view Compile over Borrow()ed arrays, which copies
-// none.
+// ingest paths: 0 = the owning Compile, which copies every aggregate
+// column into the plan; 1 = the view Compile, which copies none. Both
+// share the input's DM arrays.
 void BM_CompileIngest(benchmark::State& state) {
   const bool view = state.range(0) != 0;
   core::CrosswalkInput input =
@@ -442,8 +442,8 @@ void BM_CompileIngest(benchmark::State& state) {
     std::vector<core::ReferenceAttributeView> views;
     views.reserve(input.references.size());
     for (const core::ReferenceAttribute& ref : input.references) {
-      views.push_back({ref.name, ref.source_aggregates,
-                       ref.disaggregation.Borrow(), nullptr});
+      views.push_back(
+          {ref.name, ref.source_aggregates, ref.disaggregation, nullptr});
     }
     return core::CrosswalkPlan::Compile(std::move(views), options);
   };

@@ -76,9 +76,10 @@ Result<linalg::Vector> CheckObjective(common::ColumnView objective,
                                       size_t num_source);
 
 /// Zero-copy flavor of ReferenceAttribute: the aggregate column is a
-/// borrowed view (optionally guarded by a keepalive) and the DM is
-/// typically a borrowed-mode CsrMatrix. Identical to — and directly
-/// consumed as — the sparse layer's Prepare input.
+/// borrowed view (optionally guarded by a keepalive) and the DM is a
+/// CsrMatrix — a copy of the caller's, which shares its arrays, or one
+/// over borrowed arrays (CsrMatrix::FromBorrowed). Identical to — and
+/// directly consumed as — the sparse layer's Prepare input.
 using ReferenceAttributeView = sparse::ReferenceDataView;
 
 }  // namespace geoalign::core

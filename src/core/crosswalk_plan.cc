@@ -58,9 +58,9 @@ obs::Counter& WorkspaceReuse() {
       obs::MetricsRegistry::Global().GetCounter("execute.workspace_reuse");
   return c;
 }
-// Bytes the ingest path duplicated to get reference data into a plan
-// (aggregate columns + CSR arrays). The owning Compile overloads pay
-// this once per reference; the view overload keeps it at zero — the
+// Bytes the ingest path duplicated to get reference data into a plan.
+// The owning Compile overloads copy each aggregate column (a DM copy
+// shares its arrays); the view overload keeps it at zero — the
 // zero-copy contract tests assert on the delta.
 obs::Counter& IngestBytesCopied() {
   static obs::Counter& c =
@@ -193,18 +193,14 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
-  // The owning ingest path duplicates every reference (aggregate
-  // column + CSR arrays) into storage the plan keeps alive, then
-  // compiles views of the copies; the view overload below is the
-  // copy-free path.
+  // The owning ingest path copies each aggregate column into storage
+  // the plan keeps alive and shares each DM's arrays, then compiles
+  // views of them; the view overload below copies nothing.
   std::vector<ReferenceAttributeView> copies;
   copies.reserve(references.size());
   uint64_t bytes_copied = 0;
   for (const ReferenceAttribute& ref : references) {
-    bytes_copied +=
-        ref.source_aggregates.size() * sizeof(double) +
-        ref.disaggregation.row_ptr().size() * sizeof(size_t) +
-        ref.disaggregation.nnz() * (sizeof(size_t) + sizeof(double));
+    bytes_copied += ref.source_aggregates.size() * sizeof(double);
     auto aggregates =
         std::make_shared<const linalg::Vector>(ref.source_aggregates);
     copies.push_back({ref.name, *aggregates, ref.disaggregation, aggregates});
@@ -218,7 +214,7 @@ Result<CrosswalkPlan> CrosswalkPlan::Compile(
     const GeoAlignOptions& options) {
   GEOALIGN_TRACE_SPAN("compile");
   // Views flow straight into Prepare — no aggregate column or CSR
-  // array is duplicated, so IngestBytesCopied stays untouched.
+  // array is copied, so IngestBytesCopied stays untouched.
   return CompileViews(std::move(references), options);
 }
 

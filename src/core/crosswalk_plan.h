@@ -77,6 +77,10 @@ class CrosswalkPlan {
   /// DM of the wrong shape: it fails the executes that hit a zero row.
   /// When a fallback DM is supplied it is snapshotted, so the plan never
   /// dangles on the caller's pointer.
+  ///
+  /// The plan keeps a copy of each aggregate column (charged to the
+  /// `ingest.bytes_copied` counter) and a copy of each DM, which shares
+  /// the caller's arrays (a CsrMatrix copy allocates none).
   static Result<CrosswalkPlan> Compile(const CrosswalkInput& input,
                                        const GeoAlignOptions& options);
 
@@ -248,8 +252,9 @@ class CrosswalkPlan {
   /// (kNnlsNormalized, kClampedLs); otherwise 0 rows x n columns.
   linalg::Matrix design_;
   linalg::Matrix gram_;  ///< A^T A from columns_; kSimplex only
-  /// Owned snapshot of options.fallback_dm; after Compile,
-  /// options_.fallback_dm points here, never at caller memory.
+  /// Snapshot of options.fallback_dm (a copy, sharing its arrays);
+  /// after Compile, options_.fallback_dm points here, never at the
+  /// caller's matrix.
   std::shared_ptr<const sparse::CsrMatrix> fallback_dm_;
   /// Under kFallbackDm with a fallback DM of the plan's shape, its row
   /// sums, and both as the row kernels take them; otherwise null.

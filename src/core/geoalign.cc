@@ -11,32 +11,38 @@ namespace geoalign::core {
 namespace {
 
 // Builds the normalized design matrix A (columns = a'^s_rk) and b
-// (= a'^s_o) of Eq. 15, for the oracle below.
+// (= a'^s_o) of Eq. 15, for the oracle below. Each column comes from
+// sparse::CheckReference and b from CheckObjective, the checks every
+// compile and execute path runs, so the oracle rejects each fault with
+// the plan's code and message.
 Result<std::pair<linalg::Matrix, linalg::Vector>> BuildNormalizedSystem(
     const CrosswalkInput& input) {
+  const size_t num_source = input.references[0].disaggregation.rows();
+  const size_t num_target = input.references[0].disaggregation.cols();
   std::vector<linalg::Vector> cols;
   cols.reserve(input.references.size());
   for (const ReferenceAttribute& ref : input.references) {
-    GEOALIGN_ASSIGN_OR_RETURN(linalg::Vector norm,
-                              linalg::NormalizeByMax(ref.source_aggregates));
+    GEOALIGN_ASSIGN_OR_RETURN(
+        linalg::Vector norm,
+        sparse::CheckReference(ref.name, ref.source_aggregates,
+                               ref.disaggregation, num_source, num_target));
     cols.push_back(std::move(norm));
   }
   GEOALIGN_ASSIGN_OR_RETURN(
-      linalg::Vector b,
-      CheckObjective(input.objective_source,
-                     input.references[0].disaggregation.rows()));
+      linalg::Vector b, CheckObjective(input.objective_source, num_source));
   return std::make_pair(linalg::Matrix::FromColumns(cols), std::move(b));
 }
 
-// Compiles a plan that dies within the caller's call, so it borrows
-// `input`'s arrays through the view Compile instead of copying them.
+// Compiles a plan that dies within the caller's call, so it views
+// `input`'s aggregate columns through the view Compile instead of
+// copying them; each DM copy shares the caller's arrays.
 Result<CrosswalkPlan> CompileBorrowed(const CrosswalkInput& input,
                                       const GeoAlignOptions& options) {
   std::vector<ReferenceAttributeView> views;
   views.reserve(input.references.size());
   for (const ReferenceAttribute& ref : input.references) {
-    views.push_back({ref.name, ref.source_aggregates,
-                     ref.disaggregation.Borrow(), nullptr});
+    views.push_back(
+        {ref.name, ref.source_aggregates, ref.disaggregation, nullptr});
   }
   return CrosswalkPlan::Compile(std::move(views), options);
 }
@@ -93,15 +99,11 @@ Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,
   size_t num_refs = input.references.size();
   linalg::Vector effective(num_refs, 0.0);
   for (size_t k = 0; k < num_refs; ++k) {
-    double norm = 1.0;
-    if (options.scale_mode == ScaleMode::kNormalized) {
-      norm = linalg::Max(input.references[k].source_aggregates);
-      if (norm <= 0.0) {
-        return Status::InvalidArgument(
-            "GeoAlign: reference '" + input.references[k].name +
-            "' has all-zero source aggregates");
-      }
-    }
+    // CheckReference has rejected negative and all-zero columns, so
+    // the max is positive.
+    const double norm = options.scale_mode == ScaleMode::kNormalized
+                            ? linalg::Max(input.references[k].source_aggregates)
+                            : 1.0;
     effective[k] = beta[k] / norm;
   }
 

@@ -23,8 +23,9 @@ namespace geoalign::core {
 ///
 /// Two ways to run it:
 ///  - `Crosswalk(input)` — the Interpolator entry point; internally a
-///    thin Compile → Execute wrapper whose plan borrows `input`'s
-///    arrays (no reference array is copied).
+///    thin Compile → Execute wrapper whose plan views `input`'s
+///    aggregate columns and shares its DM arrays (no reference array
+///    is copied).
 ///  - `Compile(input) → CrosswalkPlan`, then `plan.Execute(objective)`
 ///    for each objective column — amortizes every objective-
 ///    independent step (normalization, design/Gram assembly, DM
@@ -65,8 +66,10 @@ class GeoAlign : public Interpolator {
 /// preserved verbatim from before the compile/execute split. This is
 /// the reference oracle that `plan_equivalence_test` and perfbench
 /// compare the compiled path against — it must keep redoing all
-/// objective-independent work per call, so do not "optimize" it.
-/// Production code
+/// objective-independent work per call, so do not "optimize" it. It
+/// runs the plan's input checks (sparse::CheckReference per reference,
+/// then CheckObjective), so it rejects each fault with the plan's code
+/// and message. Production code
 /// goes through GeoAlign::Crosswalk or a CrosswalkPlan instead
 /// (enforced in src/ hot paths by the geoalign-plan-bypass lint).
 Result<CrosswalkResult> CrosswalkUncompiled(const CrosswalkInput& input,

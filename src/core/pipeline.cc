@@ -76,8 +76,9 @@ Result<CrosswalkPipeline> CrosswalkPipeline::Create(
     if (plan.ok()) {
       pipeline.plan_ = std::make_shared<const CrosswalkPlan>(
           std::move(plan).value());
-      // The plan owns prepared copies of every reference; drop the
-      // now-redundant originals (they were only read per Realign call).
+      // The plan holds a copy of each aggregate column and shares each
+      // DM's arrays; drop the now-redundant originals (they were only
+      // read per Realign call).
       pipeline.references_.clear();
       pipeline.references_.shrink_to_fit();
     }

@@ -107,20 +107,4 @@ Result<linalg::Vector> AggregatesFromTable(
   return out;
 }
 
-Table CrosswalkToTable(const LoadedCrosswalk& cw,
-                       const std::string& source_column,
-                       const std::string& target_column,
-                       const std::string& value_column) {
-  Table out({source_column, target_column, value_column});
-  for (size_t i = 0; i < cw.dm.rows(); ++i) {
-    sparse::CsrMatrix::RowView row = cw.dm.Row(i);
-    for (size_t k = 0; k < row.size; ++k) {
-      out.AppendRow({cw.source_units[i], cw.target_units[row.cols[k]],
-                     StrFormat("%.12g", row.values[k])})
-          .CheckOK();
-    }
-  }
-  return out;
-}
-
 }  // namespace geoalign::io

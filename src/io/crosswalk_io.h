@@ -49,13 +49,6 @@ Result<linalg::Vector> AggregatesFromTable(
     const Table& table, const std::string& unit_column,
     const std::string& value_column, const std::vector<std::string>& units);
 
-/// Serializes a DM back to a long-form table with the given column
-/// names (only stored entries are emitted).
-Table CrosswalkToTable(const LoadedCrosswalk& cw,
-                       const std::string& source_column,
-                       const std::string& target_column,
-                       const std::string& value_column);
-
 }  // namespace geoalign::io
 
 #endif  // GEOALIGN_IO_CROSSWALK_IO_H_

@@ -56,49 +56,6 @@ const char* KeepMetricsLine(std::string line) {
   return lines->back().c_str();
 }
 
-void AppendEscapedJson(std::string& out, const char* s) {
-  out.push_back('"');
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out.push_back(c);
-    }
-  }
-  out.push_back('"');
-}
-
-void AppendHex(std::string& out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void AppendAuditJson(std::string& out, const AuditRecord& r) {
-  out += "{\"type\":\"audit\",\"seq\":" + std::to_string(r.seq);
-  out += ",\"request_id\":";
-  AppendEscapedJson(out, r.request_id);
-  out += ",\"request_seq\":" + std::to_string(r.request_seq);
-  out += ",\"fingerprint\":\"";
-  AppendHex(out, r.plan_fingerprint);
-  out += "\",\"mode\":";
-  AppendEscapedJson(out, r.mode);
-  out += ",\"panel_width\":" + std::to_string(r.panel_width);
-  out += ",\"isa\":" + std::to_string(r.isa);
-  out += ",\"rows\":" + std::to_string(r.rows);
-  out += ",\"latency_us\":" + std::to_string(r.latency_us);
-  out += ",\"zero_rows\":" + std::to_string(r.zero_rows);
-  out += ",\"fallback\":" + std::to_string(r.fallback);
-  out += ",\"ok\":" + std::to_string(r.ok);
-  out += "}\n";
-}
-
 /// Minimal async-signal-safe line writer: stack buffer + write(2).
 /// Formatting is hand-rolled (snprintf is not on the signal-safe
 /// list on every libc).
@@ -106,6 +63,7 @@ struct SigWriter {
   int fd;
   char buf[768];
   size_t len = 0;
+  bool failed = false;  ///< a write(2) came up short
 
   explicit SigWriter(int fd_in) : fd(fd_in) {}
 
@@ -113,7 +71,10 @@ struct SigWriter {
     size_t off = 0;
     while (off < len) {
       const ssize_t n = ::write(fd, buf + off, len - off);
-      if (n <= 0) break;
+      if (n <= 0) {
+        failed = true;
+        break;
+      }
       off += static_cast<size_t>(n);
     }
     len = 0;
@@ -145,13 +106,18 @@ struct SigWriter {
     } while (v != 0);
     while (n > 0) Raw(&tmp[--n], 1);
   }
-  /// Quoted string, dropping characters that would need escaping
-  /// (request ids are expected to be plain tokens).
-  void QuotedId(const char* s) {
+  /// Quoted JSON string: `"`, `\` and newline escaped, other control
+  /// characters dropped.
+  void Quoted(const char* s) {
     Raw("\"", 1);
     for (; *s != '\0'; ++s) {
       const char c = *s;
-      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      if (c == '"' || c == '\\') {
+        Raw("\\", 1);
+      } else if (c == '\n') {
+        Raw("\\n", 2);
+        continue;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
         continue;
       }
       Raw(&c, 1);
@@ -160,17 +126,35 @@ struct SigWriter {
   }
 };
 
-void WriteAuditSignalSafe(SigWriter& w, const AuditRecord& r) {
+/// The dump's first line: header, `reason`, record count and the ids
+/// of the requests in flight.
+void WriteHeader(SigWriter& w, const char* reason, uint64_t total_recorded) {
+  w.Str("{\"type\":\"header\",\"geoalign_flight_recorder\":1");
+  w.Str(",\"reason\":");
+  w.Quoted(reason);
+  w.Str(",\"total_recorded\":");
+  w.U64(total_recorded);
+  w.Str(",\"in_flight\":[");
+  char ids[16][RequestToken::kMaxIdLength + 1];
+  const size_t n = internal::SnapshotInFlightRequests(ids, 16);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) w.Str(",");
+    w.Quoted(ids[i]);
+  }
+  w.Str("]}\n");
+}
+
+void WriteAudit(SigWriter& w, const AuditRecord& r) {
   w.Str("{\"type\":\"audit\",\"seq\":");
   w.U64(r.seq);
   w.Str(",\"request_id\":");
-  w.QuotedId(r.request_id);
+  w.Quoted(r.request_id);
   w.Str(",\"request_seq\":");
   w.U64(r.request_seq);
   w.Str(",\"fingerprint\":\"");
   w.Hex(r.plan_fingerprint);
   w.Str("\",\"mode\":");
-  w.QuotedId(r.mode);
+  w.Quoted(r.mode);
   w.Str(",\"panel_width\":");
   w.U64(r.panel_width);
   w.Str(",\"isa\":");
@@ -268,54 +252,32 @@ uint64_t FlightRecorder::TotalRecorded() const {
 
 bool FlightRecorder::DumpToFile(const std::string& path, const char* reason,
                                 std::string* error) const {
-  std::string out = "{\"type\":\"header\",\"geoalign_flight_recorder\":1";
-  out += ",\"reason\":";
-  AppendEscapedJson(out, reason);
-  out += ",\"total_recorded\":" + std::to_string(TotalRecorded());
-  out += ",\"in_flight\":[";
-  char ids[16][RequestToken::kMaxIdLength + 1];
-  const size_t n = internal::SnapshotInFlightRequests(ids, 16);
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0) out += ',';
-    AppendEscapedJson(out, ids[i]);
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return false;
   }
-  out += "]}\n";
-
-  for (const AuditRecord& r : Collect()) AppendAuditJson(out, r);
+  SigWriter w(fd);
+  WriteHeader(w, reason, TotalRecorded());
+  for (const AuditRecord& r : Collect()) WriteAudit(w, r);
 
   std::string metrics_line = "{\"type\":\"metrics\",\"snapshot\":";
   metrics_line += ToJsonLine(MetricsRegistry::Global().Snapshot());
   metrics_line += "}\n";
-  out += metrics_line;
-
+  w.Str(metrics_line.c_str());
+  w.Flush();
   // Refresh the signal path's cached metrics line.
   g_metrics_cache.store(KeepMetricsLine(std::move(metrics_line)),
                         std::memory_order_release);
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  const size_t written = std::fwrite(out.data(), 1, out.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == out.size();
+  const bool ok = ::close(fd) == 0 && !w.failed;
   if (!ok && error != nullptr) *error = "short write to " + path;
   return ok;
 }
 
 void FlightRecorder::DumpToFdSignalSafe(int fd) const {
   SigWriter w(fd);
-  w.Str("{\"type\":\"header\",\"geoalign_flight_recorder\":1");
-  w.Str(",\"reason\":\"signal\",\"total_recorded\":");
-  w.U64(TotalRecorded());
-  w.Str(",\"in_flight\":[");
-  char ids[16][RequestToken::kMaxIdLength + 1];
-  const size_t n = internal::SnapshotInFlightRequests(ids, 16);
-  for (size_t i = 0; i < n; ++i) {
-    if (i > 0) w.Str(",");
-    w.QuotedId(ids[i]);
-  }
-  w.Str("]}\n");
+  WriteHeader(w, "signal", TotalRecorded());
 
   // One pass in seq order would need a sort; dump slots oldest-ish
   // first instead: slot (next % capacity) onward is the oldest when
@@ -324,7 +286,7 @@ void FlightRecorder::DumpToFdSignalSafe(int fd) const {
   for (size_t k = 0; k < kCapacity; ++k) {
     const size_t i = (next + k) % kCapacity;
     AuditRecord r;
-    if (ReadSlot(i, &r)) WriteAuditSignalSafe(w, r);
+    if (ReadSlot(i, &r)) WriteAudit(w, r);
   }
 
   const char* metrics = g_metrics_cache.load(std::memory_order_acquire);

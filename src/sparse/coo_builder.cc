@@ -1,6 +1,7 @@
 #include "sparse/coo_builder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
@@ -17,7 +18,9 @@ CsrMatrix CooBuilder::Build() {
             [](const Entry& a, const Entry& b) {
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
-  CsrMatrix out(rows_, cols_);
+  std::vector<size_t> row_ptr(rows_ + 1, 0);
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
   size_t i = 0;
   for (size_t r = 0; r < rows_; ++r) {
     while (i < entries_.size() && entries_[i].row == r) {
@@ -29,14 +32,15 @@ CsrMatrix CooBuilder::Build() {
         ++i;
       }
       if (!ExactlyZero(acc)) {
-        out.col_idx_.push_back(c);
-        out.values_.push_back(acc);
+        col_idx.push_back(c);
+        values.push_back(acc);
       }
     }
-    out.row_ptr_[r + 1] = out.col_idx_.size();
+    row_ptr[r + 1] = col_idx.size();
   }
   entries_.clear();
-  return out;
+  return CsrMatrix::Adopt(rows_, cols_, std::move(row_ptr), std::move(col_idx),
+                          std::move(values));
 }
 
 }  // namespace geoalign::sparse

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
@@ -39,10 +40,84 @@ Status ValidateCsr(size_t rows, size_t cols,
   return Status::OK();
 }
 
+/// Deletes a block. Its type tags an owner handle as a block this
+/// class built, which tells it apart from a FromBorrowed keepalive.
+struct DeleteBlock {
+  template <typename T>
+  void operator()(T* block) const {
+    delete block;
+  }
+};
+
 }  // namespace
 
+struct CsrMatrix::Block {
+  std::vector<size_t> row_ptr;
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+};
+
 CsrMatrix::CsrMatrix(size_t rows, size_t cols)
-    : rows_(rows), cols_(cols), row_ptr_(rows + 1, 0) {}
+    : CsrMatrix(Adopt(rows, cols, std::vector<size_t>(rows + 1, 0), {}, {})) {}
+
+CsrMatrix::CsrMatrix(CsrMatrix&& other) noexcept
+    : rows_(std::exchange(other.rows_, 0)),
+      cols_(std::exchange(other.cols_, 0)),
+      row_ptr_(std::exchange(other.row_ptr_, {kNoRows, 1})),
+      col_idx_(std::exchange(other.col_idx_, {})),
+      values_(std::exchange(other.values_, {})),
+      owner_(std::move(other.owner_)) {}
+
+CsrMatrix& CsrMatrix::operator=(CsrMatrix&& other) noexcept {
+  CsrMatrix taken(std::move(other));  // empties `other`, even if it is *this
+  rows_ = taken.rows_;
+  cols_ = taken.cols_;
+  row_ptr_ = taken.row_ptr_;
+  col_idx_ = taken.col_idx_;
+  values_ = taken.values_;
+  owner_ = std::move(taken.owner_);
+  return *this;
+}
+
+CsrMatrix CsrMatrix::Adopt(size_t rows, size_t cols,
+                           std::vector<size_t> row_ptr,
+                           std::vector<size_t> col_idx,
+                           std::vector<double> values) {
+  auto* block =
+      new Block{std::move(row_ptr), std::move(col_idx), std::move(values)};
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = block->row_ptr;
+  m.col_idx_ = block->col_idx;
+  m.values_ = block->values;
+  m.owner_ = std::shared_ptr<const void>(block, DeleteBlock{});
+  return m;
+}
+
+CsrMatrix::Block& CsrMatrix::WritableBlock() {
+  if (std::get_deleter<DeleteBlock>(owner_) != nullptr &&
+      owner_.use_count() == 1) {
+    // use_count() is a relaxed load, so by itself it does not order
+    // the reads another thread made through a copy it has since
+    // dropped before the writes that follow. Copying the handle does:
+    // libstdc++ increments the count with an acq_rel read-modify-write,
+    // which reads the release decrement that dropped that copy. (An
+    // acquire fence would order them too, but ThreadSanitizer does not
+    // model fences and GCC rejects them under -fsanitize=thread.)
+    const std::shared_ptr<const void> acquire = owner_;
+    return *static_cast<Block*>(const_cast<void*>(owner_.get()));
+  }
+  *this = Adopt(rows_, cols_,
+                std::vector<size_t>(row_ptr_.begin(), row_ptr_.end()),
+                std::vector<size_t>(col_idx_.begin(), col_idx_.end()),
+                std::vector<double>(values_.begin(), values_.end()));
+  return *static_cast<Block*>(const_cast<void*>(owner_.get()));
+}
+
+std::span<double> CsrMatrix::mutable_values() {
+  return WritableBlock().values;
+}
 
 Result<CsrMatrix> CsrMatrix::FromCsrArrays(size_t rows, size_t cols,
                                            std::vector<size_t> row_ptr,
@@ -50,64 +125,40 @@ Result<CsrMatrix> CsrMatrix::FromCsrArrays(size_t rows, size_t cols,
                                            std::vector<double> values) {
   GEOALIGN_RETURN_IF_ERROR(
       ValidateCsr(rows, cols, row_ptr, col_idx, values));
-  CsrMatrix m(rows, cols);
-  m.row_ptr_ = std::move(row_ptr);
-  m.col_idx_ = std::move(col_idx);
-  m.values_ = std::move(values);
-  return m;
+  return Adopt(rows, cols, std::move(row_ptr), std::move(col_idx),
+               std::move(values));
 }
 
 Result<CsrMatrix> CsrMatrix::FromBorrowed(
     const CsrView& view, std::shared_ptr<const void> keepalive) {
   GEOALIGN_RETURN_IF_ERROR(ValidateCsr(view.rows, view.cols, view.row_ptr,
                                        view.col_idx, view.values));
-  return BorrowUnchecked(view, std::move(keepalive));
-}
-
-CsrMatrix CsrMatrix::Borrow() const {
-  return BorrowUnchecked({rows_, cols_, row_ptr(), col_idx(), values()},
-                         keepalive_);
-}
-
-CsrMatrix CsrMatrix::BorrowUnchecked(const CsrView& view,
-                                     std::shared_ptr<const void> keepalive) {
   CsrMatrix m;
   m.rows_ = view.rows;
   m.cols_ = view.cols;
-  m.row_ptr_.clear();  // unused in borrowed mode
-  m.borrowed_ = true;
-  m.view_row_ptr_ = view.row_ptr;
-  m.view_col_idx_ = view.col_idx;
-  m.view_values_ = view.values;
-  m.keepalive_ = std::move(keepalive);
+  m.row_ptr_ = view.row_ptr;
+  m.col_idx_ = view.col_idx;
+  m.values_ = view.values;
+  m.owner_ = std::move(keepalive);
   return m;
 }
 
 CsrMatrix CsrMatrix::FromDense(const linalg::Matrix& m, double prune_below) {
-  CsrMatrix out(m.rows(), m.cols());
+  std::vector<size_t> row_ptr(m.rows() + 1, 0);
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
   for (size_t r = 0; r < m.rows(); ++r) {
     for (size_t c = 0; c < m.cols(); ++c) {
       double v = m(r, c);
       if (!ExactlyZero(v) && std::fabs(v) > prune_below) {
-        out.col_idx_.push_back(c);
-        out.values_.push_back(v);
+        col_idx.push_back(c);
+        values.push_back(v);
       }
     }
-    out.row_ptr_[r + 1] = out.col_idx_.size();
+    row_ptr[r + 1] = col_idx.size();
   }
-  return out;
-}
-
-void CsrMatrix::EnsureOwned() {
-  if (!borrowed_) return;
-  row_ptr_.assign(view_row_ptr_.begin(), view_row_ptr_.end());
-  col_idx_.assign(view_col_idx_.begin(), view_col_idx_.end());
-  values_.assign(view_values_.begin(), view_values_.end());
-  borrowed_ = false;
-  view_row_ptr_ = {};
-  view_col_idx_ = {};
-  view_values_ = {};
-  keepalive_.reset();
+  return Adopt(m.rows(), m.cols(), std::move(row_ptr), std::move(col_idx),
+               std::move(values));
 }
 
 double CsrMatrix::At(size_t r, size_t c) const {
@@ -193,42 +244,37 @@ linalg::Vector CsrMatrix::MatTVec(common::ConstSpan<double> x) const {
 
 void CsrMatrix::ScaleRows(common::ConstSpan<double> s) {
   GEOALIGN_CHECK(s.size() == rows_) << "CSR ScaleRows: size mismatch";
-  EnsureOwned();
+  std::span<double> values = mutable_values();
   for (size_t r = 0; r < rows_; ++r) {
     for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      values_[k] *= s[r];
+      values[k] *= s[r];
     }
   }
-}
-
-void CsrMatrix::Scale(double s) {
-  EnsureOwned();
-  for (double& v : values_) v *= s;
 }
 
 CsrMatrix CsrMatrix::Transposed() const {
   common::ConstSpan<size_t> rp = row_ptr();
   common::ConstSpan<size_t> ci = col_idx();
   common::ConstSpan<double> vals = values();
-  CsrMatrix out(cols_, rows_);
   // Count entries per output row (input column).
   std::vector<size_t> counts(cols_, 0);
   for (size_t c : ci) ++counts[c];
-  out.row_ptr_.assign(cols_ + 1, 0);
+  std::vector<size_t> out_row_ptr(cols_ + 1, 0);
   for (size_t c = 0; c < cols_; ++c) {
-    out.row_ptr_[c + 1] = out.row_ptr_[c] + counts[c];
+    out_row_ptr[c + 1] = out_row_ptr[c] + counts[c];
   }
-  out.col_idx_.resize(nnz());
-  out.values_.resize(nnz());
-  std::vector<size_t> next(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
+  std::vector<size_t> out_col_idx(nnz());
+  std::vector<double> out_values(nnz());
+  std::vector<size_t> next(out_row_ptr.begin(), out_row_ptr.end() - 1);
   for (size_t r = 0; r < rows_; ++r) {
     for (size_t k = rp[r]; k < rp[r + 1]; ++k) {
       size_t pos = next[ci[k]]++;
-      out.col_idx_[pos] = r;
-      out.values_[pos] = vals[k];
+      out_col_idx[pos] = r;
+      out_values[pos] = vals[k];
     }
   }
-  return out;
+  return Adopt(cols_, rows_, std::move(out_row_ptr), std::move(out_col_idx),
+               std::move(out_values));
 }
 
 linalg::Matrix CsrMatrix::ToDense() const {
@@ -245,31 +291,20 @@ linalg::Matrix CsrMatrix::ToDense() const {
 }
 
 void CsrMatrix::Prune(double threshold) {
-  common::ConstSpan<size_t> rp = row_ptr();
-  common::ConstSpan<size_t> ci = col_idx();
-  common::ConstSpan<double> vals = values();
-  std::vector<size_t> new_row_ptr(rows_ + 1, 0);
-  std::vector<size_t> new_cols;
-  std::vector<double> new_vals;
-  new_cols.reserve(nnz());
-  new_vals.reserve(nnz());
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = rp[r]; k < rp[r + 1]; ++k) {
-      if (std::fabs(vals[k]) > threshold) {
-        new_cols.push_back(ci[k]);
-        new_vals.push_back(vals[k]);
-      }
+  Block& block = WritableBlock();
+  size_t kept = 0;
+  for (size_t r = 0, k = 0; r < rows_; ++r) {
+    for (; k < block.row_ptr[r + 1]; ++k) {
+      if (!(std::fabs(block.values[k]) > threshold)) continue;
+      block.col_idx[kept] = block.col_idx[k];
+      block.values[kept++] = block.values[k];
     }
-    new_row_ptr[r + 1] = new_cols.size();
+    block.row_ptr[r + 1] = kept;
   }
-  row_ptr_ = std::move(new_row_ptr);
-  col_idx_ = std::move(new_cols);
-  values_ = std::move(new_vals);
-  borrowed_ = false;
-  view_row_ptr_ = {};
-  view_col_idx_ = {};
-  view_values_ = {};
-  keepalive_.reset();
+  block.col_idx.resize(kept);
+  block.values.resize(kept);
+  col_idx_ = block.col_idx;
+  values_ = block.values;
 }
 
 bool CsrMatrix::AllClose(const CsrMatrix& other, double tol) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/span.h"
@@ -31,17 +32,37 @@ struct CsrView {
 /// used there. Column indices within each row are kept sorted and
 /// unique.
 ///
-/// Storage is either **owned** (the default: three vectors) or
-/// **borrowed** (`FromBorrowed`: three caller spans plus an optional
-/// keepalive). Read access always goes through the span accessors, so
-/// every kernel is oblivious to which mode a matrix is in; mutation
-/// first materializes an owned copy (`EnsureOwned`), so borrowed
-/// caller memory is never written through.
+/// One storage mode: three read-only spans plus one owner handle that
+/// keeps the viewed arrays alive. The handle is the immutable block of
+/// arrays a builder filled (FromCsrArrays, CooBuilder::Build,
+/// DisaggregateRows, FromDense, Transposed), the keepalive a
+/// FromBorrowed caller passed, or null (a FromBorrowed matrix without
+/// keepalive, or an empty one). Every kernel reads through the spans,
+/// so none knows where the arrays came from.
+///
+/// A copy shares the handle, so copying a matrix (and so a
+/// core::ReferenceAttribute or core::CrosswalkInput) allocates no
+/// array. A writer (mutable_values, ScaleRows, Prune) writes in place
+/// only when this matrix is the only holder of a block it built;
+/// otherwise it first copies the arrays into a new block of its own.
+/// So a write never shows through another copy, and borrowed caller
+/// memory is never written. A moved-from matrix is empty (0 x 0).
+///
+/// Spans from the accessors stay valid while this matrix, or any copy
+/// sharing its handle, is alive and unwritten; the span mutable_values
+/// returns is valid until this matrix is next copied, moved or written.
 class CsrMatrix {
  public:
   /// Empty rows x cols matrix (no stored entries).
   CsrMatrix(size_t rows, size_t cols);
-  CsrMatrix() : CsrMatrix(0, 0) {}
+  /// Empty 0 x 0 matrix; allocates nothing.
+  CsrMatrix() = default;
+
+  CsrMatrix(const CsrMatrix&) = default;
+  CsrMatrix& operator=(const CsrMatrix&) = default;
+  CsrMatrix(CsrMatrix&& other) noexcept;
+  CsrMatrix& operator=(CsrMatrix&& other) noexcept;
+  ~CsrMatrix() = default;
 
   /// Builds directly from CSR arrays. `row_ptr` must have rows+1
   /// monotone entries; column indices must be < cols and strictly
@@ -53,15 +74,11 @@ class CsrMatrix {
 
   /// Zero-copy construction over caller-owned CSR arrays (same
   /// validation as FromCsrArrays). The caller keeps the arrays alive
-  /// for the matrix's lifetime, or passes a `keepalive` handle that
-  /// does. Mutating members copy-on-write; plain reads never copy.
+  /// and unchanged for the lifetime of the matrix and of every copy,
+  /// or passes a `keepalive` handle that does. A writer copies first;
+  /// plain reads never copy.
   static Result<CsrMatrix> FromBorrowed(
       const CsrView& view, std::shared_ptr<const void> keepalive = nullptr);
-
-  /// Zero-copy borrowed-mode matrix over this matrix's arrays, without
-  /// re-validation (this matrix is valid by construction). This matrix
-  /// must outlive the result and stay unmodified while it is read.
-  CsrMatrix Borrow() const;
 
   /// Densifies `m` (intended for tests and small examples).
   static CsrMatrix FromDense(const linalg::Matrix& m,
@@ -69,10 +86,7 @@ class CsrMatrix {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  size_t nnz() const { return values().size(); }
-
-  /// True when this matrix views caller memory instead of owning it.
-  bool borrowed() const { return borrowed_; }
+  size_t nnz() const { return values_.size(); }
 
   /// Value at (r, c); 0 for entries not stored. O(log nnz(row)).
   double At(size_t r, size_t c) const;
@@ -99,8 +113,6 @@ class CsrMatrix {
 
   /// Multiplies every stored entry of row r by s[r].
   void ScaleRows(common::ConstSpan<double> s);
-  /// Multiplies every stored entry by s.
-  void Scale(double s);
 
   /// Transposed copy.
   CsrMatrix Transposed() const;
@@ -108,30 +120,23 @@ class CsrMatrix {
   /// Dense copy (tests / small problems only).
   linalg::Matrix ToDense() const;
 
-  /// Removes stored entries with |value| <= threshold.
+  /// Removes stored entries with |value| <= threshold, and NaN ones.
   void Prune(double threshold);
 
   /// True when shapes match and every (implicitly zero) entry differs
   /// by at most tol.
   bool AllClose(const CsrMatrix& other, double tol) const;
 
-  common::ConstSpan<size_t> row_ptr() const {
-    return borrowed_ ? view_row_ptr_ : common::ConstSpan<size_t>(row_ptr_);
-  }
-  common::ConstSpan<size_t> col_idx() const {
-    return borrowed_ ? view_col_idx_ : common::ConstSpan<size_t>(col_idx_);
-  }
-  common::ConstSpan<double> values() const {
-    return borrowed_ ? view_values_ : common::ConstSpan<double>(values_);
-  }
-  std::vector<double>& mutable_values() {
-    EnsureOwned();
-    return values_;
-  }
+  common::ConstSpan<size_t> row_ptr() const { return row_ptr_; }
+  common::ConstSpan<size_t> col_idx() const { return col_idx_; }
+  common::ConstSpan<double> values() const { return values_; }
+  /// The stored values, writable (the write step runs first). Valid
+  /// until this matrix is next copied, moved or written.
+  std::span<double> mutable_values();
 
  private:
-  // Builders whose output is valid by construction write the arrays
-  // directly, without FromCsrArrays' validation pass.
+  // Builders whose output is valid by construction hand their arrays
+  // to Adopt, without FromCsrArrays' validation pass.
   friend class CooBuilder;
   friend Result<CsrMatrix> DisaggregateRows(
       const std::vector<const CsrMatrix*>& mats, const linalg::Vector& weights,
@@ -139,28 +144,30 @@ class CsrMatrix {
       common::ConstSpan<double> row_scale, const FallbackRows& fallback,
       std::vector<size_t>* zero_rows);
 
-  /// FromBorrowed minus the validation.
-  static CsrMatrix BorrowUnchecked(const CsrView& view,
-                                   std::shared_ptr<const void> keepalive);
+  /// The arrays of one builder's output (csr_matrix.cc).
+  struct Block;
 
-  /// Copies borrowed storage into the owned vectors (no-op when
-  /// already owned). Every mutator calls this first.
-  void EnsureOwned();
+  /// Moves freshly filled, valid arrays into a new block that the
+  /// result holds: FromCsrArrays minus the validation.
+  static CsrMatrix Adopt(size_t rows, size_t cols,
+                         std::vector<size_t> row_ptr,
+                         std::vector<size_t> col_idx,
+                         std::vector<double> values);
 
-  size_t rows_;
-  size_t cols_;
-  std::vector<size_t> row_ptr_;
-  std::vector<size_t> col_idx_;
-  std::vector<double> values_;
+  /// The write step every writer runs first: returns this matrix's
+  /// block, after copying the arrays into a new one unless this matrix
+  /// is the only holder of a block it built.
+  Block& WritableBlock();
 
-  // Borrowed mode: views over caller memory, disjoint from the owned
-  // vectors above (so the defaulted copy/move stay correct — copies
-  // share the keepalive, never self-reference).
-  bool borrowed_ = false;
-  common::ConstSpan<size_t> view_row_ptr_;
-  common::ConstSpan<size_t> view_col_idx_;
-  common::ConstSpan<double> view_values_;
-  std::shared_ptr<const void> keepalive_;
+  // row_ptr of every 0-row matrix that holds no block.
+  static constexpr size_t kNoRows[1] = {0};
+
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  common::ConstSpan<size_t> row_ptr_{kNoRows, 1};
+  common::ConstSpan<size_t> col_idx_;
+  common::ConstSpan<double> values_;
+  std::shared_ptr<const void> owner_;
 };
 
 }  // namespace geoalign::sparse

@@ -84,9 +84,10 @@ struct ReferenceData {
 };
 
 /// Zero-copy flavor of ReferenceData: the aggregate column is a
-/// borrowed view and the DM is typically in borrowed mode
+/// borrowed view and the DM a CsrMatrix, which shares its arrays with
+/// the matrix it was copied from or views borrowed ones
 /// (CsrMatrix::FromBorrowed). `keepalive` optionally guards the
-/// aggregate memory; the DM carries its own keepalive. The viewed
+/// aggregate memory; the DM's owner handle keeps its arrays alive. The viewed
 /// memory must stay alive for the lifetime of whatever Prepare
 /// produces (keepalives make that automatic for ref-counted hosts).
 struct ReferenceDataView {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/float_eq.h"
@@ -68,9 +70,9 @@ void DivideRowsOrZero(CsrMatrix& m, const linalg::Vector& denom,
                       double zero_tol, std::vector<size_t>* zero_rows) {
   GEOALIGN_CHECK(denom.size() == m.rows())
       << "DivideRowsOrZero: size mismatch";
-  // mutable_values() first: it materializes an owned copy of a
-  // borrowed matrix, so the row_ptr span below views the final storage.
-  std::vector<double>& values = m.mutable_values();
+  // mutable_values() first: its write step may move the matrix to a
+  // new block, so the row_ptr span below views the final storage.
+  std::span<double> values = m.mutable_values();
   common::ConstSpan<size_t> row_ptr = m.row_ptr();
   for (size_t r = 0; r < m.rows(); ++r) {
     double scale;
@@ -254,13 +256,12 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
     if (!ExactlyZero(weights[mi])) max_nnz += mats[mi]->nnz();
   }
 
-  // The row pass emits ascending in-range columns, so the arrays are
-  // written in place, unvalidated. Capacity only: pages are touched as
-  // entries are written.
-  CsrMatrix out(rows, cols);
-  std::vector<size_t>& out_cols = out.col_idx_;
-  std::vector<double>& out_vals = out.values_;
-  std::vector<size_t>& out_rows = out.row_ptr_;
+  // The row pass emits ascending in-range columns, so the arrays go to
+  // Adopt unvalidated. Capacity only: pages are touched as entries are
+  // written.
+  std::vector<size_t> out_rows(rows + 1, 0);
+  std::vector<size_t> out_cols;
+  std::vector<double> out_vals;
   out_cols.reserve(max_nnz);
   out_vals.reserve(max_nnz);
   bool any_zero = false;
@@ -275,22 +276,23 @@ Result<CsrMatrix> DisaggregateRows(const std::vector<const CsrMatrix*>& mats,
         any_zero |= zero;
         out_rows[r + 1] = out_cols.size();
       });
-  if (fallback.dm == nullptr || !any_zero) return out;
-
-  // The oracle's rebuild: CooBuilder::Build drops exact zeros (NaN is
-  // not one) and passes every other value through as 0.0 + v == v.
-  size_t kept = 0;
-  for (size_t r = 0, k = 0; r < rows; ++r) {
-    for (; k < out_rows[r + 1]; ++k) {
-      if (ExactlyZero(out_vals[k])) continue;
-      out_cols[kept] = out_cols[k];
-      out_vals[kept++] = out_vals[k];
+  if (fallback.dm != nullptr && any_zero) {
+    // The oracle's rebuild: CooBuilder::Build drops exact zeros (NaN is
+    // not one) and passes every other value through as 0.0 + v == v.
+    size_t kept = 0;
+    for (size_t r = 0, k = 0; r < rows; ++r) {
+      for (; k < out_rows[r + 1]; ++k) {
+        if (ExactlyZero(out_vals[k])) continue;
+        out_cols[kept] = out_cols[k];
+        out_vals[kept++] = out_vals[k];
+      }
+      out_rows[r + 1] = kept;
     }
-    out_rows[r + 1] = kept;
+    out_cols.resize(kept);
+    out_vals.resize(kept);
   }
-  out_cols.resize(kept);
-  out_vals.resize(kept);
-  return out;
+  return CsrMatrix::Adopt(rows, cols, std::move(out_rows), std::move(out_cols),
+                          std::move(out_vals));
 }
 
 Status DisaggregateRows(const std::vector<const CsrMatrix*>& mats,

@@ -223,8 +223,6 @@ TEST(CapiTest, CompileErrorsAreReported) {
     EXPECT_EQ(status.message(), "no reference attributes") << entry;
   }
   EXPECT_EQ(input_of({}).Validate().message(), "no reference attributes");
-  EXPECT_EQ(core::CrosswalkUncompiled(input_of({}), {}).status().message(),
-            "no reference attributes");
   EXPECT_EQ(
       core::RegressionBaseline().Crosswalk(input_of({})).status().message(),
       "no reference attributes");

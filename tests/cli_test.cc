@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "io/csv.h"
@@ -85,6 +86,42 @@ TEST_F(CliTest, DasymetricMethodSelection) {
             0);
   auto table = std::move(io::ReadCsvFile(out)).ValueOrDie();
   EXPECT_EQ(table.NumRows(), 2u);
+}
+
+// Two crosswalks over different unit lists, b's one value off 1 in its
+// 13th significant digit. Merging the unit lists must keep every digit
+// of every value: rounded to 12 digits, b's s1 row reads 1 and fits the
+// objective no better than a's, so β would come out (0.5, 0.5) and the
+// estimates 1.49999999995 and 1.50000000005.
+TEST_F(CliTest, CrosswalkValuesKeepEveryDigit) {
+  WriteFile(dir_ + "/a.csv",
+            "source,target,value\ns1,t1,1\ns2,t1,1\ns2,t2,1\n");
+  WriteFile(dir_ + "/b.csv",
+            "source,target,value\ns1,t1,1.0000000000004\ns2,t2,2\n");
+  WriteFile(dir_ + "/digits_obj.csv", "unit,value\ns1,1.0000000000002\ns2,2\n");
+  const std::string out = dir_ + "/digits_out.csv";
+  const std::string weights = dir_ + "/digits_weights.txt";
+  const std::string cmd = cli_ + " --objective " + dir_ +
+                          "/digits_obj.csv --ref a=" + dir_ +
+                          "/a.csv --ref b=" + dir_ + "/b.csv --weights --out " +
+                          out + " 2>" + weights;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  auto table = std::move(io::ReadCsvFile(out)).ValueOrDie();
+  auto kv = std::move(table.KeyValueColumn("unit", "value")).ValueOrDie();
+  ASSERT_EQ(kv.size(), 2u);
+  EXPECT_EQ(kv[0].first, "t1");
+  EXPECT_NEAR(kv[0].second, 1.0, 1e-9);
+  EXPECT_EQ(kv[1].first, "t2");
+  EXPECT_NEAR(kv[1].second, 2.0, 1e-9);
+  std::ifstream in(weights);
+  const std::string printed((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(printed.find("#   a                        0.000000"),
+            std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find("#   b                        1.000000"),
+            std::string::npos)
+      << printed;
 }
 
 TEST_F(CliTest, BadUsageFailsNonZero) {

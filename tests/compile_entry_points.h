@@ -22,9 +22,9 @@ namespace geoalign {
 /// The status of each compiling entry point on `input` under `options`,
 /// named by entry point: both CrosswalkPlan::Compile overloads (owning
 /// and view), GeoAlign::Crosswalk and LearnWeights,
-/// PlanCache::GetOrCompile, BatchCrosswalk::Create, and a
+/// PlanCache::GetOrCompile, BatchCrosswalk::Create, a
 /// CrosswalkPipeline with a GeoAlign method, which defers a compile
-/// error to Realign. The pipeline's unit lists are "s<i>" and "t<j>",
+/// error to Realign, and the oracle, CrosswalkUncompiled. The pipeline's unit lists are "s<i>" and "t<j>",
 /// one per objective entry and per column of the first reference's DM.
 inline std::vector<std::pair<std::string, Status>> CompileEntryPoints(
     const core::CrosswalkInput& input,
@@ -32,8 +32,8 @@ inline std::vector<std::pair<std::string, Status>> CompileEntryPoints(
   const std::vector<core::ReferenceAttribute>& refs = input.references;
   std::vector<core::ReferenceAttributeView> views;
   for (const core::ReferenceAttribute& ref : refs) {
-    views.push_back({ref.name, ref.source_aggregates,
-                     ref.disaggregation.Borrow(), nullptr});
+    views.push_back(
+        {ref.name, ref.source_aggregates, ref.disaggregation, nullptr});
   }
   std::vector<std::string> source_units;
   std::vector<std::pair<std::string, double>> objective;
@@ -62,6 +62,8 @@ inline std::vector<std::pair<std::string, Status>> CompileEntryPoints(
       {"CrosswalkPipeline",
        pipeline.ok() ? pipeline->Realign(objective).status()
                      : pipeline.status()},
+      {"CrosswalkUncompiled",
+       core::CrosswalkUncompiled(input, options).status()},
   };
 }
 

@@ -201,17 +201,6 @@ TEST(CrosswalkIo, RejectsNegativeAndBadColumns) {
   EXPECT_FALSE(io::CrosswalkFromTable(table, "nope", "target", "value").ok());
 }
 
-TEST(CrosswalkIo, TableRoundTrip) {
-  auto table = std::move(io::ParseCsv(kCrosswalkCsv)).ValueOrDie();
-  auto cw = std::move(io::CrosswalkFromTable(table, "source", "target",
-                                             "value")).ValueOrDie();
-  io::Table out = io::CrosswalkToTable(cw, "s", "t", "v");
-  auto back = std::move(io::CrosswalkFromTable(out, "s", "t", "v",
-                                               cw.source_units,
-                                               cw.target_units)).ValueOrDie();
-  EXPECT_TRUE(back.dm.AllClose(cw.dm, 1e-9));
-}
-
 TEST(CrosswalkIo, AggregatesFromTable) {
   auto table = std::move(io::ParseCsv("unit,value\nb,2\na,1\nb,3\n")).ValueOrDie();
   auto vec = std::move(io::AggregatesFromTable(table, "unit", "value",

@@ -327,6 +327,52 @@ TEST_F(ObsExportTest, FlightRecorderCollectIsConsistentUnderWriters) {
   EXPECT_GE(checked, obs::FlightRecorder::kCapacity / 2);
 }
 
+// The demand dump and the signal-safe dump write their audit lines
+// with one writer, so an id holding `"` and `\` reads the same in both
+// and parses back to itself.
+TEST_F(ObsExportTest, BothDumpsWriteTheSameAuditLine) {
+  const char* kId = "id\"with\\quote";
+  obs::RequestScope scope(kId);
+  obs::AuditRecord r;
+  std::snprintf(r.mode, sizeof(r.mode), "fused");
+  r.plan_fingerprint = 0xabcULL;
+  obs::FlightRecorder::Global().Record(r);
+
+  const std::string demand_path = TestTempPath(".jsonl");
+  std::string error;
+  ASSERT_TRUE(obs::FlightRecorder::Global().DumpToFile(demand_path, "demand",
+                                                       &error))
+      << error;
+  const std::string signal_path = TestTempPath(".jsonl");
+  {
+    std::FILE* f = std::fopen(signal_path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    obs::FlightRecorder::Global().DumpToFdSignalSafe(fileno(f));
+    std::fclose(f);
+  }
+  auto audit_lines = [](const std::string& path) {
+    std::vector<std::string> out;
+    for (const std::string& line : SplitLines(ReadFileOrDie(path))) {
+      if (line.find("\"type\":\"audit\"") != std::string::npos) {
+        out.push_back(line);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> demand = audit_lines(demand_path);
+  const std::vector<std::string> signal = audit_lines(signal_path);
+  ASSERT_EQ(demand.size(), 1u);
+  EXPECT_EQ(signal, demand);
+  EXPECT_NE(demand[0].find("\"request_id\":\"id\\\"with\\\\quote\""),
+            std::string::npos)
+      << demand[0];
+  auto parsed = io::ParseJson(demand[0]);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ((*parsed->Get("request_id"))->AsString().value(), kId);
+  std::remove(demand_path.c_str());
+  std::remove(signal_path.c_str());
+}
+
 TEST_F(ObsExportTest, FlightRecorderDumpIsParseableJsonl) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   obs::RequestScope scope("dump-req");

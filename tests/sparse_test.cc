@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/float_eq.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "sparse/coo_builder.h"
 #include "sparse/csr_matrix.h"
@@ -540,6 +545,203 @@ TEST(SparseOps, DisaggregateRowsValidatesInputs) {
   EXPECT_TRUE(DisaggregateRows({&a}, {1.0}, nullptr, 0.0, scale, {&a, &sums},
                                &targets, &zeros, &scratch)
                   .ok());
+}
+
+// ---- storage: copies share one block; writers copy unless sole -------
+
+// A bit-exact snapshot of a matrix's arrays.
+struct Arrays {
+  explicit Arrays(const CsrMatrix& m)
+      : row_ptr(m.row_ptr().begin(), m.row_ptr().end()),
+        col_idx(m.col_idx().begin(), m.col_idx().end()),
+        values(m.values().begin(), m.values().end()) {}
+
+  bool SameBits(const CsrMatrix& m) const {
+    return m.row_ptr() == row_ptr && m.col_idx() == col_idx &&
+           m.nnz() == values.size() &&
+           std::memcmp(m.values().data(), values.data(),
+                       values.size() * sizeof(double)) == 0;
+  }
+
+  std::vector<size_t> row_ptr;
+  std::vector<size_t> col_idx;
+  std::vector<double> values;
+};
+
+// Every writer, as one call on a matrix.
+struct Writer {
+  const char* name;
+  void (*write)(CsrMatrix&);
+};
+const Writer kWriters[] = {
+    {"mutable_values",
+     [](CsrMatrix& m) {
+       for (double& v : m.mutable_values()) v *= 3.0;
+     }},
+    {"ScaleRows", [](CsrMatrix& m) { m.ScaleRows({2.0, 5.0, 0.0}); }},
+    {"Prune", [](CsrMatrix& m) { m.Prune(1.5); }},
+    {"DivideRowsOrZero",
+     [](CsrMatrix& m) { DivideRowsOrZero(m, {4.0, 1.0, 0.0}, 0.0, nullptr); }},
+};
+
+TEST(CsrStorage, CopySharesTheArrays) {
+  const CsrMatrix m = Small();
+  const CsrMatrix copy = m;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.row_ptr().data(), m.row_ptr().data());
+  EXPECT_EQ(copy.col_idx().data(), m.col_idx().data());
+  EXPECT_EQ(copy.values().data(), m.values().data());
+  CsrMatrix assigned(2, 2);
+  assigned = m;
+  EXPECT_EQ(assigned.values().data(), m.values().data());
+  EXPECT_EQ(assigned.rows(), 3u);
+}
+
+TEST(CsrStorage, EachWriterLeavesTheOtherCopyBitIdentical) {
+  for (const Writer& writer : kWriters) {
+    // Write the copy, then the original, each while the other holds the
+    // block.
+    for (bool write_copy : {true, false}) {
+      CsrMatrix original = Small();
+      CsrMatrix copy = original;
+      CsrMatrix& written = write_copy ? copy : original;
+      const CsrMatrix& kept = write_copy ? original : copy;
+      const Arrays before(kept);
+      const double* kept_values = kept.values().data();
+      writer.write(written);
+      EXPECT_TRUE(before.SameBits(kept)) << writer.name;
+      EXPECT_EQ(kept.values().data(), kept_values) << writer.name;
+      EXPECT_NE(written.values().data(), kept_values) << writer.name;
+      EXPECT_NE(written.col_idx().data(), kept.col_idx().data())
+          << writer.name;
+    }
+  }
+}
+
+TEST(CsrStorage, SoleHolderWritesInPlace) {
+  for (const Writer& writer : kWriters) {
+    CsrMatrix m = Small();
+    { const CsrMatrix dropped = m; }  // shared once, sole again
+    const size_t* row_ptr = m.row_ptr().data();
+    const size_t* col_idx = m.col_idx().data();
+    const double* values = m.values().data();
+    writer.write(m);
+    EXPECT_EQ(m.row_ptr().data(), row_ptr) << writer.name;
+    EXPECT_EQ(m.col_idx().data(), col_idx) << writer.name;
+    EXPECT_EQ(m.values().data(), values) << writer.name;
+  }
+  // The values written in place are the writer's.
+  CsrMatrix m = Small();
+  m.ScaleRows({2.0, 5.0, 0.0});
+  m.Prune(0.0);
+  EXPECT_EQ(m.nnz(), 2u);
+  EXPECT_DOUBLE_EQ(m.At(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(m.At(0, 2), 4.0);
+  EXPECT_EQ(m.mutable_values().data(), m.values().data());
+}
+
+TEST(CsrStorage, WritingABorrowedMatrixLeavesTheCallerArrays) {
+  const Arrays host(Small());
+  for (const Writer& writer : kWriters) {
+    for (bool with_keepalive : {false, true}) {
+      Arrays caller = host;
+      // With a keepalive the matrix is its only holder, but the arrays
+      // are still the caller's, so the writer still copies them.
+      std::shared_ptr<const void> keepalive;
+      if (with_keepalive) keepalive = std::make_shared<int>(0);
+      const std::weak_ptr<const void> watch = keepalive;
+      CsrMatrix m = std::move(CsrMatrix::FromBorrowed(
+                                  {3, 3, caller.row_ptr, caller.col_idx,
+                                   caller.values},
+                                  std::move(keepalive)))
+                        .ValueOrDie();
+      EXPECT_EQ(m.values().data(), caller.values.data());
+      writer.write(m);
+      EXPECT_NE(m.values().data(), caller.values.data()) << writer.name;
+      EXPECT_NE(m.col_idx().data(), caller.col_idx.data()) << writer.name;
+      EXPECT_TRUE(watch.expired()) << writer.name;  // the copy let it go
+      EXPECT_EQ(caller.row_ptr, host.row_ptr) << writer.name;
+      EXPECT_EQ(caller.col_idx, host.col_idx) << writer.name;
+      EXPECT_EQ(0, std::memcmp(caller.values.data(), host.values.data(),
+                               host.values.size() * sizeof(double)))
+          << writer.name;
+    }
+  }
+}
+
+TEST(CsrStorage, MovedFromMatrixIsEmpty) {
+  CsrMatrix m = Small();
+  const double* values = m.values().data();
+  CsrMatrix moved = std::move(m);
+  EXPECT_EQ(moved.values().data(), values);
+  EXPECT_EQ(moved.nnz(), 4u);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the
+  // subject here.
+  EXPECT_EQ(m.rows(), 0u);
+  EXPECT_EQ(m.cols(), 0u);
+  EXPECT_EQ(m.nnz(), 0u);
+  EXPECT_EQ(m.row_ptr().size(), 1u);
+  EXPECT_TRUE(m.RowSums().empty());
+  CsrMatrix assigned(2, 2);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.values().data(), values);
+  EXPECT_EQ(moved.rows(), 0u);
+  EXPECT_EQ(moved.cols(), 0u);
+  EXPECT_EQ(moved.nnz(), 0u);
+  EXPECT_TRUE(moved.mutable_values().empty());
+  // NOLINTEND(bugprone-use-after-move)
+  EXPECT_TRUE(assigned.AllClose(Small(), 0.0));
+}
+
+// One matrix shared by every worker: each copies it, writes its copy
+// with every writer, and checks that the shared matrix kept its bits.
+// Under ThreadSanitizer a write that lands in the shared block races
+// the other workers' reads.
+TEST(CsrStorageConcurrency, WorkersWriteTheirOwnCopies) {
+  const CsrMatrix shared = Small();
+  const Arrays expected(shared);
+  constexpr size_t kWorkers = 4;
+  constexpr size_t kRounds = 200;
+  std::atomic<size_t> mismatches{0};
+  common::ParallelFor(kWorkers, kWorkers, [&](size_t, size_t) {
+    for (size_t round = 0; round < kRounds; ++round) {
+      CsrMatrix mine = shared;
+      for (const Writer& writer : kWriters) writer.write(mine);
+      if (!expected.SameBits(shared) ||
+          mine.values().data() == shared.values().data()) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_TRUE(expected.SameBits(shared));
+}
+
+// A copy read and dropped on one worker, then the original written in
+// place on another, with no synchronization between the two but the
+// owner handle's count. Under ThreadSanitizer this reports a race
+// unless the write step orders that drop before its writes.
+TEST(CsrStorageConcurrency, CopyDroppedOnAnotherThreadIsOrderedBeforeTheWrite) {
+  for (int round = 0; round < 20; ++round) {
+    CsrMatrix m = Small();
+    CsrMatrix held = m;
+    const double* values = m.values().data();
+    std::atomic<bool> dropped{false};
+    double held_total = 0.0;
+    common::ParallelFor(2, 2, [&](size_t task, size_t) {
+      if (task == 0) {
+        held_total = held.Total();
+        held = CsrMatrix();
+        dropped.store(true, std::memory_order_relaxed);
+        return;
+      }
+      while (!dropped.load(std::memory_order_relaxed)) {
+      }
+      m.ScaleRows({2.0, 2.0, 2.0});
+    });
+    EXPECT_DOUBLE_EQ(held_total, 10.0);
+    EXPECT_EQ(m.values().data(), values);  // written in place
+    EXPECT_DOUBLE_EQ(m.Total(), 20.0);
+  }
 }
 
 // Every value the DM-entry check must accept or reject, one entry at a

@@ -1,11 +1,12 @@
-// Edge cases of the zero-copy view layer (common/span.h, the borrowed
-// CsrMatrix mode, and the view-based compile paths) plus the hardened
+// Edge cases of the zero-copy view layer (common/span.h, borrowed
+// CsrMatrix arrays, and the view-based compile paths) plus the hardened
 // columnar io::Table error paths.
 //
 // The load-bearing assertions:
 //  - compiling from views copies ZERO aggregate-column bytes (counter
 //    delta on `ingest.bytes_copied` plus pointer identity into the
-//    prepared set), while the owning path counts every byte it copies;
+//    prepared set), while the owning path counts every aggregate byte
+//    it copies and shares the caller's DM arrays;
 //  - borrowed buffers guarded by keepalives survive the caller
 //    dropping its handle;
 //  - odd-length / misaligned views (offset into a larger host buffer)
@@ -174,12 +175,54 @@ TEST(ZeroCopyCompileTest, OwningPathCountsItsCopies) {
   auto plan = std::move(core::CrosswalkPlan::Compile(
                             w.Owning(), core::GeoAlignOptions{}))
                   .ValueOrDie();
-  // Per reference: 3 aggregate doubles + 4 row_ptr size_t + 5 col_idx
-  // size_t + 5 value doubles.
-  const uint64_t per_ref = 3 * sizeof(double) + 4 * sizeof(size_t) +
-                           5 * (sizeof(size_t) + sizeof(double));
-  EXPECT_EQ(IngestBytes(), before + 2 * per_ref);
+  // Per reference: its 3 aggregate doubles. The DM copy shares the
+  // caller's arrays, so it copies no byte.
+  EXPECT_EQ(IngestBytes(), before + 2 * 3 * sizeof(double));
   EXPECT_EQ(plan.num_source_units(), 3u);
+}
+
+TEST(ZeroCopyCompileTest, OwningPathSharesReferenceDms) {
+  World w;
+  core::CrosswalkInput input = w.Owning();
+  auto plan = std::move(core::CrosswalkPlan::Compile(
+                            input, core::GeoAlignOptions{}))
+                  .ValueOrDie();
+  for (size_t k = 0; k < 2; ++k) {
+    const sparse::CsrMatrix& mine = input.references[k].disaggregation;
+    const sparse::CsrMatrix& planned =
+        plan.references().reference(k).disaggregation;
+    EXPECT_EQ(planned.row_ptr().data(), mine.row_ptr().data()) << k;
+    EXPECT_EQ(planned.col_idx().data(), mine.col_idx().data()) << k;
+    EXPECT_EQ(planned.values().data(), mine.values().data()) << k;
+  }
+  const uint64_t fingerprint = plan.fingerprint();
+  auto before = std::move(plan.Execute(w.objective)).ValueOrDie();
+
+  // The caller's writes land in arrays of its own, not in the plan's.
+  for (core::ReferenceAttribute& ref : input.references) {
+    for (double& v : ref.disaggregation.mutable_values()) v *= 3.0;
+    ref.disaggregation.ScaleRows(linalg::Vector{2.0, 0.0, 5.0});
+    ref.disaggregation.Prune(1.0);
+  }
+  EXPECT_NE(input.references[0].disaggregation.values().data(),
+            plan.references().reference(0).disaggregation.values().data());
+  EXPECT_EQ(plan.fingerprint(), fingerprint);
+  auto after = std::move(plan.Execute(w.objective)).ValueOrDie();
+  ASSERT_EQ(after.target_estimates.size(), before.target_estimates.size());
+  EXPECT_EQ(0, std::memcmp(after.target_estimates.data(),
+                           before.target_estimates.data(),
+                           before.target_estimates.size() * sizeof(double)));
+  ASSERT_EQ(after.weights.size(), before.weights.size());
+  EXPECT_EQ(0, std::memcmp(after.weights.data(), before.weights.data(),
+                           before.weights.size() * sizeof(double)));
+  EXPECT_EQ(after.zero_rows, before.zero_rows);
+  const sparse::CsrMatrix& dm_before = before.estimated_dm;
+  const sparse::CsrMatrix& dm_after = after.estimated_dm;
+  EXPECT_TRUE(dm_after.row_ptr() == dm_before.row_ptr());
+  EXPECT_TRUE(dm_after.col_idx() == dm_before.col_idx());
+  ASSERT_EQ(dm_after.nnz(), dm_before.nnz());
+  EXPECT_EQ(0, std::memcmp(dm_after.values().data(), dm_before.values().data(),
+                           dm_before.nnz() * sizeof(double)));
 }
 
 TEST(ZeroCopyCompileTest, BothPathsAreBitIdentical) {

@@ -58,7 +58,8 @@
 #           --metrics-format=prom and --flight-recorder-out and
 #           validate the Prometheus exposition (every histogram's
 #           _count equals its +Inf bucket) and the flight-recorder
-#           JSONL dump — docs/observability.md
+#           JSONL dump, whose audit request_id (an id holding `"` and
+#           `\`) must parse back equal — docs/observability.md
 #   perfbench
 #           build the end-to-end benchmark program (perfbench/) against
 #           the library sources and run python3 perfbench/selftest.py:
@@ -185,13 +186,15 @@ print("obs gate: metrics + trace both parse; "
 EOF
   local rc=$?
   [[ $rc -ne 0 ]] && { rm -rf "$dir"; return "$rc"; }
-  # Second pass: the Prometheus exposition and the flight recorder.
+  # Second pass: the Prometheus exposition and the flight recorder,
+  # under a request id whose `"` and `\` the dump must escape.
+  local request_id='ci"obs\gate'
   "$BUILD_DIR/tools/geoalign_cli" \
     --objective "$dir/objective.csv" --ref "population=$dir/ref.csv" \
     --metrics-out="$dir/metrics.prom" --metrics-format=prom \
-    --flight-recorder-out="$dir/flight.jsonl" --request-id=ci-obs-gate \
+    --flight-recorder-out="$dir/flight.jsonl" --request-id="$request_id" \
     --out "$dir/out2.csv" || { rm -rf "$dir"; return 1; }
-  python3 - "$dir/metrics.prom" "$dir/flight.jsonl" <<'EOF'
+  python3 - "$dir/metrics.prom" "$dir/flight.jsonl" "$request_id" <<'EOF'
 import json, re, sys
 with open(sys.argv[1]) as f:
     prom = f.read()
@@ -208,7 +211,8 @@ for name, inf in infs.items():
 lines = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
 assert lines and lines[0]["type"] == "header", lines[:1]
 audits = [l for l in lines if l["type"] == "audit"]
-assert any(a["request_id"] == "ci-obs-gate" for a in audits), audits
+assert audits and all(a["request_id"] == sys.argv[3] for a in audits), (
+    sys.argv[3], audits)
 print("obs gate: prom exposition consistent "
       f"({len(infs)} histogram(s)); flight recorder dump parses "
       f"({len(audits)} audit record(s))")

@@ -204,18 +204,20 @@ Result<int> Run(const CliArgs& args) {
   // (generated "req-<n>" when --request-id is omitted).
   obs::RequestScope request_scope(args.request_id);
 
-  // Load all crosswalk files; unify unit universes across them.
-  std::vector<io::LoadedCrosswalk> crosswalks;
+  // Read every crosswalk file once; unify the unit universes across
+  // them from the tables' unit columns.
+  std::vector<io::Table> tables;
   std::vector<std::string> source_units;
   std::vector<std::string> target_units;
   for (const auto& [name, path] : args.refs) {
     GEOALIGN_ASSIGN_OR_RETURN(io::Table table, io::ReadCsvFile(path));
-    GEOALIGN_ASSIGN_OR_RETURN(
-        io::LoadedCrosswalk cw,
-        io::CrosswalkFromTable(table, "source", "target", "value"));
-    for (const std::string& u : cw.source_units) source_units.push_back(u);
-    for (const std::string& u : cw.target_units) target_units.push_back(u);
-    crosswalks.push_back(std::move(cw));
+    GEOALIGN_ASSIGN_OR_RETURN(std::vector<std::string> sources,
+                              table.StringColumn("source"));
+    GEOALIGN_ASSIGN_OR_RETURN(std::vector<std::string> targets,
+                              table.StringColumn("target"));
+    source_units.insert(source_units.end(), sources.begin(), sources.end());
+    target_units.insert(target_units.end(), targets.begin(), targets.end());
+    tables.push_back(std::move(table));
   }
   std::sort(source_units.begin(), source_units.end());
   source_units.erase(
@@ -226,15 +228,12 @@ Result<int> Run(const CliArgs& args) {
       std::unique(target_units.begin(), target_units.end()),
       target_units.end());
 
-  // Re-resolve every crosswalk against the unified universes (cheap:
-  // reparse its long form).
+  // Resolve every crosswalk against the unified universes.
   core::CrosswalkInput input;
   for (size_t k = 0; k < args.refs.size(); ++k) {
-    io::Table long_form = io::CrosswalkToTable(crosswalks[k], "source",
-                                               "target", "value");
     GEOALIGN_ASSIGN_OR_RETURN(
         io::LoadedCrosswalk aligned,
-        io::CrosswalkFromTable(long_form, "source", "target", "value",
+        io::CrosswalkFromTable(tables[k], "source", "target", "value",
                                source_units, target_units));
     input.references.push_back(
         io::ReferenceFromCrosswalk(args.refs[k].first, aligned));
