@@ -1,8 +1,8 @@
 // Microbenchmarks for the substrate libraries: the constrained
 // least-squares solvers, sparse kernels, overlay construction, spatial
 // indexes, polygon clipping, the aggregates-only execute lanes, the
-// two compile ingest paths, the one-column execute and unit-name
-// resolution. These are the building blocks whose costs the scaling
+// two compile ingest paths, the PlanCache key, the one-column execute
+// and unit-name resolution. These are the building blocks whose costs the scaling
 // study (Fig. 6) aggregates.
 // GEOALIGN_BENCH_SCALE rescales the US universe the lane and ingest
 // benchmarks run on.
@@ -35,6 +35,7 @@
 #include "core/batch.h"
 #include "core/crosswalk_plan.h"
 #include "core/geoalign.h"
+#include "core/plan_cache.h"
 #include "synth/point_process.h"
 #include "synth/universe.h"
 
@@ -431,7 +432,9 @@ BENCHMARK(BM_AggregatesLane)
 // Compile of the 9-reference US leave-one-out input 0 through the two
 // ingest paths: 0 = the owning Compile, which copies every aggregate
 // column into the plan; 1 = the view Compile, which copies none. Both
-// share the input's DM arrays.
+// share the input's DM arrays, whose blocks store their digests on the
+// first compile, so the loop hashes only names and aggregates and
+// reuses every stored DM digest.
 void BM_CompileIngest(benchmark::State& state) {
   const bool view = state.range(0) != 0;
   core::CrosswalkInput input =
@@ -455,6 +458,52 @@ void BM_CompileIngest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// PlanCache::MakeKey over an 8-reference US leave-two-out subset (every
+// suite dataset but the first two), the key each PlanCache lookup
+// makes. The DMs are copies this bench alone holds, so a write through
+// mutable_values() is in place. range(0) = 0 is warm: the digests are
+// stored after the first key, as on a cache hit. 1 is cold: before each
+// key, outside the timed region, every DM is written through
+// mutable_values(), which drops its digest, so each key hashes every
+// array. Bytes are the subset's aggregates and CSR arrays per key in
+// both modes, so the two rates compare directly.
+void BM_PlanCacheKey(benchmark::State& state) {
+  const bool cold = state.range(0) != 0;
+  const synth::Universe& uni = UsUniverse();
+  std::vector<core::ReferenceAttribute> refs;
+  size_t bytes = 0;
+  for (size_t k = 2; k < uni.datasets.size(); ++k) {
+    const synth::Dataset& d = uni.datasets[k];
+    const sparse::CsrMatrix& dm = d.dm;
+    refs.push_back(
+        {d.name, d.source,
+         std::move(sparse::CsrMatrix::FromCsrArrays(
+                       dm.rows(), dm.cols(),
+                       {dm.row_ptr().begin(), dm.row_ptr().end()},
+                       {dm.col_idx().begin(), dm.col_idx().end()},
+                       {dm.values().begin(), dm.values().end()}))
+             .ValueOrDie()});
+    bytes += d.source.size() * sizeof(double) +
+             (dm.rows() + 1 + dm.nnz()) * sizeof(size_t) +
+             dm.nnz() * sizeof(double);
+  }
+  const core::GeoAlignOptions options;
+  state.SetLabel(cold ? "cold" : "warm");
+  for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      for (core::ReferenceAttribute& ref : refs) {
+        benchmark::DoNotOptimize(ref.disaggregation.mutable_values().data());
+      }
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(core::PlanCache::MakeKey(refs, options));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_PlanCacheKey)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One CrosswalkPlan::Execute with the real β: the row kernel
 // (sparse::DisaggregateRows) on both reference structures. range(0) =

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sparse/prepared_reference.h"
 
 namespace geoalign::core {
@@ -37,9 +38,10 @@ obs::Counter& CacheInsertRaces() {
 PlanCacheKey PlanCache::MakeKey(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
-  // The same function, bytes and order as PreparedReferenceSet::Prepare,
+  // The same function, stream and order as PreparedReferenceSet::Prepare,
   // so the reference half equals the fingerprint of the plan compiled
-  // on a miss.
+  // on a miss. Each DM enters by its digest: over DMs hashed before,
+  // this reads only names, shapes and aggregates.
   sparse::ContentHash hash = sparse::HashReferenceSet(references);
   PlanCacheKey key;
   key.references = hash.Finish().lo;
@@ -53,12 +55,9 @@ PlanCacheKey PlanCache::MakeKey(
   hash.MixDouble(options.solver_options.ridge_on_singular);
   // options.threads is intentionally NOT mixed (see class comment).
   if (options.fallback_dm != nullptr) {
-    const sparse::CsrMatrix& fb = *options.fallback_dm;
-    hash.MixSize(fb.rows());
-    hash.MixSize(fb.cols());
-    hash.MixSizes(fb.row_ptr());
-    hash.MixSizes(fb.col_idx());
-    hash.MixDoubles(fb.values());
+    const sparse::ContentDigest dm = options.fallback_dm->Digest();
+    hash.MixU64(dm.lo);
+    hash.MixU64(dm.hi);
   } else {
     hash.MixU64(0);
   }
@@ -106,7 +105,11 @@ void PlanCache::EvictLocked() {
 Result<std::shared_ptr<const CrosswalkPlan>> PlanCache::GetOrCompile(
     const std::vector<ReferenceAttribute>& references,
     const GeoAlignOptions& options) {
-  PlanCacheKey key = MakeKey(references, options);
+  PlanCacheKey key;
+  {
+    GEOALIGN_TRACE_SPAN("plan_cache.key");
+    key = MakeKey(references, options);
+  }
 
   {
     common::MutexLock lock(mu_);

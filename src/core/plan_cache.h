@@ -31,12 +31,16 @@ struct PlanCacheStats {
   size_t insert_races = 0;
 };
 
-/// A PlanCache key: 128 bits from one ContentHash pass over
+/// A PlanCache key: 128 bits from one ContentHash stream over
 /// (references, options). `references` is the digest's low half taken
-/// after the reference content alone (sparse::HashReferenceSet), so it
-/// equals the fingerprint() of the plan compiled from those references;
-/// `rest` is the high half taken after the execution-relevant option
-/// fields and the fallback DM's content are mixed into the same stream.
+/// after the reference content alone (sparse::HashReferenceSet: each
+/// reference's name, aggregates and DM digest), so it equals the
+/// fingerprint() of the plan compiled from those references; `rest` is
+/// the high half taken after the execution-relevant option fields and
+/// the fallback DM's digest are mixed into the same stream.
+/// Each DM enters by sparse::CsrMatrix::Digest, which a built block
+/// stores after its first call, so a key over DMs hashed before reads
+/// only names, shapes, aggregates and options.
 struct PlanCacheKey {
   uint64_t references = 0;
   uint64_t rest = 0;
@@ -48,10 +52,13 @@ struct PlanCacheKey {
 /// sets — eval/cross_validation's leave-one-out loop revisits each
 /// reference subset once per objective and is the first consumer.
 ///
-/// Keys are CONTENT hashes (PlanCacheKey: one word-at-a-time pass over
-/// reference names/aggregates/CSR arrays, the option enums and
-/// tolerances, and the fallback DM's content), never pointer
-/// identities — equal inputs hit regardless of where they live.
+/// Keys are CONTENT hashes (PlanCacheKey: one word-at-a-time stream
+/// over reference names and aggregates, per-DM digests, the option
+/// enums and tolerances, and the fallback DM's digest), never pointer
+/// identities — equal inputs hit regardless of where they live. A DM's
+/// digest is stored in its shared block after the first key or compile
+/// over it and dropped by any write, so a hit re-hashes no DM array
+/// unless the DM borrows caller memory (CsrMatrix::FromBorrowed).
 /// `GeoAlignOptions::threads` is deliberately excluded: execution
 /// results are bit-identical for every thread count (one column runs
 /// on one thread), so plans are shared across thread configurations;
@@ -72,7 +79,9 @@ class PlanCache {
 
   /// Returns the cached plan for (references, options), compiling and
   /// inserting it on a miss. The shared_ptr keeps the plan alive even
-  /// after eviction, so callers may hold it indefinitely.
+  /// after eviction, so callers may hold it indefinitely. The key is
+  /// made under the `plan_cache.key` span, so a trace shows a hit's
+  /// cost.
   Result<std::shared_ptr<const CrosswalkPlan>> GetOrCompile(
       const std::vector<ReferenceAttribute>& references,
       const GeoAlignOptions& options);

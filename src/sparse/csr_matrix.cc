@@ -1,6 +1,7 @@
 #include "sparse/csr_matrix.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <utility>
 
@@ -55,6 +56,13 @@ struct CsrMatrix::Block {
   std::vector<size_t> row_ptr;
   std::vector<size_t> col_idx;
   std::vector<double> values;
+  // Digest() memo, written through the const handle every holder
+  // shares. `digest_lo` and `digest_hi` are stored before `has_digest`
+  // is set (release) and read only after it is seen set (acquire).
+  // Threads racing on the first Digest() all store the same value.
+  mutable std::atomic<uint64_t> digest_lo{0};
+  mutable std::atomic<uint64_t> digest_hi{0};
+  mutable std::atomic<bool> has_digest{false};
 };
 
 CsrMatrix::CsrMatrix(size_t rows, size_t cols)
@@ -96,8 +104,7 @@ CsrMatrix CsrMatrix::Adopt(size_t rows, size_t cols,
 }
 
 CsrMatrix::Block& CsrMatrix::WritableBlock() {
-  if (std::get_deleter<DeleteBlock>(owner_) != nullptr &&
-      owner_.use_count() == 1) {
+  if (OwnBlock() != nullptr && owner_.use_count() == 1) {
     // use_count() is a relaxed load, so by itself it does not order
     // the reads another thread made through a copy it has since
     // dropped before the writes that follow. Copying the handle does:
@@ -106,8 +113,13 @@ CsrMatrix::Block& CsrMatrix::WritableBlock() {
     // acquire fence would order them too, but ThreadSanitizer does not
     // model fences and GCC rejects them under -fsanitize=thread.)
     const std::shared_ptr<const void> acquire = owner_;
-    return *static_cast<Block*>(const_cast<void*>(owner_.get()));
+    Block& block = *static_cast<Block*>(const_cast<void*>(owner_.get()));
+    // The caller is about to write: the stored digest goes. No other
+    // holder exists to read it concurrently.
+    block.has_digest.store(false, std::memory_order_relaxed);
+    return block;
   }
+  // A fresh block, which holds no digest.
   *this = Adopt(rows_, cols_,
                 std::vector<size_t>(row_ptr_.begin(), row_ptr_.end()),
                 std::vector<size_t>(col_idx_.begin(), col_idx_.end()),
@@ -115,8 +127,34 @@ CsrMatrix::Block& CsrMatrix::WritableBlock() {
   return *static_cast<Block*>(const_cast<void*>(owner_.get()));
 }
 
+const CsrMatrix::Block* CsrMatrix::OwnBlock() const {
+  if (std::get_deleter<DeleteBlock>(owner_) == nullptr) return nullptr;
+  return static_cast<const Block*>(owner_.get());
+}
+
 std::span<double> CsrMatrix::mutable_values() {
   return WritableBlock().values;
+}
+
+ContentDigest CsrMatrix::Digest() const {
+  const Block* block = OwnBlock();
+  if (block != nullptr && block->has_digest.load(std::memory_order_acquire)) {
+    return {block->digest_lo.load(std::memory_order_relaxed),
+            block->digest_hi.load(std::memory_order_relaxed)};
+  }
+  ContentHash hash;
+  hash.MixSize(rows_);
+  hash.MixSize(cols_);
+  hash.MixSizes(row_ptr_);
+  hash.MixSizes(col_idx_);
+  hash.MixDoubles(values_);
+  const ContentDigest digest = hash.Finish();
+  if (block != nullptr) {
+    block->digest_lo.store(digest.lo, std::memory_order_relaxed);
+    block->digest_hi.store(digest.hi, std::memory_order_relaxed);
+    block->has_digest.store(true, std::memory_order_release);
+  }
+  return digest;
 }
 
 Result<CsrMatrix> CsrMatrix::FromCsrArrays(size_t rows, size_t cols,

@@ -9,6 +9,7 @@
 #include "common/span.h"
 #include "common/status.h"
 #include "linalg/matrix.h"
+#include "sparse/content_hash.h"
 
 namespace geoalign::sparse {
 
@@ -48,9 +49,22 @@ struct CsrView {
 /// So a write never shows through another copy, and borrowed caller
 /// memory is never written. A moved-from matrix is empty (0 x 0).
 ///
+/// A block this class built also memoizes its content digest
+/// (Digest): the first call stores it in the block, and every copy
+/// sharing the block reads it from then on, so plan fingerprints and
+/// core::PlanCache keys hash a built DM's arrays once. The write step
+/// drops the memo: in place it clears it, and a copied block starts
+/// without one. Borrowed arrays (FromBorrowed, with or without a
+/// keepalive) never keep a digest, since their owner may rewrite them;
+/// they are hashed on every call.
+///
 /// Spans from the accessors stay valid while this matrix, or any copy
-/// sharing its handle, is alive and unwritten; the span mutable_values
-/// returns is valid until this matrix is next copied, moved or written.
+/// sharing its handle, is alive and unwritten. The span mutable_values
+/// returns is valid until this matrix is next copied, moved, written
+/// or digested: a write through a kept span after a copy would show
+/// through that copy, and one after a Digest call would leave the
+/// stored digest stale, so a PlanCache would serve a plan compiled
+/// from other bytes. Call mutable_values again for each write.
 class CsrMatrix {
  public:
   /// Empty rows x cols matrix (no stored entries).
@@ -130,9 +144,18 @@ class CsrMatrix {
   common::ConstSpan<size_t> row_ptr() const { return row_ptr_; }
   common::ConstSpan<size_t> col_idx() const { return col_idx_; }
   common::ConstSpan<double> values() const { return values_; }
-  /// The stored values, writable (the write step runs first). Valid
-  /// until this matrix is next copied, moved or written.
+  /// The stored values, writable (the write step runs first, dropping
+  /// any stored digest). Valid until this matrix is next copied, moved,
+  /// written or digested.
   std::span<double> mutable_values();
+
+  /// The ContentHash of rows, cols, row_ptr, col_idx and values: the
+  /// one way a DM enters a plan fingerprint or a PlanCache key. On a
+  /// block this class built, the first call stores the digest in the
+  /// block and later calls (through any copy) read it; threads racing
+  /// on the first call each compute the same value. A borrowed matrix
+  /// is hashed on every call.
+  ContentDigest Digest() const;
 
  private:
   // Builders whose output is valid by construction hand their arrays
@@ -156,8 +179,13 @@ class CsrMatrix {
 
   /// The write step every writer runs first: returns this matrix's
   /// block, after copying the arrays into a new one unless this matrix
-  /// is the only holder of a block it built.
+  /// is the only holder of a block it built. Either way the returned
+  /// block holds no digest.
   Block& WritableBlock();
+
+  /// This matrix's block when it holds one this class built, else null
+  /// (borrowed arrays, or an empty matrix).
+  const Block* OwnBlock() const;
 
   // row_ptr of every 0-row matrix that holds no block.
   static constexpr size_t kNoRows[1] = {0};

@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,68 +10,10 @@
 #include "common/span.h"
 #include "common/status.h"
 #include "linalg/vector_ops.h"
+#include "sparse/content_hash.h"
 #include "sparse/csr_matrix.h"
 
 namespace geoalign::sparse {
-
-/// A 128-bit content digest (ContentHash::Finish). `lo` doubles as
-/// the 64-bit fingerprint that plans, audit records and the C ABI
-/// expose.
-struct ContentDigest {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  bool operator==(const ContentDigest&) const = default;
-};
-
-/// The library's one content hash: it fingerprints prepared reference
-/// sets and keys core::PlanCache. Non-cryptographic, deterministic for
-/// a given host byte order, with a 128-bit output.
-///
-/// The input is a stream of 64-bit words spread round-robin over four
-/// independent multiply-rotate accumulators, so the multiplies of
-/// neighbouring words overlap instead of forming one dependency chain.
-/// Every array is prefixed by its element count and its trailing
-/// partial word is zero-padded; the in-band count keeps padding and
-/// array boundaries unambiguous. Finish() folds the four lanes and the
-/// word count and avalanches them into two 64-bit halves.
-///
-/// Span parameters (vectors convert implicitly) make the mixed word
-/// stream identical whichever ingest path produced the data, so
-/// fingerprints and PlanCache keys do not depend on whether the arrays
-/// are owned or borrowed.
-class ContentHash {
- public:
-  ContentHash();
-
-  void MixU64(uint64_t v) { MixWord(v); }
-  void MixSize(size_t v) { MixU64(static_cast<uint64_t>(v)); }
-  void MixDouble(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    MixU64(bits);
-  }
-  void MixDoubles(common::ConstSpan<double> v) {
-    MixArray(v.size(), v.data(), v.size() * sizeof(double));
-  }
-  void MixSizes(common::ConstSpan<size_t> v) {
-    MixArray(v.size(), v.data(), v.size() * sizeof(size_t));
-  }
-  void MixString(const std::string& s) {
-    MixArray(s.size(), s.data(), s.size());
-  }
-
-  /// Digest of everything mixed so far. Const: mixing may continue
-  /// afterwards, extending the same stream.
-  ContentDigest Finish() const;
-
- private:
-  void MixWord(uint64_t word);
-  /// Count prefix, whole words, then the zero-padded tail word.
-  void MixArray(size_t count, const void* data, size_t bytes);
-
-  uint64_t lanes_[4];
-  uint64_t words_ = 0;
-};
 
 /// Raw per-reference inputs to PreparedReferenceSet::Prepare: one
 /// reference attribute α_r as the core layer sees it, without any core
@@ -168,7 +109,9 @@ struct PreparedReference {
 };
 
 /// The head of a reference set's hash stream: the reference count and
-/// the DM shape (`rows` x `cols`, the first reference's).
+/// the DM shape (`rows` x `cols`, the first reference's). The hash
+/// itself (ContentHash, ContentDigest) lives in sparse/content_hash.h,
+/// below CsrMatrix, so a matrix can digest its own arrays.
 inline ContentHash BeginReferenceSetHash(size_t count, size_t rows,
                                          size_t cols) {
   ContentHash hash;
@@ -178,25 +121,29 @@ inline ContentHash BeginReferenceSetHash(size_t count, size_t rows,
   return hash;
 }
 
-/// One reference's part of the stream: its name, aggregates and CSR
-/// arrays. `Reference` is any type with `name`, `source_aggregates`
-/// and `disaggregation` members. PreparedReferenceSet::Prepare mixes
-/// each reference right after checking it, while its arrays are still
-/// in cache; HashReferenceSet mixes them in one loop.
+/// One reference's part of the stream: its name, its aggregates and
+/// its DM's digest (CsrMatrix::Digest, `lo` then `hi`), never the DM's
+/// arrays. A DM whose block already holds its digest adds no pass over
+/// its arrays; one that does not (a fresh block, or borrowed arrays)
+/// is hashed here. `Reference` is any type with `name`,
+/// `source_aggregates` and `disaggregation` members.
+/// PreparedReferenceSet::Prepare mixes each reference right after
+/// checking it; HashReferenceSet mixes them in one loop.
 template <typename Reference>
 void MixReference(const Reference& ref, ContentHash& hash) {
   hash.MixString(ref.name);
   hash.MixDoubles(ref.source_aggregates);
-  hash.MixSizes(ref.disaggregation.row_ptr());
-  hash.MixSizes(ref.disaggregation.col_idx());
-  hash.MixDoubles(ref.disaggregation.values());
+  const ContentDigest dm = ref.disaggregation.Digest();
+  hash.MixU64(dm.lo);
+  hash.MixU64(dm.hi);
 }
 
 /// Hashes a reference set's content: BeginReferenceSetHash, then
 /// MixReference for each reference in order. PreparedReferenceSet's
 /// fingerprint() and the reference half of core::PlanCache keys are
-/// this one stream, so both agree by construction. Returns the
-/// unfinished hash so callers can mix more in.
+/// this one stream, so both agree by construction; over DMs whose
+/// digests are stored it reads only names, shapes and aggregates.
+/// Returns the unfinished hash so callers can mix more in.
 template <typename Reference>
 ContentHash HashReferenceSet(const std::vector<Reference>& references) {
   ContentHash hash = BeginReferenceSetHash(

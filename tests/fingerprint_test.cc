@@ -1,16 +1,21 @@
 // The content hash behind plan fingerprints and PlanCache keys
-// (sparse::ContentHash): one 128-bit word-at-a-time pass serves both
-// PreparedReferenceSet::Prepare and PlanCache::MakeKey. These tests pin
-// what a key must tell apart (every bit of every input that changes
-// execution), what it must ignore (the thread count), that array
-// boundaries and tail bytes are unambiguous, that every ingest path
-// hashes the same bytes, and that a key's reference half is the
-// fingerprint of the plan compiled on a miss.
+// (sparse::ContentHash): one 128-bit word-at-a-time stream serves both
+// PreparedReferenceSet::Prepare and PlanCache::MakeKey, with each DM
+// entering by its digest (sparse::CsrMatrix::Digest, stored in a built
+// block after its first call). These tests pin what a key must tell
+// apart (every bit of every input that changes execution, also after a
+// DM's digest was stored), what it must ignore (the thread count), that
+// a write drops a stored digest and borrowed arrays never keep one,
+// that array boundaries and tail bytes are unambiguous, that every
+// ingest path hashes the same bytes, and that a key's reference half is
+// the fingerprint of the plan compiled on a miss.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -61,16 +66,19 @@ struct World {
         .ValueOrDie();
   }
 
+  // A DM in a block of its own, which stores its digest.
+  sparse::CsrMatrix OwnedDm(const std::vector<double>& values) const {
+    return std::move(
+               sparse::CsrMatrix::FromCsrArrays(3, 2, row_ptr, col_idx, values))
+        .ValueOrDie();
+  }
+
   std::vector<core::ReferenceAttribute> Borrowing() const {
     return {{"a", agg_a, Dm(values_a)}, {"b", agg_b, Dm(values_b)}};
   }
 
   std::vector<core::ReferenceAttribute> Owning() const {
-    std::vector<core::ReferenceAttribute> refs = Borrowing();
-    for (core::ReferenceAttribute& ref : refs) {
-      ref.disaggregation.mutable_values();  // materializes owned copies
-    }
-    return refs;
+    return {{"a", agg_a, OwnedDm(values_a)}, {"b", agg_b, OwnedDm(values_b)}};
   }
 
   std::vector<core::ReferenceAttributeView> Views() const {
@@ -124,6 +132,118 @@ TEST(FingerprintTest, EveryBitOfEveryReferenceArrayChangesTheKey) {
     }
   }
   EXPECT_EQ(PlanCache::MakeKey(refs, options), base);
+}
+
+// The DMs are owned and keyed once, so each block holds its digest;
+// every write through mutable_values() must drop it.
+TEST(FingerprintTest, EveryBitWrittenIntoAnOwnedDmChangesTheKey) {
+  World w;
+  std::vector<core::ReferenceAttribute> refs = w.Owning();
+  const GeoAlignOptions options;
+  const PlanCacheKey base = PlanCache::MakeKey(refs, options);
+  for (size_t r = 0; r < refs.size(); ++r) {
+    sparse::CsrMatrix& dm = refs[r].disaggregation;
+    const double* stored = dm.values().data();
+    for (size_t i = 0; i < dm.nnz(); ++i) {
+      for (size_t bit = 0; bit < 64; ++bit) {
+        FlipBit(dm.mutable_values()[i], bit);
+        const PlanCacheKey flipped = PlanCache::MakeKey(refs, options);
+        EXPECT_NE(flipped.references, base.references)
+            << "dm " << r << " value " << i << " bit " << bit;
+        EXPECT_NE(flipped.rest, base.rest)
+            << "dm " << r << " value " << i << " bit " << bit;
+        FlipBit(dm.mutable_values()[i], bit);
+        EXPECT_EQ(PlanCache::MakeKey(refs, options), base)
+            << "dm " << r << " value " << i << " bit " << bit;
+      }
+    }
+    // Sole holder of its block: every write above was in place.
+    EXPECT_EQ(dm.values().data(), stored) << "dm " << r;
+  }
+}
+
+// A write through one of two matrices sharing a block moves only the
+// writer's key, whichever of the two writes; the writer then holds a
+// block alone, and a second, in-place write moves its key again.
+TEST(FingerprintTest, AWriteMovesTheWritersKeyAndNotItsCopys) {
+  World w;
+  const GeoAlignOptions options;
+  const std::vector<
+      std::pair<const char*, std::function<void(sparse::CsrMatrix&)>>>
+      writers = {
+          {"mutable_values",
+           [](sparse::CsrMatrix& m) { m.mutable_values()[0] += 1.0; }},
+          {"ScaleRows",
+           [](sparse::CsrMatrix& m) {
+             m.ScaleRows(linalg::Vector{2.0, 3.0, 5.0});
+           }},
+          {"Prune",
+           [](sparse::CsrMatrix& m) { m.Prune(m.values()[0]); }},
+      };
+  for (const auto& [what, write] : writers) {
+    for (const bool write_original : {true, false}) {
+      SCOPED_TRACE(std::string(what) +
+                   (write_original ? " through the original"
+                                   : " through the copy"));
+      std::vector<core::ReferenceAttribute> original = w.Owning();
+      const PlanCacheKey base = PlanCache::MakeKey(original, options);
+      std::vector<core::ReferenceAttribute> copy = original;
+      EXPECT_EQ(PlanCache::MakeKey(copy, options), base);
+      std::vector<core::ReferenceAttribute>& writer =
+          write_original ? original : copy;
+      const std::vector<core::ReferenceAttribute>& other =
+          write_original ? copy : original;
+
+      write(writer[0].disaggregation);
+      const PlanCacheKey written = PlanCache::MakeKey(writer, options);
+      EXPECT_NE(written.references, base.references);
+      EXPECT_NE(written.rest, base.rest);
+      EXPECT_EQ(PlanCache::MakeKey(other, options), base);
+
+      const double* block = writer[0].disaggregation.values().data();
+      write(writer[0].disaggregation);
+      EXPECT_EQ(writer[0].disaggregation.values().data(), block)
+          << "the second write is in place";
+      const PlanCacheKey again = PlanCache::MakeKey(writer, options);
+      EXPECT_NE(again.references, written.references);
+      EXPECT_NE(again.rest, written.rest);
+      EXPECT_EQ(PlanCache::MakeKey(other, options), base);
+    }
+  }
+}
+
+// A keepalive ties borrowed arrays' lifetime to the matrix, not their
+// content: their owner may rewrite them, so no digest is kept.
+TEST(FingerprintTest, BorrowedArraysWithAKeepaliveAreHashedOnEveryKey) {
+  auto arrays = std::make_shared<World>();
+  const World& w = *arrays;
+  std::vector<core::ReferenceAttribute> refs = w.Borrowing();
+  refs[0].disaggregation =
+      std::move(sparse::CsrMatrix::FromBorrowed(
+                    {3, 2, arrays->row_ptr, arrays->col_idx, arrays->values_a},
+                    arrays))
+          .ValueOrDie();
+  const GeoAlignOptions options;
+  const PlanCacheKey base = PlanCache::MakeKey(refs, options);
+  EXPECT_EQ(base, PlanCache::MakeKey(w.Owning(), options));
+
+  auto each_bit = [&](auto& array, const char* what) {
+    for (size_t i = 0; i < array.size(); ++i) {
+      for (size_t bit = 0; bit < 64; ++bit) {
+        FlipBit(array[i], bit);
+        const PlanCacheKey flipped = PlanCache::MakeKey(refs, options);
+        EXPECT_NE(flipped.references, base.references)
+            << what << "[" << i << "] bit " << bit;
+        EXPECT_NE(flipped.rest, base.rest)
+            << what << "[" << i << "] bit " << bit;
+        FlipBit(array[i], bit);
+      }
+    }
+    EXPECT_EQ(PlanCache::MakeKey(refs, options), base) << what;
+  };
+  each_bit(arrays->values_a, "values");
+  each_bit(arrays->row_ptr, "row_ptr");
+  each_bit(arrays->col_idx, "col_idx");
 }
 
 TEST(FingerprintTest, EveryExecutionRelevantOptionChangesTheKeyButThreadsDoNot) {
@@ -184,6 +304,24 @@ TEST(FingerprintTest, EveryExecutionRelevantOptionChangesTheKeyButThreadsDoNot) 
       EXPECT_NE(PlanCache::MakeKey(refs, o).rest, with_fallback.rest)
           << "fallback value " << i << " bit " << bit;
       FlipBit(fallback_values[i], bit);
+    }
+  }
+
+  // An owned fallback DM keyed once holds its digest; a write through
+  // mutable_values() drops it.
+  sparse::CsrMatrix owned_fallback = w.OwnedDm(w.values_b);
+  o.fallback_dm = &owned_fallback;
+  EXPECT_EQ(PlanCache::MakeKey(refs, o), with_fallback);
+  for (size_t i = 0; i < owned_fallback.nnz(); ++i) {
+    for (size_t bit = 0; bit < 64; ++bit) {
+      FlipBit(owned_fallback.mutable_values()[i], bit);
+      const PlanCacheKey flipped = PlanCache::MakeKey(refs, o);
+      EXPECT_EQ(flipped.references, with_fallback.references);
+      EXPECT_NE(flipped.rest, with_fallback.rest)
+          << "owned fallback value " << i << " bit " << bit;
+      FlipBit(owned_fallback.mutable_values()[i], bit);
+      EXPECT_EQ(PlanCache::MakeKey(refs, o), with_fallback)
+          << "owned fallback value " << i << " bit " << bit;
     }
   }
 
@@ -288,18 +426,27 @@ TEST(FingerprintTest, ArraysHashAsCountPrefixedWordStreams) {
   EXPECT_EQ(hash.Finish(), HashWords({1, 2}));
 }
 
+// Each path compiles twice. The owning path's second compile reads the
+// digests its first one stored; the borrowed paths hash again.
 TEST(FingerprintTest, OwningViewCapiAndOneShotIngestAgree) {
   World w;
   const GeoAlignOptions options;
-  const uint64_t owning = std::move(core::CrosswalkPlan::Compile(
-                                        w.Owning(), options))
-                              .ValueOrDie()
-                              .fingerprint();
-  const uint64_t viewed =
-      std::move(core::CrosswalkPlan::Compile(w.Views(), options))
-          .ValueOrDie()
-          .fingerprint();
-  EXPECT_EQ(viewed, owning);
+  const std::vector<core::ReferenceAttribute> owned = w.Owning();
+  auto compile_owned = [&] {
+    return std::move(core::CrosswalkPlan::Compile(owned, options))
+        .ValueOrDie()
+        .fingerprint();
+  };
+  const uint64_t owning = compile_owned();
+  EXPECT_EQ(compile_owned(), owning);
+  auto compile_viewed = [&] {
+    return std::move(core::CrosswalkPlan::Compile(w.Views(), options))
+        .ValueOrDie()
+        .fingerprint();
+  };
+  EXPECT_EQ(compile_viewed(), owning);
+  EXPECT_EQ(compile_viewed(), owning);
+  EXPECT_EQ(PlanCache::MakeKey(owned, options).references, owning);
   EXPECT_EQ(PlanCache::MakeKey(w.Owning(), options).references, owning);
   EXPECT_EQ(PlanCache::MakeKey(w.Borrowing(), options).references, owning);
 
@@ -315,9 +462,13 @@ TEST(FingerprintTest, OwningViewCapiAndOneShotIngestAgree) {
   refs[1].source_aggregates = w.agg_b.data();
   refs[1].csr = &csr_b;
   geoalign_plan* plan = nullptr;
-  ASSERT_EQ(geoalign_plan_compile(refs, 2, &plan), GEOALIGN_OK)
-      << geoalign_error_message();
-  EXPECT_EQ(geoalign_plan_fingerprint(plan), owning);
+  for (int compile = 0; compile < 2; ++compile) {
+    geoalign_plan_destroy(plan);
+    plan = nullptr;
+    ASSERT_EQ(geoalign_plan_compile(refs, 2, &plan), GEOALIGN_OK)
+        << geoalign_error_message();
+    EXPECT_EQ(geoalign_plan_fingerprint(plan), owning) << "compile " << compile;
+  }
 
   // The one-shot call compiles over borrowed views of its input; its
   // audit record carries the same fingerprint.
@@ -326,12 +477,14 @@ TEST(FingerprintTest, OwningViewCapiAndOneShotIngestAgree) {
                                   nullptr),
             GEOALIGN_OK);
   geoalign_plan_destroy(plan);
-  core::CrosswalkInput input{w.objective, w.Owning()};
-  ASSERT_TRUE(core::GeoAlign(options).Crosswalk(input).ok());
-  const std::vector<obs::AuditRecord> audits =
-      obs::FlightRecorder::Global().Collect();
-  ASSERT_FALSE(audits.empty());
-  EXPECT_EQ(audits.back().plan_fingerprint, owning);
+  core::CrosswalkInput input{w.objective, owned};
+  for (int call = 0; call < 2; ++call) {
+    ASSERT_TRUE(core::GeoAlign(options).Crosswalk(input).ok());
+    const std::vector<obs::AuditRecord> audits =
+        obs::FlightRecorder::Global().Collect();
+    ASSERT_FALSE(audits.empty());
+    EXPECT_EQ(audits.back().plan_fingerprint, owning) << "call " << call;
+  }
 }
 
 TEST(FingerprintTest, MissPlanFingerprintIsTheKeysReferenceHalf) {

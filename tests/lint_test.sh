@@ -52,6 +52,7 @@ expect_violation src/core/bad_raw_intrinsic.cc geoalign-raw-intrinsic
 expect_violation src/core/bad_raw_mutex.cc geoalign-raw-mutex
 expect_violation src/core/bad_metrics_export.cc geoalign-metrics-export
 expect_violation src/sparse/bad_kernel_pool.cc geoalign-kernel-pool
+expect_violation src/core/bad_raw_dm_hash.cc geoalign-raw-dm-hash
 expect_violation capi/bad_cpp_leak.h geoalign-capi-abi
 expect_clean "clean fixture" --root "$FIXTURES" "$FIXTURES/src/common/clean.cc"
 expect_clean "real src/ tree" --root "$ROOT"

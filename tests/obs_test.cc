@@ -15,6 +15,7 @@
 
 #include "core/batch.h"
 #include "core/geoalign.h"
+#include "core/plan_cache.h"
 #include "io/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -345,6 +346,31 @@ TEST_F(ObsTest, CrosswalkEmitsServingPathSpansAndCounters) {
   EXPECT_TRUE(has_span("execute.weight_solve"));
   EXPECT_TRUE(has_span("execute.eq14_disaggregate"));
   EXPECT_TRUE(has_span("execute.eq17_reaggregate"));
+}
+
+// GetOrCompile makes its key under one `plan_cache.key` span, on a
+// miss and on a hit alike, so a trace shows what a hit costs.
+TEST_F(ObsTest, PlanCacheKeyIsOneSpanPerLookup) {
+  core::CrosswalkInput input = MakeSmallInput();
+  const core::GeoAlignOptions options;
+  core::PlanCache cache(4);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  auto key_spans = [] {
+    size_t count = 0;
+    for (const obs::SpanEvent& s : obs::TraceRecorder::Global().Collect()) {
+      if (std::string(s.name) == "plan_cache.key") ++count;
+    }
+    return count;
+  };
+
+  ASSERT_TRUE(cache.GetOrCompile(input.references, options).ok());
+  EXPECT_EQ(key_spans(), 1u);
+  EXPECT_EQ(reg.GetHistogram("plan_cache.key.latency_us").Count(), 1u);
+
+  ASSERT_TRUE(cache.GetOrCompile(input.references, options).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(key_spans(), 2u);
+  EXPECT_EQ(reg.GetHistogram("plan_cache.key.latency_us").Count(), 2u);
 }
 
 // Fan-out threads live for one call. Each returns its trace buffer on

@@ -20,9 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <list>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -198,6 +201,49 @@ TEST(PlanCacheConcurrencyTest, ConcurrentHammerKeepsExactAccounting) {
           << "thread " << t << ", key " << key;
     }
   }
+}
+
+// Four workers miss one key at once over DMs whose blocks hold no
+// digest yet, so each may compute and store every DM's first digest
+// while the others read it (the data-race gate under
+// -DGEOALIGN_SANITIZE=thread). Whatever the interleaving, every plan
+// carries one fingerprint, the key's reference half, and the cache
+// holds one plan.
+TEST(PlanCacheConcurrencyTest, RacingFirstDigestsGiveOneFingerprint) {
+  constexpr size_t kThreads = 4;
+  core::CrosswalkInput input = MakeSmallInput();
+  for (core::ReferenceAttribute& ref : input.references) {
+    ref.disaggregation.mutable_values();  // drops any stored digest
+  }
+  core::GeoAlignOptions opts;
+  opts.threads = 1;
+
+  core::PlanCache cache(4);
+  std::vector<std::shared_ptr<const core::CrosswalkPlan>> plans(kThreads);
+  std::atomic<size_t> arrived{0};
+  common::ParallelFor(kThreads, kThreads, [&](size_t t, size_t) {
+    // Hold each worker until all have arrived (or a second has passed,
+    // should a worker thread fail to start), so the lookups overlap.
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (arrived.load() < kThreads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    plans[t] = std::move(cache.GetOrCompile(input.references, opts))
+                   .ValueOrDie();
+  });
+
+  const core::PlanCacheKey key =
+      core::PlanCache::MakeKey(input.references, opts);
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(plans[t], nullptr) << "worker " << t;
+    EXPECT_EQ(plans[t]->fingerprint(), key.references) << "worker " << t;
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  const core::PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads);
 }
 
 }  // namespace

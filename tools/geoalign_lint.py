@@ -106,6 +106,15 @@ documented in docs/static_analysis.md:
       level of parallelism and tie a column's addition order to its
       chunking (docs/parallelism.md).
 
+  geoalign-raw-dm-hash
+      No ContentHash `MixSizes` / `MixDoubles` call over a matrix's
+      `row_ptr()`, `col_idx()` or `values()` in src/ or capi/ outside
+      src/sparse/csr_matrix.cc. A DM enters a plan fingerprint or a
+      PlanCache key only through CsrMatrix::Digest, which a built block
+      stores after its first call; mixing the arrays directly re-hashes
+      bytes already digested on every key, and lets the owning, view
+      and C ABI paths drift apart.
+
   geoalign-capi-abi
       The public C ABI headers (capi/*.h) must stay C99-clean: no
       C++-only keywords (class/template/namespace/constexpr/nullptr/
@@ -145,6 +154,7 @@ RULES = (
     "geoalign-raw-mutex",
     "geoalign-metrics-export",
     "geoalign-kernel-pool",
+    "geoalign-raw-dm-hash",
     "geoalign-capi-abi",
 )
 
@@ -205,6 +215,14 @@ RAW_MUTEX_RE = re.compile(
 # itself (and tests) may call the snapshot methods; everything else
 # must go through FormatMetricsSnapshot / WriteMetricsFile.
 METRICS_EXPORT_RE = re.compile(r"(?:\.|->)\s*To(?:Text|Json)\s*\(")
+# A content-hash mix over a CSR matrix's arrays (member-call spelling:
+# `.row_ptr()`, `->values()`, ...) anywhere in the call's argument list,
+# which may span lines. The one file allowed to hash them is the
+# matrix's own Digest.
+RAW_DM_HASH_EXEMPT = "src/sparse/csr_matrix.cc"
+RAW_DM_HASH_RE = re.compile(
+    r"\bMix(?:Sizes|Doubles)\s*\([^;]*?(?:\.|->)\s*"
+    r"(?:row_ptr|col_idx|values)\s*\(\s*\)")
 # A task fan-out in the single-column kernel directories.
 KERNEL_POOL_DIRS = ("src/sparse/", "src/linalg/")
 KERNEL_POOL_RE = re.compile(r"\bParallelFor\b")
@@ -385,6 +403,9 @@ class Linter:
             self.check_metrics_export(path, stripped, raw_lines)
         if rel.startswith(KERNEL_POOL_DIRS):
             self.check_kernel_pool(path, stripped, raw_lines)
+        if (rel.startswith(("src/", "capi/"))
+                and rel != RAW_DM_HASH_EXEMPT):
+            self.check_raw_dm_hash(path, stripped, raw_lines)
         if rel.startswith("capi/") and rel.endswith(".h"):
             self.check_capi_abi(path, stripped, raw_lines)
 
@@ -485,6 +506,15 @@ class Linter:
                 "ParallelFor in a single-column kernel directory; a kernel "
                 "runs on the calling thread and sums in row order — fan "
                 "out independent tasks above it instead", raw_lines)
+
+    def check_raw_dm_hash(self, path, stripped, raw_lines):
+        for m in RAW_DM_HASH_RE.finditer(stripped):
+            self.report(
+                path, line_of(m.start(), stripped), "geoalign-raw-dm-hash",
+                "content hash over a matrix's CSR arrays outside "
+                "sparse/csr_matrix.cc; mix the matrix's "
+                "CsrMatrix::Digest() instead, so a built DM is hashed "
+                "once", raw_lines)
 
     def check_capi_abi(self, path, stripped, raw_lines):
         for m in CAPI_CXX_TOKEN_RE.finditer(stripped):
